@@ -14,7 +14,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .augment import AugmentConfig, augment
+from .augment import AugmentConfig
 from .contrastive import (
     ContrastiveConfig,
     ntxent_matrix_loss,

@@ -1,9 +1,14 @@
 """Stochastic views of feature vectors: scale jitter, Gaussian noise,
 coordinate masking.
 
-View randomness is keyed by (step, sample id, view index) rather than by
-batch position, so the views a sample receives never depend on how the
-batch around it was assembled.
+Contract: a view is a function of (seed, stream, step, sample id, view
+index) only, never of the sample's position in the batch or of the
+batch around it.  Its numbers are drawn bit for bit from the generator
+`rng.stream(seed, config.stream, step, sample_id, view)`, in this order:
+one `uniform(lo, hi)` jitter factor, `standard_normal(dim)` noise, then
+`choice(dim, floor(mask_fraction * dim), replace=False)` coordinates to
+zero.  A null config (sigma 0, range [1, 1], mask 0) reproduces the
+input bit-exactly.
 """
 
 from dataclasses import dataclass
@@ -40,35 +45,32 @@ class AugmentConfig:
         )
 
 
-def view_rng(config, seed, step, sample_id, view):
-    """The generator that produces one specific view of one sample."""
-    return rng_mod.stream(seed, config.stream, step, sample_id, view)
-
-
-def augment(x, config, gen):
-    """One stochastic view of `x` drawn from `gen`.
-
-    Scale jitter, then additive Gaussian noise, then floor(mask_fraction *
-    dim) coordinates zeroed, chosen uniformly without replacement.  The
-    generator is always consumed in the same pattern, so a null config
-    (sigma 0, range [1, 1], mask 0) reproduces `x` bit-exactly.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    lo, hi = config.jitter_range
-    factor = gen.uniform(lo, hi)
-    noise = gen.standard_normal(x.shape)
-    out = x * factor + config.noise_sigma * noise
-    n_mask = int(config.mask_fraction * x.size)
-    idx = gen.choice(x.size, size=n_mask, replace=False)
-    out.ravel()[idx] = 0.0
-    return out
-
-
 def augment_batch(batch, ids, config, seed, step, view):
-    """Row-wise views of a batch, each keyed by its own sample id."""
+    """Row-wise views of an (n, dim) batch, each keyed by its own sample id.
+
+    Every row's generator state is computed in one vectorized pass
+    (`rng.stream_states`) and loaded into one reused generator, instead
+    of seeding a fresh generator per row.
+    """
     batch = np.asarray(batch, dtype=np.float64)
-    out = np.empty_like(batch)
-    for row, sid in enumerate(ids):
-        gen = view_rng(config, seed, step, int(sid), view)
-        out[row] = augment(batch[row], config, gen)
+    if len(ids) != len(batch):
+        raise ValueError(f"{len(ids)} ids for a batch of {len(batch)} rows")
+    states = rng_mod.stream_states(seed, config.stream, step, ids, view)
+    n, dim = batch.shape
+    lo, hi = config.jitter_range
+    n_mask = int(config.mask_fraction * dim)
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    factors = []
+    noise = np.empty_like(batch)
+    masked = np.empty((n, n_mask), dtype=np.intp)
+    for row, state in enumerate(states):
+        bitgen.state = state
+        factors.append(gen.uniform(lo, hi))
+        gen.standard_normal(out=noise[row])
+        if n_mask:  # the stream's last draw: skipping an empty one changes nothing
+            masked[row] = gen.choice(dim, size=n_mask, replace=False)
+    out = batch * np.array(factors).reshape(n, 1) + config.noise_sigma * noise
+    if n_mask:
+        out[np.arange(n)[:, None], masked] = 0.0
     return out

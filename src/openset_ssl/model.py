@@ -319,22 +319,37 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; a short or overlong file raises ValueError
+    naming the path and the part that does not fit."""
     with open(path, "rb") as fh:
-        (length,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(length).decode("utf-8"))
-        if manifest["format_version"] != CHECKPOINT_VERSION:
+        data = fh.read()
+    (length,) = struct.unpack_from("<I", data.ljust(4, b"\0"))
+    end = 4 + length  # beyond a file shorter than the length field itself
+    if len(data) < end:
+        raise ValueError(f"checkpoint {path}: truncated manifest")
+    manifest = json.loads(data[4:end].decode("utf-8"))
+    if manifest["format_version"] != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint version {manifest['format_version']}"
+        )
+    config = ModelConfig.from_dict(manifest["config"])
+    model = Model(config=config)
+    offset = end
+    for entry in manifest["arrays"]:
+        shape = tuple(entry["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        if offset + count * 8 > len(data):
             raise ValueError(
-                f"unsupported checkpoint version {manifest['format_version']}"
+                f"checkpoint {path}: array {entry['name']!r} truncated "
+                f"({len(data) - offset} of {count * 8} bytes)"
             )
-        config = ModelConfig.from_dict(manifest["config"])
-        model = Model(config=config)
-        for entry in manifest["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            if entry["kind"] == "param":
-                model.params[entry["name"]] = arr
-            else:
-                model.stats[entry["name"]] = arr
+        raw = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        arr = raw.astype(np.float64).reshape(shape)
+        offset += count * 8
+        if entry["kind"] == "param":
+            model.params[entry["name"]] = arr
+        else:
+            model.stats[entry["name"]] = arr
+    if offset != len(data):
+        raise ValueError(f"checkpoint {path}: {len(data) - offset} trailing bytes")
     return model

@@ -4,11 +4,26 @@ Every source of randomness in the package is a child stream keyed by the
 master seed plus a string label (and optional integer subkeys).  Streams
 are mutually independent, and drawing from one never shifts another, so
 enabling or disabling a pipeline stage cannot perturb the stages around it.
+
+`stream_states` computes the starting states of many streams that differ
+in one subkey in a single vectorized pass.  It re-implements NumPy's
+documented `SeedSequence` entropy mixing and PCG64 seeding, so a state it
+returns is bit-identical to `stream(...).bit_generator.state`.
 """
 
 import hashlib
 
 import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _label_entropy(label):
@@ -26,3 +41,100 @@ def stream(master_seed, label, *subkeys):
         int(k) for k in subkeys
     )
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def _words(n):
+    """The uint32 words SeedSequence reads from one entropy integer."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"stream keys must be nonnegative integers, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+class _HashMix:
+    """SeedSequence's `hashmix`, whose multiplier advances on every use.
+
+    The multiplier sequence does not depend on the data, so one call can
+    hash a whole array against `k` consecutive multipliers (last axis).
+    """
+
+    def __init__(self, init, mult):
+        self.h, self.mult = init, mult
+
+    def __call__(self, values, k):
+        h = [self.h]
+        for _ in range(k):
+            h.append(h[-1] * self.mult & _MASK32)
+        self.h = h[-1]
+        h = np.array(h, dtype=np.uint32)
+        values = (values ^ h[:-1]) * h[1:]  # xor with h, multiply by the advanced h
+        return values ^ (values >> np.uint32(16))
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _generate_state(entropy):
+    """`SeedSequence(row).generate_state(4, np.uint64)` for each row.
+
+    `entropy` is an (n, L) uint32 array of assembled entropy words, one
+    stream per row; the result is (n, 4) uint64.
+    """
+    n, length = entropy.shape
+    if length < _POOL_SIZE:  # the pool hashes zeros past the entropy
+        entropy = np.hstack([entropy, np.zeros((n, _POOL_SIZE - length), np.uint32)])
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], hashmix(pool[:, src:src + 1], _POOL_SIZE - 1))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        pool = _mix(pool, hashmix(entropy[:, src:src + 1], _POOL_SIZE))
+    words = _HashMix(_INIT_B, _MULT_B)(np.tile(pool, 2), 2 * _POOL_SIZE).astype(np.uint64)
+    return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))  # little-endian pairs
+
+
+def stream_states(master_seed, label, *subkeys):
+    """Starting PCG64 states of a batch of streams, without building them.
+
+    Exactly one subkey is a sequence of integers.  Entry i of the result
+    is the `bit_generator.state` dict of the stream whose subkeys take
+    entry i of that sequence in its place, e.g.
+    `stream_states(s, "aug", step, ids, view)[i] ==
+    stream(s, "aug", step, ids[i], view).bit_generator.state`.
+    Assigning it to a PCG64's `state` reproduces that stream bit for bit.
+    """
+    batched = [i for i, k in enumerate(subkeys) if not isinstance(k, (int, np.integer))]
+    if len(batched) != 1:
+        raise ValueError("exactly one subkey must be a sequence of integers")
+    (pos,) = batched
+    head = _words(master_seed) + _words(_label_entropy(label))
+    for k in subkeys[:pos]:
+        head += _words(k)
+    tail = [w for k in subkeys[pos + 1:] for w in _words(k)]
+    keys = [_words(k) for k in subkeys[pos]]
+    # SeedSequence consumes a varying number of words per key: group rows by it
+    groups = {}
+    for row, words in enumerate(keys):
+        groups.setdefault(len(words), []).append(row)
+    states = [None] * len(keys)
+    for rows in groups.values():
+        entropy = np.array([head + keys[r] + tail for r in rows], dtype=np.uint32)
+        for r, (s_hi, s_lo, i_hi, i_lo) in zip(rows, _generate_state(entropy).tolist()):
+            # pcg64_set_seed: inc = 2*initseq + 1; state = (inc + initstate) * M + inc
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            states[r] = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+    return states

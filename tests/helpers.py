@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from openset_ssl import rng
 from openset_ssl.autodiff import DiffGraph, grad_check
 from openset_ssl.train import build_step_loss
 
@@ -78,3 +79,23 @@ def combined_param_gradcheck(model, plan, config, eps=1e-6):
 
         worst = max(worst, grad_check(fn, base, eps=eps, analytic=analytic))
     return worst
+
+
+def reference_augment_batch(batch, ids, config, seed, step, view):
+    """Views drawn row by row, each from a freshly seeded `rng.stream`.
+
+    The definition `augment.augment_batch` must reproduce bit for bit:
+    per row one jitter factor, the noise, then the masked coordinates.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    out = np.empty_like(batch)
+    lo, hi = config.jitter_range
+    for row, sid in enumerate(ids):
+        gen = rng.stream(seed, config.stream, step, int(sid), view)
+        x = batch[row]
+        factor = gen.uniform(lo, hi)
+        noise = gen.standard_normal(x.shape)
+        out[row] = x * factor + config.noise_sigma * noise
+        n_mask = int(config.mask_fraction * x.size)
+        out[row, gen.choice(x.size, size=n_mask, replace=False)] = 0.0
+    return out

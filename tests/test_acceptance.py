@@ -497,6 +497,7 @@ def test_criterion_05_aux_bn_isolation():
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_detection_quality(workdir):
     from openset_ssl.metrics import auroc, tpr_tnr
 
@@ -523,6 +524,7 @@ def test_criterion_06_detection_quality(workdir):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_07_proportion_trend(workdir):
     start = time.perf_counter()
     plain = dict(detect=False, aux_loss=False, aux_bn=False, topk_pl=False)
@@ -563,6 +565,7 @@ def test_criterion_07_proportion_trend(workdir):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_chain(workdir):
     seeds = (0, 1, 2)
     means = []
@@ -602,6 +605,7 @@ def test_criterion_08_ablation_chain(workdir):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_09_aux_only_informativeness(workdir):
     chance2 = 2.0 / SWEEP_BENCH.in_classes
     soft_accs, uniform_accs = [], []

@@ -3,8 +3,12 @@ evaluation, and pretraining behavior."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from openset_ssl.augment import AugmentConfig, augment, augment_batch, view_rng
+from helpers import reference_augment_batch
+from openset_ssl import augment as augment_module
+from openset_ssl.augment import AugmentConfig, augment_batch
 from openset_ssl.contrastive import (
     ContrastiveConfig,
     ntxent_matrix_loss,
@@ -51,30 +55,30 @@ class TestAugment:
     def test_null_config_is_identity(self):
         cfg = null_augment()
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(12)
-        out = augment(x, cfg, view_rng(cfg, seed=0, step=0, sample_id=3, view=0))
+        x = rng.standard_normal((3, 12))
+        out = augment_batch(x, [3, 4, 2**40], cfg, seed=0, step=0, view=0)
         assert np.array_equal(out, x)
 
     def test_same_rng_state_twice_is_identical(self):
         cfg = AugmentConfig(noise_sigma=0.3, jitter_range=(0.7, 1.3), mask_fraction=0.25)
-        x = np.random.default_rng(1).standard_normal(10)
-        a = augment(x, cfg, view_rng(cfg, 5, 2, 9, 1))
-        b = augment(x, cfg, view_rng(cfg, 5, 2, 9, 1))
+        x = np.tile(np.random.default_rng(1).standard_normal(10), (2, 1))
+        a = augment_batch(x, [9, 9], cfg, 5, 2, 1)
+        b = augment_batch(x, [9, 9], cfg, 5, 2, 1)
         assert np.array_equal(a, b)
+        assert np.array_equal(a[0], a[1])  # same row and key, same view
 
     def test_noise_variance_monte_carlo(self):
         sigma = 0.7
         cfg = AugmentConfig(noise_sigma=sigma, jitter_range=(1.0, 1.0), mask_fraction=0.0)
-        x = np.zeros(10)
-        gen = view_rng(cfg, 0, 0, 0, 0)
-        draws = np.concatenate([augment(x, cfg, gen) for _ in range(10_000)])
+        x = np.zeros((10_000, 10))
+        draws = augment_batch(x, range(10_000), cfg, 0, 0, 0)
         assert abs(draws.var() - sigma**2) < 0.05 * sigma**2
 
     def test_mask_fraction_zeroes_floor_count(self):
         cfg = AugmentConfig(noise_sigma=0.0, jitter_range=(1.0, 1.0), mask_fraction=0.25)
-        x = np.ones(10)
-        out = augment(x, cfg, view_rng(cfg, 0, 0, 0, 0))
-        assert (out == 0.0).sum() == 2  # floor(0.25 * 10)
+        x = np.ones((5, 10))
+        out = augment_batch(x, range(5), cfg, 0, 0, 0)
+        assert ((out == 0.0).sum(axis=1) == 2).all()  # floor(0.25 * 10)
 
     def test_views_keyed_by_sample_id_not_position(self):
         cfg = AugmentConfig(noise_sigma=0.4)
@@ -93,6 +97,39 @@ class TestAugment:
             AugmentConfig(mask_fraction=1.0)
         with pytest.raises(ValueError):
             AugmentConfig(noise_sigma=-1.0)
+
+    def test_bad_ids_rejected(self):
+        with pytest.raises(ValueError):
+            augment_batch(np.zeros((2, 3)), [1, -1], AugmentConfig(), 0, 0, 0)
+        with pytest.raises(ValueError):
+            augment_batch(np.zeros((2, 3)), [1], AugmentConfig(), 0, 0, 0)
+
+    def test_package_attribute_is_the_submodule(self):
+        import openset_ssl
+
+        assert openset_ssl.augment is augment_module
+        assert openset_ssl.augment.augment_batch is augment_batch
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.one_of(st.integers(0, 2**70),
+                               st.sampled_from([0, 2**32 - 1, 2**32, 2**64])), max_size=9),
+        dim=st.integers(1, 12),
+        mask_fraction=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+        sigma=st.sampled_from([0.0, 0.4, 1.3]),
+        jitter=st.sampled_from([(1.0, 1.0), (0.8, 1.2), (0.5, 2.0)]),
+        stream=st.sampled_from(["augment", "pretrain.augment", "train.augment"]),
+        seed=st.integers(0, 2**40),
+        step=st.integers(0, 2**33),
+        view=st.integers(0, 2),
+    )
+    def test_matches_per_row_stream_oracle(self, ids, dim, mask_fraction, sigma, jitter,
+                                           stream, seed, step, view):
+        cfg = AugmentConfig(noise_sigma=sigma, jitter_range=jitter,
+                            mask_fraction=mask_fraction, stream=stream)
+        batch = np.random.default_rng(seed % 1000).standard_normal((len(ids), dim))
+        expected = reference_augment_batch(batch, ids, cfg, seed, step, view)
+        assert np.array_equal(augment_batch(batch, ids, cfg, seed, step, view), expected)
 
 
 class TestNtxentQueryLoss:

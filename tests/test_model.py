@@ -1,6 +1,8 @@
 """Model construction, dual-branch batch norm, cosine similarity, and the
 checkpoint format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,28 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert any(".main." in k for k in loaded.stats)
         assert any(".aux." in k for k in loaded.stats)
+
+    def test_truncated_file_names_path_and_array(self, tmp_path):
+        model = build_model(small_config(), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        data = path.read_bytes()
+        last = list(model.stats)[-1]
+        path.write_bytes(data[:-3])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*{last}"):
+            load_checkpoint(path)
+        path.write_bytes(data[:10])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*manifest"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model = build_model(small_config(), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*trailing bytes"):
+            load_checkpoint(path)
 
     def test_version_check(self, tmp_path):
         import json
