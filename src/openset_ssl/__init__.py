@@ -47,7 +47,6 @@ from .train import (
     aux_only_train,
     combined_loss,
     ssl_loss,
-    train,
 )
 from .data import (
     Benchmark,

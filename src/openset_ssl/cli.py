@@ -4,15 +4,16 @@ Subcommands cover the pipeline end to end and stage by stage:
 
     generate   write a synthetic benchmark from the generator flags
     pretrain   contrastive pretraining -> pretrained.ckpt
-    detect     prototypes, scores, threshold, split -> scored.csv
+    detect     prototypes, scores, threshold, split -> scored.csv, detect.json
     label      soft-labels and top-k pseudo-labels -> manifests
-    train      open-set fine-tuning -> checkpoints, train_trace.csv
-    run        the full pipeline -> report.json
+    train      open-set fine-tuning -> checkpoints, train_trace.csv, report.json
+    run        the full pipeline -> the same files, report.json with timings
     sweep      one run per value of an axis -> sweep.csv
-    eval       recompute metrics from persisted manifests
+    eval       recompute a finished run's metrics from its report and manifests
     report     plot-ready accuracy-vs-value CSV from a sweep directory
 
 Flags mirror the experiment config; a --config JSON file overrides flags.
+Its keys are the ExperimentConfig field names, with `lambda` for `lam`.
 All randomness derives from --seed.  Exit status is nonzero on any stage
 error.
 """
@@ -21,10 +22,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import harness
-from .data import read_benchmark
 
 
 def _add_common(parser):
@@ -68,78 +67,61 @@ def _add_training(parser):
         parser.add_argument(f"--no-{toggle}", dest=dest, action="store_false", default=None)
 
 
+# flag (argparse dest) -> the config fields it sets, as dotted to_dict keys
+FLAG_FIELDS = {
+    "seed": ("seed",),
+    "out_dir": ("out_dir",),
+    "dataset_dir": ("dataset_dir",),
+    "dim": ("benchmark.dim",),
+    "in_classes": ("benchmark.in_classes",),
+    "out_classes": ("benchmark.out_classes",),
+    "separation": ("benchmark.separation",),
+    "within_sigma": ("benchmark.within_sigma",),
+    "correlation_mode": ("benchmark.correlation_mode",),
+    "total_unlabeled": ("benchmark.total_unlabeled",),
+    "proportion": ("benchmark.out_proportion",),
+    "labels_per_class": ("benchmark.labels_per_class",),
+    "test_per_class": ("benchmark.test_per_class",),
+    "pretrain_steps": ("contrastive.steps",),
+    "tau_con": ("contrastive.tau_con",),
+    "pretrain_lr": ("contrastive.lr",),
+    "batch_size": ("contrastive.batch_size", "ssl.batch_size"),
+    "steps": ("ssl.steps",),
+    "lr": ("ssl.lr",),
+    "beta": ("ssl.beta",),
+    "lam": ("ssl.lambda",),
+    "backend": ("ssl.backend",),
+    "detect": ("ssl.detect",),
+    "aux_loss": ("ssl.aux_loss",),
+    "aux_bn": ("ssl.aux_bn",),
+    "topk_pl": ("ssl.topk_pl",),
+    "tau_sl": ("labeling.tau_sl",),
+    "k_fraction": ("labeling.k_fraction",),
+    "eta": ("detection.eta",),
+    "checkpoint_interval": ("checkpoint_interval",),
+    "checkpoint_count": ("checkpoint_count",),
+}
+
+
 def build_config(args):
     """Defaults, then flags, then the --config file on top."""
-    cfg = harness.default_config()
-
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    if args.dataset_dir is not None:
-        cfg = replace(cfg, dataset_dir=args.dataset_dir)
-
-    bench_flags = {
-        "dim": getattr(args, "dim", None),
-        "in_classes": getattr(args, "in_classes", None),
-        "out_classes": getattr(args, "out_classes", None),
-        "separation": getattr(args, "separation", None),
-        "within_sigma": getattr(args, "within_sigma", None),
-        "correlation_mode": getattr(args, "correlation_mode", None),
-        "total_unlabeled": getattr(args, "total_unlabeled", None),
-        "out_proportion": getattr(args, "proportion", None),
-        "labels_per_class": getattr(args, "labels_per_class", None),
-        "test_per_class": getattr(args, "test_per_class", None),
-    }
-    bench_flags = {k: v for k, v in bench_flags.items() if v is not None}
-    if bench_flags:
-        cfg = replace(cfg, benchmark=replace(cfg.benchmark, **bench_flags))
-
-    con_flags = {}
-    if getattr(args, "pretrain_steps", None) is not None:
-        con_flags["steps"] = args.pretrain_steps
-    if getattr(args, "tau_con", None) is not None:
-        con_flags["tau_con"] = args.tau_con
-    if getattr(args, "pretrain_lr", None) is not None:
-        con_flags["lr"] = args.pretrain_lr
-    if getattr(args, "batch_size", None) is not None:
-        con_flags["batch_size"] = args.batch_size
-    if con_flags:
-        cfg = replace(cfg, contrastive=replace(cfg.contrastive, **con_flags))
-
-    ssl_flags = {}
-    for name in ("steps", "lr", "beta", "lam", "backend", "batch_size"):
-        value = getattr(args, name, None)
-        if value is not None:
-            ssl_flags[name] = value
-    for name in ("detect", "aux_loss", "aux_bn", "topk_pl"):
-        value = getattr(args, name, None)
-        if value is not None:
-            ssl_flags[name] = value
-    if ssl_flags:
-        cfg = replace(cfg, ssl=replace(cfg.ssl, **ssl_flags))
-
-    lab_flags = {}
-    if getattr(args, "tau_sl", None) is not None:
-        lab_flags["tau_sl"] = args.tau_sl
-    if getattr(args, "k_fraction", None) is not None:
-        lab_flags["k_fraction"] = args.k_fraction
-    if lab_flags:
-        cfg = replace(cfg, labeling=replace(cfg.labeling, **lab_flags))
-
-    if getattr(args, "eta", None) is not None:
-        cfg = replace(cfg, detection=replace(cfg.detection, eta=args.eta))
-    if getattr(args, "checkpoint_interval", None) is not None:
-        cfg = replace(cfg, checkpoint_interval=args.checkpoint_interval)
-    if getattr(args, "checkpoint_count", None) is not None:
-        cfg = replace(cfg, checkpoint_count=args.checkpoint_count)
-
+    given = {}
+    for dest, keys in FLAG_FIELDS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        for key in keys:
+            *parents, leaf = key.split(".")
+            node = given
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[leaf] = value
+    text = None
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
-        merged = _deep_merge(cfg.to_dict(), json.loads(text))
-        cfg = harness.ExperimentConfig.from_dict(merged, raw_text=text)
-    return cfg
+        given = _deep_merge(given, json.loads(text))
+    return harness.ExperimentConfig.from_dict(given, raw_text=text)
 
 
 def _deep_merge(base, override):
@@ -152,10 +134,15 @@ def _deep_merge(base, override):
     return out
 
 
-def _load_bench(cfg):
-    if cfg.dataset_dir:
-        return read_benchmark(cfg.dataset_dir)
-    return read_benchmark(os.path.join(cfg.out_dir, "dataset"))
+# what each pipeline command prints: the main file it leaves in --out-dir
+PRODUCTS = {
+    "generate": "dataset",
+    "pretrain": "pretrained.ckpt",
+    "detect": "scored.csv",
+    "label": "pseudolabels.csv",
+    "train": "train_trace.csv",
+    "run": "report.json",
+}
 
 
 def main(argv=None):
@@ -164,7 +151,7 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("generate", "pretrain", "detect", "label", "train", "run"):
+    for name in PRODUCTS:
         p = sub.add_parser(name)
         _add_common(p)
         _add_benchmark(p)
@@ -204,52 +191,11 @@ def _dispatch(args):
     cfg = build_config(args)
 
     if args.command == "eval":
-        result = harness.recompute_metrics(cfg.out_dir, cfg.dataset_dir, median_last=cfg.median_last)
+        result = harness.recompute_metrics(cfg.out_dir, cfg.dataset_dir)
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-
-    if args.command == "generate":
-        harness.prepare_benchmark(cfg)
-        print(os.path.join(cfg.out_dir, "dataset") if not cfg.dataset_dir else cfg.dataset_dir)
-        return 0
-
-    if args.command == "pretrain":
-        bench = _load_bench(cfg)
-        harness.stage_pretrain(cfg, bench)
-        print(os.path.join(cfg.out_dir, "pretrained.ckpt"))
-        return 0
-
-    if args.command == "detect":
-        bench = _load_bench(cfg)
-        model = harness.load_pretrained(cfg.out_dir)
-        det = harness.stage_detect(cfg, bench, model)
-        harness.write_detect_summary(cfg.out_dir, det, cfg)
-        print(os.path.join(cfg.out_dir, "scored.csv"))
-        return 0
-
-    if args.command == "label":
-        bench = _load_bench(cfg)
-        model = harness.load_pretrained(cfg.out_dir)
-        det = harness.load_detect_outcome(cfg.out_dir, bench)
-        harness.stage_label(cfg, bench, model, det)
-        print(os.path.join(cfg.out_dir, "pseudolabels.csv"))
-        return 0
-
-    if args.command == "train":
-        bench = _load_bench(cfg)
-        model = harness.load_pretrained(cfg.out_dir)
-        det = harness.load_detect_outcome(cfg.out_dir, bench)
-        lab = harness.load_label_outcome(cfg.out_dir)
-        harness.stage_train(cfg, bench, model, det, lab)
-        print(os.path.join(cfg.out_dir, "train_trace.csv"))
-        return 0
-
-    if args.command == "run":
-        report = harness.run_experiment(cfg)
-        print(os.path.join(cfg.out_dir, "report.json"))
-        return 0 if report else 1
 
     if args.command == "sweep":
         values = [float(v) for v in args.values.split(",")]
@@ -260,7 +206,17 @@ def _dispatch(args):
         print(os.path.join(cfg.out_dir, "sweep.csv"))
         return 1 if failed else 0
 
-    raise ValueError(f"unknown command {args.command!r}")
+    if args.command == "run":
+        harness.run_experiment(cfg)
+    else:
+        stages = harness.stages()
+        inputs = harness.load_stage_outputs(cfg, list(stages).index(args.command))
+        stages[args.command](cfg, *inputs)
+    if args.command == "generate" and cfg.dataset_dir:
+        print(cfg.dataset_dir)
+    else:
+        print(os.path.join(cfg.out_dir, PRODUCTS[args.command]))
+    return 0
 
 
 if __name__ == "__main__":

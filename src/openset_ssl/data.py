@@ -17,7 +17,7 @@ only; training code paths consume features and labels exclusively.
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -51,25 +51,6 @@ class BenchmarkSpec:
             raise ValueError("invalid geometry")
         if self.labels_per_class < 1 or self.test_per_class < 0 or self.total_unlabeled < 0:
             raise ValueError("invalid sample counts")
-
-    def to_dict(self):
-        return {
-            "dim": self.dim,
-            "in_classes": self.in_classes,
-            "out_classes": self.out_classes,
-            "separation": self.separation,
-            "within_sigma": self.within_sigma,
-            "correlation_mode": self.correlation_mode,
-            "total_unlabeled": self.total_unlabeled,
-            "out_proportion": self.out_proportion,
-            "labels_per_class": self.labels_per_class,
-            "test_per_class": self.test_per_class,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -235,19 +216,19 @@ def sweep_proportions(spec, proportions):
 
 
 def write_dataset(path, dataset):
+    # the bytes csv.writer would write, since no field needs quoting
+    row = "%d" + ",%.17g" * dataset.dim + ",%d,%d,%s\r\n"
+    header = ["id"] + [f"f{i}" for i in range(dataset.dim)] + ["label", "truth", "origin"]
+    rows = zip(
+        dataset.ids.tolist(),
+        dataset.x.tolist(),
+        dataset.label.tolist(),
+        dataset.truth.tolist(),
+        dataset.origin.tolist(),
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id"]
-            + [f"f{i}" for i in range(dataset.dim)]
-            + ["label", "truth", "origin"]
-        )
-        for i in range(len(dataset)):
-            writer.writerow(
-                [int(dataset.ids[i])]
-                + [f"{v:.17g}" for v in dataset.x[i]]
-                + [int(dataset.label[i]), int(dataset.truth[i]), dataset.origin[i]]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(row % (i, *x, label, truth, origin) for i, x, label, truth, origin in rows))
 
 
 def read_dataset(path):
@@ -285,13 +266,13 @@ def write_benchmark(dirpath, bench):
     write_dataset(os.path.join(dirpath, "unlabeled.csv"), bench.unlabeled)
     write_dataset(os.path.join(dirpath, "test.csv"), bench.test)
     with open(os.path.join(dirpath, "spec.json"), "w") as fh:
-        json.dump(bench.spec.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(bench.spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_benchmark(dirpath):
     with open(os.path.join(dirpath, "spec.json")) as fh:
-        spec = BenchmarkSpec.from_dict(json.load(fh))
+        spec = BenchmarkSpec(**json.load(fh))
     return Benchmark(
         spec=spec,
         labeled=read_dataset(os.path.join(dirpath, "labeled.csv")),

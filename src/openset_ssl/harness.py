@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .detect import (
     DetectionConfig,
     compute_prototypes,
     compute_threshold,
+    read_scored_manifest,
     score_samples,
     split_unlabeled,
     write_scored_manifest,
@@ -33,6 +34,8 @@ from .detect import (
 from .labeling import (
     LabelingConfig,
     oversample,
+    read_pseudo_label_manifest,
+    read_soft_label_manifest,
     select_topk,
     train_linear_eval,
     write_pseudo_label_manifest,
@@ -57,28 +60,29 @@ class ModelShape:
     bn_momentum: float = 0.1
 
     def resolve(self, input_dim, num_classes):
-        return ModelConfig(
-            input_dim=input_dim,
-            hidden_dims=tuple(self.hidden_dims),
-            embed_dim=self.embed_dim,
-            proj_dim=self.proj_dim,
-            num_classes=num_classes,
-            bn_epsilon=self.bn_epsilon,
-            bn_momentum=self.bn_momentum,
-        )
+        return ModelConfig(input_dim=input_dim, num_classes=num_classes, **asdict(self))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Everything one run depends on.  As a dict (`to_dict`, config files)
+    the keys are the field names, except `ssl.lambda` for `SSLConfig.lam`."""
+
     seed: int = 0
     out_dir: str = "run"
     benchmark: BenchmarkSpec = field(default_factory=BenchmarkSpec)
     dataset_dir: str = None  # overrides `benchmark` when set
     model: ModelShape = field(default_factory=ModelShape)
-    contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
+    contrastive: ContrastiveConfig = field(
+        default_factory=lambda: ContrastiveConfig(
+            augment=AugmentConfig(stream="pretrain.augment")
+        )
+    )
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
-    ssl: SSLConfig = field(default_factory=SSLConfig)
+    ssl: SSLConfig = field(
+        default_factory=lambda: SSLConfig(augment=AugmentConfig(stream="train.augment"))
+    )
     checkpoint_interval: int = 1280  # in labeled training samples
     checkpoint_count: int = 20
     median_last: int = 5
@@ -92,124 +96,35 @@ class ExperimentConfig:
         )
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "benchmark": self.benchmark.to_dict() if self.benchmark else None,
-            "dataset_dir": self.dataset_dir,
-            "model": {
-                "hidden_dims": list(self.model.hidden_dims),
-                "embed_dim": self.model.embed_dim,
-                "proj_dim": self.model.proj_dim,
-                "bn_epsilon": self.model.bn_epsilon,
-                "bn_momentum": self.model.bn_momentum,
-            },
-            "contrastive": {
-                "tau_con": self.contrastive.tau_con,
-                "batch_size": self.contrastive.batch_size,
-                "steps": self.contrastive.steps,
-                "lr": self.contrastive.lr,
-                "momentum": self.contrastive.momentum,
-                "cosine_decay": self.contrastive.cosine_decay,
-                "augment": _augment_dict(self.contrastive.augment),
-            },
-            "detection": {
-                "eta": self.detection.eta,
-                "explicit_threshold": self.detection.explicit_threshold,
-            },
-            "labeling": {
-                "tau_sl": self.labeling.tau_sl,
-                "k_fraction": self.labeling.k_fraction,
-                "linear_eval_steps": self.labeling.linear_eval_steps,
-                "linear_eval_lr": self.labeling.linear_eval_lr,
-            },
-            "ssl": {
-                "backend": self.ssl.backend,
-                "beta": self.ssl.beta,
-                "lambda": self.ssl.lam,
-                "batch_size": self.ssl.batch_size,
-                "steps": self.ssl.steps,
-                "lr": self.ssl.lr,
-                "momentum": self.ssl.momentum,
-                "cosine_decay": self.ssl.cosine_decay,
-                "confidence_threshold": self.ssl.confidence_threshold,
-                "detect": self.ssl.detect,
-                "aux_loss": self.ssl.aux_loss,
-                "aux_bn": self.ssl.aux_bn,
-                "topk_pl": self.ssl.topk_pl,
-                "augment": _augment_dict(self.ssl.augment),
-            },
-            "checkpoint_interval": self.checkpoint_interval,
-            "checkpoint_count": self.checkpoint_count,
-            "median_last": self.median_last,
-        }
+        d = asdict(self)
+        del d["raw_text"]
+        d["ssl"]["lambda"] = d["ssl"].pop("lam")
+        return d
 
     @classmethod
     def from_dict(cls, d, raw_text=None):
-        d = dict(d)
-        bench = d.get("benchmark")
-        model = d.get("model", {})
-        con = dict(d.get("contrastive", {}))
-        det = d.get("detection", {})
-        lab = d.get("labeling", {})
-        ssl = dict(d.get("ssl", {}))
-        if "lambda" in ssl:
-            ssl["lam"] = ssl.pop("lambda")
-        con_aug = con.pop("augment", None)
-        ssl_aug = ssl.pop("augment", None)
-        return cls(
-            seed=d.get("seed", 0),
-            out_dir=d.get("out_dir", "run"),
-            benchmark=BenchmarkSpec.from_dict(bench) if bench else BenchmarkSpec(),
-            dataset_dir=d.get("dataset_dir"),
-            model=ModelShape(
-                hidden_dims=tuple(model.get("hidden_dims", (64,))),
-                embed_dim=model.get("embed_dim", 32),
-                proj_dim=model.get("proj_dim", 16),
-                bn_epsilon=model.get("bn_epsilon", 1e-5),
-                bn_momentum=model.get("bn_momentum", 0.1),
-            ),
-            contrastive=ContrastiveConfig(
-                augment=_augment_from(con_aug, "pretrain.augment"), **con
-            ),
-            detection=DetectionConfig(**det),
-            labeling=LabelingConfig(**lab),
-            ssl=SSLConfig(augment=_augment_from(ssl_aug, "train.augment"), **ssl),
-            checkpoint_interval=d.get("checkpoint_interval", 1280),
-            checkpoint_count=d.get("checkpoint_count", 20),
-            median_last=d.get("median_last", 5),
-            raw_text=raw_text,
-        )
+        """Inverse of `to_dict`.  Absent keys keep their defaults, and so
+        does a nested config given as null, such as a stage's augment."""
+        return replace(_from_dict(cls, d, cls()), raw_text=raw_text)
 
 
-def _augment_dict(aug):
-    if aug is None:
-        return None
-    return {
-        "noise_sigma": aug.noise_sigma,
-        "jitter_range": list(aug.jitter_range),
-        "mask_fraction": aug.mask_fraction,
-        "stream": aug.stream,
-    }
-
-
-def _augment_from(d, default_stream):
-    if d is None:
-        return AugmentConfig(stream=default_stream)
-    d = dict(d)
-    d.setdefault("stream", default_stream)
-    if "jitter_range" in d:
-        d["jitter_range"] = tuple(d["jitter_range"])
-    return AugmentConfig(**d)
-
-
-def default_config(**overrides):
-    """A fully wired config with distinct augment streams per stage."""
-    cfg = ExperimentConfig(
-        contrastive=ContrastiveConfig(augment=AugmentConfig(stream="pretrain.augment")),
-        ssl=SSLConfig(augment=AugmentConfig(stream="train.augment")),
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+def _from_dict(cls, d, base):
+    """`base` with the fields named in `d` replaced, recursing into
+    nested configs; lists become tuples where the field is a tuple."""
+    by_key = {"lambda" if f.name == "lam" else f.name: f for f in fields(cls)}
+    unknown = sorted(set(d) - set(by_key))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    changes = {}
+    for key, value in d.items():
+        f = by_key[key]
+        if is_dataclass(f.type):
+            current = getattr(base, f.name)
+            value = current if value is None else _from_dict(f.type, value, current)
+        elif f.type is tuple:
+            value = tuple(value)
+        changes[f.name] = value
+    return replace(base, **changes)
 
 
 Report = dict
@@ -272,14 +187,7 @@ def stage_detect(config, bench, model):
         os.path.join(config.out_dir, "scored_labeled.csv"), labeled_scored, threshold
     )
     in_set, out_set = split_unlabeled(scored, threshold)
-
-    metrics = None
-    is_out = bench.unlabeled.origin == "out"
-    if is_out.any() and (~is_out).any():
-        scores = np.array([s.score for s in scored])
-        metrics = tpr_tnr(scores, is_out, threshold)
-        metrics["auroc"] = auroc(scores, is_out)
-    return DetectOutcome(
+    det = DetectOutcome(
         threshold=threshold,
         mu=mu,
         sigma=sigma,
@@ -287,8 +195,22 @@ def stage_detect(config, bench, model):
         labeled_scored=labeled_scored,
         in_set=in_set,
         out_set=out_set,
-        metrics=metrics,
+        metrics=_detection_metrics(
+            np.array([s.score for s in scored]), bench.unlabeled.origin == "out", threshold
+        ),
     )
+    write_detect_summary(config.out_dir, det, config)
+    return det
+
+
+def _detection_metrics(scores, is_out, threshold):
+    """tpr/tnr/auroc against the hidden origins; None unless the pool
+    holds both in- and out-of-class samples."""
+    if not (is_out.any() and (~is_out).any()):
+        return None
+    metrics = tpr_tnr(scores, is_out, threshold)
+    metrics["auroc"] = auroc(scores, is_out)
+    return metrics
 
 
 @dataclass
@@ -296,7 +218,6 @@ class LabelOutcome:
     soft_ids: list
     soft_q: list
     pseudo: list
-    pseudo_accuracy: float
 
 
 def stage_label(config, bench, model, det):
@@ -308,7 +229,7 @@ def stage_label(config, bench, model, det):
         os.path.join(config.out_dir, "softlabels.csv"), soft_ids, soft_q
     )
 
-    pseudo, pseudo_acc = [], None
+    pseudo = []
     if config.ssl.topk_pl and det.in_set:
         head = train_linear_eval(
             model,
@@ -320,19 +241,12 @@ def stage_label(config, bench, model, det):
         in_ids = [s.sample_id for s in det.in_set]
         in_x = bench.unlabeled.x[[id_to_row[i] for i in in_ids]]
         pseudo = select_topk(in_ids, in_x, head, model, config.labeling.k_fraction)
-        if pseudo:
-            truth = bench.unlabeled.truth
-            hits = [
-                truth[id_to_row[p.sample_id]] == p.assigned_class for p in pseudo
-            ]
-            pseudo_acc = float(np.mean(hits))
     write_pseudo_label_manifest(os.path.join(config.out_dir, "pseudolabels.csv"), pseudo)
-    return LabelOutcome(
-        soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo, pseudo_accuracy=pseudo_acc
-    )
+    return LabelOutcome(soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo)
 
 
 def stage_train(config, bench, model, det, lab):
+    """Fine-tune, then write final.ckpt and the run's report.json."""
     num_classes = bench.spec.in_classes
     id_to_row = {int(i): r for r, i in enumerate(bench.unlabeled.ids)}
 
@@ -386,31 +300,19 @@ def stage_train(config, bench, model, det, lab):
         trace_path=os.path.join(config.out_dir, "train_trace.csv"),
     )
     save_checkpoint(os.path.join(config.out_dir, "final.ckpt"), model)
+    write_report(
+        os.path.join(config.out_dir, "report.json"),
+        _report(config, bench, det, lab, state),
+    )
     return state
 
 
-def run_experiment(config):
-    """Full pipeline; returns the report dict (also written to report.json)."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    timings = {}
-
-    def timed(name, fn, *args):
-        start = time.perf_counter()
-        try:
-            result = fn(*args)
-        except Exception as exc:
-            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
-        timings[name] = time.perf_counter() - start
-        return result
-
-    bench = timed("generate", prepare_benchmark, config)
-    model = timed("pretrain", stage_pretrain, config, bench)
-    det = timed("detect", stage_detect, config, bench, model)
-    lab = timed("label", stage_label, config, bench, model, det)
-    state = timed("train", stage_train, config, bench, model, det, lab)
-
+def _report(config, bench, det, lab, state):
+    truth = dict(zip(bench.unlabeled.ids.tolist(), bench.unlabeled.truth.tolist()))
+    hits = [truth[p.sample_id] == p.assigned_class for p in lab.pseudo]
+    metrics = det.metrics or {}
     accs = state.checkpoint_accuracies
-    report = {
+    return {
         "config": config.to_dict(),
         "config_text": config.raw_text
         if config.raw_text is not None
@@ -421,23 +323,76 @@ def run_experiment(config):
             "sigma": det.sigma,
             "eta": config.detection.eta,
             "threshold": det.threshold,
-            "tpr": det.metrics["tpr"] if det.metrics else None,
-            "tnr": det.metrics["tnr"] if det.metrics else None,
-            "auroc": det.metrics["auroc"] if det.metrics else None,
+            "tpr": metrics.get("tpr"),
+            "tnr": metrics.get("tnr"),
+            "auroc": metrics.get("auroc"),
         },
+        # accuracy against the evaluation-only truth
         "pseudo": {
             "count": len(lab.pseudo),
-            "accuracy": lab.pseudo_accuracy,
+            "accuracy": float(np.mean(hits)) if hits else None,
         },
         "soft_label_count": len(lab.soft_ids),
         "checkpoint_accuracies": accs,
-        "median_accuracy": median_last_n(accs, min(config.median_last, len(accs)))
-        if accs
-        else None,
-        "best_accuracy": max(accs) if accs else None,
-        "timings": timings,
+        **_accuracy_summary(accs, config.median_last),
     }
-    write_report(os.path.join(config.out_dir, "report.json"), report)
+
+
+def _accuracy_summary(accs, median_last):
+    """Median of the last `median_last` checkpoint accuracies (of all of
+    them when there are fewer) and the best one."""
+    if not accs:
+        return {"median_accuracy": None, "best_accuracy": None}
+    return {
+        "median_accuracy": median_last_n(accs, min(median_last, len(accs))),
+        "best_accuracy": max(accs),
+    }
+
+
+def stages():
+    """Stage name -> function, in pipeline order.  Each stage takes the
+    config and the outputs of every stage before it, and persists what it
+    returns under the run directory.  Built per call, so that a function
+    replaced on this module (a tracer, a test double) is the one run."""
+    return {
+        "generate": prepare_benchmark,
+        "pretrain": stage_pretrain,
+        "detect": stage_detect,
+        "label": stage_label,
+        "train": stage_train,
+    }
+
+
+def load_stage_outputs(config, count):
+    """The outputs of the first `count` stages, read back from the run
+    directory in the form the stages return them."""
+    if count == 0:
+        return []
+    bench = read_benchmark(config.dataset_dir or os.path.join(config.out_dir, "dataset"))
+    loaders = (
+        lambda: load_checkpoint(os.path.join(config.out_dir, "pretrained.ckpt")),
+        lambda: load_detect_outcome(config.out_dir, bench),
+        lambda: load_label_outcome(config.out_dir),
+    )
+    return [bench] + [load() for load in loaders[: count - 1]]
+
+
+def run_experiment(config):
+    """Every stage in one process; returns the report that stage_train
+    wrote, with the stage wall times added under `timings`."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    timings, outputs = {}, []
+    for name, stage in stages().items():
+        start = time.perf_counter()
+        try:
+            outputs.append(stage(config, *outputs))
+        except Exception as exc:
+            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
+        timings[name] = time.perf_counter() - start
+    path = os.path.join(config.out_dir, "report.json")
+    report = read_report(path)
+    report["timings"] = timings
+    write_report(path, report)
     return report
 
 
@@ -570,88 +525,39 @@ def write_curve_csv(path, rows):
 # ----------------------------------------------------------------------
 
 
-def _trace_accuracies(out_dir):
-    path = os.path.join(out_dir, "train_trace.csv")
-    if not os.path.exists(path):
-        return []
-    accs = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["test_accuracy"]:
-                accs.append(float(row["test_accuracy"]))
-    return accs
-
-
-def recompute_metrics(out_dir, dataset_dir=None, median_last=None):
-    """Rebuild the detection and accuracy metrics from what a run left on
-    disk; byte-equal to the in-run values when nothing was touched.
-
-    Works from report.json after a full run, or from detect.json plus the
-    training trace after the stage-by-stage pipeline.
-    """
-    from .detect import read_scored_manifest
-
-    report_path = os.path.join(out_dir, "report.json")
-    report = read_report(report_path) if os.path.exists(report_path) else None
-    if report is not None:
-        eta = report["detection"]["eta"]
-        explicit = report["config"]["detection"]["explicit_threshold"]
-        data_dir = dataset_dir or report["config"].get("dataset_dir") or os.path.join(
-            out_dir, "dataset"
-        )
-        accs = report["checkpoint_accuracies"]
-        median_n = median_last or report["config"]["median_last"]
-    else:
-        with open(os.path.join(out_dir, "detect.json")) as fh:
-            summary = json.load(fh)
-        eta = summary["eta"]
-        explicit = summary.get("explicit_threshold")
-        data_dir = dataset_dir or os.path.join(out_dir, "dataset")
-        accs = _trace_accuracies(out_dir)
-        median_n = median_last or 5
-    bench = read_benchmark(data_dir)
+def recompute_metrics(out_dir, dataset_dir=None):
+    """Rebuild the detection and accuracy metrics of a finished run from
+    its report.json and manifests; byte-equal to the report's values when
+    nothing was touched."""
+    report = read_report(os.path.join(out_dir, "report.json"))
+    config = report["config"]
+    bench = read_benchmark(
+        dataset_dir or config["dataset_dir"] or os.path.join(out_dir, "dataset")
+    )
 
     labeled_scored, _ = read_scored_manifest(os.path.join(out_dir, "scored_labeled.csv"))
-    det_cfg = DetectionConfig(eta=eta, explicit_threshold=explicit)
     threshold, mu, sigma = compute_threshold(
-        [s.score for s in labeled_scored], det_cfg
+        [s.score for s in labeled_scored], DetectionConfig(**config["detection"])
     )
 
     scored, splits = read_scored_manifest(os.path.join(out_dir, "scored.csv"))
     truth_out = {int(i): o == "out" for i, o in zip(bench.unlabeled.ids, bench.unlabeled.origin)}
     scores = np.array([s.score for s in scored])
     is_out = np.array([truth_out[s.sample_id] for s in scored])
-    result = {
+    metrics = _detection_metrics(scores, is_out, threshold)
+    split = list(splits.values())
+    return {
         "threshold": threshold,
         "mu": mu,
         "sigma": sigma,
-        "tpr": None,
-        "tnr": None,
-        "auroc": None,
-        "split_sizes": {
-            "in": sum(1 for v in splits.values() if v == "in"),
-            "out": sum(1 for v in splits.values() if v == "out"),
-        },
+        **(metrics or dict.fromkeys(("tpr", "tnr", "auroc"))),
+        "split_sizes": {"in": split.count("in"), "out": split.count("out")},
+        **_accuracy_summary(report["checkpoint_accuracies"], config["median_last"]),
     }
-    if is_out.any() and (~is_out).any():
-        rates = tpr_tnr(scores, is_out, threshold)
-        result.update(rates)
-        result["auroc"] = auroc(scores, is_out)
-    result["median_accuracy"] = (
-        median_last_n(accs, min(median_n, len(accs))) if accs else None
-    )
-    result["best_accuracy"] = max(accs) if accs else None
-    return result
-
-
-def load_pretrained(out_dir):
-    return load_checkpoint(os.path.join(out_dir, "pretrained.ckpt"))
 
 
 def load_detect_outcome(out_dir, bench):
     """Rebuild a DetectOutcome from the scored manifests and detect.json."""
-    from .detect import read_scored_manifest
-
     with open(os.path.join(out_dir, "detect.json")) as fh:
         summary = json.load(fh)
     scored, _ = read_scored_manifest(os.path.join(out_dir, "scored.csv"))
@@ -694,13 +600,9 @@ def write_detect_summary(out_dir, det, config):
 
 def load_label_outcome(out_dir):
     """Rebuild a LabelOutcome from the label manifests."""
-    from .labeling import read_pseudo_label_manifest, read_soft_label_manifest
-
     soft_ids, soft_q = read_soft_label_manifest(os.path.join(out_dir, "softlabels.csv"))
     pseudo = read_pseudo_label_manifest(os.path.join(out_dir, "pseudolabels.csv"))
-    return LabelOutcome(
-        soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo, pseudo_accuracy=None
-    )
+    return LabelOutcome(soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo)
 
 
 def collect_sweep_rows(sweep_dir):

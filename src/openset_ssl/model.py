@@ -13,7 +13,7 @@ evaluation convention).
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,23 +54,6 @@ class ModelConfig:
         """Per-layer (in, out) sizes of the encoder stack."""
         sizes = (self.input_dim,) + self.hidden_dims + (self.embed_dim,)
         return list(zip(sizes[:-1], sizes[1:]))
-
-    def to_dict(self):
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "embed_dim": self.embed_dim,
-            "proj_dim": self.proj_dim,
-            "num_classes": self.num_classes,
-            "bn_epsilon": self.bn_epsilon,
-            "bn_momentum": self.bn_momentum,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["hidden_dims"] = tuple(d.get("hidden_dims", ()))
-        return cls(**d)
 
 
 @dataclass
@@ -304,7 +287,7 @@ def save_checkpoint(path, model):
     kinds = ["param"] * len(model.params) + ["stat"] * len(model.stats)
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "arrays": [
             {"name": n, "shape": list(a.shape), "kind": k}
             for n, a, k in zip(names, arrays, kinds)
@@ -332,7 +315,7 @@ def load_checkpoint(path):
         raise ValueError(
             f"unsupported checkpoint version {manifest['format_version']}"
         )
-    config = ModelConfig.from_dict(manifest["config"])
+    config = ModelConfig(**manifest["config"])
     model = Model(config=config)
     offset = end
     for entry in manifest["arrays"]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .augment import augment_batch
+from .augment import AugmentConfig, augment_batch
 from .contrastive import GraphLoss
 from .model import GraphBuilder, commit_batch_stats, forward, save_checkpoint
 from .optim import NesterovSGD, cosine_lr
@@ -51,7 +51,7 @@ class SSLConfig:
     aux_loss: bool = True
     aux_bn: bool = True
     topk_pl: bool = True
-    augment: object = None  # AugmentConfig; required for unlabeled terms
+    augment: AugmentConfig = None  # required for unlabeled terms
 
     def __post_init__(self):
         if self.backend not in BACKENDS:

@@ -2,9 +2,13 @@
 
 import json
 import os
+import statistics
 
+import pytest
+
+from openset_ssl import harness
 from openset_ssl.cli import main
-from openset_ssl.harness import read_report
+from openset_ssl.harness import read_report, strip_timings
 
 MICRO = [
     "--dim", "6", "--in-classes", "2", "--out-classes", "2",
@@ -45,6 +49,54 @@ class TestStagedPipeline:
         recomputed = json.loads(capsys.readouterr().out)
         assert recomputed["threshold"] == report["detection"]["threshold"]
         assert recomputed["median_accuracy"] == report["median_accuracy"]
+
+    def test_staged_and_run_directories_match(self, tmp_path):
+        staged, full = str(tmp_path / "staged"), str(tmp_path / "full")
+        for stage in ("generate", "pretrain", "detect", "label", "train"):
+            assert run_cli(stage, "--out-dir", staged, *MICRO) == 0
+        assert run_cli("run", "--out-dir", full, *MICRO) == 0
+
+        def files(root):
+            return sorted(
+                os.path.relpath(os.path.join(d, name), root)
+                for d, _, names in os.walk(root) for name in names
+            )
+
+        assert files(staged) == files(full)
+        assert "detect.json" in files(full) and "report.json" in files(staged)
+        for name in files(full):
+            if name != "report.json":
+                a = (tmp_path / "staged" / name).read_bytes()
+                assert a == (tmp_path / "full" / name).read_bytes(), name
+        reports = {}
+        for out in (staged, full):
+            report = read_report(os.path.join(out, "report.json"))
+            assert ("timings" in report) == (out == full)
+            text = json.dumps(strip_timings(report), sort_keys=True)
+            reports[out] = text.replace(out, "<out_dir>")
+        assert reports[staged] == reports[full]
+
+    def test_eval_uses_the_runs_median_window(self, tmp_path, capsys):
+        out = str(tmp_path / "m3")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"median_last": 3}))
+        flags = [
+            "--dim", "6", "--in-classes", "2", "--out-classes", "2",
+            "--separation", "6", "--total-unlabeled", "40", "--proportion", "0.5",
+            "--labels-per-class", "4", "--test-per-class", "6",
+            "--pretrain-steps", "10", "--steps", "16", "--batch-size", "4",
+            "--checkpoint-interval", "8", "--checkpoint-count", "8", "--seed", "2",
+        ]
+        assert run_cli("run", "--out-dir", out, "--config", str(path), *flags) == 0
+        report = read_report(os.path.join(out, "report.json"))
+        accs = report["checkpoint_accuracies"]
+        # the run's window matters only where last-3 and last-5 medians differ
+        assert statistics.median(accs[-3:]) != statistics.median(accs[-5:])
+        capsys.readouterr()
+        assert run_cli("eval", "--out-dir", out) == 0
+        recomputed = json.loads(capsys.readouterr().out)
+        assert recomputed["median_accuracy"] == report["median_accuracy"]
+        assert recomputed["median_accuracy"] == statistics.median(accs[-3:])
 
     def test_detect_without_pretrain_fails_nonzero(self, tmp_path):
         out = str(tmp_path / "empty")
@@ -109,3 +161,82 @@ class TestConfigFile:
         assert report["config"]["ssl"]["topk_pl"] is False
         assert report["config"]["ssl"]["aux_bn"] is False
         assert report["pseudo"]["count"] == 0
+
+
+def _flatten(d, prefix=""):
+    out = {}
+    for key, value in d.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+class TestFlagTable:
+    """Each flag sets exactly these config fields; the table is written
+    out here, independently of the CLI's own."""
+
+    CASES = [
+        (["--seed", "7"], {"seed": 7}),
+        (["--dataset-dir", "elsewhere"], {"dataset_dir": "elsewhere"}),
+        (["--dim", "5"], {"benchmark.dim": 5}),
+        (["--in-classes", "3"], {"benchmark.in_classes": 3}),
+        (["--out-classes", "4"], {"benchmark.out_classes": 4}),
+        (["--separation", "2.5"], {"benchmark.separation": 2.5}),
+        (["--within-sigma", "0.5"], {"benchmark.within_sigma": 0.5}),
+        (["--correlation-mode", "related"], {"benchmark.correlation_mode": "related"}),
+        (["--total-unlabeled", "77"], {"benchmark.total_unlabeled": 77}),
+        (["--proportion", "0.3"], {"benchmark.out_proportion": 0.3}),
+        (["--labels-per-class", "9"], {"benchmark.labels_per_class": 9}),
+        (["--test-per-class", "11"], {"benchmark.test_per_class": 11}),
+        (["--pretrain-steps", "13"], {"contrastive.steps": 13}),
+        (["--tau-con", "0.25"], {"contrastive.tau_con": 0.25}),
+        (["--pretrain-lr", "0.3"], {"contrastive.lr": 0.3}),
+        (["--batch-size", "6"], {"contrastive.batch_size": 6, "ssl.batch_size": 6}),
+        (["--steps", "17"], {"ssl.steps": 17}),
+        (["--lr", "0.4"], {"ssl.lr": 0.4}),
+        (["--beta", "2.5"], {"ssl.beta": 2.5}),
+        (["--lambda", "0.75"], {"ssl.lambda": 0.75}),
+        (["--backend", "hard-pseudo"], {"ssl.backend": "hard-pseudo"}),
+        (["--no-detect"], {"ssl.detect": False}),
+        (["--no-aux-loss"], {"ssl.aux_loss": False}),
+        (["--no-aux-bn"], {"ssl.aux_bn": False}),
+        (["--no-topk-pl"], {"ssl.topk_pl": False}),
+        (["--tau-sl", "0.5"], {"labeling.tau_sl": 0.5}),
+        (["--k-fraction", "0.5"], {"labeling.k_fraction": 0.5}),
+        (["--eta", "1.5"], {"detection.eta": 1.5}),
+        (["--checkpoint-interval", "96"], {"checkpoint_interval": 96}),
+        (["--checkpoint-count", "3"], {"checkpoint_count": 3}),
+    ]
+
+    @pytest.fixture
+    def config_of(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg: seen.append(cfg) or cfg)
+
+        def config_of(*argv):
+            assert run_cli("run", "--out-dir", str(tmp_path), *argv) == 0
+            return seen.pop()
+
+        return config_of
+
+    @pytest.mark.parametrize("argv, fields", CASES, ids=[c[0][0] for c in CASES])
+    def test_flag_sets_its_fields(self, config_of, argv, fields):
+        base = _flatten(config_of().to_dict())
+        got = _flatten(config_of(*argv).to_dict())
+        changed = {k: v for k, v in got.items() if base[k] != v}
+        assert changed == fields
+
+    @pytest.mark.parametrize("augments", [
+        {},
+        {"contrastive": {"augment": None}, "ssl": {"augment": None}},
+        {"contrastive": {"augment": {"noise_sigma": 0.7}},
+         "ssl": {"augment": {"noise_sigma": 0.7}}},
+    ], ids=["absent", "null", "without-stream"])
+    def test_config_file_augment_keeps_stage_stream(self, config_of, tmp_path, augments):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(augments))
+        cfg = config_of("--config", str(path))
+        assert cfg.contrastive.augment.stream == "pretrain.augment"
+        assert cfg.ssl.augment.stream == "train.augment"

@@ -1,5 +1,6 @@
 """Benchmark generation geometry, mixture counts, and file round-trips."""
 
+import csv
 import hashlib
 
 import numpy as np
@@ -168,6 +169,23 @@ class TestDatasetFiles:
             write_dataset(path, generate(spec).unlabeled)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_bytes_match_csv_writer_reference(self, tmp_path):
+        # the csv.writer loop write_dataset replaced, kept as the reference
+        bench = generate(small_spec())
+        data = bench.unlabeled
+        data.x[0, :4] = [-0.0, 5e-324, 5e300, -1.25e-7]
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id"] + [f"f{i}" for i in range(data.dim)]
+                            + ["label", "truth", "origin"])
+            for i in range(len(data)):
+                writer.writerow([int(data.ids[i])] + [f"{v:.17g}" for v in data.x[i]]
+                                + [int(data.label[i]), int(data.truth[i]), data.origin[i]])
+        path = tmp_path / "d.csv"
+        write_dataset(path, data)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_malformed_row_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"

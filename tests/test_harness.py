@@ -5,6 +5,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig
@@ -12,6 +14,7 @@ from openset_ssl.data import BenchmarkSpec
 from openset_ssl.detect import DetectionConfig
 from openset_ssl.harness import (
     ExperimentConfig,
+    ModelShape,
     apply_axis,
     recompute_metrics,
     run_experiment,
@@ -19,7 +22,7 @@ from openset_ssl.harness import (
     strip_timings,
 )
 from openset_ssl.labeling import LabelingConfig
-from openset_ssl.train import SSLConfig
+from openset_ssl.train import BACKENDS, SSLConfig
 
 
 def micro_config(out_dir, **kw):
@@ -213,3 +216,103 @@ class TestConfigRoundtrip:
         d["ssl"]["lambda"] = 0.25
         cfg = ExperimentConfig.from_dict(d)
         assert cfg.ssl.lam == 0.25
+
+    def test_unknown_key_rejected_by_name(self):
+        with pytest.raises(ValueError, match="lamda"):
+            ExperimentConfig.from_dict({"ssl": {"lamda": 0.25}})
+        with pytest.raises(ValueError, match="median_lst"):
+            ExperimentConfig.from_dict({"median_lst": 3})
+
+
+def _unit(lo=0.0, hi=1.0, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw)
+
+
+_text = st.text(max_size=12)
+_augments = st.builds(
+    AugmentConfig,
+    noise_sigma=_unit(0.0, 5.0),
+    jitter_range=st.tuples(_unit(0.1, 1.0), _unit(0.0, 1.0)).map(lambda t: (t[0], t[0] + t[1])),
+    mask_fraction=_unit(0.0, 0.99),
+    stream=_text,
+)
+_configs = st.builds(
+    ExperimentConfig,
+    seed=st.integers(0, 2**40),
+    out_dir=_text,
+    benchmark=st.builds(
+        BenchmarkSpec,
+        dim=st.integers(1, 64),
+        in_classes=st.integers(2, 20),
+        out_classes=st.integers(0, 20),
+        separation=_unit(0.0, 20.0),
+        within_sigma=_unit(0.01, 5.0),
+        correlation_mode=st.sampled_from(["independent", "related"]),
+        total_unlabeled=st.integers(0, 10**5),
+        out_proportion=_unit(),
+        labels_per_class=st.integers(1, 100),
+        test_per_class=st.integers(0, 100),
+        seed=st.integers(0, 2**32),
+    ),
+    dataset_dir=st.none() | _text,
+    model=st.builds(
+        ModelShape,
+        hidden_dims=st.lists(st.integers(1, 256), max_size=3).map(tuple),
+        embed_dim=st.integers(1, 256),
+        proj_dim=st.integers(1, 256),
+        bn_epsilon=_unit(1e-9, 1e-2),
+        bn_momentum=_unit(0.01, 0.99),
+    ),
+    contrastive=st.builds(
+        ContrastiveConfig,
+        tau_con=_unit(0.01, 2.0),
+        batch_size=st.integers(1, 512),
+        steps=st.integers(0, 10**5),
+        lr=_unit(),
+        momentum=_unit(),
+        cosine_decay=st.booleans(),
+        augment=_augments,
+    ),
+    detection=st.builds(
+        DetectionConfig, eta=_unit(0.0, 10.0), explicit_threshold=st.none() | _unit(-1.0)
+    ),
+    labeling=st.builds(
+        LabelingConfig,
+        tau_sl=_unit(0.01, 2.0),
+        k_fraction=_unit(0.01),
+        linear_eval_steps=st.integers(0, 1000),
+        linear_eval_lr=_unit(),
+    ),
+    ssl=st.builds(
+        SSLConfig,
+        backend=st.sampled_from(BACKENDS),
+        beta=_unit(0.0, 10.0),
+        lam=_unit(0.0, 10.0),
+        batch_size=st.integers(1, 512),
+        steps=st.none() | st.integers(0, 10**5),
+        lr=_unit(),
+        momentum=_unit(),
+        cosine_decay=st.booleans(),
+        confidence_threshold=_unit(),
+        detect=st.booleans(),
+        aux_loss=st.booleans(),
+        aux_bn=st.booleans(),
+        topk_pl=st.booleans(),
+        augment=_augments,
+    ),
+    checkpoint_interval=st.integers(1, 10**5),
+    checkpoint_count=st.integers(1, 100),
+    median_last=st.integers(1, 100),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_configs)
+@example(cfg=ExperimentConfig())
+def test_config_dict_roundtrip(cfg):
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    # and through the JSON text of a config file or a report
+    text = json.dumps(cfg.to_dict(), sort_keys=True)
+    assert ExperimentConfig.from_dict(json.loads(text), raw_text=text) == replace(
+        cfg, raw_text=text
+    )

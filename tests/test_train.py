@@ -324,3 +324,11 @@ class TestAuxOnlyTrain:
         y = rng.integers(1, C + 1, size=6)
         acc = evaluate_accuracy(model, x, y)
         assert 0.0 <= acc <= 1.0
+
+
+def test_package_attribute_is_the_submodule():
+    import openset_ssl
+    import openset_ssl.train as train_module
+
+    assert openset_ssl.train is train_module
+    assert openset_ssl.train.build_step_loss is build_step_loss
