@@ -41,13 +41,7 @@ from .labeling import (
     soft_label,
     train_linear_eval,
 )
-from .train import (
-    SSLConfig,
-    TrainState,
-    aux_only_train,
-    combined_loss,
-    ssl_loss,
-)
+from .train import SSLConfig, TrainState, aux_only_train
 from .data import (
     Benchmark,
     BenchmarkSpec,
@@ -58,6 +52,6 @@ from .data import (
     write_dataset,
 )
 from .metrics import accuracy, auroc, median_last_n, tpr_tnr
-from .harness import ExperimentConfig, Report, run_experiment, run_sweep
+from .harness import ExperimentConfig, run_experiment, run_sweep
 
 __version__ = "0.1.0"

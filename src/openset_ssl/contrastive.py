@@ -3,12 +3,12 @@ encoder and projection header on the pooled labeled + unlabeled features,
 labels stripped.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
+from .artifacts import INT, REAL, write_table
 from .augment import AugmentConfig, augment_batch
 from .model import GraphBuilder, commit_batch_stats, forward
 from .optim import NesterovSGD, cosine_lr
@@ -181,8 +181,4 @@ def calibrate_running_stats(model, pool, batch_size, seed, passes=2):
 
 
 def write_loss_trace(path, trace):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for step, loss in trace:
-            writer.writerow([step, f"{loss:.17g}"])
+    write_table(path, ["step", "loss"], [INT, REAL], trace)

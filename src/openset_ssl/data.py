@@ -14,14 +14,13 @@ Ground-truth class and origin ride along in the files for evaluation
 only; training code paths consume features and labels exclusively.
 """
 
-import csv
-import json
 import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import rng as rng_mod
+from .artifacts import INT, REAL, TEXT, one_of, read_json, read_table, write_json, write_table
 
 UNLABELED = -1
 
@@ -211,52 +210,29 @@ def sweep_proportions(spec, proportions):
 
 # ----------------------------------------------------------------------
 # dataset files: CSV with header id, f0..f{dim-1}, label, truth, origin;
-# label -1 encodes UNLABELED; reals carry 17 significant digits.
+# label -1 encodes UNLABELED.
 # ----------------------------------------------------------------------
 
 
 def write_dataset(path, dataset):
-    # the bytes csv.writer would write, since no field needs quoting
-    row = "%d" + ",%.17g" * dataset.dim + ",%d,%d,%s\r\n"
-    header = ["id"] + [f"f{i}" for i in range(dataset.dim)] + ["label", "truth", "origin"]
-    rows = zip(
-        dataset.ids.tolist(),
-        dataset.x.tolist(),
-        dataset.label.tolist(),
-        dataset.truth.tolist(),
-        dataset.origin.tolist(),
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join(row % (i, *x, label, truth, origin) for i, x, label, truth, origin in rows))
+    header = ["id", *(f"f{i}" for i in range(dataset.dim)), "label", "truth", "origin"]
+    formats = [INT] + [REAL] * dataset.dim + [INT, INT, TEXT]
+    columns = (dataset.ids, dataset.x, dataset.label, dataset.truth, dataset.origin)
+    rows = zip(*(column.tolist() for column in columns))
+    write_table(path, header, formats, ((i, *x, lab, tru, ori) for i, x, lab, tru, ori in rows))
 
 
 def read_dataset(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 4
-        ids, xs, labels, truths, origins = [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: malformed row at line {lineno}")
-            try:
-                ids.append(int(row[0]))
-                xs.append([float(v) for v in row[1 : 1 + dim]])
-                labels.append(int(row[1 + dim]))
-                truths.append(int(row[2 + dim]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed row at line {lineno}: {exc}") from exc
-            origin = row[3 + dim]
-            if origin not in ("in", "out"):
-                raise ValueError(f"{path}: malformed origin at line {lineno}")
-            origins.append(origin)
+    converters = {"id": int, "label": int, "truth": int, "origin": one_of("in", "out")}
+    cols = read_table(path, converters, default=float)
+    features = [cols[name] for name in list(cols)[1:-3]]
+    x = np.array(features, dtype=np.float64).reshape(len(features), len(cols["id"]))
     return Dataset(
-        ids=np.array(ids, dtype=np.int64),
-        x=np.array(xs, dtype=np.float64).reshape(len(ids), dim),
-        label=np.array(labels, dtype=np.int64),
-        truth=np.array(truths, dtype=np.int64),
-        origin=np.array(origins, dtype="<U3"),
+        ids=np.array(cols["id"], dtype=np.int64),
+        x=x.T.copy(),
+        label=np.array(cols["label"], dtype=np.int64),
+        truth=np.array(cols["truth"], dtype=np.int64),
+        origin=np.array(cols["origin"], dtype="<U3"),
     )
 
 
@@ -265,16 +241,12 @@ def write_benchmark(dirpath, bench):
     write_dataset(os.path.join(dirpath, "labeled.csv"), bench.labeled)
     write_dataset(os.path.join(dirpath, "unlabeled.csv"), bench.unlabeled)
     write_dataset(os.path.join(dirpath, "test.csv"), bench.test)
-    with open(os.path.join(dirpath, "spec.json"), "w") as fh:
-        json.dump(asdict(bench.spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(dirpath, "spec.json"), asdict(bench.spec))
 
 
 def read_benchmark(dirpath):
-    with open(os.path.join(dirpath, "spec.json")) as fh:
-        spec = BenchmarkSpec(**json.load(fh))
     return Benchmark(
-        spec=spec,
+        spec=BenchmarkSpec(**read_json(os.path.join(dirpath, "spec.json"))),
         labeled=read_dataset(os.path.join(dirpath, "labeled.csv")),
         unlabeled=read_dataset(os.path.join(dirpath, "unlabeled.csv")),
         test=read_dataset(os.path.join(dirpath, "test.csv")),

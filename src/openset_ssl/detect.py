@@ -8,11 +8,11 @@ the labeled scores, population standard deviation) are flagged
 out-of-class; the boundary score itself counts as in-class.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import INT, REAL, TEXT, one_of, read_table, write_table
 from .model import cosine_similarity, forward
 
 
@@ -132,33 +132,16 @@ def split_unlabeled(scored, threshold):
 
 
 def write_scored_manifest(path, scored, threshold):
-    if scored:
-        width = len(scored[0].sims)
-    else:
-        width = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sample_id"] + [f"sim_{c}" for c in range(1, width + 1)] + ["score", "split"]
-        )
-        for s in scored:
-            split = "out" if s.score < threshold else "in"
-            writer.writerow(
-                [s.sample_id]
-                + [f"{v:.17g}" for v in s.sims]
-                + [f"{s.score:.17g}", split]
-            )
+    width = len(scored[0].sims) if scored else 0
+    header = ["sample_id", *(f"sim_{c}" for c in range(1, width + 1)), "score", "split"]
+    rows = ((s.sample_id, *s.sims.tolist(), s.score, "out" if s.score < threshold else "in")
+            for s in scored)
+    write_table(path, header, [INT] + [REAL] * (width + 1) + [TEXT], rows)
 
 
 def read_scored_manifest(path):
-    scored, splits = [], {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        width = len(header) - 3
-        for row in reader:
-            sid = int(row[0])
-            sims = np.array([float(v) for v in row[1 : 1 + width]])
-            scored.append(ScoredSample(sample_id=sid, sims=sims, score=float(row[1 + width])))
-            splits[sid] = row[2 + width]
-    return scored, splits
+    cols = read_table(path, {"sample_id": int, "split": one_of("in", "out")}, default=float)
+    ids, sims = cols["sample_id"], [cols[name] for name in list(cols)[1:-2]]
+    sims = np.array(sims, dtype=np.float64).reshape(len(sims), len(ids)).T.copy()
+    scored = [ScoredSample(*row) for row in zip(ids, sims, cols["score"])]
+    return scored, dict(zip(ids, cols["split"]))

@@ -10,7 +10,6 @@ master seed, so identical configs reproduce byte-identical reports
 upstream artifact.
 """
 
-import csv
 import json
 import math
 import os
@@ -19,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
+from .artifacts import TEXT, optional_real, read_json, read_table, write_json, write_table
 from .augment import AugmentConfig
 from .contrastive import ContrastiveConfig, pretrain
 from .data import BenchmarkSpec, read_benchmark, write_benchmark
@@ -125,9 +125,6 @@ def _from_dict(cls, d, base):
             value = tuple(value)
         changes[f.name] = value
     return replace(base, **changes)
-
-
-Report = dict
 
 
 # ----------------------------------------------------------------------
@@ -397,14 +394,11 @@ def run_experiment(config):
 
 
 def write_report(path, report):
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
 
 
 def read_report(path):
-    with open(path) as fh:
-        return json.load(fh)
+    return read_json(path)
 
 
 def strip_timings(report):
@@ -459,65 +453,27 @@ def run_sweep(config, axis, values):
 
 
 def write_sweep_table(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "axis",
-                "value",
-                "median_accuracy",
-                "best_accuracy",
-                "auroc",
-                "tpr",
-                "tnr",
-                "threshold",
-                "in_count",
-                "out_count",
-                "error",
-            ]
-        )
-        for row in rows:
-            rep = row["report"]
-            if rep is None:
-                writer.writerow([row["axis"], f"{row['value']:g}"] + [""] * 8 + [row["error"]])
-                continue
-            det = rep["detection"]
-            writer.writerow(
-                [
-                    row["axis"],
-                    f"{row['value']:g}",
-                    _fmt(rep["median_accuracy"]),
-                    _fmt(rep["best_accuracy"]),
-                    _fmt(det["auroc"]),
-                    _fmt(det["tpr"]),
-                    _fmt(det["tnr"]),
-                    _fmt(det["threshold"]),
-                    rep["split_sizes"]["in"],
-                    rep["split_sizes"]["out"],
-                    "",
-                ]
-            )
+    def fields(row):
+        rep = row["report"]
+        if rep is None:
+            return [""] * 8 + [row["error"]]
+        det, sizes = rep["detection"], rep["split_sizes"]
+        reals = [rep["median_accuracy"], rep["best_accuracy"]]
+        reals += [det["auroc"], det["tpr"], det["tnr"], det["threshold"]]
+        return [*map(optional_real, reals), sizes["in"], sizes["out"], ""]
 
-
-def _fmt(value):
-    return "" if value is None else f"{value:.17g}"
+    header = ["axis", "value", "median_accuracy", "best_accuracy", "auroc", "tpr", "tnr",
+              "threshold", "in_count", "out_count", "error"]
+    rows = ((row["axis"], row["value"], *fields(row)) for row in rows)
+    write_table(path, header, [TEXT, "%g"] + [TEXT] * 9, rows)
 
 
 def write_curve_csv(path, rows):
     """Plot-ready accuracy-vs-axis curve from sweep rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "median_accuracy", "best_accuracy"])
-        for row in rows:
-            rep = row["report"]
-            if rep is not None:
-                writer.writerow(
-                    [
-                        f"{row['value']:g}",
-                        _fmt(rep["median_accuracy"]),
-                        _fmt(rep["best_accuracy"]),
-                    ]
-                )
+    reports = [(row["value"], row["report"]) for row in rows if row["report"] is not None]
+    rows = ((value, *map(optional_real, (rep["median_accuracy"], rep["best_accuracy"])))
+            for value, rep in reports)
+    write_table(path, ["value", "median_accuracy", "best_accuracy"], ["%g", TEXT, TEXT], rows)
 
 
 # ----------------------------------------------------------------------
@@ -558,8 +514,7 @@ def recompute_metrics(out_dir, dataset_dir=None):
 
 def load_detect_outcome(out_dir, bench):
     """Rebuild a DetectOutcome from the scored manifests and detect.json."""
-    with open(os.path.join(out_dir, "detect.json")) as fh:
-        summary = json.load(fh)
+    summary = read_json(os.path.join(out_dir, "detect.json"))
     scored, _ = read_scored_manifest(os.path.join(out_dir, "scored.csv"))
     labeled_scored, _ = read_scored_manifest(
         os.path.join(out_dir, "scored_labeled.csv")
@@ -579,23 +534,19 @@ def load_detect_outcome(out_dir, bench):
 
 
 def write_detect_summary(out_dir, det, config):
-    with open(os.path.join(out_dir, "detect.json"), "w") as fh:
-        json.dump(
-            {
-                "threshold": det.threshold,
-                "mu": det.mu,
-                "sigma": det.sigma,
-                "eta": config.detection.eta,
-                "explicit_threshold": config.detection.explicit_threshold,
-                "in_count": len(det.in_set),
-                "out_count": len(det.out_set),
-                "metrics": det.metrics,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        os.path.join(out_dir, "detect.json"),
+        {
+            "threshold": det.threshold,
+            "mu": det.mu,
+            "sigma": det.sigma,
+            "eta": config.detection.eta,
+            "explicit_threshold": config.detection.explicit_threshold,
+            "in_count": len(det.in_set),
+            "out_count": len(det.out_set),
+            "metrics": det.metrics,
+        },
+    )
 
 
 def load_label_outcome(out_dir):
@@ -607,22 +558,12 @@ def load_label_outcome(out_dir):
 
 def collect_sweep_rows(sweep_dir):
     """Recover sweep rows (with reports) from a sweep output directory."""
+    table = read_table(
+        os.path.join(sweep_dir, "sweep.csv"), {"axis": str, "value": float, "error": str}, default=str
+    )
     rows = []
-    with open(os.path.join(sweep_dir, "sweep.csv"), newline="") as fh:
-        reader = csv.DictReader(fh)
-        for entry in reader:
-            axis, value = entry["axis"], float(entry["value"])
-            run_dir = os.path.join(sweep_dir, f"{axis}_{value:g}")
-            report = None
-            path = os.path.join(run_dir, "report.json")
-            if os.path.exists(path):
-                report = read_report(path)
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "error": entry["error"] or None,
-                    "report": report,
-                }
-            )
+    for axis, value, error in zip(table["axis"], table["value"], table["error"]):
+        path = os.path.join(sweep_dir, f"{axis}_{value:g}", "report.json")
+        report = read_report(path) if os.path.exists(path) else None
+        rows.append({"axis": axis, "value": value, "error": error or None, "report": report})
     return rows

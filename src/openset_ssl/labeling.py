@@ -7,13 +7,13 @@ and the top fraction receive one-hot pseudo-labels.  Oversampling then
 equalizes per-class counts of the enlarged labeled set.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
+from .artifacts import INT, REAL, read_table, write_table
 from .model import forward
 
 
@@ -150,44 +150,26 @@ def oversample(ids, labels):
 
 
 def write_soft_label_manifest(path, ids, labels):
-    width = len(labels[0]) if len(labels) else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"q_{c}" for c in range(1, width + 1)])
-        for sid, q in zip(ids, labels):
-            writer.writerow([int(sid)] + [f"{v:.17g}" for v in q])
+    labels = np.asarray(labels, dtype=np.float64).tolist()
+    width = len(labels[0]) if labels else 0
+    header = ["sample_id", *(f"q_{c}" for c in range(1, width + 1))]
+    rows = ((int(sid), *q) for sid, q in zip(ids, labels))
+    write_table(path, header, [INT] + [REAL] * width, rows)
 
 
 def read_soft_label_manifest(path):
-    ids, labels = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            ids.append(int(row[0]))
-            labels.append(np.array([float(v) for v in row[1:]]))
-    return ids, labels
+    cols = read_table(path, {"sample_id": int}, default=float)
+    ids = cols.pop("sample_id")
+    q = np.array(list(cols.values()), dtype=np.float64).reshape(len(cols), len(ids))
+    return ids, list(q.T.copy())
 
 
 def write_pseudo_label_manifest(path, pseudo):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "assigned_class", "confidence"])
-        for p in pseudo:
-            writer.writerow([p.sample_id, p.assigned_class, f"{p.confidence:.17g}"])
+    rows = ((p.sample_id, p.assigned_class, p.confidence) for p in pseudo)
+    write_table(path, ["sample_id", "assigned_class", "confidence"], [INT, INT, REAL], rows)
 
 
 def read_pseudo_label_manifest(path):
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            out.append(
-                PseudoLabel(
-                    sample_id=int(row[0]),
-                    assigned_class=int(row[1]),
-                    confidence=float(row[2]),
-                )
-            )
-    return out
+    cols = read_table(path, {"sample_id": int, "assigned_class": int, "confidence": float})
+    rows = zip(cols["sample_id"], cols["assigned_class"], cols["confidence"])
+    return [PseudoLabel(*row) for row in rows]

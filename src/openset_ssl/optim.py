@@ -12,11 +12,10 @@ class NesterovSGD:
     map is treated as having zero gradient (its momentum still decays).
     """
 
-    def __init__(self, params, lr, momentum=0.9, nesterov=True):
+    def __init__(self, params, lr, momentum=0.9):
         self.params = params
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.nesterov = nesterov
         self.velocity = {name: np.zeros_like(p) for name, p in params.items()}
 
     def step(self, grads, lr=None):
@@ -29,8 +28,7 @@ class NesterovSGD:
             v = self.velocity[name]
             v = mu * v + g
             self.velocity[name] = v
-            update = g + mu * v if self.nesterov else v
-            self.params[name] = p - lr * update
+            self.params[name] = p - lr * (g + mu * v)
 
 
 def cosine_lr(base_lr, step, total_steps):

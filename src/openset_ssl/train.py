@@ -20,12 +20,12 @@ weak view are fit on a strong view (noise doubled), with sub-threshold
 samples masked out.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
+from .artifacts import INT, REAL, TEXT, optional_real, write_table
 from .augment import AugmentConfig, augment_batch
 from .contrastive import GraphLoss
 from .model import GraphBuilder, commit_batch_stats, forward, save_checkpoint
@@ -192,59 +192,6 @@ def _check_rows_normalized(q, what):
         raise ValueError(f"{what} rows must sum to 1 within 1e-9")
 
 
-def ssl_loss(labeled_x, labeled_q, unlabeled_x, model, config, seed=0, step=0, ids=None):
-    """Supervised cross-entropy plus the weighted consistency term."""
-    unlabeled_x = np.asarray(unlabeled_x, dtype=np.float64)
-    if ids is None:
-        ids = list(range(unlabeled_x.shape[0]))
-    cons_x, cons_t, cons_m = prepare_consistency(
-        model, unlabeled_x, ids, config, seed, step
-    )
-    plan = StepPlan(
-        labeled_x=labeled_x,
-        labeled_q=labeled_q,
-        cons_x=cons_x,
-        cons_targets=cons_t,
-        cons_mask=cons_m,
-    )
-    return build_step_loss(model, plan, config)
-
-
-def combined_loss(
-    labeled_x,
-    labeled_q,
-    unlabeled_x,
-    out_x,
-    out_q,
-    model,
-    config,
-    seed=0,
-    step=0,
-    ids=None,
-    out_active=None,
-):
-    """The combined loss: ssl_loss plus the soft-labeled out-of-class term."""
-    unlabeled_x = np.asarray(unlabeled_x, dtype=np.float64)
-    out_x = np.asarray(out_x, dtype=np.float64)
-    if ids is None:
-        ids = list(range(unlabeled_x.shape[0]))
-    if out_active is None:
-        out_active = config.aux_loss and config.lam != 0 and out_x.shape[0] > 0
-    cons_x, cons_t, cons_m = prepare_consistency(
-        model, unlabeled_x, ids, config, seed, step
-    )
-    plan = StepPlan(
-        labeled_x=labeled_x,
-        labeled_q=labeled_q,
-        cons_x=cons_x,
-        cons_targets=cons_t,
-        cons_mask=cons_m,
-        out_x=out_x if out_active else None,
-        out_q=np.asarray(out_q, dtype=np.float64) if out_active else None,
-    )
-    return build_step_loss(model, plan, config)
-
-
 # ----------------------------------------------------------------------
 # training loops
 # ----------------------------------------------------------------------
@@ -351,15 +298,14 @@ def train(
         state.step += 1
         state.samples_seen += bsz
 
-        acc = ""
+        acc = None
         if (
             checkpoint_interval
             and test_x is not None
             and state.samples_seen >= next_checkpoint
         ):
-            acc_val = evaluate_accuracy(model, test_x, test_y)
-            state.checkpoint_accuracies.append(acc_val)
-            acc = f"{acc_val:.17g}"
+            acc = evaluate_accuracy(model, test_x, test_y)
+            state.checkpoint_accuracies.append(acc)
             if checkpoint_dir is not None:
                 save_checkpoint(
                     f"{checkpoint_dir}/step_{state.step:06d}.ckpt", model
@@ -373,14 +319,19 @@ def train(
         )
 
     if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "total_loss", "ssl_term", "aux_term", "test_accuracy"])
-            for row in trace:
-                writer.writerow(
-                    [row[0]] + [f"{v:.17g}" for v in row[1:4]] + [row[4]]
-                )
+        write_train_trace(trace_path, trace)
     return state
+
+
+def write_train_trace(path, trace):
+    """One row per step: (step, total, ssl term, aux term, test accuracy
+    or None between checkpoints)."""
+    write_table(
+        path,
+        ["step", "total_loss", "ssl_term", "aux_term", "test_accuracy"],
+        [INT, REAL, REAL, REAL, TEXT],
+        ((*row[:4], optional_real(row[4])) for row in trace),
+    )
 
 
 def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):

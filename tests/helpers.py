@@ -1,5 +1,8 @@
 """Shared test utilities."""
 
+import csv
+import json
+
 import numpy as np
 
 from openset_ssl import rng
@@ -99,3 +102,108 @@ def reference_augment_batch(batch, ids, config, seed, step, view):
         n_mask = int(config.mask_fraction * x.size)
         out[row, gen.choice(x.size, size=n_mask, replace=False)] = 0.0
     return out
+
+
+# ----------------------------------------------------------------------
+# artifact writers as they were written with csv.writer and json.dump,
+# kept as the byte-level references for the artifact codec
+# ----------------------------------------------------------------------
+
+
+def reference_write_dataset(path, data):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"f{i}" for i in range(data.dim)]
+                        + ["label", "truth", "origin"])
+        for i in range(len(data)):
+            writer.writerow([int(data.ids[i])] + [f"{v:.17g}" for v in data.x[i]]
+                            + [int(data.label[i]), int(data.truth[i]), data.origin[i]])
+
+
+def reference_write_loss_trace(path, trace):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "loss"])
+        for step, loss in trace:
+            writer.writerow([step, f"{loss:.17g}"])
+
+
+def reference_write_train_trace(path, trace):
+    """Rows (step, total, ssl term, aux term, accuracy or None)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "total_loss", "ssl_term", "aux_term", "test_accuracy"])
+        for row in trace:
+            acc = "" if row[4] is None else f"{row[4]:.17g}"
+            writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:4]] + [acc])
+
+
+def reference_write_scored_manifest(path, scored, threshold):
+    width = len(scored[0].sims) if scored else 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["sample_id"] + [f"sim_{c}" for c in range(1, width + 1)] + ["score", "split"]
+        )
+        for s in scored:
+            split = "out" if s.score < threshold else "in"
+            writer.writerow(
+                [s.sample_id] + [f"{v:.17g}" for v in s.sims] + [f"{s.score:.17g}", split]
+            )
+
+
+def reference_write_soft_label_manifest(path, ids, labels):
+    width = len(labels[0]) if len(labels) else 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id"] + [f"q_{c}" for c in range(1, width + 1)])
+        for sid, q in zip(ids, labels):
+            writer.writerow([int(sid)] + [f"{v:.17g}" for v in q])
+
+
+def reference_write_pseudo_label_manifest(path, pseudo):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "assigned_class", "confidence"])
+        for p in pseudo:
+            writer.writerow([p.sample_id, p.assigned_class, f"{p.confidence:.17g}"])
+
+
+def _fmt(value):
+    return "" if value is None else f"{value:.17g}"
+
+
+def reference_write_sweep_table(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["axis", "value", "median_accuracy", "best_accuracy", "auroc", "tpr",
+                         "tnr", "threshold", "in_count", "out_count", "error"])
+        for row in rows:
+            rep = row["report"]
+            if rep is None:
+                writer.writerow([row["axis"], f"{row['value']:g}"] + [""] * 8 + [row["error"]])
+                continue
+            det = rep["detection"]
+            writer.writerow(
+                [row["axis"], f"{row['value']:g}", _fmt(rep["median_accuracy"]),
+                 _fmt(rep["best_accuracy"]), _fmt(det["auroc"]), _fmt(det["tpr"]),
+                 _fmt(det["tnr"]), _fmt(det["threshold"]), rep["split_sizes"]["in"],
+                 rep["split_sizes"]["out"], ""]
+            )
+
+
+def reference_write_curve_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["value", "median_accuracy", "best_accuracy"])
+        for row in rows:
+            rep = row["report"]
+            if rep is not None:
+                writer.writerow([f"{row['value']:g}", _fmt(rep["median_accuracy"]),
+                                 _fmt(rep["best_accuracy"])])
+
+
+def reference_write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -1,0 +1,221 @@
+"""The artifact codec: every table and JSON document byte-identical to
+the csv.writer / json.dump writers it replaced, and strict reads."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import helpers
+from openset_ssl.artifacts import INT, REAL, TEXT, read_json, read_table, write_table
+from openset_ssl.contrastive import write_loss_trace
+from openset_ssl.data import Dataset, write_dataset
+from openset_ssl.detect import ScoredSample, write_scored_manifest
+from openset_ssl.harness import collect_sweep_rows, write_curve_csv, write_report, write_sweep_table
+from openset_ssl.labeling import (
+    PseudoLabel,
+    write_pseudo_label_manifest,
+    write_soft_label_manifest,
+)
+from openset_ssl.train import write_train_trace
+
+SPECIAL = [-0.0, 5e-324, 5e300, -1.25e-7, 1.0]  # negative zero, a subnormal, a huge real
+reals = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL)
+ids = st.integers(-(2**63), 2**63 - 1)
+text = st.text(st.characters(blacklist_categories=["Cs"]))
+cases = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def same_bytes(tmp_path, write, reference, *args):
+    ours, ref = tmp_path / "ours", tmp_path / "ref"
+    write(ours, *args)
+    reference(ref, *args)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+@cases
+@given(n=st.integers(0, 6), dim=st.integers(1, 5), data=st.data())
+def test_dataset_bytes(tmp_path, n, dim, data):
+    x = np.array(data.draw(st.lists(reals, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    dataset = Dataset(
+        ids=np.array(data.draw(st.lists(ids, min_size=n, max_size=n)), dtype=np.int64),
+        x=x,
+        label=np.array(data.draw(st.lists(st.integers(-1, 9), min_size=n, max_size=n)),
+                       dtype=np.int64),
+        truth=np.array(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)),
+                       dtype=np.int64),
+        origin=np.array(data.draw(st.lists(st.sampled_from(["in", "out"]), min_size=n,
+                                           max_size=n)), dtype="<U3"),
+    )
+    same_bytes(tmp_path, write_dataset, helpers.reference_write_dataset, dataset)
+
+
+@cases
+@given(trace=st.lists(st.tuples(st.integers(0, 10**6), reals)))
+def test_loss_trace_bytes(tmp_path, trace):
+    same_bytes(tmp_path, write_loss_trace, helpers.reference_write_loss_trace, trace)
+
+
+@cases
+@given(trace=st.lists(st.tuples(st.integers(0, 10**6), reals, reals, reals,
+                                st.none() | reals)))
+@example(trace=[(0, 1.5, 1.0, 0.5, None), (1, -0.0, 5e-324, 5e300, 0.25), (2, 1.0, 1.0, 0.0, None)])
+def test_train_trace_bytes(tmp_path, trace):
+    # most steps leave the test_accuracy cell empty
+    same_bytes(tmp_path, write_train_trace, helpers.reference_write_train_trace, trace)
+
+
+@cases
+@given(width=st.integers(0, 4), n=st.integers(0, 6), threshold=reals, data=st.data())
+@example(width=0, n=0, threshold=0.0, data=None)  # header only, no similarity columns
+def test_scored_manifest_bytes(tmp_path, width, n, threshold, data):
+    if data is None:
+        scored = []
+    else:
+        scored = [
+            ScoredSample(sample_id=data.draw(ids),
+                         sims=np.array(data.draw(st.lists(reals, min_size=width,
+                                                          max_size=width))),
+                         score=data.draw(reals))
+            for _ in range(n)
+        ]
+    same_bytes(tmp_path, write_scored_manifest, helpers.reference_write_scored_manifest,
+               scored, threshold)
+
+
+@cases
+@given(width=st.integers(1, 4), n=st.integers(0, 6), data=st.data())
+def test_soft_label_manifest_bytes(tmp_path, width, n, data):
+    sample_ids = data.draw(st.lists(ids, min_size=n, max_size=n))
+    labels = [np.array(data.draw(st.lists(reals, min_size=width, max_size=width)))
+              for _ in range(n)]
+    same_bytes(tmp_path, write_soft_label_manifest,
+               helpers.reference_write_soft_label_manifest, sample_ids, labels)
+
+
+@cases
+@given(pseudo=st.lists(st.builds(PseudoLabel, ids, st.integers(1, 99), reals)))
+def test_pseudo_label_manifest_bytes(tmp_path, pseudo):
+    same_bytes(tmp_path, write_pseudo_label_manifest,
+               helpers.reference_write_pseudo_label_manifest, pseudo)
+
+
+optional = st.none() | reals
+reports = st.builds(
+    lambda med, best, auroc, tpr, tnr, t, n_in, n_out: {
+        "median_accuracy": med, "best_accuracy": best,
+        "detection": {"auroc": auroc, "tpr": tpr, "tnr": tnr, "threshold": t},
+        "split_sizes": {"in": n_in, "out": n_out},
+    },
+    optional, optional, optional, optional, optional, reals,
+    st.integers(0, 10**6), st.integers(0, 10**6),
+)
+sweep_rows = st.lists(st.one_of(
+    st.builds(lambda axis, value, rep: {"axis": axis, "value": value, "error": None,
+                                         "report": rep}, text, reals, reports),
+    st.builds(lambda axis, value, err: {"axis": axis, "value": value, "error": err,
+                                         "report": None}, text, reals, st.none() | text),
+))
+FAILED_ROW = {"axis": "proportion", "value": 0.5, "report": None,
+              "error": 'stage \'generate\' failed: need "out", got\r\n0,1\nclasses'}
+
+
+@cases
+@given(rows=sweep_rows)
+@example(rows=[FAILED_ROW])
+def test_sweep_table_bytes(tmp_path, rows):
+    same_bytes(tmp_path, write_sweep_table, helpers.reference_write_sweep_table, rows)
+
+
+def test_sweep_table_bytes_across_chunks(tmp_path):
+    # rows are formatted a chunk at a time: quoting must hold in every chunk
+    ok = {"axis": "eta", "value": 1.0, "error": None, "report": {
+        "median_accuracy": 0.5, "best_accuracy": 0.75, "split_sizes": {"in": 3, "out": 1},
+        "detection": {"auroc": None, "tpr": 0.25, "tnr": None, "threshold": -0.0}}}
+    rows = [ok] * 2500
+    rows[1500] = rows[2400] = FAILED_ROW
+    same_bytes(tmp_path, write_sweep_table, helpers.reference_write_sweep_table, rows)
+
+
+@cases
+@given(rows=sweep_rows)
+def test_curve_bytes(tmp_path, rows):
+    same_bytes(tmp_path, write_curve_csv, helpers.reference_write_curve_csv, rows)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@cases
+@given(doc=st.dictionaries(text, json_values, max_size=6))
+def test_json_bytes(tmp_path, doc):
+    same_bytes(tmp_path, write_report, helpers.reference_write_json, doc)
+    assert read_json(tmp_path / "ours") == doc
+
+
+def test_quoted_error_survives_the_sweep_directory(tmp_path):
+    report = {"median_accuracy": 0.75, "best_accuracy": 0.8, "split_sizes": {"in": 3, "out": 1},
+              "detection": {"auroc": None, "tpr": None, "tnr": None, "threshold": 0.1}}
+    ok = {"axis": "proportion", "value": 0.0, "error": None, "report": report}
+    write_sweep_table(tmp_path / "sweep.csv", [FAILED_ROW, ok])
+    (tmp_path / "proportion_0").mkdir()
+    write_report(tmp_path / "proportion_0" / "report.json", report)
+    assert collect_sweep_rows(tmp_path) == [FAILED_ROW, ok]
+
+
+class TestReadTable:
+    def write(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_bytes(body.encode())
+        return path
+
+    def read(self, path):
+        return read_table(path, {"n": int, "note": str}, default=float)
+
+    def test_columns_in_header_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["n", "x", "note"], [INT, REAL, TEXT],
+                    [(1, 0.1, 'a,"b"\nc'), (2, -0.0, "")])
+        table = self.read(path)
+        assert list(table) == ["n", "x", "note"]
+        assert table["n"] == [1, 2] and table["x"] == [0.1, -0.0]
+        assert table["note"] == ['a,"b"\nc', ""]
+
+    def test_empty_body(self, tmp_path):
+        assert self.read(self.write(tmp_path, "n,note\r\n")) == {"n": [], "note": []}
+
+    @pytest.mark.parametrize("body, where", [
+        ("", "line 1: no header"),
+        ("x\r\n1.5\r\n", "line 1: no column 'n'"),
+        ("n,note,x\r\n1,a,0.5\r\n2,b,0.2", "line 3, column 'x': truncated"),
+        ("n,note\r\n1,a\r\n2\r\n", "line 3, column 'note': 1 fields where the header has 2"),
+        ("n,note\r\n1,a\r\n2,b,c\r\n", "line 3, column #3: 3 fields where the header has 2"),
+        ("n,note\r\n1,a\r\n\r\n", "line 3, column 'n': 0 fields"),
+        ('n,note\r\n1,"a\r\nb"\r\n2.5,c\r\n', "line 4, column 'n': invalid literal"),
+        ('n,note\r\n1,"a\r\n', "line 2: unexpected end of data"),
+    ], ids=["empty", "missing-column", "no-terminator", "short-row", "long-row", "blank-line",
+            "bad-field-after-multiline-record", "cut-inside-quotes"])
+    def test_malformed_named(self, tmp_path, body, where):
+        path = self.write(tmp_path, body)
+        with pytest.raises(ValueError) as err:
+            self.read(path)
+        assert str(err.value).startswith(f"{path}: {where}")
+
+    def test_unexpected_column_without_default(self, tmp_path):
+        path = self.write(tmp_path, "n,note,extra\r\n1,a,b\r\n")
+        with pytest.raises(ValueError) as err:
+            read_table(path, {"n": int, "note": str})
+        assert str(err.value) == f"{path}: line 1, column 'extra': unexpected column"
+
+
+def test_read_json_names_the_file(tmp_path):
+    path = tmp_path / "detect.json"
+    path.write_text('{\n  "mu": 0.5,\n  "sigma"')
+    with pytest.raises(ValueError) as err:
+        read_json(path)
+    assert str(err.value).startswith(f"{path}: line 3, column 10: ")

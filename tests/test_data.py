@@ -1,11 +1,11 @@
 """Benchmark generation geometry, mixture counts, and file round-trips."""
 
-import csv
 import hashlib
 
 import numpy as np
 import pytest
 
+from helpers import reference_write_dataset
 from openset_ssl.data import (
     UNLABELED,
     BenchmarkSpec,
@@ -176,13 +176,7 @@ class TestDatasetFiles:
         data = bench.unlabeled
         data.x[0, :4] = [-0.0, 5e-324, 5e300, -1.25e-7]
         ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id"] + [f"f{i}" for i in range(data.dim)]
-                            + ["label", "truth", "origin"])
-            for i in range(len(data)):
-                writer.writerow([int(data.ids[i])] + [f"{v:.17g}" for v in data.x[i]]
-                                + [int(data.label[i]), int(data.truth[i]), data.origin[i]])
+        reference_write_dataset(ref, data)
         path = tmp_path / "d.csv"
         write_dataset(path, data)
         assert path.read_bytes() == ref.read_bytes()
@@ -193,6 +187,17 @@ class TestDatasetFiles:
         with pytest.raises(ValueError) as err:
             read_dataset(path)
         assert "line 3" in str(err.value)
+
+    def test_missing_final_terminator_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset(path, generate(small_spec()).labeled)
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n")
+        path.write_bytes(data[:-2])
+        with pytest.raises(ValueError) as err:
+            read_dataset(path)
+        lines = data.count(b"\n")
+        assert f"{path}: line {lines}, column 'origin'" in str(err.value)
 
     def test_benchmark_directory_roundtrip(self, tmp_path):
         bench = generate(small_spec())

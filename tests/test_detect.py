@@ -225,3 +225,40 @@ class TestScoredManifest:
             assert a.score == b.score
             assert np.array_equal(a.sims, b.sims)
             assert splits[a.sample_id] == ("out" if a.score < 0.1 else "in")
+
+    def write(self, tmp_path):
+        rng = np.random.default_rng(3)
+        scored = [ScoredSample(sample_id=i, sims=rng.uniform(-1, 1, size=3), score=0.0)
+                  for i in range(6)]
+        for s in scored:
+            s.score = float(s.sims.max())
+        path = tmp_path / "scored.csv"
+        write_scored_manifest(path, scored, threshold=0.5)
+        return path, path.read_bytes().decode().split("\r\n")
+
+    def rejects(self, path, text, *expected):
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as err:
+            read_scored_manifest(path)
+        for part in (str(path),) + expected:
+            assert part in str(err.value)
+
+    def test_truncated_last_line_rejected(self, tmp_path):
+        # cut inside the last split: "in"/"out" would read back as "i"/"o"
+        path, lines = self.write(tmp_path)
+        self.rejects(path, "\r\n".join(lines)[:-3], "line 7", "column 'split'", "terminator")
+
+    def test_short_row_rejected(self, tmp_path):
+        path, lines = self.write(tmp_path)
+        lines[3] = lines[3].rsplit(",", 2)[0]
+        self.rejects(path, "\r\n".join(lines), "line 4", "column 'score'", "4 fields")
+
+    def test_long_row_rejected(self, tmp_path):
+        path, lines = self.write(tmp_path)
+        lines[2] += ",0.5"
+        self.rejects(path, "\r\n".join(lines), "line 3", "7 fields")
+
+    def test_unknown_split_rejected(self, tmp_path):
+        path, lines = self.write(tmp_path)
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",maybe"
+        self.rejects(path, "\r\n".join(lines), "line 6", "column 'split'", "'maybe'")

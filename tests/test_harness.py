@@ -155,6 +155,15 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report["config_text"] == text
 
+    def test_truncated_report_rejected_by_name(self, tmp_path):
+        cfg = micro_config(tmp_path / "run")
+        run_experiment(cfg)
+        path = tmp_path / "run" / "report.json"
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(ValueError) as err:
+            recompute_metrics(cfg.out_dir)
+        assert str(err.value).startswith(f"{path}: line ")
+
 
 class TestSweep:
     def test_single_value_equals_run_experiment(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from openset_ssl.labeling import (
     LabelingConfig,
+    PseudoLabel,
     oversample,
     read_pseudo_label_manifest,
     read_soft_label_manifest,
@@ -222,3 +223,36 @@ class TestManifests:
         write_pseudo_label_manifest(path, pseudo)
         loaded = read_pseudo_label_manifest(path)
         assert loaded == pseudo
+
+    def write_both(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ids = list(range(10, 20))
+        soft = tmp_path / "softlabels.csv"
+        write_soft_label_manifest(soft, ids, [soft_label(rng.uniform(-1, 1, 4), 0.1)
+                                              for _ in ids])
+        pseudo = tmp_path / "pseudolabels.csv"
+        write_pseudo_label_manifest(
+            pseudo, [PseudoLabel(i, 1 + i % 3, float(rng.uniform())) for i in ids]
+        )
+        return soft, pseudo
+
+    @pytest.mark.parametrize("which", ["soft", "pseudo"])
+    def test_truncated_manifest_rejected_by_name(self, tmp_path, which):
+        soft, pseudo = self.write_both(tmp_path)
+        path, read = {
+            "soft": (soft, read_soft_label_manifest),
+            "pseudo": (pseudo, read_pseudo_label_manifest),
+        }[which]
+        path.write_bytes(path.read_bytes()[:-30])
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}: line ")
+
+    def test_unparsable_field_named(self, tmp_path):
+        _, pseudo = self.write_both(tmp_path)
+        lines = pseudo.read_bytes().decode().split("\r\n")
+        lines[2] = "11,two,0.5"
+        pseudo.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(ValueError) as err:
+            read_pseudo_label_manifest(pseudo)
+        assert f"{pseudo}: line 3, column 'assigned_class'" in str(err.value)

@@ -19,9 +19,7 @@ from openset_ssl.train import (
     evaluate_accuracy,
     init_train_state,
     one_hot,
-    combined_loss,
     prepare_consistency,
-    ssl_loss,
     train,
 )
 
@@ -54,6 +52,18 @@ def batch(seed, n=4):
     return x, y
 
 
+def step_loss(model, config, x, y, ux=None, ox=None, q=None):
+    """build_step_loss over the plan `train` would freeze for these
+    batches at seed 0, step 0: consistency targets for `ux` (ids
+    0..n-1), the out-of-class batch `ox` with soft labels `q`."""
+    plan = StepPlan(labeled_x=x, labeled_q=y, out_x=ox, out_q=q)
+    if ux is not None:
+        plan.cons_x, plan.cons_targets, plan.cons_mask = prepare_consistency(
+            model, ux, range(len(ux)), config, 0, 0
+        )
+    return build_step_loss(model, plan, config)
+
+
 def _softmax(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -65,7 +75,7 @@ class TestSslLoss:
         model = toy_model()
         x, y = batch(0)
         ux = np.random.default_rng(1).standard_normal((4, DIM))
-        loss = ssl_loss(x, y, ux, model, cfg(beta=0.0))
+        loss = step_loss(model, cfg(beta=0.0), x, y, ux)
         from openset_ssl.model import forward
 
         probs = _softmax(forward(model, x).logits)
@@ -77,7 +87,7 @@ class TestSslLoss:
         model = toy_model()
         x, y = batch(2)
         ux = np.random.default_rng(3).standard_normal((5, DIM))
-        loss = ssl_loss(x, y, ux, model, cfg(beta=1.0, augment=null_aug()))
+        loss = step_loss(model, cfg(beta=1.0, augment=null_aug()), x, y, ux)
         from openset_ssl.model import forward
 
         p = _softmax(forward(model, ux).logits)
@@ -90,14 +100,14 @@ class TestSslLoss:
         model.params["head.b"] = np.zeros_like(model.params["head.b"])
         x, y = batch(4)
         ux = np.random.default_rng(5).standard_normal((3, DIM))
-        loss = ssl_loss(x, y, ux, model, cfg(beta=1.0, augment=null_aug()))
+        loss = step_loss(model, cfg(beta=1.0, augment=null_aug()), x, y, ux)
         assert abs(loss.terms["consistency"] - np.log(2.0)) < 1e-9
 
     def test_loss_is_differentiable_end_to_end(self):
         model = toy_model()
         x, y = batch(6)
         ux = np.random.default_rng(7).standard_normal((4, DIM))
-        loss = ssl_loss(x, y, ux, model, cfg(beta=0.7))
+        loss = step_loss(model, cfg(beta=0.7), x, y, ux)
         grads = loss.parameter_gradients()
         assert any(np.abs(g).max() > 0 for g in grads.values())
 
@@ -111,13 +121,22 @@ class TestCombinedLoss:
         return ox, q
 
     def test_lambda_zero_equals_ssl_loss_bitwise(self):
-        model = toy_model()
-        x, y = batch(8)
-        ux = np.random.default_rng(9).standard_normal((4, DIM))
-        ox, q = self.out_batch(10)
-        a = ssl_loss(x, y, ux, model, cfg(beta=1.0), seed=1, step=2)
-        b = combined_loss(x, y, ux, ox, q, model, cfg(beta=1.0, lam=0.0), seed=1, step=2)
-        assert a.value == b.value
+        # with lambda = 0 the out-of-class batch never enters the loss,
+        # even with the auxiliary term and branch switched on
+        lx, lq, ii, ix, oi, ox, q = small_training_setup(seed=8)
+        config = cfg(steps=6, beta=1.0, lam=0.0, aux_loss=True, aux_bn=True)
+
+        def run(with_out):
+            model = toy_model(seed=1)
+            state = init_train_state(model, config)
+            if with_out:
+                train(state, lx, lq, ii, ix, oi, ox, q, config, seed=2)
+            else:
+                train(state, lx, lq, ii, ix, [], np.zeros((0, DIM)),
+                      np.zeros((0, C)), config, seed=2)
+            return {k: v.tobytes() for k, v in {**model.params, **model.stats}.items()}
+
+        assert run(True) == run(False)
 
     def test_uniform_q_on_uniform_prediction_gives_logC(self):
         model = toy_model()
@@ -126,8 +145,7 @@ class TestCombinedLoss:
         x, y = batch(11)
         ox = np.random.default_rng(12).standard_normal((4, DIM))
         q = np.full((4, C), 1.0 / C)
-        loss = combined_loss(x, y, np.zeros((0, DIM)), ox, q, model,
-                            cfg(beta=1.0, lam=0.5, aux_bn=False))
+        loss = step_loss(model, cfg(beta=1.0, lam=0.5, aux_bn=False), x, y, ox=ox, q=q)
         assert abs(loss.terms["aux"] - np.log(C)) < 1e-9
 
     def test_unnormalized_q_rejected(self):
@@ -136,14 +154,13 @@ class TestCombinedLoss:
         ox, q = self.out_batch(14)
         q = q * 1.01
         with pytest.raises(ValueError):
-            combined_loss(x, y, np.zeros((0, DIM)), ox, q, model, cfg())
+            step_loss(model, cfg(), x, y, ox=ox, q=q)
 
     def test_aux_bn_routes_to_aux_branch_only(self):
         model = toy_model()
         x, y = batch(15)
         ox, q = self.out_batch(16)
-        loss = combined_loss(x, y, np.zeros((0, DIM)), ox, q, model,
-                            cfg(lam=0.5, aux_bn=True))
+        loss = step_loss(model, cfg(lam=0.5, aux_bn=True), x, y, ox=ox, q=q)
         branches = {bs[1] for bs in loss.batch_stats}
         assert branches == {"aux"}
 
@@ -167,16 +184,14 @@ class TestHardPseudoBackend:
         model = toy_model()
         x, y = batch(20)
         ux = np.random.default_rng(21).standard_normal((4, DIM))
-        loss = ssl_loss(x, y, ux, model,
-                        cfg(backend="hard-pseudo", confidence_threshold=1.0))
+        loss = step_loss(model, cfg(backend="hard-pseudo", confidence_threshold=1.0), x, y, ux)
         assert loss.terms["consistency"] == 0.0
 
     def test_confident_samples_fit_hard_labels(self):
         model = toy_model()
         x, y = batch(22)
         ux = np.random.default_rng(23).standard_normal((4, DIM))
-        loss = ssl_loss(x, y, ux, model,
-                        cfg(backend="hard-pseudo", confidence_threshold=0.0))
+        loss = step_loss(model, cfg(backend="hard-pseudo", confidence_threshold=0.0), x, y, ux)
         assert loss.terms["consistency"] > 0.0
 
 
