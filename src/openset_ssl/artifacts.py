@@ -11,6 +11,7 @@ rejected with a `ValueError` that names the path, the line and the column.
 import csv
 import io
 import json
+import math
 from itertools import islice
 
 INT = "%d"
@@ -23,6 +24,14 @@ _CHUNK_ROWS = 1024
 def optional_real(value):
     """A real as a TEXT field, None as an empty one."""
     return "" if value is None else REAL % value
+
+
+def finite_real(field):
+    """Converter for a real that rejects nan and infinities."""
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{field!r} is not a finite real")
+    return value
 
 
 def one_of(*choices):
@@ -123,7 +132,12 @@ def write_json(path, doc):
 
 def read_json(path):
     with open(path) as fh:
-        text = fh.read()
+        return parse_json(path, fh.read())
+
+
+def parse_json(path, text):
+    """The JSON document `text`, read from `path`; one that does not
+    decode fails with a `ValueError` naming the path, line and column."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

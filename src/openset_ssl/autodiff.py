@@ -5,7 +5,10 @@ immediately and appends a node, so the node list is always in topological
 order.  `backward` walks the tape once in reverse and accumulates
 gradients with plain numpy, which makes it bit-deterministic.
 
-Supported operation kinds (64-bit reals throughout):
+`OPS` holds one entry per operation kind: its arity (None for any
+nonzero number of inputs), its forward `(*inputs, **params) -> value`
+and its VJP `(g, value, *inputs, **params) -> one gradient per input`.
+The kinds (64-bit reals throughout):
 
     matmul               2-D product; params: transpose_b
     add                  elementwise; second operand may be a (1, n) row
@@ -22,23 +25,9 @@ Supported operation kinds (64-bit reals throughout):
     slice-rows           rows [start, stop); params: start, stop
 """
 
-import numpy as np
+from typing import Callable, NamedTuple
 
-OP_KINDS = (
-    "matmul",
-    "add",
-    "scale",
-    "relu",
-    "mean",
-    "sum",
-    "exp",
-    "log",
-    "softmax-rows",
-    "l2-normalize-rows",
-    "elementwise-mul",
-    "concat-rows",
-    "slice-rows",
-)
+import numpy as np
 
 _ZERO_ROW_EPS = 1e-12
 
@@ -64,20 +53,16 @@ def _as_value(x):
     return arr
 
 
-def _shapes(graph, ids):
-    return ", ".join(str(graph.nodes[i].value.shape) for i in ids)
+def _shapes(vals):
+    return ", ".join(str(v.shape) for v in vals)
 
 
-def _broadcast_ok(a_shape, b_shape):
+def _check_broadcast(op, a, b):
     """Equal shapes, or b a single row (1, n) against a 2-D (m, n)."""
-    if a_shape == b_shape:
-        return True
-    return (
-        len(a_shape) == 2
-        and len(b_shape) == 2
-        and b_shape[0] == 1
-        and a_shape[1] == b_shape[1]
-    )
+    if a.shape != b.shape and not (
+        a.ndim == 2 and b.ndim == 2 and b.shape[0] == 1 and a.shape[1] == b.shape[1]
+    ):
+        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
 
 
 def _reduce_broadcast(grad, shape):
@@ -85,6 +70,123 @@ def _reduce_broadcast(grad, shape):
     if grad.shape == shape:
         return grad
     return grad.sum(axis=0, keepdims=True)
+
+
+def _matmul(a, b, transpose_b=False):
+    tb = bool(transpose_b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul: expects 2-D operands, got {_shapes((a, b))}")
+    inner = b.shape[1] if tb else b.shape[0]
+    if a.shape[1] != inner:
+        raise ValueError(
+            f"matmul: inner dimensions disagree for shapes "
+            f"{a.shape} and {b.shape} (transpose_b={tb})"
+        )
+    return a @ (b.T if tb else b)
+
+
+def _matmul_vjp(g, y, a, b, transpose_b=False):
+    if transpose_b:
+        return g @ b, g.T @ a
+    return g @ b.T, a.T @ g
+
+
+def _add(a, b):
+    _check_broadcast("add", a, b)
+    return a + b
+
+
+def _elementwise_mul(a, b):
+    _check_broadcast("elementwise-mul", a, b)
+    return a * b
+
+
+def _softmax_rows(x):
+    if x.ndim != 2:
+        raise ValueError(f"softmax-rows: expects 2-D, got {x.shape}")
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_vjp(g, s, x):
+    inner = (g * s).sum(axis=1, keepdims=True)
+    return (s * (g - inner),)
+
+
+def _l2_normalize_rows(x):
+    if x.ndim != 2:
+        raise ValueError(f"l2-normalize-rows: expects 2-D, got {x.shape}")
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    safe = np.where(norms < _ZERO_ROW_EPS, 1.0, norms)
+    return x / safe
+
+
+def _l2_normalize_rows_vjp(g, y, x):
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    zero = norms < _ZERO_ROW_EPS
+    safe = np.where(zero, 1.0, norms)
+    grad = (g - y * (g * y).sum(axis=1, keepdims=True)) / safe
+    return (np.where(zero, 0.0, grad),)
+
+
+def _concat_rows(*vals):
+    if len(vals) < 1:
+        raise ValueError("concat-rows: needs at least one input")
+    cols = {v.shape[1] for v in vals if v.ndim == 2}
+    if any(v.ndim != 2 for v in vals) or len(cols) != 1:
+        raise ValueError(f"concat-rows: column counts disagree: {_shapes(vals)}")
+    return np.concatenate(vals, axis=0)
+
+
+def _concat_rows_vjp(g, y, *vals):
+    return tuple(np.split(g, np.cumsum([v.shape[0] for v in vals[:-1]])))
+
+
+def _slice_rows(x, start, stop):
+    start, stop = int(start), int(stop)
+    if x.ndim != 2 or not (0 <= start <= stop <= x.shape[0]):
+        raise ValueError(f"slice-rows: range [{start}, {stop}) invalid for shape {x.shape}")
+    return x[start:stop]
+
+
+def _slice_rows_vjp(g, y, x, start, stop):
+    full = np.zeros_like(x)
+    full[start:stop] = g
+    return (full,)
+
+
+class _Op(NamedTuple):
+    arity: int | None  # None: one input or more
+    forward: Callable
+    vjp: Callable
+
+
+OPS = {
+    "matmul": _Op(2, _matmul, _matmul_vjp),
+    "add": _Op(2, _add, lambda g, y, a, b: (g, _reduce_broadcast(g, b.shape))),
+    "scale": _Op(1, lambda x, factor: x * float(factor), lambda g, y, x, factor: (g * factor,)),
+    "relu": _Op(1, lambda x: np.maximum(x, 0.0), lambda g, y, x: (g * (x > 0.0),)),
+    "mean": _Op(
+        1,
+        lambda x: np.asarray(x.mean()),
+        lambda g, y, x: (np.full_like(x, g.item() / x.size),),
+    ),
+    "sum": _Op(1, lambda x: np.asarray(x.sum()), lambda g, y, x: (np.full_like(x, g.item()),)),
+    "exp": _Op(1, np.exp, lambda g, y, x: (g * y,)),
+    "log": _Op(1, np.log, lambda g, y, x: (g / x,)),
+    "softmax-rows": _Op(1, _softmax_rows, _softmax_rows_vjp),
+    "l2-normalize-rows": _Op(1, _l2_normalize_rows, _l2_normalize_rows_vjp),
+    "elementwise-mul": _Op(
+        2,
+        _elementwise_mul,
+        lambda g, y, a, b: (g * b, _reduce_broadcast(g * a, b.shape)),
+    ),
+    "concat-rows": _Op(None, _concat_rows, _concat_rows_vjp),
+    "slice-rows": _Op(1, _slice_rows, _slice_rows_vjp),
+}
+
+OP_KINDS = tuple(OPS)
 
 
 class DiffGraph:
@@ -96,7 +198,6 @@ class DiffGraph:
 
     def __init__(self):
         self.nodes = []
-        self.gradients = {}
 
     def __len__(self):
         return len(self.nodes)
@@ -109,127 +210,27 @@ class DiffGraph:
         self.nodes.append(Node("input", (), _as_value(np.array(value))))
         return len(self.nodes) - 1
 
-    # ------------------------------------------------------------------
-    # forward
-    # ------------------------------------------------------------------
-
     def apply(self, op, inputs, **params):
         """Append a node computing `op` over existing node ids."""
-        if op not in OP_KINDS:
+        if op not in OPS:
             raise ValueError(f"unknown operation kind: {op!r}")
+        arity, forward, _ = OPS[op]
         inputs = tuple(int(i) for i in inputs)
         for i in inputs:
             if not 0 <= i < len(self.nodes):
                 raise ValueError(f"{op}: input node {i} does not exist")
         vals = [self.nodes[i].value for i in inputs]
-        value = self._forward(op, vals, inputs, params)
+        if arity is not None and len(vals) != arity:
+            raise ValueError(
+                f"{op}: expects {arity} input(s), got {len(vals)} "
+                f"with shapes {_shapes(vals)}"
+            )
+        value = forward(*vals, **params)
         self.nodes.append(Node(op, inputs, _as_value(value), params))
         return len(self.nodes) - 1
 
-    def _forward(self, op, vals, inputs, params):
-        if op == "matmul":
-            self._expect_arity(op, inputs, 2)
-            a, b = vals
-            tb = bool(params.get("transpose_b", False))
-            if a.ndim != 2 or b.ndim != 2:
-                raise ValueError(
-                    f"matmul: expects 2-D operands, got {_shapes(self, inputs)}"
-                )
-            inner = b.shape[1] if tb else b.shape[0]
-            if a.shape[1] != inner:
-                raise ValueError(
-                    f"matmul: inner dimensions disagree for shapes "
-                    f"{a.shape} and {b.shape} (transpose_b={tb})"
-                )
-            return a @ (b.T if tb else b)
-
-        if op in ("add", "elementwise-mul"):
-            self._expect_arity(op, inputs, 2)
-            a, b = vals
-            if not _broadcast_ok(a.shape, b.shape):
-                raise ValueError(
-                    f"{op}: shapes {a.shape} and {b.shape} do not conform"
-                )
-            return a + b if op == "add" else a * b
-
-        if op == "scale":
-            self._expect_arity(op, inputs, 1)
-            factor = float(params["factor"])
-            return vals[0] * factor
-
-        if op == "relu":
-            self._expect_arity(op, inputs, 1)
-            return np.maximum(vals[0], 0.0)
-
-        if op == "mean":
-            self._expect_arity(op, inputs, 1)
-            return np.asarray(vals[0].mean())
-
-        if op == "sum":
-            self._expect_arity(op, inputs, 1)
-            return np.asarray(vals[0].sum())
-
-        if op == "exp":
-            self._expect_arity(op, inputs, 1)
-            return np.exp(vals[0])
-
-        if op == "log":
-            self._expect_arity(op, inputs, 1)
-            return np.log(vals[0])
-
-        if op == "softmax-rows":
-            self._expect_arity(op, inputs, 1)
-            x = vals[0]
-            if x.ndim != 2:
-                raise ValueError(f"softmax-rows: expects 2-D, got {x.shape}")
-            shifted = x - x.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            return e / e.sum(axis=1, keepdims=True)
-
-        if op == "l2-normalize-rows":
-            self._expect_arity(op, inputs, 1)
-            x = vals[0]
-            if x.ndim != 2:
-                raise ValueError(f"l2-normalize-rows: expects 2-D, got {x.shape}")
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-            safe = np.where(norms < _ZERO_ROW_EPS, 1.0, norms)
-            return x / safe
-
-        if op == "concat-rows":
-            if len(inputs) < 1:
-                raise ValueError("concat-rows: needs at least one input")
-            cols = {v.shape[1] for v in vals if v.ndim == 2}
-            if any(v.ndim != 2 for v in vals) or len(cols) != 1:
-                raise ValueError(
-                    f"concat-rows: column counts disagree: {_shapes(self, inputs)}"
-                )
-            return np.concatenate(vals, axis=0)
-
-        if op == "slice-rows":
-            self._expect_arity(op, inputs, 1)
-            x = vals[0]
-            start, stop = int(params["start"]), int(params["stop"])
-            if x.ndim != 2 or not (0 <= start <= stop <= x.shape[0]):
-                raise ValueError(
-                    f"slice-rows: range [{start}, {stop}) invalid for shape {x.shape}"
-                )
-            return x[start:stop]
-
-        raise AssertionError(op)
-
-    def _expect_arity(self, op, inputs, n):
-        if len(inputs) != n:
-            raise ValueError(
-                f"{op}: expects {n} input(s), got {len(inputs)} "
-                f"with shapes {_shapes(self, inputs)}"
-            )
-
-    # ------------------------------------------------------------------
-    # backward
-    # ------------------------------------------------------------------
-
     def backward(self, root):
-        """Populate and return gradients of `root` w.r.t. every node.
+        """Return gradients of `root` w.r.t. every node.
 
         Nodes not reachable from the root map to zero arrays of their
         value's shape.
@@ -249,77 +250,11 @@ class DiffGraph:
             g = grads[i]
             if not node.inputs or not g.any():
                 continue
-            for j, contrib in zip(node.inputs, self._vjp(node, g)):
-                if contrib is not None:
-                    grads[j] = grads[j] + contrib
-        self.gradients = grads
+            vals = [self.nodes[j].value for j in node.inputs]
+            vjp = OPS[node.op].vjp(g, node.value, *vals, **node.params)
+            for j, contrib in zip(node.inputs, vjp):
+                grads[j] = grads[j] + contrib
         return grads
-
-    def _vjp(self, node, g):
-        op = node.op
-        vals = [self.nodes[i].value for i in node.inputs]
-
-        if op == "matmul":
-            a, b = vals
-            if node.params.get("transpose_b", False):
-                return g @ b, g.T @ a
-            return g @ b.T, a.T @ g
-
-        if op == "add":
-            return g, _reduce_broadcast(g, vals[1].shape)
-
-        if op == "elementwise-mul":
-            a, b = vals
-            return g * b, _reduce_broadcast(g * a, b.shape)
-
-        if op == "scale":
-            return (g * node.params["factor"],)
-
-        if op == "relu":
-            return (g * (vals[0] > 0.0),)
-
-        if op == "mean":
-            x = vals[0]
-            return (np.full_like(x, g.item() / x.size),)
-
-        if op == "sum":
-            return (np.full_like(vals[0], g.item()),)
-
-        if op == "exp":
-            return (g * node.value,)
-
-        if op == "log":
-            return (g / vals[0],)
-
-        if op == "softmax-rows":
-            s = node.value
-            inner = (g * s).sum(axis=1, keepdims=True)
-            return (s * (g - inner),)
-
-        if op == "l2-normalize-rows":
-            x = vals[0]
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-            zero = norms < _ZERO_ROW_EPS
-            safe = np.where(zero, 1.0, norms)
-            y = node.value
-            grad = (g - y * (g * y).sum(axis=1, keepdims=True)) / safe
-            return (np.where(zero, 0.0, grad),)
-
-        if op == "concat-rows":
-            out = []
-            offset = 0
-            for v in vals:
-                out.append(g[offset : offset + v.shape[0]])
-                offset += v.shape[0]
-            return tuple(out)
-
-        if op == "slice-rows":
-            x = vals[0]
-            full = np.zeros_like(x)
-            full[node.params["start"] : node.params["stop"]] = g
-            return (full,)
-
-        raise AssertionError(op)
 
 
 def grad_check(fn, point, eps=1e-5, analytic=None):

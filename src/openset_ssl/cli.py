@@ -24,6 +24,7 @@ import os
 import sys
 
 from . import harness
+from .artifacts import parse_json
 
 
 def _add_common(parser):
@@ -120,7 +121,7 @@ def build_config(args):
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
-        given = _deep_merge(given, json.loads(text))
+        given = _deep_merge(given, parse_json(args.config, text))
     return harness.ExperimentConfig.from_dict(given, raw_text=text)
 
 

@@ -15,12 +15,14 @@ only; training code paths consume features and labels exclusively.
 """
 
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import rng as rng_mod
-from .artifacts import INT, REAL, TEXT, one_of, read_json, read_table, write_json, write_table
+from .artifacts import (
+    INT, REAL, TEXT, finite_real, one_of, read_json, read_table, write_json, write_table,
+)
 
 UNLABELED = -1
 
@@ -224,7 +226,7 @@ def write_dataset(path, dataset):
 
 def read_dataset(path):
     converters = {"id": int, "label": int, "truth": int, "origin": one_of("in", "out")}
-    cols = read_table(path, converters, default=float)
+    cols = read_table(path, converters, default=finite_real)
     features = [cols[name] for name in list(cols)[1:-3]]
     x = np.array(features, dtype=np.float64).reshape(len(features), len(cols["id"]))
     return Dataset(
@@ -245,8 +247,13 @@ def write_benchmark(dirpath, bench):
 
 
 def read_benchmark(dirpath):
+    path = os.path.join(dirpath, "spec.json")
+    doc = read_json(path)
+    unknown = sorted(set(doc) - {f.name for f in fields(BenchmarkSpec)})
+    if unknown:
+        raise ValueError(f"{path}: unknown BenchmarkSpec keys: {', '.join(unknown)}")
     return Benchmark(
-        spec=BenchmarkSpec(**read_json(os.path.join(dirpath, "spec.json"))),
+        spec=BenchmarkSpec(**doc),
         labeled=read_dataset(os.path.join(dirpath, "labeled.csv")),
         unlabeled=read_dataset(os.path.join(dirpath, "unlabeled.csv")),
         test=read_dataset(os.path.join(dirpath, "test.csv")),

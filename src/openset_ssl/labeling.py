@@ -14,6 +14,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .artifacts import INT, REAL, read_table, write_table
+from .autodiff import OPS
 from .model import forward
 
 
@@ -50,10 +51,7 @@ class LinearHead:
         return np.asarray(embeddings) @ self.weights + self.bias
 
     def probabilities(self, embeddings):
-        z = self.logits(embeddings)
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return OPS["softmax-rows"].forward(self.logits(embeddings))
 
 
 def train_linear_eval(model, labeled_x, labeled_y, config, seed):
@@ -74,10 +72,7 @@ def train_linear_eval(model, labeled_x, labeled_y, config, seed):
     w = gen.uniform(-bound, bound, size=(d, c))
     b = np.zeros(c)
     for _ in range(config.linear_eval_steps):
-        z = emb @ w + b
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=1, keepdims=True)
+        p = OPS["softmax-rows"].forward(emb @ w + b)
         g = (p - onehot) / n
         w = w - config.linear_eval_lr * (emb.T @ g)
         b = b - config.linear_eval_lr * g.sum(axis=0)

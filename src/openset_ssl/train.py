@@ -27,6 +27,7 @@ import numpy as np
 from . import rng as rng_mod
 from .artifacts import INT, REAL, TEXT, optional_real, write_table
 from .augment import AugmentConfig, augment_batch
+from .autodiff import OPS
 from .contrastive import GraphLoss
 from .model import GraphBuilder, commit_batch_stats, forward, save_checkpoint
 from .optim import NesterovSGD, cosine_lr
@@ -83,12 +84,6 @@ def init_train_state(model, config):
 # ----------------------------------------------------------------------
 
 
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cross_entropy_node(builder, targets, logits_node, mask=None):
     """Mean over rows of -sum_c targets * log softmax(logits).
 
@@ -133,7 +128,8 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
         return None, None, None
     aug = config.augment
     v1 = augment_batch(u_x, u_ids, aug, seed, step, 0)
-    target_probs = _softmax(forward(model, v1, branch="main", mode="eval").logits)
+    logits = forward(model, v1, branch="main", mode="eval").logits
+    target_probs = OPS["softmax-rows"].forward(logits)
     if config.backend == "hard-pseudo":
         strong = aug.scaled_noise(2.0)
         v2 = augment_batch(u_x, u_ids, strong, seed, step, 1)
@@ -357,7 +353,7 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
         if not np.isfinite(loss.value):
             raise RuntimeError(f"aux-only loss became non-finite at step {step}")
         if record_entropy:
-            probs = _softmax(builder.graph.value(nodes.logits))
+            probs = OPS["softmax-rows"].forward(builder.graph.value(nodes.logits))
             entropy_trace.append(
                 float(-(probs * np.log(probs + _LOG_FLOOR)).sum(axis=1).mean())
             )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import scalar_fn
-from openset_ssl.autodiff import DiffGraph, grad_check
+from openset_ssl.autodiff import OP_KINDS, DiffGraph, grad_check
 
 
 class TestForwardValues:
@@ -65,6 +65,38 @@ class TestForwardValues:
             [g.input(np.ones((3, 2))), g.input(np.array([[1.0, 2.0]]))],
         )
         assert np.array_equal(g.value(out), [[2.0, 3.0]] * 3)
+
+
+# (op, input shapes or node ids, params, substrings the message must hold)
+MALFORMED = [
+    ("conv", [(2, 3)], {}, ["'conv'"]),
+    ("relu", [7], {}, ["relu", "node 7"]),
+    ("relu", [(2, 3), (4, 1)], {}, ["relu", "expects 1", "(2, 3), (4, 1)"]),
+    ("matmul", [(2, 3)], {}, ["matmul", "expects 2", "(2, 3)"]),
+    ("add", [(2, 3), (3, 2)], {}, ["add", "(2, 3)", "(3, 2)"]),
+    ("add", [(2, 3), (1, 2)], {}, ["add", "(2, 3)", "(1, 2)"]),
+    ("elementwise-mul", [(2, 3), (2, 1)], {}, ["elementwise-mul", "(2, 3)", "(2, 1)"]),
+    ("matmul", [(3,), (3, 2)], {}, ["matmul", "2-D", "(3,), (3, 2)"]),
+    ("matmul", [(2, 3), (4, 2)], {"transpose_b": True}, ["matmul", "(2, 3)", "(4, 2)"]),
+    ("softmax-rows", [(3,)], {}, ["softmax-rows", "(3,)"]),
+    ("l2-normalize-rows", [(2, 2, 2)], {}, ["l2-normalize-rows", "(2, 2, 2)"]),
+    ("concat-rows", [], {}, ["concat-rows", "at least one"]),
+    ("concat-rows", [(2, 3), (2, 4)], {}, ["concat-rows", "(2, 3), (2, 4)"]),
+    ("concat-rows", [(2, 3), (3,)], {}, ["concat-rows", "(2, 3), (3,)"]),
+    ("slice-rows", [(4, 3)], {"start": 2, "stop": 6}, ["slice-rows", "[2, 6)", "(4, 3)"]),
+    ("slice-rows", [(4, 3)], {"start": 3, "stop": 1}, ["slice-rows", "[3, 1)", "(4, 3)"]),
+]
+
+
+@pytest.mark.parametrize("op,inputs,params,expected", MALFORMED)
+def test_malformed_apply_names_operation_and_shapes(op, inputs, params, expected):
+    g = DiffGraph()
+    ids = [i if isinstance(i, int) else g.input(np.zeros(i)) for i in inputs]
+    with pytest.raises(ValueError) as err:
+        g.apply(op, ids, **params)
+    msg = str(err.value)
+    assert all(part in msg for part in expected), msg
+    assert len(g) == sum(not isinstance(i, int) for i in inputs)
 
 
 class TestBackward:
@@ -302,6 +334,17 @@ class TestEveryKindGradient:
             lambda rng: rng.standard_normal((5, 3)),
             weights_shape=(3, 3),
         )
+
+
+def test_every_kind_has_a_gradient_case():
+    """A kind's cases are named test_<kind> or test_<kind>_<variant>."""
+    names = [n for n in vars(TestEveryKindGradient) if n.startswith("test_")]
+    missing = []
+    for kind in OP_KINDS:
+        stem = "test_" + kind.replace("-", "_")
+        if not any(n == stem or n.startswith(stem + "_") for n in names):
+            missing.append(kind)
+    assert not missing, f"no gradient case for {missing}"
 
 
 class TestNumericInvariants:

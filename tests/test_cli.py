@@ -142,6 +142,14 @@ class TestConfigFile:
         assert report["config"]["ssl"]["lambda"] == 0.25
         assert report["config_text"] == path.read_text()
 
+    def test_malformed_config_file_names_path_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1,')
+        out = str(tmp_path / "bad")
+        assert run_cli("generate", "--out-dir", out, "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line 1, column 12:" in err
+
     def test_flags_apply_when_not_overridden(self, tmp_path):
         out = str(tmp_path / "flags")
         assert run_cli("run", "--out-dir", out, "--eta", "1.5", *MICRO) == 0

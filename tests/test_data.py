@@ -1,6 +1,7 @@
 """Benchmark generation geometry, mixture counts, and file round-trips."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -198,6 +199,27 @@ class TestDatasetFiles:
             read_dataset(path)
         lines = data.count(b"\n")
         assert f"{path}: line {lines}, column 'origin'" in str(err.value)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected_with_line_and_column(self, tmp_path, field):
+        path = tmp_path / "labeled.csv"
+        write_dataset(path, generate(small_spec()).labeled)
+        lines = path.read_bytes().split(b"\r\n")
+        cells = lines[2].split(b",")
+        cells[2] = field.encode()  # f1 of the second row
+        lines[2] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_dataset(path)
+        assert f"{path}: line 3, column 'f1'" in str(err.value)
+
+    def test_unknown_spec_key_names_file_and_key(self, tmp_path):
+        write_benchmark(tmp_path / "bench", generate(small_spec()))
+        spec = tmp_path / "bench" / "spec.json"
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "dims": 3}))
+        with pytest.raises(ValueError) as err:
+            read_benchmark(tmp_path / "bench")
+        assert str(spec) in str(err.value) and "dims" in str(err.value)
 
     def test_benchmark_directory_roundtrip(self, tmp_path):
         bench = generate(small_spec())
