@@ -11,7 +11,6 @@ rejected with a `ValueError` that names the path, the line and the column.
 import csv
 import io
 import json
-import math
 from itertools import islice
 
 INT = "%d"
@@ -24,14 +23,6 @@ _CHUNK_ROWS = 1024
 def optional_real(value):
     """A real as a TEXT field, None as an empty one."""
     return "" if value is None else REAL % value
-
-
-def finite_real(field):
-    """Converter for a real that rejects nan and infinities."""
-    value = float(field)
-    if not math.isfinite(value):
-        raise ValueError(f"{field!r} is not a finite real")
-    return value
 
 
 def one_of(*choices):

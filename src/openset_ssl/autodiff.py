@@ -3,11 +3,15 @@
 The graph is an eager tape: every `apply` computes its forward value
 immediately and appends a node, so the node list is always in topological
 order.  `backward` walks the tape once in reverse and accumulates
-gradients with plain numpy, which makes it bit-deterministic.
+gradients with plain numpy, which makes it bit-deterministic.  It computes
+gradients only for the nodes the root reaches: a node's gradient is stored
+when its first contribution arrives (later ones are added into a fresh
+array, never in place), and a node without one is skipped.  Looking up any
+other node in the returned mapping gives zeros of its value's shape.
 
-`OPS` holds one entry per operation kind: its arity (None for any
-nonzero number of inputs), its forward `(*inputs, **params) -> value`
-and its VJP `(g, value, *inputs, **params) -> one gradient per input`.
+`OPS` holds one entry per operation kind: its arity, its forward
+`(*inputs, **params) -> value` and its VJP
+`(g, value, *inputs, **params) -> one gradient per input`.
 The kinds (64-bit reals throughout):
 
     matmul               2-D product; params: transpose_b
@@ -15,14 +19,15 @@ The kinds (64-bit reals throughout):
                          broadcast against an (m, n) first operand
     scale                multiply by a Python scalar; params: factor
     relu                 max(x, 0); subgradient at 0 is 0
-    mean, sum            full reduction to a 0-d scalar
+    mean                 full reduction to a 0-d scalar
     exp, log             elementwise
     softmax-rows         row softmax with max-subtraction
     l2-normalize-rows    rows scaled to unit norm; zero rows pass through
                          with zero gradient
     elementwise-mul      same broadcast rule as add
-    concat-rows          stack 2-D blocks with equal column counts
-    slice-rows           rows [start, stop); params: start, stop
+    batch-norm           train-mode batch normalization of an (n, w) batch,
+                         n >= 2, by its own mean and biased variance:
+                         (h - mu) / sqrt(var + eps); params: eps
 """
 
 from typing import Callable, NamedTuple
@@ -130,34 +135,47 @@ def _l2_normalize_rows_vjp(g, y, x):
     return (np.where(zero, 0.0, grad),)
 
 
-def _concat_rows(*vals):
-    if len(vals) < 1:
-        raise ValueError("concat-rows: needs at least one input")
-    cols = {v.shape[1] for v in vals if v.ndim == 2}
-    if any(v.ndim != 2 for v in vals) or len(cols) != 1:
-        raise ValueError(f"concat-rows: column counts disagree: {_shapes(vals)}")
-    return np.concatenate(vals, axis=0)
+def batch_moments(h, eps):
+    """The train-mode batch-norm intermediates of an (n, w) batch, as the
+    primitive composition computes them: the 1/n row, mu, h - mu, the
+    biased variance and 1/sqrt(var + eps)."""
+    if h.ndim != 2 or h.shape[0] < 2:
+        raise ValueError(f"batch-norm: expects a 2-D batch of at least 2 rows, got {h.shape}")
+    ones_row = np.full((1, h.shape[0]), 1.0 / h.shape[0])
+    mu = ones_row @ h
+    centered = h + mu * -1.0
+    var = ones_row @ (centered * centered)
+    inv_std = np.exp(np.log(var + eps) * -0.5)
+    return ones_row, mu, centered, var, inv_std
 
 
-def _concat_rows_vjp(g, y, *vals):
-    return tuple(np.split(g, np.cumsum([v.shape[0] for v in vals[:-1]])))
+def _batch_norm(h, eps):
+    _, _, centered, _, inv_std = batch_moments(h, eps)
+    return centered * inv_std
 
 
-def _slice_rows(x, start, stop):
-    start, stop = int(start), int(stop)
-    if x.ndim != 2 or not (0 <= start <= stop <= x.shape[0]):
-        raise ValueError(f"slice-rows: range [{start}, {stop}) invalid for shape {x.shape}")
-    return x[start:stop]
-
-
-def _slice_rows_vjp(g, y, x, start, stop):
-    full = np.zeros_like(x)
-    full[start:stop] = g
-    return (full,)
+def _batch_norm_vjp(g, y, h, eps):
+    # The composition's chain rule in the tape's order: the normalized
+    # output's two inputs, the variance branch (exp, scale, log, add, the
+    # 1/n-row matmul, the squared deviation), then centering and the mean.
+    # A branch whose incoming gradient is all zero adds nothing, as the
+    # tape skips such a node.
+    ones_row, _, centered, var, inv_std = batch_moments(h, eps)
+    g_centered = g * inv_std
+    g_var = (g * centered).sum(axis=0, keepdims=True) * inv_std * -0.5 / (var + eps)
+    g_sq = ones_row.T @ g_var
+    if g_sq.any():
+        g_centered = g_centered + g_sq * centered + g_sq * centered
+    if not g_centered.any():
+        return (np.zeros_like(h),)
+    g_mu = g_centered.sum(axis=0, keepdims=True) * -1.0
+    if not g_mu.any():
+        return (g_centered,)
+    return (g_centered + ones_row.T @ g_mu,)
 
 
 class _Op(NamedTuple):
-    arity: int | None  # None: one input or more
+    arity: int
     forward: Callable
     vjp: Callable
 
@@ -172,7 +190,6 @@ OPS = {
         lambda x: np.asarray(x.mean()),
         lambda g, y, x: (np.full_like(x, g.item() / x.size),),
     ),
-    "sum": _Op(1, lambda x: np.asarray(x.sum()), lambda g, y, x: (np.full_like(x, g.item()),)),
     "exp": _Op(1, np.exp, lambda g, y, x: (g * y,)),
     "log": _Op(1, np.log, lambda g, y, x: (g / x,)),
     "softmax-rows": _Op(1, _softmax_rows, _softmax_rows_vjp),
@@ -182,11 +199,21 @@ OPS = {
         _elementwise_mul,
         lambda g, y, a, b: (g * b, _reduce_broadcast(g * a, b.shape)),
     ),
-    "concat-rows": _Op(None, _concat_rows, _concat_rows_vjp),
-    "slice-rows": _Op(1, _slice_rows, _slice_rows_vjp),
+    "batch-norm": _Op(1, _batch_norm, _batch_norm_vjp),
 }
 
 OP_KINDS = tuple(OPS)
+
+
+class _Gradients(dict):
+    """Gradients by node id; an absent node reads as zeros."""
+
+    def __init__(self, nodes):
+        super().__init__()
+        self._nodes = nodes
+
+    def __missing__(self, node_id):
+        return np.zeros_like(self._nodes[node_id].value)
 
 
 class DiffGraph:
@@ -220,7 +247,7 @@ class DiffGraph:
             if not 0 <= i < len(self.nodes):
                 raise ValueError(f"{op}: input node {i} does not exist")
         vals = [self.nodes[i].value for i in inputs]
-        if arity is not None and len(vals) != arity:
+        if len(vals) != arity:
             raise ValueError(
                 f"{op}: expects {arity} input(s), got {len(vals)} "
                 f"with shapes {_shapes(vals)}"
@@ -230,30 +257,27 @@ class DiffGraph:
         return len(self.nodes) - 1
 
     def backward(self, root):
-        """Return gradients of `root` w.r.t. every node.
-
-        Nodes not reachable from the root map to zero arrays of their
-        value's shape.
-        """
+        """Return gradients of `root` w.r.t. every node it reaches; any
+        other node reads as a zero array of its value's shape.  Entries
+        may share one array, so none may be modified in place."""
         root = int(root)
         root_val = self.nodes[root].value
         if root_val.size != 1:
             raise ValueError(
                 f"backward: root must be scalar-valued, got shape {root_val.shape}"
             )
-        grads = {
-            i: np.zeros_like(node.value) for i, node in enumerate(self.nodes)
-        }
+        grads = _Gradients(self.nodes)
         grads[root] = np.ones_like(root_val)
         for i in range(root, -1, -1):
+            g = grads.get(i)
             node = self.nodes[i]
-            g = grads[i]
-            if not node.inputs or not g.any():
+            if g is None or not node.inputs or not g.any():
                 continue
             vals = [self.nodes[j].value for j in node.inputs]
             vjp = OPS[node.op].vjp(g, node.value, *vals, **node.params)
             for j, contrib in zip(node.inputs, vjp):
-                grads[j] = grads[j] + contrib
+                # the add VJP hands one array to both inputs: never add in place
+                grads[j] = grads[j] + contrib if j in grads else contrib
         return grads
 
 

@@ -118,7 +118,7 @@ def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None, builder
     if builder is None:
         builder = GraphBuilder(model)
     x = builder.const(views)
-    nodes = builder.forward(x, branch="main", mode="train")
+    nodes = builder.forward(x, branch="main", mode="train", heads=("projection",))
     loss = ntxent_matrix_loss(builder, nodes.projection, config.tau_con)
     return GraphLoss(builder=builder, node=loss, batch_stats=nodes.batch_stats)
 
@@ -177,7 +177,7 @@ def calibrate_running_stats(model, pool, batch_size, seed, passes=2):
         order = gen.permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             batch = pool[order[start : start + batch_size]]
-            forward(model, batch, branch="main", mode="train")
+            forward(model, batch, branch="main", mode="train", heads=())
 
 
 def write_loss_trace(path, trace):

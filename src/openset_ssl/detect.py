@@ -49,7 +49,7 @@ class ScoredSample:
 def project(model, x):
     """Eval-mode main-branch projections g(f_e(x)) for a feature matrix."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return forward(model, x, branch="main", mode="eval").projection
+    return forward(model, x, branch="main", mode="eval", heads=("projection",)).projection
 
 
 def prototypes_from_projections(projections, labels, num_classes):

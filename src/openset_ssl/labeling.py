@@ -60,7 +60,7 @@ def train_linear_eval(model, labeled_x, labeled_y, config, seed):
     """
     if len(labeled_x) == 0:
         raise ValueError("labeled set is empty")
-    emb = forward(model, np.asarray(labeled_x, dtype=np.float64)).embedding
+    emb = forward(model, np.asarray(labeled_x, dtype=np.float64), heads=()).embedding
     y = np.asarray(labeled_y, dtype=np.int64)
     n, d = emb.shape
     c = model.config.num_classes
@@ -98,7 +98,7 @@ def select_topk(in_ids, in_x, head, model, k_fraction):
     in_ids = list(in_ids)
     if not in_ids:
         return []
-    emb = forward(model, np.asarray(in_x, dtype=np.float64)).embedding
+    emb = forward(model, np.asarray(in_x, dtype=np.float64), heads=()).embedding
     probs = head.probabilities(emb)
     conf = probs.max(axis=1)
     classes = probs.argmax(axis=1) + 1

@@ -8,7 +8,11 @@ mean/variance and is only ever touched by batches routed to it.
 
 The projection header is a two-layer perceptron over the embedding; the
 classifier head is a single dense layer over the embedding (the linear-
-evaluation convention).
+evaluation convention).  A forward pass builds only the heads its caller
+asks for: contrastive pretraining and detection read the projection,
+fine-tuning and evaluation the logits, labeling and statistics
+calibration neither.  A head that is not built puts no node on the tape,
+so its parameters get no gradient and an optimizer step leaves them be.
 """
 
 import json
@@ -18,12 +22,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .autodiff import DiffGraph
+from .autodiff import DiffGraph, batch_moments
 
 CHECKPOINT_VERSION = 1
 
 BRANCHES = ("main", "aux")
 MODES = ("train", "eval")
+HEADS = ("projection", "logits")
 
 
 @dataclass(frozen=True)
@@ -114,16 +119,16 @@ def build_model(config, seed):
 class ForwardNodes:
     graph: DiffGraph
     embedding: int
-    projection: int
-    logits: int
+    projection: int | None  # None: head not built
+    logits: int | None
     batch_stats: list
 
 
 @dataclass
 class ForwardResult:
     embedding: np.ndarray
-    projection: np.ndarray
-    logits: np.ndarray
+    projection: np.ndarray | None
+    logits: np.ndarray | None
 
 
 class GraphBuilder:
@@ -153,42 +158,27 @@ class GraphBuilder:
 
     def _bn(self, h_id, layer, branch, mode):
         g = self.graph
-        cfg = self.model.config
-        n_rows = g.value(h_id).shape[0]
-        width = g.value(h_id).shape[1]
-        scale = self.param(f"{layer}.bn.scale")
-        shift = self.param(f"{layer}.bn.shift")
-
+        eps = self.model.config.bn_epsilon
         if mode == "train":
-            if n_rows < 2:
-                raise ValueError(
-                    "train-mode batch must have at least 2 rows for batch norm"
-                )
-            ones_row = self.const(np.full((1, n_rows), 1.0 / n_rows))
-            mu = g.apply("matmul", [ones_row, h_id])
-            centered = g.apply("add", [h_id, g.apply("scale", [mu], factor=-1.0)])
-            sq = g.apply("elementwise-mul", [centered, centered])
-            var = g.apply("matmul", [ones_row, sq])
-            eps_row = self.const(np.full((1, width), cfg.bn_epsilon))
-            inv_std = g.apply(
-                "exp",
-                [g.apply("scale", [g.apply("log", [g.apply("add", [var, eps_row])])], factor=-0.5)],
-            )
-            normed = g.apply("elementwise-mul", [centered, inv_std])
-            batch_stats = (layer, branch, g.value(mu).copy(), g.value(var).copy())
+            normed = g.apply("batch-norm", [h_id], eps=eps)
+            _, mu, _, var, _ = batch_moments(g.value(h_id), eps)
+            batch_stats = (layer, branch, mu, var)
         else:
             mean = self.model.stats[f"{layer}.bn.{branch}.mean"]
             var = self.model.stats[f"{layer}.bn.{branch}.var"]
-            inv = 1.0 / np.sqrt(var + cfg.bn_epsilon)
+            inv = 1.0 / np.sqrt(var + eps)
             centered = g.apply("add", [h_id, self.const(-mean)])
             normed = g.apply("elementwise-mul", [centered, self.const(inv)])
             batch_stats = None
 
+        scale = self.param(f"{layer}.bn.scale")
+        shift = self.param(f"{layer}.bn.shift")
         out = g.apply("add", [g.apply("elementwise-mul", [normed, scale]), shift])
         return out, batch_stats
 
-    def forward(self, x_id, branch="main", mode="eval"):
-        """Encoder -> (embedding, projection, logits) node ids.
+    def forward(self, x_id, branch="main", mode="eval", heads=HEADS):
+        """Encoder -> (embedding, projection, logits) node ids; of the
+        heads only those named in `heads` are built, the others are None.
 
         Train mode normalizes by batch statistics and reports them in
         `batch_stats`; committing them to the model's running statistics
@@ -198,6 +188,9 @@ class GraphBuilder:
             raise ValueError(f"unknown branch: {branch!r}")
         if mode not in MODES:
             raise ValueError(f"unknown mode: {mode!r}")
+        unknown = set(heads) - set(HEADS)
+        if unknown:
+            raise ValueError(f"unknown heads: {sorted(unknown)}")
         g = self.graph
         cfg = self.model.config
         if g.value(x_id).ndim != 2 or g.value(x_id).shape[1] != cfg.input_dim:
@@ -215,15 +208,17 @@ class GraphBuilder:
             h = g.apply("relu", [h])
         embedding = h
 
-        p = g.apply("matmul", [embedding, self.param("proj0.w")])
-        p = g.apply("relu", [g.apply("add", [p, self.param("proj0.b")])])
-        p = g.apply("matmul", [p, self.param("proj1.w")])
-        projection = g.apply("add", [p, self.param("proj1.b")])
-
-        logits = g.apply(
-            "add",
-            [g.apply("matmul", [embedding, self.param("head.w")]), self.param("head.b")],
-        )
+        projection = logits = None
+        if "projection" in heads:
+            p = g.apply("matmul", [embedding, self.param("proj0.w")])
+            p = g.apply("relu", [g.apply("add", [p, self.param("proj0.b")])])
+            p = g.apply("matmul", [p, self.param("proj1.w")])
+            projection = g.apply("add", [p, self.param("proj1.b")])
+        if "logits" in heads:
+            logits = g.apply(
+                "add",
+                [g.apply("matmul", [embedding, self.param("head.w")]), self.param("head.b")],
+            )
         return ForwardNodes(g, embedding, projection, logits, collected)
 
 
@@ -237,8 +232,9 @@ def commit_batch_stats(model, batch_stats):
         model.stats[var_key] = (1.0 - m) * model.stats[var_key] + m * var
 
 
-def forward(model, batch, branch="main", mode="eval"):
-    """Plain forward pass returning values (not nodes).
+def forward(model, batch, branch="main", mode="eval", heads=HEADS):
+    """Plain forward pass returning values (not nodes); a head not named
+    in `heads` is not computed and reads None.
 
     Train mode updates the selected branch's running statistics; eval mode
     is a pure function of (parameters, running statistics, input).
@@ -246,14 +242,18 @@ def forward(model, batch, branch="main", mode="eval"):
     batch = np.asarray(batch, dtype=np.float64)
     builder = GraphBuilder(model)
     x = builder.const(batch)
-    nodes = builder.forward(x, branch=branch, mode=mode)
+    nodes = builder.forward(x, branch=branch, mode=mode, heads=heads)
     if mode == "train":
         commit_batch_stats(model, nodes.batch_stats)
     g = builder.graph
+
+    def value(node):
+        return None if node is None else g.value(node)
+
     return ForwardResult(
         embedding=g.value(nodes.embedding),
-        projection=g.value(nodes.projection),
-        logits=g.value(nodes.logits),
+        projection=value(nodes.projection),
+        logits=value(nodes.logits),
     )
 
 

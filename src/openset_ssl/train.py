@@ -35,6 +35,7 @@ from .optim import NesterovSGD, cosine_lr
 _LOG_FLOOR = 1e-300  # keeps log finite if a probability underflows
 
 BACKENDS = ("consistency", "hard-pseudo")
+LOGITS = ("logits",)  # fine-tuning never reads the projection header
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
         return None, None, None
     aug = config.augment
     v1 = augment_batch(u_x, u_ids, aug, seed, step, 0)
-    logits = forward(model, v1, branch="main", mode="eval").logits
+    logits = forward(model, v1, branch="main", mode="eval", heads=LOGITS).logits
     target_probs = OPS["softmax-rows"].forward(logits)
     if config.backend == "hard-pseudo":
         strong = aug.scaled_noise(2.0)
@@ -150,14 +151,14 @@ def build_step_loss(model, plan, config):
     labeled_q = np.asarray(plan.labeled_q, dtype=np.float64)
     _check_rows_normalized(labeled_q, "labeled targets")
     x_l = builder.const(np.asarray(plan.labeled_x, dtype=np.float64))
-    sup_nodes = builder.forward(x_l, branch="main", mode="eval")
+    sup_nodes = builder.forward(x_l, branch="main", mode="eval", heads=LOGITS)
     loss = cross_entropy_node(builder, labeled_q, sup_nodes.logits)
     terms = {"supervised": float(g.value(loss))}
     batch_stats = []
 
     if plan.cons_x is not None:
         x_u = builder.const(plan.cons_x)
-        cons_nodes = builder.forward(x_u, branch="main", mode="eval")
+        cons_nodes = builder.forward(x_u, branch="main", mode="eval", heads=LOGITS)
         cons = cross_entropy_node(
             builder, plan.cons_targets, cons_nodes.logits, mask=plan.cons_mask
         )
@@ -172,7 +173,7 @@ def build_step_loss(model, plan, config):
         # statistics, the distribution mismatch the auxiliary BNs absorb
         branch = "aux" if config.aux_bn else "main"
         x_o = builder.const(plan.out_x)
-        out_nodes = builder.forward(x_o, branch=branch, mode="train")
+        out_nodes = builder.forward(x_o, branch=branch, mode="train", heads=LOGITS)
         batch_stats.extend(out_nodes.batch_stats)
         aux = cross_entropy_node(builder, out_q, out_nodes.logits)
         terms["aux"] = float(g.value(aux))
@@ -223,7 +224,7 @@ def one_hot(labels, num_classes):
 
 def evaluate_accuracy(model, x, y):
     """Eval-mode main-branch argmax accuracy against 1-based labels."""
-    logits = forward(model, np.asarray(x, dtype=np.float64)).logits
+    logits = forward(model, np.asarray(x, dtype=np.float64), heads=LOGITS).logits
     pred = logits.argmax(axis=1) + 1
     return float((pred == np.asarray(y, dtype=np.int64)).mean())
 
@@ -347,7 +348,7 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
         idx = cycler.take(config.batch_size)
         builder = GraphBuilder(model)
         x = builder.const(out_x[idx])
-        nodes = builder.forward(x, branch="main", mode="train")
+        nodes = builder.forward(x, branch="main", mode="train", heads=LOGITS)
         loss_node = cross_entropy_node(builder, out_q[idx], nodes.logits)
         loss = GraphLoss(builder=builder, node=loss_node, batch_stats=nodes.batch_stats)
         if not np.isfinite(loss.value):

@@ -10,6 +10,21 @@ from openset_ssl.autodiff import DiffGraph, grad_check
 from openset_ssl.train import build_step_loss
 
 
+def reduce_sum(g, node):
+    """The sum of a 2-D node's entries as a (1, 1) node, through
+    ones-vector matmuls; a 0-d node is already a scalar and is returned.
+
+    A full sum, not a mean: a mean would scale the absolute error of a
+    gradient check down by the entry count.
+    """
+    value = g.value(node)
+    if value.ndim == 0:
+        return node
+    rows, cols = value.shape
+    row_sums = g.apply("matmul", [g.input(np.ones((1, rows))), node])
+    return g.apply("matmul", [row_sums, g.input(np.ones((cols, 1)))])
+
+
 def scalar_fn(build, reduce_weights=None):
     """Wrap a graph construction into a scalar function of one array.
 
@@ -23,11 +38,11 @@ def scalar_fn(build, reduce_weights=None):
         out = build(g, xid)
         if reduce_weights is not None:
             out = g.apply("elementwise-mul", [out, g.input(reduce_weights)])
-        return g, xid, g.apply("sum", [out])
+        return g, xid, reduce_sum(g, out)
 
     def fn(x):
         g, _, root = assemble(x)
-        return float(g.value(root))
+        return g.value(root).item()
 
     def gradient(x):
         g, xid, root = assemble(x)
@@ -35,6 +50,29 @@ def scalar_fn(build, reduce_weights=None):
 
     fn.gradient = gradient
     return fn
+
+
+def reference_batch_norm(g, h_id, eps):
+    """Train-mode batch norm of node `h_id` as the primitive composition
+    the model built before the fused `batch-norm` kind, node for node.
+
+    Returns the (normed, mu, var) node ids; the fused kind's value,
+    moments and gradients must match these bit for bit.
+    """
+    n_rows = g.value(h_id).shape[0]
+    width = g.value(h_id).shape[1]
+    ones_row = g.input(np.full((1, n_rows), 1.0 / n_rows))
+    mu = g.apply("matmul", [ones_row, h_id])
+    centered = g.apply("add", [h_id, g.apply("scale", [mu], factor=-1.0)])
+    sq = g.apply("elementwise-mul", [centered, centered])
+    var = g.apply("matmul", [ones_row, sq])
+    eps_row = g.input(np.full((1, width), eps))
+    inv_std = g.apply(
+        "exp",
+        [g.apply("scale", [g.apply("log", [g.apply("add", [var, eps_row])])], factor=-0.5)],
+    )
+    normed = g.apply("elementwise-mul", [centered, inv_std])
+    return normed, mu, var
 
 
 def nudge_into_generic_position(model, seed=0, scale=0.05):

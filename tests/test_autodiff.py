@@ -4,8 +4,11 @@ gradient against central finite differences."""
 import numpy as np
 import pytest
 
-from helpers import scalar_fn
-from openset_ssl.autodiff import OP_KINDS, DiffGraph, grad_check
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import reduce_sum, reference_batch_norm, scalar_fn
+from openset_ssl.autodiff import OP_KINDS, DiffGraph, batch_moments, grad_check
 
 
 class TestForwardValues:
@@ -40,15 +43,6 @@ class TestForwardValues:
         out = g.apply("matmul", [g.input(a), g.input(b)], transpose_b=True)
         assert np.allclose(g.value(out), a @ b.T, atol=1e-12)
 
-    def test_concat_slice_roundtrip(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((2, 4))
-        b = rng.standard_normal((3, 4))
-        g = DiffGraph()
-        cat = g.apply("concat-rows", [g.input(a), g.input(b)])
-        back = g.apply("slice-rows", [cat], start=2, stop=5)
-        assert np.array_equal(g.value(back), b)
-
     def test_shape_mismatch_diagnostic_names_operation_and_shapes(self):
         g = DiffGraph()
         a = g.input(np.zeros((2, 3)))
@@ -80,11 +74,8 @@ MALFORMED = [
     ("matmul", [(2, 3), (4, 2)], {"transpose_b": True}, ["matmul", "(2, 3)", "(4, 2)"]),
     ("softmax-rows", [(3,)], {}, ["softmax-rows", "(3,)"]),
     ("l2-normalize-rows", [(2, 2, 2)], {}, ["l2-normalize-rows", "(2, 2, 2)"]),
-    ("concat-rows", [], {}, ["concat-rows", "at least one"]),
-    ("concat-rows", [(2, 3), (2, 4)], {}, ["concat-rows", "(2, 3), (2, 4)"]),
-    ("concat-rows", [(2, 3), (3,)], {}, ["concat-rows", "(2, 3), (3,)"]),
-    ("slice-rows", [(4, 3)], {"start": 2, "stop": 6}, ["slice-rows", "[2, 6)", "(4, 3)"]),
-    ("slice-rows", [(4, 3)], {"start": 3, "stop": 1}, ["slice-rows", "[3, 1)", "(4, 3)"]),
+    ("batch-norm", [(1, 3)], {"eps": 1e-5}, ["batch-norm", "at least 2 rows", "(1, 3)"]),
+    ("batch-norm", [(4,)], {"eps": 1e-5}, ["batch-norm", "2-D", "(4,)"]),
 ]
 
 
@@ -101,9 +92,12 @@ def test_malformed_apply_names_operation_and_shapes(op, inputs, params, expected
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
+        # the ones-vector matmul sum every gradient check here reduces with
         g = DiffGraph()
         x = g.input(np.arange(6.0).reshape(2, 3))
-        grads = g.backward(g.apply("sum", [x]))
+        root = reduce_sum(g, x)
+        assert g.value(root).item() == 15.0
+        grads = g.backward(root)
         assert np.array_equal(grads[x], np.ones((2, 3)))
 
     def test_mean_gradient_is_quarter(self):
@@ -122,7 +116,7 @@ class TestBackward:
         g = DiffGraph()
         x = g.input(np.ones((2, 2)))
         unused = g.input(np.ones((3, 3)))
-        grads = g.backward(g.apply("sum", [x]))
+        grads = g.backward(g.apply("mean", [x]))
         assert np.array_equal(grads[unused], np.zeros((3, 3)))
 
     def test_backward_is_deterministic_bitwise(self):
@@ -266,12 +260,6 @@ class TestEveryKindGradient:
             lambda rng: rng.standard_normal((3, 4)),
         )
 
-    def test_sum(self):
-        self.check(
-            lambda g, x: g.apply("sum", [x]),
-            lambda rng: rng.standard_normal((3, 4)),
-        )
-
     def test_exp(self):
         self.check(
             lambda g, x: g.apply("exp", [x]),
@@ -320,19 +308,38 @@ class TestEveryKindGradient:
             weights_shape=(4, 3),
         )
 
-    def test_concat_rows(self):
-        b = np.random.default_rng(14).standard_normal((2, 3))
+    def test_batch_norm(self):
         self.check(
-            lambda g, x: g.apply("concat-rows", [x, g.input(b)]),
-            lambda rng: rng.standard_normal((3, 3)),
-            weights_shape=(5, 3),
+            lambda g, x: g.apply("batch-norm", [x], eps=1e-5),
+            lambda rng: rng.standard_normal((6, 3)),
+            weights_shape=(6, 3),
         )
 
-    def test_slice_rows(self):
+    def test_batch_norm_near_constant_column(self):
+        # column 0 varies by ~1e-6, so its variance (~1e-12) sits far
+        # below eps and the op is close to a plain centering there
+        def point(rng):
+            x = rng.standard_normal((6, 3))
+            x[:, 0] = 0.7 + 1e-6 * rng.standard_normal(6)
+            return x
+
         self.check(
-            lambda g, x: g.apply("slice-rows", [x], start=1, stop=4),
-            lambda rng: rng.standard_normal((5, 3)),
-            weights_shape=(3, 3),
+            lambda g, x: g.apply("batch-norm", [x], eps=1e-5),
+            point,
+            weights_shape=(6, 3),
+        )
+
+    def test_batch_norm_large_column(self):
+        # column 1 scaled by 1e4: its gradient is ~1e-4 of the others'
+        def point(rng):
+            x = rng.standard_normal((6, 3))
+            x[:, 1] *= 1e4
+            return x
+
+        self.check(
+            lambda g, x: g.apply("batch-norm", [x], eps=1e-5),
+            point,
+            weights_shape=(6, 3),
         )
 
 
@@ -371,5 +378,80 @@ class TestNumericInvariants:
         x = g.input(np.array([[0.0, 0.0], [3.0, 4.0]]))
         out = g.apply("l2-normalize-rows", [x])
         assert np.array_equal(g.value(out)[0], [0.0, 0.0])
-        grads = g.backward(g.apply("sum", [out]))
+        grads = g.backward(reduce_sum(g, out))
         assert np.array_equal(grads[x][0], [0.0, 0.0])
+
+
+# Column kinds: exact zeros, a constant, a near-constant column (var far
+# below eps), +-1 entries, a 1e4 scale.  With small-integer weights and
+# scales these put exact zeros into the variance and mean branches, where
+# the tape skips a node and the fused VJP must add nothing either.
+_COLUMNS = {
+    "plain": lambda rng, n: rng.standard_normal(n),
+    "zero": lambda rng, n: np.zeros(n),
+    "constant": lambda rng, n: np.full(n, 0.5),
+    "near-constant": lambda rng, n: 0.3 + 1e-7 * rng.standard_normal(n),
+    "signs": lambda rng, n: rng.choice([-1.0, 1.0], n),
+    "large": lambda rng, n: 1e4 * rng.standard_normal(n),
+}
+
+
+def _draw(rng, kind, shape):
+    if kind == "normal":
+        return rng.standard_normal(shape)
+    signs = rng.integers(-1, 2, shape).astype(np.float64)  # -1, 0 or 1
+    # the smallest subnormal: upstream gradients that underflow on the way
+    return signs * 5e-324 if kind == "subnormal" else signs
+
+
+class TestBatchNormMatchesComposition:
+    """The fused kind against the 12-node composition it replaced: the
+    value, the batch moments and the gradients w.r.t. the input and the
+    affine scale and shift, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        columns=st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=12),
+        eps=st.sampled_from([1e-5, 1e-12, 0.5]),
+        scale_kind=st.sampled_from(["normal", "integer"]),
+        weight_kind=st.sampled_from(["normal", "integer", "subnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # found by search: each makes the variance, the centering or the mean
+    # branch all zero
+    @example(n=3, columns=["zero"], eps=1e-5, scale_kind="integer", weight_kind="integer", seed=38)
+    @example(n=2, columns=["signs", "signs"], eps=1e-5, scale_kind="integer",
+             weight_kind="integer", seed=7)
+    @example(n=2, columns=["signs", "zero"], eps=1e-5, scale_kind="integer",
+             weight_kind="integer", seed=90)
+    @example(n=2, columns=["plain"], eps=1e-5, scale_kind="integer", weight_kind="subnormal",
+             seed=3)
+    def test_bytes_match_composition(self, n, columns, eps, scale_kind, weight_kind, seed):
+        rng = np.random.default_rng(seed)
+        w = len(columns)
+        h = np.stack([_COLUMNS[kind](rng, n) for kind in columns], axis=1)
+        scale = _draw(rng, scale_kind, (1, w))
+        shift = rng.standard_normal((1, w))
+        weights = _draw(rng, weight_kind, (n, w))
+
+        def run(bn):
+            g = DiffGraph()
+            ids = [g.input(v) for v in (h, scale, shift)]
+            normed, moments = bn(g, ids[0])
+            out = g.apply("add", [g.apply("elementwise-mul", [normed, ids[1]]), ids[2]])
+            root = reduce_sum(g, g.apply("elementwise-mul", [out, g.input(weights)]))
+            grads = g.backward(root)
+            return [g.value(out)] + list(moments) + [grads[i] for i in ids]
+
+        def fused(g, h_id):
+            _, mu, _, var, _ = batch_moments(g.value(h_id), eps)
+            return g.apply("batch-norm", [h_id], eps=eps), (mu, var)
+
+        def composed(g, h_id):
+            normed, mu, var = reference_batch_norm(g, h_id, eps)
+            return normed, (g.value(mu), g.value(var))
+
+        names = ["value", "mu", "var", "grad h", "grad scale", "grad shift"]
+        for name, a, b in zip(names, run(fused), run(composed)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

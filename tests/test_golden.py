@@ -1,0 +1,59 @@
+"""Bit-exactness guard: a fixed miniature run must write the same bytes.
+
+The digests pin the pretrained checkpoint, the last fine-tuning
+checkpoint and the report (timings removed) of `micro_config` at an
+out-of-class proportion of 0.5 and seed 1.  A change that is meant to
+leave every value alone (a faster op, a leaner graph) must keep them;
+a change that moves values on purpose re-records them and says why.
+"""
+
+import hashlib
+import json
+import platform
+
+import numpy as np
+
+from openset_ssl.harness import run_experiment, strip_timings
+from test_harness import micro_config
+
+PRETRAINED = "e24d93b86b0ec3c2750136ee38aae224d48e9ef67bedd56f2733e86b4ba20725"
+LAST_CHECKPOINT = "5989ab1d6a33bd1b88fa224916765a174277c9d707f25a36da66afc90cb941c8"
+REPORT = "25cedac25c051f1ede7a000ae07c2951e8923f071e21d0ec7c6c2155df4c0671"
+
+RECORDED_ON = (
+    "numpy 2.4.6 with OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, "
+    "Haswell kernels), Python 3.11, x86_64 Linux"
+)
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_micro_run_digests_are_pinned(tmp_path, monkeypatch):
+    # a relative out_dir keeps the report's echo of it independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    run_experiment(micro_config("run", seed=1))
+    report = strip_timings(json.loads((tmp_path / "run" / "report.json").read_text()))
+    found = {
+        "pretrained.ckpt": _sha256((tmp_path / "run" / "pretrained.ckpt").read_bytes()),
+        "checkpoints/step_000010.ckpt": _sha256(
+            (tmp_path / "run" / "checkpoints" / "step_000010.ckpt").read_bytes()
+        ),
+        "report.json without timings": _sha256(
+            json.dumps(report, sort_keys=True).encode("utf-8")
+        ),
+    }
+    expected = {
+        "pretrained.ckpt": PRETRAINED,
+        "checkpoints/step_000010.ckpt": LAST_CHECKPOINT,
+        "report.json without timings": REPORT,
+    }
+    changed = sorted(name for name in expected if found[name] != expected[name])
+    assert not changed, (
+        f"digests of {changed} differ from the pinned ones. They were recorded "
+        f"on {RECORDED_ON}; this run has numpy {np.__version__} on "
+        f"{platform.machine()} (see numpy.show_config() for its BLAS). "
+        "A different numpy or BLAS build may round differently; on the "
+        f"recording build a change here means values moved. Found: {found}"
+    )

@@ -6,6 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from helpers import reduce_sum
+from openset_ssl.augment import AugmentConfig
+from openset_ssl.contrastive import ContrastiveConfig, pretrain, simclr_batch_loss
 from openset_ssl.autodiff import grad_check
 from openset_ssl.model import (
     GraphBuilder,
@@ -17,6 +20,7 @@ from openset_ssl.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from openset_ssl.train import SSLConfig, init_train_state, one_hot, train
 
 
 def small_config(**kw):
@@ -160,15 +164,14 @@ class TestForward:
                 nodes = builder.forward(x_id, branch=branch, mode=mode)
                 g = builder.graph
                 probs = g.apply("softmax-rows", [nodes.logits])
-                loss = g.apply(
-                    "sum",
-                    [g.apply("elementwise-mul", [probs, builder.const(weights)])],
+                loss = reduce_sum(
+                    g, g.apply("elementwise-mul", [probs, builder.const(weights)])
                 )
                 return g, x_id, loss
 
             def fn(x):
                 g, _, loss = run(x)
-                return float(g.value(loss))
+                return g.value(loss).item()
 
             def gradient(x):
                 g, x_id, loss = run(x)
@@ -181,6 +184,60 @@ class TestForward:
             weights = rng.standard_normal((6, 2))
             fn = make_fn(branch, mode, weights)
             assert grad_check(fn, base, eps=1e-6) < 1e-4
+
+
+class TestHeadsOnDemand:
+    """Each caller builds only the heads it reads; an unbuilt head's
+    parameters get no gradient and stay byte-identical."""
+
+    def test_forward_builds_only_the_named_heads(self):
+        model = build_model(small_config(), seed=1)
+        x = np.random.default_rng(0).standard_normal((3, 6))
+        full = forward(model, x)
+        out = forward(model, x, heads=())
+        assert out.projection is None and out.logits is None
+        assert out.embedding.tobytes() == full.embedding.tobytes()
+        assert forward(model, x, heads=("logits",)).logits.tobytes() == full.logits.tobytes()
+        with pytest.raises(ValueError, match="proj"):
+            forward(model, x, heads=("proj",))
+
+    def test_pretraining_leaves_the_classifier_head_untouched(self):
+        cfg = small_config()
+        model = build_model(cfg, seed=3)
+        pool = np.random.default_rng(1).standard_normal((24, 6))
+        config = ContrastiveConfig(steps=6, batch_size=8, lr=0.1)
+        pretrain(model, pool, np.arange(24), config, seed=2)
+        fresh = build_model(cfg, seed=3)
+        assert model.params["proj0.w"].tobytes() != fresh.params["proj0.w"].tobytes()
+        for name in ("head.w", "head.b"):
+            assert model.params[name].tobytes() == fresh.params[name].tobytes(), name
+
+    def test_fine_tuning_leaves_the_projection_header_untouched(self):
+        model = build_model(small_config(), seed=4)
+        rng = np.random.default_rng(5)
+        pool = rng.standard_normal((24, 6))
+        pretrain(model, pool, np.arange(24), ContrastiveConfig(steps=4, batch_size=8), seed=2)
+        pretrained = model.copy()
+        config = SSLConfig(steps=5, batch_size=4, lr=0.05, lam=0.5, aux_bn=True,
+                           augment=AugmentConfig(noise_sigma=0.2, stream="train.augment"))
+        labeled_q = one_hot(rng.integers(1, 3, size=6), 2)
+        out_q = np.full((8, 2), 0.5)
+        state = init_train_state(model, config)
+        train(state, pool[:6], labeled_q, np.arange(6, 14), pool[6:14],
+              np.arange(14, 22), pool[14:22], out_q, config, seed=1)
+        assert model.params["head.w"].tobytes() != pretrained.params["head.w"].tobytes()
+        for name in ("proj0.w", "proj0.b", "proj1.w", "proj1.b"):
+            assert model.params[name].tobytes() == pretrained.params[name].tobytes(), name
+
+    def test_simclr_step_of_criterion_6_shape_builds_at_most_47_nodes(self):
+        # criterion 6: 16 features, encoder 64-64/64, projection 32, 8
+        # classes, a batch of 128 (256 views in one NT-Xent)
+        cfg = ModelConfig(input_dim=16, hidden_dims=(64, 64), embed_dim=64, proj_dim=32,
+                          num_classes=8)
+        model = build_model(cfg, seed=0)
+        batch = np.random.default_rng(6).standard_normal((128, 16))
+        loss = simclr_batch_loss(model, batch, ContrastiveConfig(batch_size=128))
+        assert len(loss.builder.graph) <= 47
 
 
 class TestCosineSimilarity:
