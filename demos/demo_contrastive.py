@@ -36,11 +36,11 @@ losses = [v for _, v in trace]
 print(f"loss: first 10% mean {np.mean(losses[:30]):.3f} -> last 10% mean {np.mean(losses[-30:]):.3f}")
 
 proj = forward(model, pool).projection
+sims = cosine_similarity(proj, proj)
 rng = np.random.default_rng(2)
 same, diff = [], []
 for _ in range(2000):
     i, j = rng.integers(0, len(pool), size=2)
-    sim = cosine_similarity(proj[i], proj[j])
-    (same if truth[i] == truth[j] else diff).append(sim)
+    (same if truth[i] == truth[j] else diff).append(sims[i, j])
 print(f"mean projection similarity, same cluster:      {np.mean(same):+.3f}")
 print(f"mean projection similarity, different cluster: {np.mean(diff):+.3f}")

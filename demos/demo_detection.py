@@ -16,8 +16,8 @@ from openset_ssl.detect import (
     DetectionConfig,
     compute_prototypes,
     compute_threshold,
+    out_mask,
     score_samples,
-    split_unlabeled,
 )
 from openset_ssl.metrics import auroc, tpr_tnr
 from openset_ssl.model import ModelConfig, build_model
@@ -42,17 +42,14 @@ ids = np.concatenate([bench.labeled.ids, bench.unlabeled.ids])
 model, _ = pretrain(model, pool, ids, config, seed=0)
 
 protos = compute_prototypes(bench.labeled.x, bench.labeled.label, model)
-labeled_scored = score_samples(bench.labeled.ids, bench.labeled.x, protos, model)
-threshold, mu, sigma = compute_threshold(
-    [s.score for s in labeled_scored], DetectionConfig(eta=2.0)
-)
+_, labeled_scores = score_samples(bench.labeled.x, protos, model)
+threshold, mu, sigma = compute_threshold(labeled_scores, DetectionConfig(eta=2.0))
 print(f"labeled scores: mu={mu:.3f} sigma={sigma:.3f} -> threshold t={threshold:.3f}")
 
-scored = score_samples(bench.unlabeled.ids, bench.unlabeled.x, protos, model)
-inside, outside = split_unlabeled(scored, threshold)
-print(f"split: {len(inside)} detected in-class, {len(outside)} detected out-of-class")
+_, scores = score_samples(bench.unlabeled.x, protos, model)
+out = out_mask(scores, threshold)
+print(f"split: {(~out).sum()} detected in-class, {out.sum()} detected out-of-class")
 
-scores = np.array([s.score for s in scored])
 is_out = bench.unlabeled.origin == "out"
 rates = tpr_tnr(scores, is_out, threshold)
 print(f"against hidden truth: AUROC={auroc(scores, is_out):.3f} "

@@ -39,11 +39,8 @@ def soft_label_profile(mode, seed=0):
 
     protos = compute_prototypes(bench.labeled.x, bench.labeled.label, model)
     out_rows = bench.unlabeled.origin == "out"
-    scored = score_samples(
-        bench.unlabeled.ids[out_rows], bench.unlabeled.x[out_rows], protos, model
-    )
-    tops = [soft_label(s.sims, tau_sl=0.1).max() for s in scored]
-    return float(np.mean(tops))
+    sims, _ = score_samples(bench.unlabeled.x[out_rows], protos, model)
+    return float(soft_label(sims, tau_sl=0.1).max(axis=1).mean())
 
 
 related = soft_label_profile("related")

@@ -25,13 +25,11 @@ from .contrastive import (
 from .detect import (
     DetectionConfig,
     PrototypeSet,
-    ScoredSample,
-    class_similarities,
     compute_prototypes,
     compute_threshold,
     detection_score,
+    out_mask,
     score_samples,
-    split_unlabeled,
 )
 from .labeling import (
     LabelingConfig,

@@ -65,10 +65,11 @@ def ntxent_query_loss(query, positive, candidates, tau_con):
     if not candidates:
         raise ValueError("ntxent_query_loss: empty candidate set")
     positive = np.asarray(positive, dtype=np.float64)
-    if not any(np.array_equal(positive, c) for c in candidates):
+    hits = [i for i, c in enumerate(candidates) if np.array_equal(positive, c)]
+    if not hits:
         raise ValueError("ntxent_query_loss: positive is not among the candidates")
-    sims = np.array([cosine_similarity(query, c) for c in candidates]) / tau_con
-    pos = cosine_similarity(query, positive) / tau_con
+    sims = cosine_similarity(query, np.stack(candidates))[0] / tau_con
+    pos = sims[hits[0]]
     m = sims.max()
     return float(np.log(np.exp(sims - m).sum()) + m - pos)
 

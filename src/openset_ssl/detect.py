@@ -1,11 +1,13 @@
 """Prototype construction and out-of-class detection over the unlabeled pool.
 
 Class prototypes are unnormalized means of labeled projections, computed
-once against the frozen pretrained model.  Each unlabeled sample receives
-a vector of class-wise cosine similarities; its detection score is the
-maximum entry.  Samples scoring below t = mu_l - eta * sigma_l (moments of
-the labeled scores, population standard deviation) are flagged
-out-of-class; the boundary score itself counts as in-class.
+once against the frozen pretrained model.  A batch of samples is scored
+on arrays: one `cosine_similarity` call gives the (rows x classes) matrix
+of similarities to the prototypes, and a row's detection score is its
+maximum entry.  Samples scoring below t = mu_l - eta * sigma_l (moments
+of the labeled scores, population standard deviation) are flagged
+out-of-class by a boolean mask; the boundary score itself counts as
+in-class.
 """
 
 from dataclasses import dataclass
@@ -39,13 +41,6 @@ class PrototypeSet:
         return np.stack([self.prototypes[c] for c in self.class_ids])
 
 
-@dataclass
-class ScoredSample:
-    sample_id: int
-    sims: np.ndarray
-    score: float
-
-
 def project(model, x):
     """Eval-mode main-branch projections g(f_e(x)) for a feature matrix."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -75,35 +70,23 @@ def compute_prototypes(labeled_x, labeled_y, model, num_classes=None):
     )
 
 
-def sims_from_projection(projection, prototypes):
-    return np.array(
-        [cosine_similarity(projection, prototypes.prototypes[c]) for c in prototypes.class_ids]
-    )
+def detection_score(sims):
+    """Maximal class-wise similarity: per row of a (n, C) matrix, or of
+    one vector."""
+    sims = np.asarray(sims, dtype=np.float64)
+    if sims.ndim == 0 or sims.shape[-1] == 0:
+        raise ValueError("detection_score: empty similarity vector")
+    return sims.max(axis=-1)
 
 
-def class_similarities(x, prototypes, model):
-    """Cosine similarity of g(f_e(x)) to every class prototype."""
+def score_samples(x, prototypes, model):
+    """(sims, scores) of the rows of `x`: the (n, C) cosine matrix of their
+    projections to the prototypes, from one eval-mode forward and one
+    `cosine_similarity` call, and each row's detection score."""
     if not prototypes.prototypes:
         raise ValueError("prototype set is empty")
-    return sims_from_projection(project(model, x)[0], prototypes)
-
-
-def detection_score(sims):
-    """Maximal class-wise similarity."""
-    sims = np.asarray(sims, dtype=np.float64)
-    if sims.size == 0:
-        raise ValueError("detection_score: empty similarity vector")
-    return float(sims.max())
-
-
-def score_samples(ids, x, prototypes, model):
-    """ScoredSample per row, batched through one eval-mode forward."""
-    projections = project(model, x)
-    out = []
-    for sid, p in zip(ids, projections):
-        sims = sims_from_projection(p, prototypes)
-        out.append(ScoredSample(sample_id=int(sid), sims=sims, score=detection_score(sims)))
-    return out
+    sims = cosine_similarity(project(model, x), prototypes.matrix())
+    return sims, detection_score(sims)
 
 
 def compute_threshold(labeled_scores, config):
@@ -118,12 +101,10 @@ def compute_threshold(labeled_scores, config):
     return mu - config.eta * sigma, mu, sigma
 
 
-def split_unlabeled(scored, threshold):
-    """Partition scored samples: score < t -> out, score >= t -> in."""
-    inside, outside = [], []
-    for s in scored:
-        (outside if s.score < threshold else inside).append(s)
-    return inside, outside
+def out_mask(scores, threshold):
+    """True where a sample is flagged out-of-class: score < t.  A score
+    equal to t is in-class."""
+    return np.asarray(scores, dtype=np.float64) < threshold
 
 
 # ----------------------------------------------------------------------
@@ -131,17 +112,23 @@ def split_unlabeled(scored, threshold):
 # ----------------------------------------------------------------------
 
 
-def write_scored_manifest(path, scored, threshold):
-    width = len(scored[0].sims) if scored else 0
+def write_scored_manifest(path, ids, sims, scores, threshold):
+    """One row per sample: its id, its (n, C) similarity row, its score and
+    its split under `threshold`."""
+    sims = np.asarray(sims, dtype=np.float64)
+    width = sims.shape[1]
     header = ["sample_id", *(f"sim_{c}" for c in range(1, width + 1)), "score", "split"]
-    rows = ((s.sample_id, *s.sims.tolist(), s.score, "out" if s.score < threshold else "in")
-            for s in scored)
+    splits = np.where(out_mask(scores, threshold), "out", "in").tolist()
+    rows = ((sid, *row, score, split) for sid, row, score, split
+            in zip(np.asarray(ids).tolist(), sims.tolist(), np.asarray(scores).tolist(), splits))
     write_table(path, header, [INT] + [REAL] * (width + 1) + [TEXT], rows)
 
 
 def read_scored_manifest(path):
+    """(ids, sims, scores, out) columns of a scored manifest; `out` is
+    the mask of rows whose split reads "out"."""
     cols = read_table(path, {"sample_id": int, "split": one_of("in", "out")}, default=float)
     ids, sims = cols["sample_id"], [cols[name] for name in list(cols)[1:-2]]
     sims = np.array(sims, dtype=np.float64).reshape(len(sims), len(ids)).T.copy()
-    scored = [ScoredSample(*row) for row in zip(ids, sims, cols["score"])]
-    return scored, dict(zip(ids, cols["split"]))
+    return (np.array(ids, dtype=np.int64), sims, np.array(cols["score"], dtype=np.float64),
+            np.array(cols["split"], dtype="<U3") == "out")

@@ -26,9 +26,9 @@ from .detect import (
     DetectionConfig,
     compute_prototypes,
     compute_threshold,
+    out_mask,
     read_scored_manifest,
     score_samples,
-    split_unlabeled,
     write_scored_manifest,
 )
 from .labeling import (
@@ -162,39 +162,51 @@ def stage_pretrain(config, bench):
 
 @dataclass
 class DetectOutcome:
+    """Detection of the unlabeled pool, as columns in the row order of
+    `bench.unlabeled`."""
+
     threshold: float
     mu: float
     sigma: float
-    scored: list
-    labeled_scored: list
-    in_set: list
-    out_set: list
+    ids: np.ndarray  # (n,) sample ids
+    sims: np.ndarray  # (n, C) cosine similarity to each class prototype
+    scores: np.ndarray  # (n,) detection scores
     metrics: dict  # tpr/tnr/auroc vs hidden truth, or None at p = 0
+
+    @property
+    def out(self):
+        """Mask of the rows detected out-of-class."""
+        return out_mask(self.scores, self.threshold)
+
+    @property
+    def in_set(self):
+        return self.ids[~self.out]
+
+    @property
+    def out_set(self):
+        return self.ids[self.out]
 
 
 def stage_detect(config, bench, model):
     protos = compute_prototypes(bench.labeled.x, bench.labeled.label, model)
-    labeled_scored = score_samples(bench.labeled.ids, bench.labeled.x, protos, model)
-    threshold, mu, sigma = compute_threshold(
-        [s.score for s in labeled_scored], config.detection
-    )
-    scored = score_samples(bench.unlabeled.ids, bench.unlabeled.x, protos, model)
-    write_scored_manifest(os.path.join(config.out_dir, "scored.csv"), scored, threshold)
+    labeled_sims, labeled_scores = score_samples(bench.labeled.x, protos, model)
+    threshold, mu, sigma = compute_threshold(labeled_scores, config.detection)
+    sims, scores = score_samples(bench.unlabeled.x, protos, model)
     write_scored_manifest(
-        os.path.join(config.out_dir, "scored_labeled.csv"), labeled_scored, threshold
+        os.path.join(config.out_dir, "scored.csv"), bench.unlabeled.ids, sims, scores, threshold
     )
-    in_set, out_set = split_unlabeled(scored, threshold)
+    write_scored_manifest(
+        os.path.join(config.out_dir, "scored_labeled.csv"),
+        bench.labeled.ids, labeled_sims, labeled_scores, threshold,
+    )
     det = DetectOutcome(
         threshold=threshold,
         mu=mu,
         sigma=sigma,
-        scored=scored,
-        labeled_scored=labeled_scored,
-        in_set=in_set,
-        out_set=out_set,
-        metrics=_detection_metrics(
-            np.array([s.score for s in scored]), bench.unlabeled.origin == "out", threshold
-        ),
+        ids=bench.unlabeled.ids,
+        sims=sims,
+        scores=scores,
+        metrics=_detection_metrics(scores, bench.unlabeled.origin == "out", threshold),
     )
     write_detect_summary(config.out_dir, det, config)
     return det
@@ -213,21 +225,20 @@ def _detection_metrics(scores, is_out, threshold):
 @dataclass
 class LabelOutcome:
     soft_ids: list
-    soft_q: list
+    soft_q: np.ndarray  # (len(soft_ids), C)
     pseudo: list
 
 
 def stage_label(config, bench, model, det):
-    id_to_row = {int(i): r for r, i in enumerate(bench.unlabeled.ids)}
-
-    soft_ids = [s.sample_id for s in det.out_set]
-    soft_q = [soft_label(s.sims, config.labeling.tau_sl) for s in det.out_set]
+    out = det.out
+    soft_ids = det.ids[out].tolist()
+    soft_q = soft_label(det.sims[out], config.labeling.tau_sl)
     write_soft_label_manifest(
         os.path.join(config.out_dir, "softlabels.csv"), soft_ids, soft_q
     )
 
     pseudo = []
-    if config.ssl.topk_pl and det.in_set:
+    if config.ssl.topk_pl and not out.all():
         head = train_linear_eval(
             model,
             bench.labeled.x,
@@ -235,9 +246,9 @@ def stage_label(config, bench, model, det):
             config.labeling,
             config.seed,
         )
-        in_ids = [s.sample_id for s in det.in_set]
-        in_x = bench.unlabeled.x[[id_to_row[i] for i in in_ids]]
-        pseudo = select_topk(in_ids, in_x, head, model, config.labeling.k_fraction)
+        pseudo = select_topk(
+            det.ids[~out], bench.unlabeled.x[~out], head, model, config.labeling.k_fraction
+        )
     write_pseudo_label_manifest(os.path.join(config.out_dir, "pseudolabels.csv"), pseudo)
     return LabelOutcome(soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo)
 
@@ -260,20 +271,14 @@ def stage_train(config, bench, model, det, lab):
     labeled_q = one_hot([labels[i] for i in balanced], num_classes)
 
     if config.ssl.detect:
-        in_ids = [s.sample_id for s in det.in_set]
-        out_ids = [s.sample_id for s in det.out_set]
-    else:
-        in_ids = list(map(int, bench.unlabeled.ids))
-        out_ids = []
-    in_x = bench.unlabeled.x[[id_to_row[i] for i in in_ids]] if in_ids else np.empty(
-        (0, bench.spec.dim)
-    )
-    out_x = bench.unlabeled.x[[id_to_row[i] for i in out_ids]] if out_ids else np.empty(
-        (0, bench.spec.dim)
-    )
-    out_q = np.stack(lab.soft_q) if (out_ids and lab.soft_q) else np.empty(
-        (0, num_classes)
-    )
+        out = det.out
+        # an empty soft-label manifest reads back as a (0, 0) matrix
+        out_q = np.asarray(lab.soft_q, dtype=np.float64).reshape(-1, num_classes)
+    else:  # the whole pool counts as in-class
+        out = np.zeros(len(bench.unlabeled.ids), dtype=bool)
+        out_q = np.empty((0, num_classes))
+    in_ids, in_x = bench.unlabeled.ids[~out], bench.unlabeled.x[~out]
+    out_ids, out_x = bench.unlabeled.ids[out], bench.unlabeled.x[out]
 
     ckpt_dir = os.path.join(config.out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -491,46 +496,45 @@ def recompute_metrics(out_dir, dataset_dir=None):
         dataset_dir or config["dataset_dir"] or os.path.join(out_dir, "dataset")
     )
 
-    labeled_scored, _ = read_scored_manifest(os.path.join(out_dir, "scored_labeled.csv"))
-    threshold, mu, sigma = compute_threshold(
-        [s.score for s in labeled_scored], DetectionConfig(**config["detection"])
-    )
+    _, _, labeled_scores, _ = read_scored_manifest(os.path.join(out_dir, "scored_labeled.csv"))
+    threshold, mu, sigma = compute_threshold(labeled_scores, DetectionConfig(**config["detection"]))
 
-    scored, splits = read_scored_manifest(os.path.join(out_dir, "scored.csv"))
-    truth_out = {int(i): o == "out" for i, o in zip(bench.unlabeled.ids, bench.unlabeled.origin)}
-    scores = np.array([s.score for s in scored])
-    is_out = np.array([truth_out[s.sample_id] for s in scored])
-    metrics = _detection_metrics(scores, is_out, threshold)
-    split = list(splits.values())
+    path = os.path.join(out_dir, "scored.csv")
+    ids, _, scores, out = read_scored_manifest(path)
+    _check_pool_ids(path, ids, bench)
+    metrics = _detection_metrics(scores, bench.unlabeled.origin == "out", threshold)
     return {
         "threshold": threshold,
         "mu": mu,
         "sigma": sigma,
         **(metrics or dict.fromkeys(("tpr", "tnr", "auroc"))),
-        "split_sizes": {"in": split.count("in"), "out": split.count("out")},
+        "split_sizes": {"in": int((~out).sum()), "out": int(out.sum())},
         **_accuracy_summary(report["checkpoint_accuracies"], config["median_last"]),
     }
 
 
 def load_detect_outcome(out_dir, bench):
-    """Rebuild a DetectOutcome from the scored manifests and detect.json."""
+    """Rebuild a DetectOutcome from scored.csv and detect.json."""
     summary = read_json(os.path.join(out_dir, "detect.json"))
-    scored, _ = read_scored_manifest(os.path.join(out_dir, "scored.csv"))
-    labeled_scored, _ = read_scored_manifest(
-        os.path.join(out_dir, "scored_labeled.csv")
-    )
-    threshold = summary["threshold"]
-    in_set, out_set = split_unlabeled(scored, threshold)
+    path = os.path.join(out_dir, "scored.csv")
+    ids, sims, scores, _ = read_scored_manifest(path)
+    _check_pool_ids(path, ids, bench)
     return DetectOutcome(
-        threshold=threshold,
+        threshold=summary["threshold"],
         mu=summary["mu"],
         sigma=summary["sigma"],
-        scored=scored,
-        labeled_scored=labeled_scored,
-        in_set=in_set,
-        out_set=out_set,
+        ids=ids,
+        sims=sims,
+        scores=scores,
         metrics=summary.get("metrics"),
     )
+
+
+def _check_pool_ids(path, ids, bench):
+    """A scored manifest holds the unlabeled pool in its row order, so
+    that its columns index the pool's rows."""
+    if not np.array_equal(ids, bench.unlabeled.ids):
+        raise ValueError(f"{path}: sample_id column is not the unlabeled pool's ids in order")
 
 
 def write_detect_summary(out_dir, det, config):

@@ -33,13 +33,14 @@ class LabelingConfig:
 
 
 def soft_label(sims, tau_sl):
-    """Temperature softmax over class similarities, max-subtracted."""
+    """Temperature softmax over class similarities, max-subtracted: per row
+    of a (n, C) matrix, or of one vector."""
     if tau_sl <= 0:
         raise ValueError("tau_sl must be positive")
     sims = np.asarray(sims, dtype=np.float64) / tau_sl
-    sims = sims - sims.max()
+    sims = sims - sims.max(axis=-1, keepdims=True)
     e = np.exp(sims)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -153,10 +154,11 @@ def write_soft_label_manifest(path, ids, labels):
 
 
 def read_soft_label_manifest(path):
+    """(ids, q): the list of sample ids and the (n, C) soft-label matrix."""
     cols = read_table(path, {"sample_id": int}, default=float)
     ids = cols.pop("sample_id")
     q = np.array(list(cols.values()), dtype=np.float64).reshape(len(cols), len(ids))
-    return ids, list(q.T.copy())
+    return ids, q.T.copy()
 
 
 def write_pseudo_label_manifest(path, pseudo):

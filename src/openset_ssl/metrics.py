@@ -12,16 +12,15 @@ import numpy as np
 
 
 def _midranks(values):
+    """1-based ranks, tied values sharing the mean rank of their run; NaNs
+    sort last and never tie."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    bounds = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [len(values)])) - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

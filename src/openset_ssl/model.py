@@ -257,19 +257,27 @@ def forward(model, batch, branch="main", mode="eval", heads=HEADS):
     )
 
 
-def cosine_similarity(u, v):
-    """u.v / (|u||v|); 0 when either norm is below 1e-12."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
+def cosine_similarity(a, b):
+    """Cosine matrix of the rows of `a` (n, d) and `b` (m, d): entry (i, j)
+    is a_i.b_j / (|a_i||b_j|), and 0 where either norm is below 1e-12.  A
+    1-D argument is one row.
+
+    Every dot product and squared norm is one `np.vecdot` inner product,
+    the loop `u @ v` and `np.linalg.norm(u)` run per pair, so each entry
+    is the float the per-pair formula gives; `a @ b.T` and
+    `np.linalg.norm(a, axis=1)` round differently.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(
-            f"cosine_similarity: dimensions disagree: {u.shape} vs {v.shape}"
+            f"cosine_similarity: dimensions disagree: {a.shape} vs {b.shape}"
         )
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < 1e-12 or nv < 1e-12:
-        return 0.0
-    return float(u @ v / (nu * nv))
+    dots = np.vecdot(a[:, None, :], b[None])
+    na = np.sqrt(np.vecdot(a, a))
+    nb = np.sqrt(np.vecdot(b, b))
+    zero = (na < 1e-12)[:, None] | (nb < 1e-12)
+    return np.divide(dots, na[:, None] * nb, out=np.zeros_like(dots), where=~zero)
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,33 @@ def combined_param_gradcheck(model, plan, config, eps=1e-6):
     return worst
 
 
+def reference_cosine(u, v):
+    """Cosine similarity of two vectors as it was computed one pair at a
+    time: u.v / (|u||v|), 0 when either norm is below 1e-12.  The matrix
+    `model.cosine_similarity` must reproduce it entry for entry."""
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu < 1e-12 or nv < 1e-12:
+        return 0.0
+    return float(u @ v / (nu * nv))
+
+
+def reference_midranks(values):
+    """1-based midranks by a scan over the stably sorted values, the loop
+    `metrics._midranks` replaced; ties share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def reference_augment_batch(batch, ids, config, seed, step, view):
     """Views drawn row by row, each from a freshly seeded `rng.stream`.
 
@@ -176,17 +203,17 @@ def reference_write_train_trace(path, trace):
             writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:4]] + [acc])
 
 
-def reference_write_scored_manifest(path, scored, threshold):
-    width = len(scored[0].sims) if scored else 0
+def reference_write_scored_manifest(path, ids, sims, scores, threshold):
+    width = np.asarray(sims).shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sample_id"] + [f"sim_{c}" for c in range(1, width + 1)] + ["score", "split"]
         )
-        for s in scored:
-            split = "out" if s.score < threshold else "in"
+        for sid, row, score in zip(ids, sims, scores):
+            split = "out" if score < threshold else "in"
             writer.writerow(
-                [s.sample_id] + [f"{v:.17g}" for v in s.sims] + [f"{s.score:.17g}", split]
+                [int(sid)] + [f"{v:.17g}" for v in row] + [f"{score:.17g}", split]
             )
 
 

@@ -26,10 +26,8 @@ from openset_ssl.data import BenchmarkSpec, generate, read_dataset, write_datase
 from openset_ssl.detect import (
     DetectionConfig,
     compute_threshold,
+    out_mask,
     prototypes_from_projections,
-    sims_from_projection,
-    split_unlabeled,
-    ScoredSample,
 )
 from openset_ssl.harness import (
     ExperimentConfig,
@@ -53,6 +51,7 @@ from openset_ssl.metrics import median_last_n
 from openset_ssl.model import (
     ModelConfig,
     build_model,
+    cosine_similarity,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -342,7 +341,7 @@ def test_criterion_03_detection_exactness():
                 count += 1
         worst = max(worst, np.abs(protos.prototypes[c] - acc / count).max())
 
-    sims = np.stack([sims_from_projection(p, protos) for p in unlabeled_proj])
+    sims = cosine_similarity(unlabeled_proj, protos.matrix())
     for i in rng.choice(1000, size=50, replace=False):
         p = unlabeled_proj[i]
         for j, c in enumerate(protos.class_ids):
@@ -354,32 +353,28 @@ def test_criterion_03_detection_exactness():
     for i in range(1000):
         worst = max(worst, abs(scores[i] - sorted(sims[i])[-1]))
 
-    labeled_sims = np.stack([sims_from_projection(p, protos) for p in labeled_proj])
+    labeled_sims = cosine_similarity(labeled_proj, protos.matrix())
     labeled_scores = labeled_sims.max(axis=1)
     t, mu, sigma = compute_threshold(labeled_scores, DetectionConfig(eta=2.0))
     mu_o = sum(labeled_scores) / len(labeled_scores)
     sigma_o = np.sqrt(sum((s - mu_o) ** 2 for s in labeled_scores) / len(labeled_scores))
     worst = max(worst, abs(t - (mu_o - 2.0 * sigma_o)), abs(mu - mu_o), abs(sigma - sigma_o))
 
-    scored = [
-        ScoredSample(sample_id=i, sims=sims[i], score=float(scores[i]))
-        for i in range(1000)
-    ]
-    inside, outside = split_unlabeled(scored, t)
+    ids = np.arange(1000)
+    out = out_mask(scores, t)
+    inside, outside = ids[~out], ids[out]
     n_out_oracle = sum(1 for s in scores if s < t)
     exact_partition = (
         len(outside) == n_out_oracle
         and len(inside) + len(outside) == 1000
-        and not ({s.sample_id for s in inside} & {s.sample_id for s in outside})
+        and not (set(inside.tolist()) & set(outside.tolist()))
     )
 
     protos_scaled = prototypes_from_projections(labeled_proj * 41.0, labeled_y, num_classes)
-    sims_scaled = np.stack(
-        [sims_from_projection(p * 41.0, protos_scaled) for p in unlabeled_proj]
-    )
+    sims_scaled = cosine_similarity(unlabeled_proj * 41.0, protos_scaled.matrix())
     scale_dev = np.abs(sims - sims_scaled).max()
     t_scaled, _, _ = compute_threshold(
-        np.stack([sims_from_projection(p * 41.0, protos_scaled) for p in labeled_proj]).max(axis=1),
+        cosine_similarity(labeled_proj * 41.0, protos_scaled.matrix()).max(axis=1),
         DetectionConfig(eta=2.0),
     )
     split_same = np.array_equal(scores < t, sims_scaled.max(axis=1) < t_scaled)
@@ -505,7 +500,7 @@ def test_criterion_06_detection_quality(workdir):
     (workdir / "c6").mkdir(exist_ok=True)
     bench, model = pretrained_for(workdir, "detect_seed0_labels25", cfg)
     det = stage_detect(cfg, bench, model)
-    scores = np.array([s.score for s in det.scored])
+    scores = det.scores
     is_out = bench.unlabeled.origin == "out"
     a = auroc(scores, is_out)
     rates = tpr_tnr(scores, is_out, det.threshold)

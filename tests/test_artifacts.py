@@ -10,7 +10,7 @@ import helpers
 from openset_ssl.artifacts import INT, REAL, TEXT, read_json, read_table, write_table
 from openset_ssl.contrastive import write_loss_trace
 from openset_ssl.data import Dataset, write_dataset
-from openset_ssl.detect import ScoredSample, write_scored_manifest
+from openset_ssl.detect import write_scored_manifest
 from openset_ssl.harness import collect_sweep_rows, write_curve_csv, write_report, write_sweep_table
 from openset_ssl.labeling import (
     PseudoLabel,
@@ -71,17 +71,14 @@ def test_train_trace_bytes(tmp_path, trace):
 @example(width=0, n=0, threshold=0.0, data=None)  # header only, no similarity columns
 def test_scored_manifest_bytes(tmp_path, width, n, threshold, data):
     if data is None:
-        scored = []
+        sample_ids, sims, scores = [], np.empty((0, 0)), []
     else:
-        scored = [
-            ScoredSample(sample_id=data.draw(ids),
-                         sims=np.array(data.draw(st.lists(reals, min_size=width,
-                                                          max_size=width))),
-                         score=data.draw(reals))
-            for _ in range(n)
-        ]
+        sample_ids = data.draw(st.lists(ids, min_size=n, max_size=n))
+        sims = np.array([data.draw(st.lists(reals, min_size=width, max_size=width))
+                         for _ in range(n)]).reshape(n, width)
+        scores = data.draw(st.lists(reals, min_size=n, max_size=n))
     same_bytes(tmp_path, write_scored_manifest, helpers.reference_write_scored_manifest,
-               scored, threshold)
+               sample_ids, sims, scores, threshold)
 
 
 @cases

@@ -3,23 +3,23 @@ each against independent brute-force recomputation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openset_ssl.detect import (
     DetectionConfig,
-    ScoredSample,
-    class_similarities,
     compute_prototypes,
     compute_threshold,
     detection_score,
+    out_mask,
     project,
     prototypes_from_projections,
     read_scored_manifest,
     score_samples,
-    sims_from_projection,
-    split_unlabeled,
     write_scored_manifest,
 )
-from openset_ssl.model import ModelConfig, build_model
+from openset_ssl.harness import DetectOutcome
+from openset_ssl.model import ModelConfig, build_model, cosine_similarity
 
 
 def model_with_dim(input_dim=6, num_classes=3, seed=0):
@@ -71,14 +71,14 @@ class TestSimilaritiesAndScore:
         protos = prototypes_from_projections(
             np.array([[3.0, 4.0]]), np.array([1]), num_classes=1
         )
-        sims = sims_from_projection(np.array([3.0, 4.0]), protos)
+        sims = cosine_similarity(np.array([3.0, 4.0]), protos.matrix())[0]
         assert abs(sims[0] - 1.0) < 1e-12
 
     def test_orthogonal_projection_scores_zero(self):
         protos = prototypes_from_projections(
             np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 2]), num_classes=2
         )
-        sims = sims_from_projection(np.array([0.0, 5.0]), protos)
+        sims = cosine_similarity(np.array([0.0, 5.0]), protos.matrix())[0]
         assert np.abs(sims).max() == 0.0
 
     def test_matches_independent_dot_norm_routine(self):
@@ -88,7 +88,7 @@ class TestSimilaritiesAndScore:
         labels = np.tile([1, 2, 3], 3)
         protos = compute_prototypes(labeled_x, labels, model)
         x = rng.standard_normal(6)
-        sims = class_similarities(x, protos, model)
+        sims = score_samples(x[None], protos, model)[0][0]
         p = project(model, x)[0]
         for idx, c in enumerate(protos.class_ids):
             v = protos.prototypes[c]
@@ -112,9 +112,10 @@ class TestSimilaritiesAndScore:
         model = model_with_dim()
         labeled_x = rng.standard_normal((6, 6))
         protos = compute_prototypes(labeled_x, np.tile([1, 2, 3], 2), model)
-        scored = score_samples(range(50), rng.standard_normal((50, 6)), protos, model)
-        for s in scored:
-            assert -1.0 - 1e-12 <= s.score <= 1.0 + 1e-12
+        _, scores = score_samples(rng.standard_normal((50, 6)), protos, model)
+        assert scores.shape == (50,)
+        for score in scores:
+            assert -1.0 - 1e-12 <= score <= 1.0 + 1e-12
 
 
 class TestThreshold:
@@ -142,49 +143,45 @@ class TestThreshold:
             compute_threshold([], DetectionConfig())
 
 
-def scored_from(scores):
-    return [
-        ScoredSample(sample_id=i, sims=np.array([s]), score=float(s))
-        for i, s in enumerate(scores)
-    ]
+def detected(scores, threshold):
+    """A DetectOutcome over ids 0..n-1 with the given scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return DetectOutcome(threshold=threshold, mu=0.0, sigma=0.0, ids=np.arange(len(scores)),
+                         sims=scores[:, None], scores=scores, metrics=None)
 
 
 class TestSplit:
     def test_threshold_below_min_keeps_everything_in(self):
-        scored = scored_from([0.3, 0.5, 0.9])
-        inside, outside = split_unlabeled(scored, 0.1)
-        assert len(inside) == 3 and not outside
+        det = detected([0.3, 0.5, 0.9], 0.1)
+        assert len(det.in_set) == 3 and not len(det.out_set)
 
     def test_boundary_score_is_in_class(self):
-        scored = scored_from([0.5])
-        inside, outside = split_unlabeled(scored, 0.5)
-        assert len(inside) == 1 and not outside
+        det = detected([0.5], 0.5)
+        assert len(det.in_set) == 1 and not len(det.out_set)
+        assert not out_mask([0.5], 0.5).any()
 
     def test_thousand_sample_counts_match_counting_oracle(self):
         rng = np.random.default_rng(5)
         scores = rng.uniform(-1, 1, size=1000)
         t = 0.2
-        inside, outside = split_unlabeled(scored_from(scores), t)
+        det = detected(scores, t)
         n_out = sum(1 for s in scores if s < t)
-        assert len(outside) == n_out
-        assert len(inside) == 1000 - n_out
+        assert len(det.out_set) == n_out
+        assert len(det.in_set) == 1000 - n_out
 
     def test_partition_by_ids(self):
         rng = np.random.default_rng(6)
-        scored = scored_from(rng.uniform(-1, 1, size=200))
-        inside, outside = split_unlabeled(scored, 0.0)
-        in_ids = {s.sample_id for s in inside}
-        out_ids = {s.sample_id for s in outside}
-        assert in_ids | out_ids == {s.sample_id for s in scored}
+        det = detected(rng.uniform(-1, 1, size=200), 0.0)
+        in_ids = set(det.in_set.tolist())
+        out_ids = set(det.out_set.tolist())
+        assert in_ids | out_ids == set(det.ids.tolist())
         assert not in_ids & out_ids
 
     def test_raising_threshold_is_monotone(self):
         rng = np.random.default_rng(7)
-        scored = scored_from(rng.uniform(-1, 1, size=300))
-        _, out_low = split_unlabeled(scored, -0.5)
-        _, out_high = split_unlabeled(scored, 0.5)
-        low_ids = {s.sample_id for s in out_low}
-        high_ids = {s.sample_id for s in out_high}
+        scores = rng.uniform(-1, 1, size=300)
+        low_ids = set(detected(scores, -0.5).out_set.tolist())
+        high_ids = set(detected(scores, 0.5).out_set.tolist())
         assert low_ids <= high_ids
 
     def test_positive_scaling_leaves_sims_scores_split_unchanged(self):
@@ -195,7 +192,7 @@ class TestSplit:
 
         def pipeline(scale):
             protos = prototypes_from_projections(projections * scale, labels, 2)
-            sims = np.stack([sims_from_projection(q * scale, protos) for q in queries])
+            sims = cosine_similarity(queries * scale, protos.matrix())
             scores = sims.max(axis=1)
             t, _, _ = compute_threshold(scores[:10], DetectionConfig(eta=2.0))
             split = scores < t
@@ -208,32 +205,52 @@ class TestSplit:
         assert np.array_equal(split1, split2)
 
 
+scores_st = st.lists(
+    st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 0.25, 1.0]), min_size=1, max_size=60
+)
+
+
+class TestSplitProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(scores=scores_st, threshold=st.floats(-1.5, 1.5))
+    def test_split_is_an_exact_partition_of_the_ids(self, scores, threshold):
+        det = detected(scores, threshold)
+        in_ids, out_ids = det.in_set.tolist(), det.out_set.tolist()
+        assert sorted(in_ids + out_ids) == det.ids.tolist()
+        assert len(set(in_ids)) == len(in_ids) and len(set(out_ids)) == len(out_ids)
+        assert out_ids == [i for i, s in enumerate(scores) if s < threshold]
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled=scores_st, unlabeled=scores_st,
+           etas=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=5))
+    def test_out_set_grows_as_eta_falls(self, labeled, unlabeled, etas):
+        previous = set()
+        for eta in sorted(etas, reverse=True):
+            t, _, _ = compute_threshold(labeled, DetectionConfig(eta=eta))
+            out_ids = set(detected(unlabeled, t).out_set.tolist())
+            assert previous <= out_ids
+            previous = out_ids
+
+
 class TestScoredManifest:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
-        scored = [
-            ScoredSample(sample_id=i, sims=rng.uniform(-1, 1, size=3), score=0.0)
-            for i in range(20)
-        ]
-        for s in scored:
-            s.score = float(s.sims.max())
+        ids = np.arange(20)
+        sims = np.stack([rng.uniform(-1, 1, size=3) for _ in ids])
+        scores = sims.max(axis=1)
         path = tmp_path / "scored.csv"
-        write_scored_manifest(path, scored, threshold=0.1)
-        loaded, splits = read_scored_manifest(path)
-        for a, b in zip(scored, loaded):
-            assert a.sample_id == b.sample_id
-            assert a.score == b.score
-            assert np.array_equal(a.sims, b.sims)
-            assert splits[a.sample_id] == ("out" if a.score < 0.1 else "in")
+        write_scored_manifest(path, ids, sims, scores, threshold=0.1)
+        loaded_ids, loaded_sims, loaded_scores, out = read_scored_manifest(path)
+        assert np.array_equal(loaded_ids, ids)
+        assert np.array_equal(loaded_scores, scores)
+        assert np.array_equal(loaded_sims, sims)
+        assert np.array_equal(out, scores < 0.1)
 
     def write(self, tmp_path):
         rng = np.random.default_rng(3)
-        scored = [ScoredSample(sample_id=i, sims=rng.uniform(-1, 1, size=3), score=0.0)
-                  for i in range(6)]
-        for s in scored:
-            s.score = float(s.sims.max())
+        sims = np.stack([rng.uniform(-1, 1, size=3) for _ in range(6)])
         path = tmp_path / "scored.csv"
-        write_scored_manifest(path, scored, threshold=0.5)
+        write_scored_manifest(path, np.arange(6), sims, sims.max(axis=1), threshold=0.5)
         return path, path.read_bytes().decode().split("\r\n")
 
     def rejects(self, path, text, *expected):

@@ -2,8 +2,10 @@
 and sweeps.  Configs here are miniature so the suite stays fast."""
 
 import json
+import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,13 @@ from openset_ssl.harness import (
     ExperimentConfig,
     ModelShape,
     apply_axis,
+    load_detect_outcome,
+    prepare_benchmark,
     recompute_metrics,
     run_experiment,
     run_sweep,
+    stage_detect,
+    stage_pretrain,
     strip_timings,
 )
 from openset_ssl.labeling import LabelingConfig
@@ -163,6 +169,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError) as err:
             recompute_metrics(cfg.out_dir)
         assert str(err.value).startswith(f"{path}: line ")
+
+
+class TestDetectOutcome:
+    def detect(self, tmp_path):
+        cfg = micro_config(tmp_path / "run")
+        os.makedirs(cfg.out_dir)
+        bench = prepare_benchmark(cfg)
+        return cfg, bench, stage_detect(cfg, bench, stage_pretrain(cfg, bench))
+
+    def test_reload_is_bit_equal(self, tmp_path):
+        cfg, bench, det = self.detect(tmp_path)
+        loaded = load_detect_outcome(cfg.out_dir, bench)
+        assert np.array_equal(det.ids, bench.unlabeled.ids)
+        for name in ("ids", "sims", "scores", "out", "in_set", "out_set"):
+            assert getattr(loaded, name).tobytes() == getattr(det, name).tobytes(), name
+        assert (loaded.threshold, loaded.mu, loaded.sigma) == (det.threshold, det.mu, det.sigma)
+        assert len(det.in_set) + len(det.out_set) == len(bench.unlabeled)
+
+    def test_reordered_scored_manifest_rejected_by_name(self, tmp_path):
+        cfg, bench, _ = self.detect(tmp_path)
+        path = tmp_path / "run" / "scored.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError) as err:
+            load_detect_outcome(cfg.out_dir, bench)
+        assert str(err.value).startswith(f"{path}: sample_id column")
 
 
 class TestSweep:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openset_ssl.labeling import (
     LabelingConfig,
@@ -55,6 +57,20 @@ class TestSoftLabel:
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
             soft_label([0.1, 0.2], 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 12), st.integers(1, 20)),
+        tau=st.sampled_from([0.05, 0.1, 0.5, 1.0, 7.0]),
+        data=st.data(),
+    )
+    def test_matrix_rows_are_byte_equal_to_per_row_labels(self, shape, tau, data):
+        n, c = shape
+        sims = np.array(
+            data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * c, max_size=n * c))
+        ).reshape(n, c)
+        rows = [soft_label(row, tau) for row in sims]
+        assert soft_label(sims, tau).tobytes() == np.array(rows).reshape(n, c).tobytes()
 
 
 def separable_setup(seed=0):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from openset_ssl.metrics import accuracy, auroc, median_last_n, tpr_tnr
+from helpers import reference_midranks
+from openset_ssl.metrics import _midranks, accuracy, auroc, median_last_n, tpr_tnr
 
 
 def pairwise_auroc(scores, is_out):
@@ -50,6 +53,27 @@ class TestAuroc:
             auroc([0.1, 0.2], [True, True])
         with pytest.raises(ValueError):
             auroc([0.1, 0.2], [False, False])
+
+
+class TestMidranks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, np.nan]) | st.floats(allow_nan=True),
+            max_size=80,
+        )
+    )
+    @example(values=[])
+    @example(values=[0.25])
+    @example(values=[0.5] * 50)
+    @example(values=[np.nan, 1.0, np.nan, 1.0, 0.0, -0.0])
+    def test_byte_equal_to_scan_reference(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert _midranks(values).tobytes() == reference_midranks(values).tobytes()
+
+    def test_heavy_ties_give_half_integer_ranks(self):
+        values = np.repeat([3.0, 1.0, 2.0], [4, 3, 1])
+        assert _midranks(values).tolist() == [6.5] * 4 + [2.0] * 3 + [4.0]
 
 
 class TestTprTnr:

@@ -5,8 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import reduce_sum
+from helpers import reduce_sum, reference_cosine
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig, pretrain, simclr_batch_loss
 from openset_ssl.autodiff import grad_check
@@ -273,6 +275,60 @@ class TestCosineSimilarity:
             u = rng.standard_normal(4)
             v = rng.standard_normal(4)
             assert -1.0 - 1e-12 <= cosine_similarity(u, v) <= 1.0 + 1e-12
+
+    def test_matrix_shape(self):
+        sims = cosine_similarity(np.ones((5, 3)), np.ones((2, 3)))
+        assert sims.shape == (5, 2)
+        assert cosine_similarity(np.ones((0, 3)), np.ones((2, 3))).shape == (0, 2)
+
+    def test_zero_row_and_zero_prototype_give_exact_zero(self):
+        a = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [-0.0, 0.0, -0.0]])
+        b = np.array([[3.0, 0.0, 4.0], [0.0, 0.0, 0.0]])
+        with np.errstate(all="raise"):
+            sims = cosine_similarity(a, b)
+        assert sims[0].tolist() == [0.0, 0.0] and sims[2].tolist() == [0.0, 0.0]
+        assert sims[1, 1] == 0.0
+        assert abs(sims[1, 0] - 11.0 / 15.0) < 1e-15
+        assert not np.signbit(sims[[0, 2]]).any()
+
+    def test_norms_either_side_of_the_cutoff(self):
+        unit = np.array([[1.0, 0.0]])
+        for norm, expected in ((0.99e-12, 0.0), (1e-12, 1.0), (1.01e-12, 1.0)):
+            tiny = np.array([[norm, 0.0]])
+            with np.errstate(all="raise"):
+                assert cosine_similarity(tiny, unit)[0, 0] == expected
+                assert cosine_similarity(unit, tiny)[0, 0] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 9),
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 5)),
+        data=st.data(),
+    )
+    @example(d=2, shape=(2, 1), data=None)
+    def test_matrix_is_byte_equal_to_per_pair_reference(self, d, shape, data):
+        elems = st.floats(-1e6, 1e6) | st.sampled_from(
+            [0.0, -0.0, 1e-13, -7e-13, 1e-12, 5e-324, 1e-300, np.nan, np.inf]
+        )
+        n, m = shape
+        if data is None:  # a zero row against a NaN prototype
+            a, b = np.array([[0.0, 0.0], [1.0, -1.0]]), np.array([[np.nan, 1.0]])
+        else:
+            a = np.array(data.draw(st.lists(elems, min_size=n * d, max_size=n * d))).reshape(n, d)
+            b = np.array(data.draw(st.lists(elems, min_size=m * d, max_size=m * d))).reshape(m, d)
+        with np.errstate(all="ignore"):
+            sims = cosine_similarity(a, b)
+            expected = np.array([[reference_cosine(u, v) for v in b] for u in a])
+        assert sims.tobytes() == expected.tobytes()
+
+    def test_detection_sized_matrix_is_byte_equal_to_per_pair_reference(self):
+        # small matrices can round as a gemm does; at this size `a @ b.T`
+        # and `np.linalg.norm(a, axis=1)` differ from the per-pair floats
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((400, 32)), rng.standard_normal((8, 32))
+        a[::97] = 0.0
+        expected = np.array([[reference_cosine(u, v) for v in b] for u in a])
+        assert cosine_similarity(a, b).tobytes() == expected.tobytes()
 
 
 class TestCheckpoint:
