@@ -11,17 +11,17 @@ from openset_ssl.autodiff import DiffGraph, grad_check
 
 rng = np.random.default_rng(0)
 
-# forward: loss = mean(softmax(relu(x @ w)) * targets)
+# forward: loss = mean over rows of -sum(targets * log softmax(relu(x @ w)))
 x_val = rng.standard_normal((4, 3))
 w_val = rng.standard_normal((3, 2))
-targets = rng.standard_normal((4, 2))
+targets = rng.uniform(0.0, 1.0, size=(4, 2))
+targets /= targets.sum(axis=1, keepdims=True)
 
 g = DiffGraph()
 x = g.input(x_val)
 w = g.input(w_val)
 h = g.apply("relu", [g.apply("matmul", [x, w])])
-p = g.apply("softmax-rows", [h])
-loss = g.apply("mean", [g.apply("elementwise-mul", [p, g.input(targets)])])
+loss = g.apply("softmax-cross-entropy", [h], targets=targets)
 
 print("node count:", len(g))
 print("loss value:", float(g.value(loss)))
@@ -35,8 +35,7 @@ print("dL/dw:\n", grads[w])
 def f(w_point):
     g2 = DiffGraph()
     h2 = g2.apply("relu", [g2.apply("matmul", [g2.input(x_val), g2.input(w_point)])])
-    p2 = g2.apply("softmax-rows", [h2])
-    out = g2.apply("mean", [g2.apply("elementwise-mul", [p2, g2.input(targets)])])
+    out = g2.apply("softmax-cross-entropy", [h2], targets=targets)
     return float(g2.value(out))
 
 

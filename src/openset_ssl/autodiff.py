@@ -19,15 +19,20 @@ The kinds (64-bit reals throughout):
                          broadcast against an (m, n) first operand
     scale                multiply by a Python scalar; params: factor
     relu                 max(x, 0); subgradient at 0 is 0
-    mean                 full reduction to a 0-d scalar
     exp, log             elementwise
-    softmax-rows         row softmax with max-subtraction
     l2-normalize-rows    rows scaled to unit norm; zero rows pass through
                          with zero gradient
     elementwise-mul      same broadcast rule as add
     batch-norm           train-mode batch normalization of an (n, w) batch,
                          n >= 2, by its own mean and biased variance:
                          (h - mu) / sqrt(var + eps); params: eps
+    softmax-cross-entropy
+                         mean over the rows of an (n, C) logit matrix x of
+                         sum_c t_c * logsumexp(x) - sum_c t_c * x_c, a 0-d
+                         scalar; params: targets, an (n, C) array that gets
+                         no gradient.  With targets summing to one per row
+                         this is -sum_c t_c * log softmax(x)_c; a zero row
+                         adds exactly 0 and the mean stays over all n rows
 """
 
 from typing import Callable, NamedTuple
@@ -106,17 +111,33 @@ def _elementwise_mul(a, b):
     return a * b
 
 
-def _softmax_rows(x):
-    if x.ndim != 2:
-        raise ValueError(f"softmax-rows: expects 2-D, got {x.shape}")
+def softmax_rows(x):
+    """Row softmax of a 2-D array, with max-subtraction."""
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_rows_vjp(g, s, x):
-    inner = (g * s).sum(axis=1, keepdims=True)
-    return (s * (g - inner),)
+def logsumexp_rows(x):
+    """log sum_c exp(x_c) of each row of a 2-D array, as an (n, 1) column;
+    finite for any finite row."""
+    m = x.max(axis=1, keepdims=True)
+    return m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+
+
+def _softmax_cross_entropy(x, targets):
+    if x.ndim != 2 or np.shape(targets) != x.shape:
+        raise ValueError(
+            f"softmax-cross-entropy: expects 2-D logits and targets of the same "
+            f"shape, got {x.shape} and {np.shape(targets)}"
+        )
+    mass = targets.sum(axis=1, keepdims=True)
+    return (mass * logsumexp_rows(x) - (targets * x).sum(axis=1, keepdims=True)).mean()
+
+
+def _softmax_cross_entropy_vjp(g, y, x, targets):
+    mass = targets.sum(axis=1, keepdims=True)
+    return (g.item() / x.shape[0] * (mass * softmax_rows(x) - targets),)
 
 
 def _l2_normalize_rows(x):
@@ -185,14 +206,8 @@ OPS = {
     "add": _Op(2, _add, lambda g, y, a, b: (g, _reduce_broadcast(g, b.shape))),
     "scale": _Op(1, lambda x, factor: x * float(factor), lambda g, y, x, factor: (g * factor,)),
     "relu": _Op(1, lambda x: np.maximum(x, 0.0), lambda g, y, x: (g * (x > 0.0),)),
-    "mean": _Op(
-        1,
-        lambda x: np.asarray(x.mean()),
-        lambda g, y, x: (np.full_like(x, g.item() / x.size),),
-    ),
     "exp": _Op(1, np.exp, lambda g, y, x: (g * y,)),
     "log": _Op(1, np.log, lambda g, y, x: (g / x,)),
-    "softmax-rows": _Op(1, _softmax_rows, _softmax_rows_vjp),
     "l2-normalize-rows": _Op(1, _l2_normalize_rows, _l2_normalize_rows_vjp),
     "elementwise-mul": _Op(
         2,
@@ -200,6 +215,7 @@ OPS = {
         lambda g, y, a, b: (g * b, _reduce_broadcast(g * a, b.shape)),
     ),
     "batch-norm": _Op(1, _batch_norm, _batch_norm_vjp),
+    "softmax-cross-entropy": _Op(1, _softmax_cross_entropy, _softmax_cross_entropy_vjp),
 }
 
 OP_KINDS = tuple(OPS)

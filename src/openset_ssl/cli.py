@@ -27,88 +27,62 @@ from . import harness
 from .artifacts import parse_json
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", default=None)
-    parser.add_argument("--dataset-dir", default=None)
-    parser.add_argument("--config", default=None, help="JSON config file; overrides flags")
+TOGGLE = {"action": argparse.BooleanOptionalAction}  # --x sets True, --no-x False
 
-
-def _add_benchmark(parser):
-    parser.add_argument("--dim", type=int, default=None)
-    parser.add_argument("--in-classes", type=int, default=None)
-    parser.add_argument("--out-classes", type=int, default=None)
-    parser.add_argument("--separation", type=float, default=None)
-    parser.add_argument("--within-sigma", type=float, default=None)
-    parser.add_argument("--correlation-mode", choices=("independent", "related"), default=None)
-    parser.add_argument("--total-unlabeled", type=int, default=None)
-    parser.add_argument("--proportion", type=float, default=None)
-    parser.add_argument("--labels-per-class", type=int, default=None)
-    parser.add_argument("--test-per-class", type=int, default=None)
-
-
-def _add_training(parser):
-    parser.add_argument("--pretrain-steps", type=int, default=None)
-    parser.add_argument("--tau-con", type=float, default=None)
-    parser.add_argument("--steps", type=int, default=None, help="fine-tuning steps")
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--pretrain-lr", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--tau-sl", type=float, default=None)
-    parser.add_argument("--k-fraction", type=float, default=None)
-    parser.add_argument("--eta", type=float, default=None)
-    parser.add_argument("--backend", choices=("consistency", "hard-pseudo"), default=None)
-    parser.add_argument("--checkpoint-interval", type=int, default=None)
-    parser.add_argument("--checkpoint-count", type=int, default=None)
-    for toggle in ("detect", "aux-loss", "aux-bn", "topk-pl"):
-        dest = toggle.replace("-", "_")
-        parser.add_argument(f"--{toggle}", dest=dest, action="store_true", default=None)
-        parser.add_argument(f"--no-{toggle}", dest=dest, action="store_false", default=None)
-
-
-# flag (argparse dest) -> the config fields it sets, as dotted to_dict keys
-FLAG_FIELDS = {
-    "seed": ("seed",),
-    "out_dir": ("out_dir",),
-    "dataset_dir": ("dataset_dir",),
-    "dim": ("benchmark.dim",),
-    "in_classes": ("benchmark.in_classes",),
-    "out_classes": ("benchmark.out_classes",),
-    "separation": ("benchmark.separation",),
-    "within_sigma": ("benchmark.within_sigma",),
-    "correlation_mode": ("benchmark.correlation_mode",),
-    "total_unlabeled": ("benchmark.total_unlabeled",),
-    "proportion": ("benchmark.out_proportion",),
-    "labels_per_class": ("benchmark.labels_per_class",),
-    "test_per_class": ("benchmark.test_per_class",),
-    "pretrain_steps": ("contrastive.steps",),
-    "tau_con": ("contrastive.tau_con",),
-    "pretrain_lr": ("contrastive.lr",),
-    "batch_size": ("contrastive.batch_size", "ssl.batch_size"),
-    "steps": ("ssl.steps",),
-    "lr": ("ssl.lr",),
-    "beta": ("ssl.beta",),
-    "lam": ("ssl.lambda",),
-    "backend": ("ssl.backend",),
-    "detect": ("ssl.detect",),
-    "aux_loss": ("ssl.aux_loss",),
-    "aux_bn": ("ssl.aux_bn",),
-    "topk_pl": ("ssl.topk_pl",),
-    "tau_sl": ("labeling.tau_sl",),
-    "k_fraction": ("labeling.k_fraction",),
-    "eta": ("detection.eta",),
-    "checkpoint_interval": ("checkpoint_interval",),
-    "checkpoint_count": ("checkpoint_count",),
+# every flag once: its argparse keywords and the config fields it sets, as
+# dotted to_dict keys (--config sets none: it names a file read on top);
+# run flags are the benchmark and training ones
+COMMON_FLAGS = {
+    "--seed": ({"type": int}, ("seed",)),
+    "--out-dir": ({}, ("out_dir",)),
+    "--dataset-dir": ({}, ("dataset_dir",)),
+    "--config": ({"help": "JSON config file; overrides flags"}, ()),
 }
+RUN_FLAGS = {
+    "--dim": ({"type": int}, ("benchmark.dim",)),
+    "--in-classes": ({"type": int}, ("benchmark.in_classes",)),
+    "--out-classes": ({"type": int}, ("benchmark.out_classes",)),
+    "--separation": ({"type": float}, ("benchmark.separation",)),
+    "--within-sigma": ({"type": float}, ("benchmark.within_sigma",)),
+    "--correlation-mode": (
+        {"choices": ("independent", "related")}, ("benchmark.correlation_mode",)
+    ),
+    "--total-unlabeled": ({"type": int}, ("benchmark.total_unlabeled",)),
+    "--proportion": ({"type": float}, ("benchmark.out_proportion",)),
+    "--labels-per-class": ({"type": int}, ("benchmark.labels_per_class",)),
+    "--test-per-class": ({"type": int}, ("benchmark.test_per_class",)),
+    "--pretrain-steps": ({"type": int}, ("contrastive.steps",)),
+    "--tau-con": ({"type": float}, ("contrastive.tau_con",)),
+    "--steps": ({"type": int, "help": "fine-tuning steps"}, ("ssl.steps",)),
+    "--batch-size": ({"type": int}, ("contrastive.batch_size", "ssl.batch_size")),
+    "--lr": ({"type": float}, ("ssl.lr",)),
+    "--pretrain-lr": ({"type": float}, ("contrastive.lr",)),
+    "--beta": ({"type": float}, ("ssl.beta",)),
+    "--lambda": ({"type": float}, ("ssl.lambda",)),
+    "--tau-sl": ({"type": float}, ("labeling.tau_sl",)),
+    "--k-fraction": ({"type": float}, ("labeling.k_fraction",)),
+    "--eta": ({"type": float}, ("detection.eta",)),
+    "--backend": ({"choices": ("consistency", "hard-pseudo")}, ("ssl.backend",)),
+    "--checkpoint-interval": ({"type": int}, ("checkpoint_interval",)),
+    "--checkpoint-count": ({"type": int}, ("checkpoint_count",)),
+    "--detect": (TOGGLE, ("ssl.detect",)),
+    "--aux-loss": (TOGGLE, ("ssl.aux_loss",)),
+    "--aux-bn": (TOGGLE, ("ssl.aux_bn",)),
+    "--topk-pl": (TOGGLE, ("ssl.topk_pl",)),
+}
+
+
+def _add_flags(parser, *tables):
+    for table in tables:
+        for flag, (kwargs, _) in table.items():
+            parser.add_argument(flag, default=None, **kwargs)
 
 
 def build_config(args):
     """Defaults, then flags, then the --config file on top."""
     given = {}
-    for dest, keys in FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
+    for flag, (_, keys) in (COMMON_FLAGS | RUN_FLAGS).items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is None:
             continue
         for key in keys:
@@ -154,22 +128,18 @@ def main(argv=None):
 
     for name in PRODUCTS:
         p = sub.add_parser(name)
-        _add_common(p)
-        _add_benchmark(p)
-        _add_training(p)
+        _add_flags(p, COMMON_FLAGS, RUN_FLAGS)
 
     p = sub.add_parser("sweep")
-    _add_common(p)
-    _add_benchmark(p)
-    _add_training(p)
+    _add_flags(p, COMMON_FLAGS, RUN_FLAGS)
     p.add_argument("--axis", choices=harness.SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
 
     p = sub.add_parser("eval")
-    _add_common(p)
+    _add_flags(p, COMMON_FLAGS)
 
     p = sub.add_parser("report")
-    _add_common(p)
+    _add_flags(p, COMMON_FLAGS)
     p.add_argument("--sweep-dir", required=True)
     p.add_argument("--output", default=None, help="curve CSV path")
 

@@ -79,7 +79,8 @@ def ntxent_matrix_loss(builder, proj_node, tau_con):
 
     Rows of `proj_node` are projections of views ordered so that row q's
     positive sits at row (q + N) mod 2N; every other row except q itself
-    is a negative.
+    is a negative.  One softmax-cross-entropy node over the masked cosine
+    logits, so the loss stays finite at any temperature.
     """
     g = builder.graph
     two_n = g.value(proj_node).shape[0]
@@ -92,14 +93,9 @@ def ntxent_matrix_loss(builder, proj_node, tau_con):
     logits = g.apply("scale", [sims], factor=1.0 / tau_con)
     mask = np.zeros((two_n, two_n))
     np.fill_diagonal(mask, _DIAG_MASK)
-    probs = g.apply("softmax-rows", [g.apply("add", [logits, builder.const(mask)])])
-
-    pos = np.zeros((two_n, two_n))
-    for q in range(two_n):
-        pos[q, (q + n) % two_n] = 1.0
-    picked = g.apply("elementwise-mul", [probs, builder.const(pos)])
-    per_query = g.apply("matmul", [picked, builder.const(np.ones((two_n, 1)))])
-    return g.apply("scale", [g.apply("mean", [g.apply("log", [per_query])])], factor=-1.0)
+    masked = g.apply("add", [logits, builder.const(mask)])
+    positives = np.roll(np.eye(two_n), n, axis=1)
+    return g.apply("softmax-cross-entropy", [masked], targets=positives)
 
 
 def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None, builder=None):

@@ -302,7 +302,7 @@ def stage_train(config, bench, model, det, lab):
         trace_path=os.path.join(config.out_dir, "train_trace.csv"),
     )
     save_checkpoint(os.path.join(config.out_dir, "final.ckpt"), model)
-    write_report(
+    write_json(
         os.path.join(config.out_dir, "report.json"),
         _report(config, bench, det, lab, state),
     )
@@ -392,18 +392,10 @@ def run_experiment(config):
             raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
         timings[name] = time.perf_counter() - start
     path = os.path.join(config.out_dir, "report.json")
-    report = read_report(path)
+    report = read_json(path)
     report["timings"] = timings
-    write_report(path, report)
-    return report
-
-
-def write_report(path, report):
     write_json(path, report)
-
-
-def read_report(path):
-    return read_json(path)
+    return report
 
 
 def strip_timings(report):
@@ -490,7 +482,7 @@ def recompute_metrics(out_dir, dataset_dir=None):
     """Rebuild the detection and accuracy metrics of a finished run from
     its report.json and manifests; byte-equal to the report's values when
     nothing was touched."""
-    report = read_report(os.path.join(out_dir, "report.json"))
+    report = read_json(os.path.join(out_dir, "report.json"))
     config = report["config"]
     bench = read_benchmark(
         dataset_dir or config["dataset_dir"] or os.path.join(out_dir, "dataset")
@@ -568,6 +560,6 @@ def collect_sweep_rows(sweep_dir):
     rows = []
     for axis, value, error in zip(table["axis"], table["value"], table["error"]):
         path = os.path.join(sweep_dir, f"{axis}_{value:g}", "report.json")
-        report = read_report(path) if os.path.exists(path) else None
+        report = read_json(path) if os.path.exists(path) else None
         rows.append({"axis": axis, "value": value, "error": error or None, "report": report})
     return rows

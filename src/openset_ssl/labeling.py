@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .artifacts import INT, REAL, read_table, write_table
-from .autodiff import OPS
+from .autodiff import softmax_rows
 from .model import forward
 
 
@@ -52,7 +52,7 @@ class LinearHead:
         return np.asarray(embeddings) @ self.weights + self.bias
 
     def probabilities(self, embeddings):
-        return OPS["softmax-rows"].forward(self.logits(embeddings))
+        return softmax_rows(self.logits(embeddings))
 
 
 def train_linear_eval(model, labeled_x, labeled_y, config, seed):
@@ -73,7 +73,7 @@ def train_linear_eval(model, labeled_x, labeled_y, config, seed):
     w = gen.uniform(-bound, bound, size=(d, c))
     b = np.zeros(c)
     for _ in range(config.linear_eval_steps):
-        p = OPS["softmax-rows"].forward(emb @ w + b)
+        p = softmax_rows(emb @ w + b)
         g = (p - onehot) / n
         w = w - config.linear_eval_lr * (emb.T @ g)
         b = b - config.linear_eval_lr * g.sum(axis=0)

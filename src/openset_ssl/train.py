@@ -5,7 +5,9 @@ The combined loss is
 
     L = H(y, f(x_l)) + beta * H(f(t1(x_u)), f(t2(x_u))) + lambda * H(q, f(x_out))
 
-with the consistency target f(t1(x_u)) detached.  During fine-tuning the
+with the consistency target f(t1(x_u)) detached.  Each H is one
+`softmax-cross-entropy` tape node whose targets (labels, consistency
+targets, soft-labels) are constants of the step.  During fine-tuning the
 labeled, in-class, and consistency forwards run the main branch in eval
 mode (frozen pretrained statistics), so the supervised path never moves
 the main running statistics.  Detected out-of-class batches run in train
@@ -17,7 +19,8 @@ distribution, the mismatch the auxiliary BNs exist to absorb.
 
 A `hard-pseudo` backend is also provided: confident argmax labels from a
 weak view are fit on a strong view (noise doubled), with sub-threshold
-samples masked out.
+samples masked out (their target rows zeroed, so they add nothing while
+the mean stays over the whole batch).
 """
 
 from dataclasses import dataclass, field
@@ -27,12 +30,10 @@ import numpy as np
 from . import rng as rng_mod
 from .artifacts import INT, REAL, TEXT, optional_real, write_table
 from .augment import AugmentConfig, augment_batch
-from .autodiff import OPS
+from .autodiff import logsumexp_rows, softmax_rows
 from .contrastive import GraphLoss
 from .model import GraphBuilder, commit_batch_stats, forward, save_checkpoint
 from .optim import NesterovSGD, cosine_lr
-
-_LOG_FLOOR = 1e-300  # keeps log finite if a probability underflows
 
 BACKENDS = ("consistency", "hard-pseudo")
 LOGITS = ("logits",)  # fine-tuning never reads the projection header
@@ -92,15 +93,10 @@ def cross_entropy_node(builder, targets, logits_node, mask=None):
     (n, 1) mask zeroes individual rows while keeping the mean over the
     full batch.
     """
-    g = builder.graph
-    n, width = targets.shape
-    probs = g.apply("softmax-rows", [logits_node])
-    floored = g.apply("add", [probs, builder.const(np.full((n, width), _LOG_FLOOR))])
-    picked = g.apply("elementwise-mul", [g.apply("log", [floored]), builder.const(targets)])
-    row_losses = g.apply("matmul", [picked, builder.const(np.ones((width, 1)))])
+    targets = np.asarray(targets, dtype=np.float64)
     if mask is not None:
-        row_losses = g.apply("elementwise-mul", [row_losses, builder.const(mask)])
-    return g.apply("scale", [g.apply("mean", [row_losses])], factor=-1.0)
+        targets = targets * mask
+    return builder.graph.apply("softmax-cross-entropy", [logits_node], targets=targets)
 
 
 @dataclass
@@ -130,7 +126,7 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
     aug = config.augment
     v1 = augment_batch(u_x, u_ids, aug, seed, step, 0)
     logits = forward(model, v1, branch="main", mode="eval", heads=LOGITS).logits
-    target_probs = OPS["softmax-rows"].forward(logits)
+    target_probs = softmax_rows(logits)
     if config.backend == "hard-pseudo":
         strong = aug.scaled_noise(2.0)
         v2 = augment_batch(u_x, u_ids, strong, seed, step, 1)
@@ -354,10 +350,9 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
         if not np.isfinite(loss.value):
             raise RuntimeError(f"aux-only loss became non-finite at step {step}")
         if record_entropy:
-            probs = OPS["softmax-rows"].forward(builder.graph.value(nodes.logits))
-            entropy_trace.append(
-                float(-(probs * np.log(probs + _LOG_FLOOR)).sum(axis=1).mean())
-            )
+            logits = builder.graph.value(nodes.logits)
+            log_probs = logits - logsumexp_rows(logits)
+            entropy_trace.append(float(-(np.exp(log_probs) * log_probs).sum(axis=1).mean()))
         commit_batch_stats(model, loss.batch_stats)
         lr = cosine_lr(config.lr, step, config.steps) if config.cosine_decay else None
         opt.step(loss.parameter_gradients(), lr=lr)

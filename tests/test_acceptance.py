@@ -202,11 +202,11 @@ def test_criterion_01_differentiation_soundness():
     kink_free = rng.uniform(-1, 1, size=(4, 3))
     kink_free += np.sign(kink_free) * 1e-2
     check(lambda g, x: g.apply("relu", [x]), kink_free, w43)
-    check(lambda g, x: g.apply("mean", [x]), rng.standard_normal((4, 3)))
-    rng.standard_normal((4, 3))  # the removed `sum` kind's point; later points stay put
+    rng.standard_normal((4, 3))  # the removed `mean` kind's point; later points stay put
+    rng.standard_normal((4, 3))  # the removed `sum` kind's point
     check(lambda g, x: g.apply("exp", [x]), rng.uniform(-1, 1, size=(4, 3)), w43)
     check(lambda g, x: g.apply("log", [x]), rng.uniform(0.5, 2.0, size=(4, 3)), w43)
-    check(lambda g, x: g.apply("softmax-rows", [x]), rng.standard_normal((4, 5)), w45)
+    rng.standard_normal((4, 5))  # the removed `softmax-rows` kind's point
     l2_point = rng.standard_normal((4, 3))
     l2_point += np.sign(l2_point) * 0.1
     check(lambda g, x: g.apply("l2-normalize-rows", [x]), l2_point, w43)
@@ -218,6 +218,10 @@ def test_criterion_01_differentiation_soundness():
         rng.standard_normal(shape)
     check(lambda g, x: g.apply("batch-norm", [x], eps=1e-5),
           np.random.default_rng(43).standard_normal((4, 3)), w43)
+    ce_rng = np.random.default_rng(44)
+    ce_targets = ce_rng.uniform(0.0, 1.0, size=(4, 5))
+    check(lambda g, x: g.apply("softmax-cross-entropy", [x], targets=ce_targets),
+          ce_rng.standard_normal((4, 5)))
 
     # full combined loss on the 2-class, 8-dimensional toy model
     model = build_model(

@@ -7,11 +7,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from openset_ssl.artifacts import INT, REAL, TEXT, read_json, read_table, write_table
+from openset_ssl.artifacts import INT, REAL, TEXT, read_json, read_table, write_json, write_table
 from openset_ssl.contrastive import write_loss_trace
 from openset_ssl.data import Dataset, write_dataset
 from openset_ssl.detect import write_scored_manifest
-from openset_ssl.harness import collect_sweep_rows, write_curve_csv, write_report, write_sweep_table
+from openset_ssl.harness import collect_sweep_rows, write_curve_csv, write_sweep_table
 from openset_ssl.labeling import (
     PseudoLabel,
     write_pseudo_label_manifest,
@@ -151,7 +151,7 @@ json_values = st.recursive(
 @cases
 @given(doc=st.dictionaries(text, json_values, max_size=6))
 def test_json_bytes(tmp_path, doc):
-    same_bytes(tmp_path, write_report, helpers.reference_write_json, doc)
+    same_bytes(tmp_path, write_json, helpers.reference_write_json, doc)
     assert read_json(tmp_path / "ours") == doc
 
 
@@ -161,7 +161,7 @@ def test_quoted_error_survives_the_sweep_directory(tmp_path):
     ok = {"axis": "proportion", "value": 0.0, "error": None, "report": report}
     write_sweep_table(tmp_path / "sweep.csv", [FAILED_ROW, ok])
     (tmp_path / "proportion_0").mkdir()
-    write_report(tmp_path / "proportion_0" / "report.json", report)
+    write_json(tmp_path / "proportion_0" / "report.json", report)
     assert collect_sweep_rows(tmp_path) == [FAILED_ROW, ok]
 
 

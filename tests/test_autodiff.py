@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reduce_sum, reference_batch_norm, scalar_fn
-from openset_ssl.autodiff import OP_KINDS, DiffGraph, batch_moments, grad_check
+from openset_ssl.autodiff import OP_KINDS, DiffGraph, batch_moments, grad_check, softmax_rows
 
 
 class TestForwardValues:
@@ -18,9 +18,7 @@ class TestForwardValues:
         assert np.array_equal(g.value(out), [[0.0, 0.0, 2.0]])
 
     def test_softmax_symmetry(self):
-        g = DiffGraph()
-        out = g.apply("softmax-rows", [g.input(np.array([[0.0, 0.0]]))])
-        assert np.array_equal(g.value(out), [[0.5, 0.5]])
+        assert np.array_equal(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
     def test_matmul_against_triple_loop(self):
         rng = np.random.default_rng(0)
@@ -72,7 +70,8 @@ MALFORMED = [
     ("elementwise-mul", [(2, 3), (2, 1)], {}, ["elementwise-mul", "(2, 3)", "(2, 1)"]),
     ("matmul", [(3,), (3, 2)], {}, ["matmul", "2-D", "(3,), (3, 2)"]),
     ("matmul", [(2, 3), (4, 2)], {"transpose_b": True}, ["matmul", "(2, 3)", "(4, 2)"]),
-    ("softmax-rows", [(3,)], {}, ["softmax-rows", "(3,)"]),
+    ("softmax-cross-entropy", [(2, 3)], {"targets": np.zeros((2, 2))},
+     ["softmax-cross-entropy", "(2, 3)", "(2, 2)"]),
     ("l2-normalize-rows", [(2, 2, 2)], {}, ["l2-normalize-rows", "(2, 2, 2)"]),
     ("batch-norm", [(1, 3)], {"eps": 1e-5}, ["batch-norm", "at least 2 rows", "(1, 3)"]),
     ("batch-norm", [(4,)], {"eps": 1e-5}, ["batch-norm", "2-D", "(4,)"]),
@@ -101,10 +100,18 @@ class TestBackward:
         assert np.array_equal(grads[x], np.ones((2, 3)))
 
     def test_mean_gradient_is_quarter(self):
-        g = DiffGraph()
-        x = g.input(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        grads = g.backward(g.apply("mean", [x]))
-        assert np.array_equal(grads[x], np.full((2, 2), 0.25))
+        # the cross-entropy's mean over 4 rows scales each row's gradient by 1/4
+        rng = np.random.default_rng(2)
+        logits = rng.standard_normal((4, 3))
+        targets = rng.uniform(0.0, 1.0, size=(4, 3))
+
+        def gradient(x, t):
+            g = DiffGraph()
+            xid = g.input(x)
+            return g.backward(g.apply("softmax-cross-entropy", [xid], targets=t))[xid]
+
+        alone = [gradient(logits[r : r + 1], targets[r : r + 1]) for r in range(4)]
+        assert np.array_equal(gradient(logits, targets), 0.25 * np.concatenate(alone))
 
     def test_non_scalar_root_rejected(self):
         g = DiffGraph()
@@ -116,7 +123,7 @@ class TestBackward:
         g = DiffGraph()
         x = g.input(np.ones((2, 2)))
         unused = g.input(np.ones((3, 3)))
-        grads = g.backward(g.apply("mean", [x]))
+        grads = g.backward(reduce_sum(g, x))
         assert np.array_equal(grads[unused], np.zeros((3, 3)))
 
     def test_backward_is_deterministic_bitwise(self):
@@ -129,7 +136,7 @@ class TestBackward:
             x = g.input(x_val)
             w = g.input(w_val)
             h = g.apply("relu", [g.apply("matmul", [x, w])])
-            loss = g.apply("mean", [g.apply("softmax-rows", [h])])
+            loss = g.apply("softmax-cross-entropy", [h], targets=np.full((4, 2), 0.5))
             grads = g.backward(loss)
             return grads[x].tobytes(), grads[w].tobytes()
 
@@ -254,12 +261,6 @@ class TestEveryKindGradient:
             weights_shape=(4, 3),
         )
 
-    def test_mean(self):
-        self.check(
-            lambda g, x: g.apply("mean", [x]),
-            lambda rng: rng.standard_normal((3, 4)),
-        )
-
     def test_exp(self):
         self.check(
             lambda g, x: g.apply("exp", [x]),
@@ -272,13 +273,6 @@ class TestEveryKindGradient:
             lambda g, x: g.apply("log", [x]),
             lambda rng: rng.uniform(0.5, 2.0, size=(3, 3)),
             weights_shape=(3, 3),
-        )
-
-    def test_softmax_rows(self):
-        self.check(
-            lambda g, x: g.apply("softmax-rows", [x]),
-            lambda rng: rng.standard_normal((4, 5)),
-            weights_shape=(4, 5),
         )
 
     def test_l2_normalize_rows(self):
@@ -342,6 +336,15 @@ class TestEveryKindGradient:
             weights_shape=(6, 3),
         )
 
+    def test_softmax_cross_entropy(self):
+        # targets of any sign and row mass, one row all zero
+        targets = np.random.default_rng(14).standard_normal((4, 5))
+        targets[2] = 0.0
+        self.check(
+            lambda g, x: g.apply("softmax-cross-entropy", [x], targets=targets),
+            lambda rng: 3.0 * rng.standard_normal((4, 5)),
+        )
+
 
 def test_every_kind_has_a_gradient_case():
     """A kind's cases are named test_<kind> or test_<kind>_<variant>."""
@@ -358,10 +361,7 @@ class TestNumericInvariants:
     def test_softmax_rows_sum_to_one_and_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            g = DiffGraph()
-            out = g.value(
-                g.apply("softmax-rows", [g.input(rng.standard_normal((6, 9)) * 10)])
-            )
+            out = softmax_rows(rng.standard_normal((6, 9)) * 10)
             assert (out >= 0).all()
             assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -380,6 +380,65 @@ class TestNumericInvariants:
         assert np.array_equal(g.value(out)[0], [0.0, 0.0])
         grads = g.backward(reduce_sum(g, out))
         assert np.array_equal(grads[x][0], [0.0, 0.0])
+
+
+def _cross_entropy(x, targets):
+    """Value and gradient of the softmax-cross-entropy kind."""
+    g = DiffGraph()
+    xid = g.input(x)
+    root = g.apply("softmax-cross-entropy", [xid], targets=targets)
+    return g.value(root).item(), g.backward(root)[xid]
+
+
+class TestSoftmaxCrossEntropy:
+    def test_matches_brute_force_at_moderate_logits(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            x = 5.0 * rng.standard_normal((6, 4))
+            t = rng.uniform(0.0, 1.0, size=(6, 4))
+            t /= t.sum(axis=1, keepdims=True)
+            probs = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
+            brute = -(t * np.log(probs)).sum(axis=1).mean()
+            assert abs(_cross_entropy(x, t)[0] - brute) < 1e-12
+
+    def test_saturated_wrong_prediction_keeps_its_loss_and_gradient(self):
+        value, grad = _cross_entropy(np.array([[800.0, 0.0]]), np.array([[0.0, 1.0]]))
+        assert value == 800.0
+        assert np.array_equal(grad, [[1.0, -1.0]])
+
+    def test_zero_target_rows_contribute_exactly_zero(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((5, 3))
+        t = rng.uniform(0.0, 1.0, size=(5, 3))
+        t[[1, 3]] = 0.0
+        moved = x.copy()
+        moved[[1, 3]] = 1e6 * rng.standard_normal((2, 3))
+        value, grad = _cross_entropy(x, t)
+        moved_value, moved_grad = _cross_entropy(moved, t)
+        assert moved_value == value
+        assert np.array_equal(moved_grad, grad)
+        assert not grad[[1, 3]].any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+        shift=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_shift_leaves_value_and_gradient(self, rows, cols, scale, shift, seed):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((rows, cols))
+        t = rng.uniform(0.0, 1.0, size=(rows, cols))
+        shifts = shift * rng.uniform(-1.0, 1.0, size=(rows, 1))
+        value, grad = _cross_entropy(x, t)
+        shifted_value, shifted_grad = _cross_entropy(x + shifts, t)
+        # adding the shift rounds each logit by up to an ulp of its size,
+        # which moves the value by as much per unit of target mass
+        tol = 1e-11 * (1.0 + np.abs(x + shifts).max()) * (1.0 + t.sum(axis=1).max())
+        assert abs(shifted_value - value) <= tol
+        assert np.abs(shifted_grad - grad).max() <= tol
 
 
 # Column kinds: exact zeros, a constant, a near-constant column (var far

@@ -7,8 +7,9 @@ import statistics
 import pytest
 
 from openset_ssl import harness
+from openset_ssl.artifacts import read_json
 from openset_ssl.cli import main
-from openset_ssl.harness import read_report, strip_timings
+from openset_ssl.harness import strip_timings
 
 MICRO = [
     "--dim", "6", "--in-classes", "2", "--out-classes", "2",
@@ -43,7 +44,7 @@ class TestStagedPipeline:
     def test_run_then_eval(self, tmp_path, capsys):
         out = str(tmp_path / "full")
         assert run_cli("run", "--out-dir", out, *MICRO) == 0
-        report = read_report(os.path.join(out, "report.json"))
+        report = read_json(os.path.join(out, "report.json"))
         capsys.readouterr()
         assert run_cli("eval", "--out-dir", out) == 0
         recomputed = json.loads(capsys.readouterr().out)
@@ -70,7 +71,7 @@ class TestStagedPipeline:
                 assert a == (tmp_path / "full" / name).read_bytes(), name
         reports = {}
         for out in (staged, full):
-            report = read_report(os.path.join(out, "report.json"))
+            report = read_json(os.path.join(out, "report.json"))
             assert ("timings" in report) == (out == full)
             text = json.dumps(strip_timings(report), sort_keys=True)
             reports[out] = text.replace(out, "<out_dir>")
@@ -88,7 +89,7 @@ class TestStagedPipeline:
             "--checkpoint-interval", "8", "--checkpoint-count", "8", "--seed", "2",
         ]
         assert run_cli("run", "--out-dir", out, "--config", str(path), *flags) == 0
-        report = read_report(os.path.join(out, "report.json"))
+        report = read_json(os.path.join(out, "report.json"))
         accs = report["checkpoint_accuracies"]
         # the run's window matters only where last-3 and last-5 medians differ
         assert statistics.median(accs[-3:]) != statistics.median(accs[-5:])
@@ -137,7 +138,7 @@ class TestConfigFile:
             )
             == 0
         )
-        report = read_report(os.path.join(out, "report.json"))
+        report = read_json(os.path.join(out, "report.json"))
         assert report["config"]["seed"] == 9
         assert report["config"]["ssl"]["lambda"] == 0.25
         assert report["config_text"] == path.read_text()
@@ -153,7 +154,7 @@ class TestConfigFile:
     def test_flags_apply_when_not_overridden(self, tmp_path):
         out = str(tmp_path / "flags")
         assert run_cli("run", "--out-dir", out, "--eta", "1.5", *MICRO) == 0
-        report = read_report(os.path.join(out, "report.json"))
+        report = read_json(os.path.join(out, "report.json"))
         assert report["config"]["detection"]["eta"] == 1.5
         assert report["detection"]["eta"] == 1.5
 
@@ -165,7 +166,7 @@ class TestConfigFile:
             )
             == 0
         )
-        report = read_report(os.path.join(out, "report.json"))
+        report = read_json(os.path.join(out, "report.json"))
         assert report["config"]["ssl"]["topk_pl"] is False
         assert report["config"]["ssl"]["aux_bn"] is False
         assert report["pseudo"]["count"] == 0

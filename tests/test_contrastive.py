@@ -198,6 +198,14 @@ class TestPairedBatchLoss:
             z = rng.standard_normal((8, 4))
             assert matrix_loss_value(z, 0.3) >= 0.0
 
+    def test_antipodal_positive_at_small_temperature_is_finite(self):
+        # rows 0 and 2 are each other's positive at cosine -1: each loses
+        # 1/tau + log 2, rows 1 and 3 are identical and lose 0
+        z = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, 1.0]]
+        loss = matrix_loss_value(z, 0.001)
+        assert np.isfinite(loss)
+        assert abs(loss - (1000.0 / 2 + np.log(2.0) / 2)) < 1e-9
+
     def test_invariant_to_common_rescaling(self):
         rng = np.random.default_rng(7)
         z = rng.standard_normal((6, 4))

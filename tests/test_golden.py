@@ -16,9 +16,9 @@ import numpy as np
 from openset_ssl.harness import run_experiment, strip_timings
 from test_harness import micro_config
 
-PRETRAINED = "e24d93b86b0ec3c2750136ee38aae224d48e9ef67bedd56f2733e86b4ba20725"
-LAST_CHECKPOINT = "5989ab1d6a33bd1b88fa224916765a174277c9d707f25a36da66afc90cb941c8"
-REPORT = "25cedac25c051f1ede7a000ae07c2951e8923f071e21d0ec7c6c2155df4c0671"
+PRETRAINED = "67b1917558e8aafc483f7989abbefa41cb88abc8d47e9924a1a1de9a24083a8b"
+LAST_CHECKPOINT = "3d0357ec1377932ac1914e723cea7334d0e6f9b1491c8761de5fc5fcf97ee2cc"
+REPORT = "d585aa724efa3c1dd1f7298a9119da229c585917ca7f0a4c14f1c421658c6f60"
 
 RECORDED_ON = (
     "numpy 2.4.6 with OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, "

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reduce_sum, reference_cosine
+from helpers import reference_cosine
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig, pretrain, simclr_batch_loss
 from openset_ssl.autodiff import grad_check
@@ -22,7 +22,19 @@ from openset_ssl.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from openset_ssl.train import SSLConfig, init_train_state, one_hot, train
+from openset_ssl.train import (
+    SSLConfig,
+    StepPlan,
+    build_step_loss,
+    init_train_state,
+    one_hot,
+    prepare_consistency,
+    train,
+)
+
+
+CRITERION_6_MODEL = ModelConfig(input_dim=16, hidden_dims=(64, 64), embed_dim=64,
+                                proj_dim=32, num_classes=8)
 
 
 def small_config(**kw):
@@ -165,10 +177,7 @@ class TestForward:
                 x_id = builder.const(x)
                 nodes = builder.forward(x_id, branch=branch, mode=mode)
                 g = builder.graph
-                probs = g.apply("softmax-rows", [nodes.logits])
-                loss = reduce_sum(
-                    g, g.apply("elementwise-mul", [probs, builder.const(weights)])
-                )
+                loss = g.apply("softmax-cross-entropy", [nodes.logits], targets=weights)
                 return g, x_id, loss
 
             def fn(x):
@@ -231,15 +240,30 @@ class TestHeadsOnDemand:
         for name in ("proj0.w", "proj0.b", "proj1.w", "proj1.b"):
             assert model.params[name].tobytes() == pretrained.params[name].tobytes(), name
 
-    def test_simclr_step_of_criterion_6_shape_builds_at_most_47_nodes(self):
+    def test_simclr_step_of_criterion_6_shape_builds_at_most_40_nodes(self):
         # criterion 6: 16 features, encoder 64-64/64, projection 32, 8
         # classes, a batch of 128 (256 views in one NT-Xent)
-        cfg = ModelConfig(input_dim=16, hidden_dims=(64, 64), embed_dim=64, proj_dim=32,
-                          num_classes=8)
-        model = build_model(cfg, seed=0)
+        model = build_model(CRITERION_6_MODEL, seed=0)
         batch = np.random.default_rng(6).standard_normal((128, 16))
         loss = simclr_batch_loss(model, batch, ContrastiveConfig(batch_size=128))
-        assert len(loss.builder.graph) <= 47
+        assert len(loss.builder.graph) <= 40
+
+    def test_fine_tuning_step_of_criterion_8_shape_builds_at_most_90_nodes(self):
+        # criterion 8: the criterion-6 model, batches of 64, all three terms
+        model = build_model(CRITERION_6_MODEL, seed=0)
+        rng = np.random.default_rng(8)
+        config = SSLConfig(beta=3.0, lam=0.5, batch_size=64,
+                           augment=AugmentConfig(noise_sigma=0.5, stream="train.augment"))
+        cons_x, cons_t, cons_m = prepare_consistency(
+            model, rng.standard_normal((64, 16)), range(64), config, 0, 0
+        )
+        plan = StepPlan(labeled_x=rng.standard_normal((64, 16)),
+                        labeled_q=one_hot(rng.integers(1, 9, size=64), 8),
+                        cons_x=cons_x, cons_targets=cons_t, cons_mask=cons_m,
+                        out_x=rng.standard_normal((64, 16)), out_q=np.full((64, 8), 1 / 8))
+        loss = build_step_loss(model, plan, config)
+        assert set(loss.terms) == {"supervised", "consistency", "aux"}
+        assert len(loss.builder.graph) <= 90
 
 
 class TestCosineSimilarity:

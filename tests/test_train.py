@@ -10,12 +10,13 @@ from helpers import (
     relu_kink_margin,
 )
 from openset_ssl.augment import AugmentConfig
-from openset_ssl.model import ModelConfig, build_model
+from openset_ssl.model import GraphBuilder, ModelConfig, build_model
 from openset_ssl.train import (
     SSLConfig,
     StepPlan,
     aux_only_train,
     build_step_loss,
+    cross_entropy_node,
     evaluate_accuracy,
     init_train_state,
     one_hot,
@@ -78,8 +79,10 @@ class TestSslLoss:
         loss = step_loss(model, cfg(beta=0.0), x, y, ux)
         from openset_ssl.model import forward
 
-        probs = _softmax(forward(model, x).logits)
-        direct = -np.mean((y * np.log(probs + 1e-300)).sum(axis=1))
+        z = forward(model, x).logits
+        m = z.max(axis=1, keepdims=True)
+        logsumexp = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+        direct = np.mean(logsumexp - (y * z).sum(axis=1, keepdims=True))
         assert loss.value == direct
         assert "consistency" not in loss.terms
 
@@ -110,6 +113,28 @@ class TestSslLoss:
         loss = step_loss(model, cfg(beta=0.7), x, y, ux)
         grads = loss.parameter_gradients()
         assert any(np.abs(g).max() > 0 for g in grads.values())
+
+
+class TestCrossEntropyNode:
+    def test_saturated_wrong_prediction_keeps_its_loss_and_gradient(self):
+        # logits (800, 0) against class 2: the loss is 800, not a floored
+        # -log(1e-300), and the gradient still pushes the logits apart
+        builder = GraphBuilder(toy_model())
+        logits = builder.const(np.array([[800.0, 0.0]]))
+        loss = cross_entropy_node(builder, np.array([[0.0, 1.0]]), logits)
+        assert builder.graph.value(loss) == 800.0
+        assert np.array_equal(builder.graph.backward(loss)[logits], [[1.0, -1.0]])
+
+    def test_masked_rows_contribute_nothing_but_count_in_the_mean(self):
+        builder = GraphBuilder(toy_model())
+        z = np.array([[2.0, -1.0], [0.5, 0.5], [-3.0, 1.0]])
+        logits = builder.const(z)
+        targets = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        masked = cross_entropy_node(builder, targets, logits, mask=np.array([[1.0], [0.0], [1.0]]))
+        kept = cross_entropy_node(builder, targets[[0, 2]], builder.const(z[[0, 2]]))
+        g = builder.graph
+        assert abs(g.value(masked) - g.value(kept) * 2.0 / 3.0) < 1e-12
+        assert not g.backward(masked)[logits][1].any()
 
 
 class TestCombinedLoss:
