@@ -2,8 +2,9 @@
 coordinate masking.
 
 Contract: a view is a function of (seed, stream, step, sample id, view
-index) only, never of the sample's position in the batch or of the
-batch around it.  Its numbers are drawn bit for bit from the generator
+index) only, never of the sample's position in the batch, of the batch
+around it or of the other views drawn in the same call.  Its numbers are
+drawn bit for bit from the generator
 `rng.stream(seed, config.stream, step, sample_id, view)`, in this order:
 one `uniform(lo, hi)` jitter factor, `standard_normal(dim)` noise, then
 `choice(dim, floor(mask_fraction * dim), replace=False)` coordinates to
@@ -48,29 +49,36 @@ class AugmentConfig:
 def augment_batch(batch, ids, config, seed, step, view):
     """Row-wise views of an (n, dim) batch, each keyed by its own sample id.
 
-    Every row's generator state is computed in one vectorized pass
-    (`rng.stream_states`) and loaded into one reused generator, instead
-    of seeding a fresh generator per row.
+    `view` is one view index, giving (n, dim) rows, or a sequence of k
+    view indices, giving (k * n, dim) rows view-major: all n rows of the
+    first view, then all n of the next.  The generator states of every
+    (id, view) pair come from one vectorized `rng.stream_states` call over
+    a (k * n, 2) block of subkeys and are loaded in turn into one reused
+    generator (seeded once with a constant, since every row overwrites its
+    state), instead of seeding a fresh generator per row.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if len(ids) != len(batch):
         raise ValueError(f"{len(ids)} ids for a batch of {len(batch)} rows")
-    states = rng_mod.stream_states(seed, config.stream, step, ids, view)
+    views = rng_mod.key_array(view).reshape(-1)
     n, dim = batch.shape
+    keys = np.column_stack([np.tile(rng_mod.key_array(ids), len(views)), np.repeat(views, n)])
+    states = rng_mod.stream_states(seed, config.stream, step, keys)
     lo, hi = config.jitter_range
     n_mask = int(config.mask_fraction * dim)
-    bitgen = np.random.PCG64()
+    bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     factors = []
-    noise = np.empty_like(batch)
-    masked = np.empty((n, n_mask), dtype=np.intp)
+    noise = np.empty((len(states), dim))
+    masked = np.empty((len(states), n_mask), dtype=np.intp)
     for row, state in enumerate(states):
         bitgen.state = state
         factors.append(gen.uniform(lo, hi))
         gen.standard_normal(out=noise[row])
         if n_mask:  # the stream's last draw: skipping an empty one changes nothing
             masked[row] = gen.choice(dim, size=n_mask, replace=False)
-    out = batch * np.array(factors).reshape(n, 1) + config.noise_sigma * noise
+    out = np.tile(batch, (len(views), 1)) * np.array(factors).reshape(-1, 1)
+    out += config.noise_sigma * noise
     if n_mask:
-        out[np.arange(n)[:, None], masked] = 0.0
+        out[np.arange(len(states))[:, None], masked] = 0.0
     return out

@@ -10,8 +10,21 @@ array, never in place), and a node without one is skipped.  Looking up any
 other node in the returned mapping gives zeros of its value's shape.
 
 `OPS` holds one entry per operation kind: its arity, its forward
-`(*inputs, **params) -> value` and its VJP
-`(g, value, *inputs, **params) -> one gradient per input`.
+`(*inputs, **params) -> (value, residuals)` and its VJP
+`(g, value, residuals, *inputs, **params) -> one gradient per input`.
+The residuals are intermediates of the forward that the VJP would
+otherwise recompute; `apply` keeps them on the node (`DiffGraph.residuals`)
+and `backward` hands them back, bit for bit the arrays a recomputation
+would give.  A kind that keeps nothing returns None.  What each kind
+keeps:
+
+    batch-norm             `batch_moments(h, eps)`: the 1/n row, mu, h - mu,
+                           the biased variance and 1/sqrt(var + eps)
+    softmax-cross-entropy  exp(x - rowmax(x)), its row sums, and the row
+                           sums of the targets
+    l2-normalize-rows      which rows count as zero, and the row norms
+                           with 1 in their place
+
 The kinds (64-bit reals throughout):
 
     matmul               2-D product; params: transpose_b
@@ -43,13 +56,14 @@ _ZERO_ROW_EPS = 1e-12
 
 
 class Node:
-    __slots__ = ("op", "inputs", "value", "params")
+    __slots__ = ("op", "inputs", "value", "params", "residuals")
 
-    def __init__(self, op, inputs, value, params=None):
+    def __init__(self, op, inputs, value, params=None, residuals=None):
         self.op = op
         self.inputs = tuple(inputs)
         self.value = value
         self.params = params or {}
+        self.residuals = residuals
 
     def __repr__(self):
         return f"Node({self.op}, inputs={self.inputs}, shape={self.value.shape})"
@@ -82,6 +96,11 @@ def _reduce_broadcast(grad, shape):
     return grad.sum(axis=0, keepdims=True)
 
 
+def _keeps_nothing(forward):
+    """A forward whose VJP needs no residuals."""
+    return lambda *inputs, **params: (forward(*inputs, **params), None)
+
+
 def _matmul(a, b, transpose_b=False):
     tb = bool(transpose_b)
     if a.ndim != 2 or b.ndim != 2:
@@ -95,7 +114,7 @@ def _matmul(a, b, transpose_b=False):
     return a @ (b.T if tb else b)
 
 
-def _matmul_vjp(g, y, a, b, transpose_b=False):
+def _matmul_vjp(g, y, res, a, b, transpose_b=False):
     if transpose_b:
         return g @ b, g.T @ a
     return g @ b.T, a.T @ g
@@ -111,18 +130,24 @@ def _elementwise_mul(a, b):
     return a * b
 
 
+def _shifted_exp(x):
+    """The row max m of a 2-D array, exp(x - m) and its row sums."""
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    return m, e, e.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(x):
     """Row softmax of a 2-D array, with max-subtraction."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    _, e, total = _shifted_exp(x)
+    return e / total
 
 
 def logsumexp_rows(x):
     """log sum_c exp(x_c) of each row of a 2-D array, as an (n, 1) column;
     finite for any finite row."""
-    m = x.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+    m, _, total = _shifted_exp(x)
+    return m + np.log(total)
 
 
 def _softmax_cross_entropy(x, targets):
@@ -131,27 +156,33 @@ def _softmax_cross_entropy(x, targets):
             f"softmax-cross-entropy: expects 2-D logits and targets of the same "
             f"shape, got {x.shape} and {np.shape(targets)}"
         )
+    m, e, total = _shifted_exp(x)
     mass = targets.sum(axis=1, keepdims=True)
-    return (mass * logsumexp_rows(x) - (targets * x).sum(axis=1, keepdims=True)).mean()
+    value = (mass * (m + np.log(total)) - (targets * x).sum(axis=1, keepdims=True)).mean()
+    return value, (e, total, mass)
 
 
-def _softmax_cross_entropy_vjp(g, y, x, targets):
-    mass = targets.sum(axis=1, keepdims=True)
-    return (g.item() / x.shape[0] * (mass * softmax_rows(x) - targets),)
+def _softmax_cross_entropy_vjp(g, y, res, x, targets):
+    # g / n * (mass * softmax_rows(x) - targets), in place in one array
+    e, total, mass = res
+    grad = e / total
+    grad *= mass
+    grad -= targets
+    grad *= g.item() / x.shape[0]
+    return (grad,)
 
 
 def _l2_normalize_rows(x):
     if x.ndim != 2:
         raise ValueError(f"l2-normalize-rows: expects 2-D, got {x.shape}")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    safe = np.where(norms < _ZERO_ROW_EPS, 1.0, norms)
-    return x / safe
-
-
-def _l2_normalize_rows_vjp(g, y, x):
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
     zero = norms < _ZERO_ROW_EPS
     safe = np.where(zero, 1.0, norms)
+    return x / safe, (zero, safe)
+
+
+def _l2_normalize_rows_vjp(g, y, res, x):
+    zero, safe = res
     grad = (g - y * (g * y).sum(axis=1, keepdims=True)) / safe
     return (np.where(zero, 0.0, grad),)
 
@@ -171,17 +202,18 @@ def batch_moments(h, eps):
 
 
 def _batch_norm(h, eps):
-    _, _, centered, _, inv_std = batch_moments(h, eps)
-    return centered * inv_std
+    moments = batch_moments(h, eps)
+    _, _, centered, _, inv_std = moments
+    return centered * inv_std, moments
 
 
-def _batch_norm_vjp(g, y, h, eps):
+def _batch_norm_vjp(g, y, moments, h, eps):
     # The composition's chain rule in the tape's order: the normalized
     # output's two inputs, the variance branch (exp, scale, log, add, the
     # 1/n-row matmul, the squared deviation), then centering and the mean.
     # A branch whose incoming gradient is all zero adds nothing, as the
     # tape skips such a node.
-    ones_row, _, centered, var, inv_std = batch_moments(h, eps)
+    ones_row, _, centered, var, inv_std = moments
     g_centered = g * inv_std
     g_var = (g * centered).sum(axis=0, keepdims=True) * inv_std * -0.5 / (var + eps)
     g_sq = ones_row.T @ g_var
@@ -202,17 +234,23 @@ class _Op(NamedTuple):
 
 
 OPS = {
-    "matmul": _Op(2, _matmul, _matmul_vjp),
-    "add": _Op(2, _add, lambda g, y, a, b: (g, _reduce_broadcast(g, b.shape))),
-    "scale": _Op(1, lambda x, factor: x * float(factor), lambda g, y, x, factor: (g * factor,)),
-    "relu": _Op(1, lambda x: np.maximum(x, 0.0), lambda g, y, x: (g * (x > 0.0),)),
-    "exp": _Op(1, np.exp, lambda g, y, x: (g * y,)),
-    "log": _Op(1, np.log, lambda g, y, x: (g / x,)),
+    "matmul": _Op(2, _keeps_nothing(_matmul), _matmul_vjp),
+    "add": _Op(2, _keeps_nothing(_add), lambda g, y, res, a, b: (g, _reduce_broadcast(g, b.shape))),
+    "scale": _Op(
+        1,
+        _keeps_nothing(lambda x, factor: x * float(factor)),
+        lambda g, y, res, x, factor: (g * factor,),
+    ),
+    "relu": _Op(
+        1, _keeps_nothing(lambda x: np.maximum(x, 0.0)), lambda g, y, res, x: (g * (x > 0.0),)
+    ),
+    "exp": _Op(1, _keeps_nothing(np.exp), lambda g, y, res, x: (g * y,)),
+    "log": _Op(1, _keeps_nothing(np.log), lambda g, y, res, x: (g / x,)),
     "l2-normalize-rows": _Op(1, _l2_normalize_rows, _l2_normalize_rows_vjp),
     "elementwise-mul": _Op(
         2,
-        _elementwise_mul,
-        lambda g, y, a, b: (g * b, _reduce_broadcast(g * a, b.shape)),
+        _keeps_nothing(_elementwise_mul),
+        lambda g, y, res, a, b: (g * b, _reduce_broadcast(g * a, b.shape)),
     ),
     "batch-norm": _Op(1, _batch_norm, _batch_norm_vjp),
     "softmax-cross-entropy": _Op(1, _softmax_cross_entropy, _softmax_cross_entropy_vjp),
@@ -248,6 +286,11 @@ class DiffGraph:
     def value(self, node_id):
         return self.nodes[node_id].value
 
+    def residuals(self, node_id):
+        """What the node's forward kept for its VJP (see `OPS`); None for
+        leaves and for kinds that keep nothing."""
+        return self.nodes[node_id].residuals
+
     def input(self, value):
         """Append a leaf node holding a copy of `value` (constant or parameter)."""
         self.nodes.append(Node("input", (), _as_value(np.array(value))))
@@ -268,8 +311,8 @@ class DiffGraph:
                 f"{op}: expects {arity} input(s), got {len(vals)} "
                 f"with shapes {_shapes(vals)}"
             )
-        value = forward(*vals, **params)
-        self.nodes.append(Node(op, inputs, _as_value(value), params))
+        value, residuals = forward(*vals, **params)
+        self.nodes.append(Node(op, inputs, _as_value(value), params, residuals))
         return len(self.nodes) - 1
 
     def backward(self, root):
@@ -290,7 +333,7 @@ class DiffGraph:
             if g is None or not node.inputs or not g.any():
                 continue
             vals = [self.nodes[j].value for j in node.inputs]
-            vjp = OPS[node.op].vjp(g, node.value, *vals, **node.params)
+            vjp = OPS[node.op].vjp(g, node.value, node.residuals, *vals, **node.params)
             for j, contrib in zip(node.inputs, vjp):
                 # the add VJP hands one array to both inputs: never add in place
                 grads[j] = grads[j] + contrib if j in grads else contrib

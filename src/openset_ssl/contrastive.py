@@ -29,8 +29,10 @@ class ContrastiveConfig:
     def __post_init__(self):
         if self.tau_con <= 0:
             raise ValueError("tau_con must be positive")
-        if self.batch_size < 1 or self.steps < 0:
-            raise ValueError("batch_size must be >= 1 and steps >= 0")
+        if self.batch_size < 2:  # train-mode batch norm needs two rows
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
 
 
 @dataclass
@@ -91,10 +93,12 @@ def ntxent_matrix_loss(builder, proj_node, tau_con):
     normed = g.apply("l2-normalize-rows", [proj_node])
     sims = g.apply("matmul", [normed, normed], transpose_b=True)
     logits = g.apply("scale", [sims], factor=1.0 / tau_con)
+    rows = np.arange(two_n)
     mask = np.zeros((two_n, two_n))
-    np.fill_diagonal(mask, _DIAG_MASK)
+    mask[rows, rows] = _DIAG_MASK
     masked = g.apply("add", [logits, builder.const(mask)])
-    positives = np.roll(np.eye(two_n), n, axis=1)
+    positives = np.zeros((two_n, two_n))
+    positives[rows, (rows + n) % two_n] = 1.0
     return g.apply("softmax-cross-entropy", [masked], targets=positives)
 
 
@@ -102,15 +106,14 @@ def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None, builder
     """Differentiable SimCLR loss over one batch of N samples.
 
     Two views per sample are drawn from the augmentation family keyed by
-    (step, sample id, view); the 2N views run through the model as a
-    single train-mode batch on the main branch.
+    (step, sample id, view), in one call that returns them view-major;
+    the 2N views run through the model as a single train-mode batch on
+    the main branch.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if ids is None:
         ids = list(range(batch.shape[0]))
-    v1 = augment_batch(batch, ids, config.augment, seed, step, 0)
-    v2 = augment_batch(batch, ids, config.augment, seed, step, 1)
-    views = np.concatenate([v1, v2], axis=0)
+    views = augment_batch(batch, ids, config.augment, seed, step, (0, 1))
 
     if builder is None:
         builder = GraphBuilder(model)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .autodiff import DiffGraph, batch_moments
+from .autodiff import DiffGraph
 
 CHECKPOINT_VERSION = 1
 
@@ -161,7 +161,7 @@ class GraphBuilder:
         eps = self.model.config.bn_epsilon
         if mode == "train":
             normed = g.apply("batch-norm", [h_id], eps=eps)
-            _, mu, _, var, _ = batch_moments(g.value(h_id), eps)
+            _, mu, _, var, _ = g.residuals(normed)
             batch_stats = (layer, branch, mu, var)
         else:
             mean = self.model.stats[f"{layer}.bn.{branch}.mean"]

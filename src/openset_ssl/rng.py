@@ -6,9 +6,11 @@ are mutually independent, and drawing from one never shifts another, so
 enabling or disabling a pipeline stage cannot perturb the stages around it.
 
 `stream_states` computes the starting states of many streams that differ
-in one subkey in a single vectorized pass.  It re-implements NumPy's
-documented `SeedSequence` entropy mixing and PCG64 seeding, so a state it
-returns is bit-identical to `stream(...).bit_generator.state`.
+in one subkey, or in a block of consecutive subkeys, in a single
+vectorized pass: the entropy words of every stream are assembled as one
+uint32 array.  It re-implements NumPy's documented `SeedSequence` entropy
+mixing and PCG64 seeding, so a state it returns is bit-identical to
+`stream(...).bit_generator.state`.
 """
 
 import hashlib
@@ -101,33 +103,85 @@ def _generate_state(entropy):
     return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))  # little-endian pairs
 
 
+def key_array(keys):
+    """Stream keys as an integer array: int64 where they all fit, else an
+    object array of exact Python ints (numpy alone would promote a mix of
+    keys past int64 and small ones to float64 and round them)."""
+    arr = np.asarray(keys)
+    if arr.dtype.kind == "i":
+        return arr
+    arr = np.asarray(keys, dtype=object)
+    if not all(isinstance(k, (int, np.integer)) for k in arr.flat):
+        raise ValueError("stream keys must be integers")
+    return arr
+
+
+def _key_words(keys):
+    """The words SeedSequence reads from each of a column of keys.
+
+    Returns an (n, w) uint32 array of every key's little-endian 32-bit
+    words, zero past its top word, and the (n,) count of words it reads
+    (at least one).  Keys past int64 arrive as an object array of Python
+    ints, which the same shifts and masks split.
+    """
+    negative = keys < 0
+    if negative.any():
+        raise ValueError(f"stream keys must be nonnegative integers, got {keys[negative][0]}")
+    words = []
+    counts = np.ones(len(keys), dtype=np.intp)
+    while True:
+        words.append((keys & _MASK32).astype(np.uint32))
+        keys = keys >> 32
+        more = keys != 0
+        if not more.any():
+            return np.stack(words, axis=1), counts
+        counts[more] = len(words) + 1
+
+
 def stream_states(master_seed, label, *subkeys):
     """Starting PCG64 states of a batch of streams, without building them.
 
-    Exactly one subkey is a sequence of integers.  Entry i of the result
-    is the `bit_generator.state` dict of the stream whose subkeys take
-    entry i of that sequence in its place, e.g.
+    Exactly one subkey is a sequence: a 1-D sequence of integers, or a 2-D
+    (n, k) block whose rows stand in for k consecutive subkeys.  Entry i
+    of the result is the `bit_generator.state` dict of the stream whose
+    subkeys take row i of that sequence in its place, e.g.
     `stream_states(s, "aug", step, ids, view)[i] ==
-    stream(s, "aug", step, ids[i], view).bit_generator.state`.
+    stream(s, "aug", step, ids[i], view).bit_generator.state` and
+    `stream_states(s, "aug", step, [[id, view], ...])[i] ==
+    stream(s, "aug", step, id_i, view_i).bit_generator.state`.
     Assigning it to a PCG64's `state` reproduces that stream bit for bit.
     """
     batched = [i for i, k in enumerate(subkeys) if not isinstance(k, (int, np.integer))]
     if len(batched) != 1:
         raise ValueError("exactly one subkey must be a sequence of integers")
     (pos,) = batched
+    block = key_array(subkeys[pos])
+    if block.ndim == 1:
+        block = block[:, None]
+    if block.ndim != 2:
+        raise ValueError(f"the sequence subkey must be 1-D or 2-D, got shape {block.shape}")
+    if not len(block):
+        return []
     head = _words(master_seed) + _words(_label_entropy(label))
     for k in subkeys[:pos]:
         head += _words(k)
     tail = [w for k in subkeys[pos + 1:] for w in _words(k)]
-    keys = [_words(k) for k in subkeys[pos]]
-    # SeedSequence consumes a varying number of words per key: group rows by it
-    groups = {}
-    for row, words in enumerate(keys):
-        groups.setdefault(len(words), []).append(row)
-    states = [None] * len(keys)
-    for rows in groups.values():
-        entropy = np.array([head + keys[r] + tail for r in rows], dtype=np.uint32)
-        for r, (s_hi, s_lo, i_hi, i_lo) in zip(rows, _generate_state(entropy).tolist()):
+    # every key's words side by side, and which of them SeedSequence reads
+    columns = [_key_words(block[:, c]) for c in range(block.shape[1])]
+    words = np.hstack([w for w, _ in columns])
+    read = np.hstack([np.arange(w.shape[1]) < c[:, None] for w, c in columns])
+    lengths = read.sum(axis=1)
+    states = [None] * len(block)
+    # SeedSequence consumes a varying number of words per row: group rows by it
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        keys = words[rows][read[rows]].reshape(len(rows), length)
+        entropy = np.hstack([
+            np.broadcast_to(np.array(head, dtype=np.uint32), (len(rows), len(head))),
+            keys,
+            np.broadcast_to(np.array(tail, dtype=np.uint32), (len(rows), len(tail))),
+        ])
+        for r, (s_hi, s_lo, i_hi, i_lo) in zip(rows.tolist(), _generate_state(entropy).tolist()):
             # pcg64_set_seed: inc = 2*initseq + 1; state = (inc + initstate) * M + inc
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
             state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128

@@ -124,18 +124,19 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
     if u_x.shape[0] == 0 or config.beta == 0:
         return None, None, None
     aug = config.augment
-    v1 = augment_batch(u_x, u_ids, aug, seed, step, 0)
+    if config.backend == "hard-pseudo":  # a weak view and a strong one
+        v1 = augment_batch(u_x, u_ids, aug, seed, step, 0)
+        v2 = augment_batch(u_x, u_ids, aug.scaled_noise(2.0), seed, step, 1)
+    else:  # both views from one family: one call, view-major
+        v1, v2 = np.split(augment_batch(u_x, u_ids, aug, seed, step, (0, 1)), 2)
     logits = forward(model, v1, branch="main", mode="eval", heads=LOGITS).logits
     target_probs = softmax_rows(logits)
     if config.backend == "hard-pseudo":
-        strong = aug.scaled_noise(2.0)
-        v2 = augment_batch(u_x, u_ids, strong, seed, step, 1)
         conf = target_probs.max(axis=1)
         mask = (conf > config.confidence_threshold).astype(np.float64)[:, None]
         hard = np.zeros_like(target_probs)
         hard[np.arange(len(conf)), target_probs.argmax(axis=1)] = 1.0
         return v2, hard, mask
-    v2 = augment_batch(u_x, u_ids, aug, seed, step, 1)
     return v2, target_probs, None
 
 

@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reduce_sum, reference_batch_norm, scalar_fn
-from openset_ssl.autodiff import OP_KINDS, DiffGraph, batch_moments, grad_check, softmax_rows
+from openset_ssl.autodiff import (
+    OP_KINDS,
+    OPS,
+    DiffGraph,
+    batch_moments,
+    grad_check,
+    logsumexp_rows,
+    softmax_rows,
+)
 
 
 class TestForwardValues:
@@ -346,15 +354,37 @@ class TestEveryKindGradient:
         )
 
 
+# params that let every kind run on a (3, 3) input (matmul: x @ x)
+_EXAMPLE_PARAMS = {
+    "scale": {"factor": 2.0},
+    "batch-norm": {"eps": 1e-5},
+    "softmax-cross-entropy": {"targets": np.eye(3)},
+}
+
+
+def _keeps_residuals(kind):
+    g = DiffGraph()
+    x = g.input(np.arange(1.0, 10.0).reshape(3, 3))
+    node = g.apply(kind, [x] * OPS[kind].arity, **_EXAMPLE_PARAMS.get(kind, {}))
+    return g.residuals(node) is not None
+
+
 def test_every_kind_has_a_gradient_case():
-    """A kind's cases are named test_<kind> or test_<kind>_<variant>."""
-    names = [n for n in vars(TestEveryKindGradient) if n.startswith("test_")]
+    """Every kind has a finite-difference case in TestEveryKindGradient,
+    and every kind that keeps forward residuals also has a byte-equality
+    case in TestResidualsMatchRecomputation.  A kind's cases are named
+    test_<kind> or test_<kind>_<variant>."""
     missing = []
     for kind in OP_KINDS:
         stem = "test_" + kind.replace("-", "_")
-        if not any(n == stem or n.startswith(stem + "_") for n in names):
-            missing.append(kind)
-    assert not missing, f"no gradient case for {missing}"
+        suites = [TestEveryKindGradient]
+        if _keeps_residuals(kind):
+            suites.append(TestResidualsMatchRecomputation)
+        for suite in suites:
+            names = [n for n in vars(suite) if n.startswith("test_")]
+            if not any(n == stem or n.startswith(stem + "_") for n in names):
+                missing.append((kind, suite.__name__))
+    assert not missing, f"no case for {missing}"
 
 
 class TestNumericInvariants:
@@ -514,3 +544,91 @@ class TestBatchNormMatchesComposition:
         names = ["value", "mu", "var", "grad h", "grad scale", "grad shift"]
         for name, a, b in zip(names, run(fused), run(composed)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+# The VJPs as they were before the kinds kept forward residuals: each
+# recomputes what it needs from the input.
+def _recomputed_vjp(kind, g, y, x, **params):
+    if kind == "softmax-cross-entropy":
+        targets = params["targets"]
+        mass = targets.sum(axis=1, keepdims=True)
+        return (g.item() / x.shape[0] * (mass * softmax_rows(x) - targets),)
+    if kind == "l2-normalize-rows":
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        zero = norms < 1e-12
+        safe = np.where(zero, 1.0, norms)
+        grad = (g - y * (g * y).sum(axis=1, keepdims=True)) / safe
+        return (np.where(zero, 0.0, grad),)
+    assert kind == "batch-norm"
+    return OPS[kind].vjp(g, y, batch_moments(x, params["eps"]), x, **params)
+
+
+class TestResidualsMatchRecomputation:
+    """A kind that keeps forward residuals gives, from them, the bytes its
+    VJP gave when it recomputed them from the input."""
+
+    def check(self, kind, x, upstream, **params):
+        g = DiffGraph()
+        xid = g.input(x)
+        node = g.apply(kind, [xid], **params)
+        x, y = g.value(xid), g.value(node)
+        got = OPS[kind].vjp(upstream, y, g.residuals(node), x, **params)
+        (expected,) = _recomputed_vjp(kind, upstream, y, x, **params)
+        assert len(got) == 1 and got[0].shape == expected.shape
+        assert got[0].tobytes() == expected.tobytes()
+        return g.value(node)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        scale=st.sampled_from([0.1, 1.0, 30.0, 800.0]),
+        target_kind=st.sampled_from(["uniform", "one-hot", "signed", "zero-rows"]),
+        upstream=st.sampled_from([1.0, -0.37, 3.0, 5e-324]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_softmax_cross_entropy(self, rows, cols, scale, target_kind, upstream, seed):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((rows, cols))
+        if target_kind == "one-hot":
+            t = np.eye(cols)[rng.integers(0, cols, rows)]
+        elif target_kind == "signed":
+            t = rng.standard_normal((rows, cols))
+        else:
+            t = rng.uniform(0.0, 1.0, size=(rows, cols))
+            if target_kind == "zero-rows":
+                t[rng.random(rows) < 0.5] = 0.0
+        value = self.check("softmax-cross-entropy", x, np.array(upstream), targets=t)
+        mass = t.sum(axis=1, keepdims=True)
+        expected = (mass * logsumexp_rows(x) - (t * x).sum(axis=1, keepdims=True)).mean()
+        assert value.tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.sampled_from(["normal", "zero", "tiny", "large"]), min_size=1,
+                      max_size=8),
+        cols=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_l2_normalize_rows(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        scales = {"normal": 1.0, "zero": 0.0, "tiny": 1e-13, "large": 1e150}
+        x = np.array([scales[r] * rng.standard_normal(cols) for r in rows])
+        self.check("l2-normalize-rows", x, rng.standard_normal(x.shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        columns=st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=12),
+        eps=st.sampled_from([1e-5, 1e-12, 0.5]),
+        weight_kind=st.sampled_from(["normal", "integer", "subnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_norm(self, n, columns, eps, weight_kind, seed):
+        rng = np.random.default_rng(seed)
+        h = np.stack([_COLUMNS[kind](rng, n) for kind in columns], axis=1)
+        self.check("batch-norm", h, _draw(rng, weight_kind, h.shape), eps=eps)
+        g = DiffGraph()
+        node = g.apply("batch-norm", [g.input(h)], eps=eps)
+        for kept, fresh in zip(g.residuals(node), batch_moments(h, eps)):
+            assert kept.tobytes() == fresh.tobytes()

@@ -131,6 +131,36 @@ class TestAugment:
         expected = reference_augment_batch(batch, ids, cfg, seed, step, view)
         assert np.array_equal(augment_batch(batch, ids, cfg, seed, step, view), expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.one_of(st.integers(0, 2**70),
+                               st.sampled_from([0, 7, 2**32 - 1, 2**32, 2**63, 2**64])),
+                     max_size=9),
+        views=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        mask_fraction=st.sampled_from([0.0, 0.25]),
+        seed=st.integers(0, 2**40),
+        step=st.integers(0, 2**33),
+    )
+    def test_views_in_one_call_match_per_view_oracle(self, ids, views, mask_fraction,
+                                                     seed, step):
+        cfg = AugmentConfig(noise_sigma=0.7, mask_fraction=mask_fraction, stream="augment")
+        batch = np.random.default_rng(seed % 1000).standard_normal((len(ids), 8))
+        expected = np.concatenate(
+            [reference_augment_batch(batch, ids, cfg, seed, step, v) for v in views]
+        )
+        got = augment_batch(batch, ids, cfg, seed, step, views)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_views_in_one_call_with_duplicate_ids_zero_and_an_empty_batch(self):
+        cfg = AugmentConfig(mask_fraction=0.25)
+        batch = np.random.default_rng(3).standard_normal((4, 8))
+        ids = [0, 0, 2**32 + 1, 0]
+        expected = np.concatenate(
+            [reference_augment_batch(batch, ids, cfg, 1, 2, v) for v in (0, 1)]
+        )
+        assert augment_batch(batch, ids, cfg, 1, 2, (0, 1)).tobytes() == expected.tobytes()
+        assert augment_batch(np.zeros((0, 8)), [], cfg, 1, 2, (0, 1)).shape == (0, 8)
+
 
 class TestNtxentQueryLoss:
     def test_single_candidate_equal_to_positive_is_zero(self):
@@ -237,7 +267,7 @@ class TestSimclrBatchLoss:
         for n in (1, 2, 3, 4):
             model = tiny_model(seed=n)
             batch = rng.standard_normal((n, 6))
-            cfg = tiny_cfg(batch_size=max(n, 1))
+            cfg = tiny_cfg(batch_size=max(n, 2))  # the loss itself takes any n >= 1
             loss = simclr_batch_loss(model, batch, cfg, seed=9, step=0)
 
             twin = tiny_model(seed=n)
@@ -261,6 +291,16 @@ class TestSimclrBatchLoss:
             tiny_model(), batch[perm], cfg, seed=3, step=5, ids=[ids[i] for i in perm]
         ).value
         assert abs(a - b) < 1e-10
+
+
+class TestContrastiveConfig:
+    def test_batch_size_below_two_rejected_naming_the_field(self):
+        # one row per batch passes every step, then train-mode batch norm
+        # in calibrate_running_stats cannot normalize it
+        for size in (1, 0):
+            with pytest.raises(ValueError, match="batch_size"):
+                ContrastiveConfig(batch_size=size)
+        assert ContrastiveConfig(batch_size=2).batch_size == 2
 
 
 class TestPretrain:

@@ -308,7 +308,7 @@ _configs = st.builds(
     contrastive=st.builds(
         ContrastiveConfig,
         tau_con=_unit(0.01, 2.0),
-        batch_size=st.integers(1, 512),
+        batch_size=st.integers(2, 512),  # train-mode batch norm needs two rows
         steps=st.integers(0, 10**5),
         lr=_unit(),
         momentum=_unit(),

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from helpers import reference_cosine
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig, pretrain, simclr_batch_loss
-from openset_ssl.autodiff import grad_check
+from openset_ssl import autodiff
+from openset_ssl.autodiff import batch_moments, grad_check
 from openset_ssl.model import (
     GraphBuilder,
     ModelConfig,
@@ -264,6 +265,41 @@ class TestHeadsOnDemand:
         loss = build_step_loss(model, plan, config)
         assert set(loss.terms) == {"supervised", "consistency", "aux"}
         assert len(loss.builder.graph) <= 90
+
+
+class TestBatchMomentsOncePerLayer:
+    """A train-mode batch-norm layer computes its batch moments once per
+    step: the tape node keeps them for its VJP and for the batch
+    statistics."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = {"n": 0}
+
+        def counting(h, eps):
+            counter["n"] += 1
+            return batch_moments(h, eps)
+
+        monkeypatch.setattr(autodiff, "batch_moments", counting)
+        return counter
+
+    def test_simclr_step_of_criterion_6_shape(self, calls):
+        model = build_model(CRITERION_6_MODEL, seed=0)
+        batch = np.random.default_rng(6).standard_normal((128, 16))
+        loss = simclr_batch_loss(model, batch, ContrastiveConfig(batch_size=128))
+        loss.parameter_gradients()
+        assert calls["n"] == len(CRITERION_6_MODEL.encoder_dims) == 3
+
+    def test_fine_tuning_step_with_the_aux_term(self, calls):
+        model = build_model(CRITERION_6_MODEL, seed=0)
+        rng = np.random.default_rng(9)
+        config = SSLConfig(lam=0.5, batch_size=16, aux_bn=True)
+        plan = StepPlan(labeled_x=rng.standard_normal((16, 16)),
+                        labeled_q=one_hot(rng.integers(1, 9, size=16), 8),
+                        out_x=rng.standard_normal((16, 16)), out_q=np.full((16, 8), 1 / 8))
+        loss = build_step_loss(model, plan, config)
+        loss.parameter_gradients()
+        assert calls["n"] == len(CRITERION_6_MODEL.encoder_dims)
 
 
 class TestCosineSimilarity:
