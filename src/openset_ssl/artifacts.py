@@ -6,11 +6,16 @@ back bit for bit, and a text field is quoted only where it holds a
 comma, a quote or a line break.  A JSON document is indented by two,
 with sorted keys and a final newline.  A truncated or malformed file is
 rejected with a `ValueError` that names the path, the line and the column.
+
+Both directions go `_CHUNK_ROWS` records at a time: the writer formats
+a chunk of rows per write, and the reader parses and converts a chunk of
+records as they stream from the file, so neither holds a whole table as
+text or as field strings.
 """
 
 import csv
-import io
 import json
+import os
 from itertools import islice
 
 INT = "%d"
@@ -66,54 +71,94 @@ def read_table(path, converters, default=None):
     """The table at `path` as {column name: list of values}, in header
     order.  `converters` maps each column that must be present to the
     function that parses its fields; other columns use `default`, and
-    are rejected without one."""
-    with open(path, newline="") as fh:
-        text = fh.read()
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: line 1: no header")
-    header = rows[0]
-    width = len(header)
+    are rejected without one.
+
+    Records stream from the file and are converted a chunk at a time, so
+    only the converted columns grow with the table.  Wherever the faults
+    of a bad file sit, the one reported is the first of: a malformed
+    record, a header fault, a missing final line break, the first record
+    of the wrong width, the first unconvertible field of the leftmost
+    column that has one.
+    """
 
     def fail(record, col, reason):
-        # the physical line the record starts on; fields may hold line breaks
-        records = csv.reader(io.StringIO(text, newline=""))
+        name = repr(header[col]) if col < width else f"#{col + 1}"
+        raise ValueError(f"{path}: line {_record_line(path, record)}, column {name}: {reason}")
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, strict=True)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: line 1: no header")
+            width = len(header)
+            missing = [name for name in converters if name not in header]
+            unexpected = [col for col, name in enumerate(header)
+                          if name not in converters and default is None]
+            if missing or unexpected:
+                for _ in reader:  # a malformed record further on is reported first
+                    pass
+                if missing:
+                    raise ValueError(f"{path}: line 1: no column {missing[0]!r}")
+                fail(0, unexpected[0], "unexpected column")
+            convert = [converters.get(name, default) for name in header]
+            columns = [[] for _ in header]
+            records, last, wrong, bad = 0, header, None, None
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                if wrong is None:
+                    i = next((i for i, row in enumerate(chunk) if len(row) != width), None)
+                    if i is not None:
+                        found = len(chunk[i])
+                        wrong = (records + 1 + i, min(found, width),
+                                 f"{found} fields where the header has {width}")
+                    else:
+                        bad = _convert_chunk(chunk, convert, columns, records + 1, bad)
+                records, last = records + len(chunk), chunk[-1]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not _ends_with_newline(path):
+        fail(records, len(last) - 1, "truncated, the line has no terminator")
+    for fault in (wrong, bad):
+        if fault is not None:
+            fail(*fault)
+    return dict(zip(header, columns))
+
+
+def _convert_chunk(chunk, convert, columns, first, bad):
+    """Append the chunk's converted fields to `columns`, the chunk's first
+    record being record `first`.  Returns the table's fault so far, as
+    (record, column, reason) of the first unconvertible field of the
+    leftmost column that has one: only columns left of `bad` can move it."""
+    for col, fields in enumerate(zip(*chunk)):
+        if bad is not None and col >= bad[1]:
+            break
+        try:
+            columns[col].extend(map(convert[col], fields))
+        except ValueError:
+            for record, field in enumerate(fields, start=first):
+                try:
+                    convert[col](field)
+                except ValueError as exc:
+                    return record, col, str(exc)
+    return bad
+
+
+def _ends_with_newline(path):
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
+
+
+def _record_line(path, record):
+    """The physical line record `record` (0 is the header) starts on;
+    fields may hold line breaks."""
+    with open(path, newline="") as fh:
+        records = csv.reader(fh)
         line = 1
         for _ in range(record):
             next(records)
             line = records.line_num + 1
-        name = repr(header[col]) if col < width else f"#{col + 1}"
-        raise ValueError(f"{path}: line {line}, column {name}: {reason}")
-
-    for name in converters:
-        if name not in header:
-            raise ValueError(f"{path}: line 1: no column {name!r}")
-    for col, name in enumerate(header):
-        if name not in converters and default is None:
-            fail(0, col, "unexpected column")
-    if not text.endswith("\n"):
-        fail(len(rows) - 1, len(rows[-1]) - 1, "truncated, the line has no terminator")
-    if set(map(len, rows)) - {width}:
-        record = next(i for i, row in enumerate(rows) if len(row) != width)
-        found = len(rows[record])
-        fail(record, min(found, width), f"{found} fields where the header has {width}")
-    table = {}
-    columns = zip(*rows[1:]) if len(rows) > 1 else [()] * width
-    for col, (name, fields) in enumerate(zip(header, columns)):
-        convert = converters.get(name, default)
-        try:
-            table[name] = list(map(convert, fields))
-        except ValueError:
-            for record, field in enumerate(fields, start=1):
-                try:
-                    convert(field)
-                except ValueError as exc:
-                    fail(record, col, str(exc))
-    return table
+    return line
 
 
 def write_json(path, doc):

@@ -13,6 +13,14 @@ asks for: contrastive pretraining and detection read the projection,
 fine-tuning and evaluation the logits, labeling and statistics
 calibration neither.  A head that is not built puts no node on the tape,
 so its parameters get no gradient and an optimizer step leaves them be.
+
+The plain `forward` runs an eval-mode batch in even blocks of at most
+`_EVAL_ROWS` rows, one graph per block, and copies each block's heads
+into their rows of the result.  Eval-mode rows are independent of each
+other, so the working set is one block's tape whatever the batch size:
+scoring the whole unlabeled pool does not keep a pool-sized copy of
+every intermediate alive.  Train mode runs the whole batch as one graph,
+because its batch statistics must cover every row.
 """
 
 import json
@@ -29,6 +37,8 @@ CHECKPOINT_VERSION = 1
 BRANCHES = ("main", "aux")
 MODES = ("train", "eval")
 HEADS = ("projection", "logits")
+
+_EVAL_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -193,11 +203,7 @@ class GraphBuilder:
             raise ValueError(f"unknown heads: {sorted(unknown)}")
         g = self.graph
         cfg = self.model.config
-        if g.value(x_id).ndim != 2 or g.value(x_id).shape[1] != cfg.input_dim:
-            raise ValueError(
-                f"forward: batch shape {g.value(x_id).shape} does not match "
-                f"input_dim {cfg.input_dim}"
-            )
+        _check_batch(g.value(x_id), cfg)
         collected = []
         h = x_id
         for i in range(len(cfg.encoder_dims)):
@@ -232,29 +238,50 @@ def commit_batch_stats(model, batch_stats):
         model.stats[var_key] = (1.0 - m) * model.stats[var_key] + m * var
 
 
+def _check_batch(batch, config):
+    if batch.ndim != 2 or batch.shape[1] != config.input_dim:
+        raise ValueError(
+            f"forward: batch shape {batch.shape} does not match input_dim {config.input_dim}"
+        )
+
+
+def _block_heads(model, block, branch, mode, heads):
+    """(embedding, projection, logits) values of one graph over `block`;
+    the graph and its other intermediates die on return."""
+    builder = GraphBuilder(model)
+    nodes = builder.forward(builder.const(block), branch=branch, mode=mode, heads=heads)
+    if mode == "train":
+        commit_batch_stats(model, nodes.batch_stats)
+    ids = (nodes.embedding, nodes.projection, nodes.logits)
+    return [None if i is None else builder.graph.value(i) for i in ids]
+
+
 def forward(model, batch, branch="main", mode="eval", heads=HEADS):
     """Plain forward pass returning values (not nodes); a head not named
     in `heads` is not computed and reads None.
 
-    Train mode updates the selected branch's running statistics; eval mode
-    is a pure function of (parameters, running statistics, input).
+    Train mode is one graph over the whole batch, whose moments update
+    the selected branch's running statistics.  Eval mode is a pure
+    function of (parameters, running statistics, input) row by row, so
+    it runs at most `_EVAL_ROWS` rows per graph and its working set stays
+    one block's tape however many rows the batch has.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    builder = GraphBuilder(model)
-    x = builder.const(batch)
-    nodes = builder.forward(x, branch=branch, mode=mode, heads=heads)
-    if mode == "train":
-        commit_batch_stats(model, nodes.batch_stats)
-    g = builder.graph
-
-    def value(node):
-        return None if node is None else g.value(node)
-
-    return ForwardResult(
-        embedding=g.value(nodes.embedding),
-        projection=value(nodes.projection),
-        logits=value(nodes.logits),
-    )
+    _check_batch(batch, model.config)
+    n = len(batch)
+    # as even as possible: a one-row remainder block would go through
+    # numpy's vector-matrix product, which rounds differently
+    parts = 1 if mode == "train" else max(-(-n // _EVAL_ROWS), 1)
+    out, start = None, 0
+    for block in np.array_split(batch, parts):
+        values = _block_heads(model, block, branch, mode, heads)
+        if out is None:
+            out = [None if v is None else np.empty((n, v.shape[1])) for v in values]
+        for rows, v in zip(out, values):
+            if v is not None:
+                rows[start : start + len(block)] = v
+        start += len(block)
+    return ForwardResult(*out)
 
 
 def cosine_similarity(a, b):

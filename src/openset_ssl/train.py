@@ -63,6 +63,14 @@ class SSLConfig:
             raise ValueError("beta and lambda must be nonnegative")
         if self.batch_size < 1 or (self.steps is not None and self.steps < 0):
             raise ValueError("batch_size must be >= 1 and steps >= 0")
+        if self.aux_loss and self.lam != 0:
+            _check_batch_norm_rows(self.batch_size)
+
+
+def _check_batch_norm_rows(batch_size):
+    """The out-of-class term runs train-mode batch norm, which needs two rows."""
+    if batch_size < 2:
+        raise ValueError(f"batch_size must be >= 2, got {batch_size}")
 
 
 @dataclass
@@ -335,6 +343,7 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
     informativeness study, not the auxiliary-routing path).  Returns the
     model and, optionally, the mean prediction-entropy trace.
     """
+    _check_batch_norm_rows(config.batch_size)
     out_x = np.asarray(out_x, dtype=np.float64)
     out_q = np.asarray(out_q, dtype=np.float64)
     _check_rows_normalized(out_q, "soft-labels")

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -272,3 +273,54 @@ def reference_write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def reference_read_table(path, converters, default=None):
+    """`artifacts.read_table` as it read a whole file before converting,
+    kept as the reference for what a streamed read returns and raises."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: line 1: no header")
+    header = rows[0]
+    width = len(header)
+
+    def fail(record, col, reason):
+        records = csv.reader(io.StringIO(text, newline=""))
+        line = 1
+        for _ in range(record):
+            next(records)
+            line = records.line_num + 1
+        name = repr(header[col]) if col < width else f"#{col + 1}"
+        raise ValueError(f"{path}: line {line}, column {name}: {reason}")
+
+    for name in converters:
+        if name not in header:
+            raise ValueError(f"{path}: line 1: no column {name!r}")
+    for col, name in enumerate(header):
+        if name not in converters and default is None:
+            fail(0, col, "unexpected column")
+    if not text.endswith("\n"):
+        fail(len(rows) - 1, len(rows[-1]) - 1, "truncated, the line has no terminator")
+    if set(map(len, rows)) - {width}:
+        record = next(i for i, row in enumerate(rows) if len(row) != width)
+        found = len(rows[record])
+        fail(record, min(found, width), f"{found} fields where the header has {width}")
+    table = {}
+    columns = zip(*rows[1:]) if len(rows) > 1 else [()] * width
+    for col, (name, fields) in enumerate(zip(header, columns)):
+        convert = converters.get(name, default)
+        try:
+            table[name] = list(map(convert, fields))
+        except ValueError:
+            for record, field in enumerate(fields, start=1):
+                try:
+                    convert(field)
+                except ValueError as exc:
+                    fail(record, col, str(exc))
+    return table

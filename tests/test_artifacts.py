@@ -1,12 +1,16 @@
 """The artifact codec: every table and JSON document byte-identical to
 the csv.writer / json.dump writers it replaced, and strict reads."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from openset_ssl import artifacts
 from openset_ssl.artifacts import INT, REAL, TEXT, read_json, read_table, write_json, write_table
 from openset_ssl.contrastive import write_loss_trace
 from openset_ssl.data import Dataset, write_dataset
@@ -208,6 +212,64 @@ class TestReadTable:
         with pytest.raises(ValueError) as err:
             read_table(path, {"n": int, "note": str})
         assert str(err.value) == f"{path}: line 1, column 'extra': unexpected column"
+
+
+fields = st.sampled_from(["1", "-3", "2.5", "nan", "a", "", '"q,r"', '"a\r\nb"', '"', 'x"y'])
+line_breaks = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@cases
+@given(header=st.sampled_from(["n,note", "n,note,x", "note,n", "x", "n,note,extra", "n,n,note"]),
+       records=st.lists(st.tuples(st.lists(fields, max_size=4).map(",".join), line_breaks),
+                        max_size=8),
+       cut=st.booleans(), default=st.sampled_from([float, None]), chunk=st.integers(1, 3))
+@example(header="n,note,x", records=[("1,a,b", "\r\n"), ("2.5,b,1", "\r\n"), ("1,a", "\r\n")],
+         cut=False, default=float, chunk=1)  # the short record outranks both bad fields
+@example(header="n,note,x", records=[("1,a,b", "\r\n"), ("2.5,b,1", "\r\n")],
+         cut=False, default=float, chunk=1)  # column 'n' outranks the earlier 'x'
+@example(header="n,note,x", records=[("2.5,b,1", "\r\n"), ("1,a,b", "\r\n")],
+         cut=False, default=float, chunk=1)  # ... and the later 'x' does not displace it
+def test_streamed_read_matches_the_whole_file_read(tmp_path, header, records, cut, default,
+                                                   chunk):
+    # the same table or the same error, byte for byte, wherever the chunk
+    # boundaries fall among the faults
+    body = header + "\r\n" + "".join(record + end for record, end in records)
+    path = tmp_path / "t.csv"
+    path.write_bytes((body[:-1] if cut and records else body).encode())
+
+    def outcome(read):
+        try:
+            return read(path, {"n": int, "note": str}, default)
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    with mock.patch.object(artifacts, "_CHUNK_ROWS", chunk):
+        assert outcome(read_table) == outcome(helpers.reference_read_table)
+
+
+def test_read_peak_grows_only_by_the_kept_columns(tmp_path):
+    # a table 4x longer may raise the allocation peak by no more than the
+    # converted columns it returns; a whole-file read grows by the text
+    # and every field string
+    def measure(rows):
+        path = tmp_path / f"{rows}.csv"
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, 16))
+        dataset = Dataset(ids=np.arange(rows), x=x, label=np.full(rows, -1),
+                          truth=rng.integers(1, 17, rows), origin=np.full(rows, "out"))
+        write_dataset(path, dataset)
+        tracemalloc.start()
+        try:
+            table = read_table(path, {"id": int, "origin": str}, default=float)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table["id"]) == rows
+        return kept, peak
+
+    short_kept, short_peak = measure(4 * artifacts._CHUNK_ROWS)
+    long_kept, long_peak = measure(16 * artifacts._CHUNK_ROWS)
+    assert long_peak - short_peak <= long_kept - short_kept + 2**19
 
 
 def test_read_json_names_the_file(tmp_path):

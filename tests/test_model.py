@@ -1,7 +1,11 @@
 """Model construction, dual-branch batch norm, cosine similarity, and the
 checkpoint format."""
 
+import os
 import re
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +16,13 @@ from helpers import reference_cosine
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig, pretrain, simclr_batch_loss
 from openset_ssl import autodiff
+from openset_ssl import model as model_mod
 from openset_ssl.autodiff import batch_moments, grad_check
 from openset_ssl.model import (
     GraphBuilder,
     ModelConfig,
     build_model,
+    commit_batch_stats,
     cosine_similarity,
     expected_param_count,
     forward,
@@ -42,6 +48,22 @@ def small_config(**kw):
     defaults = dict(input_dim=6, hidden_dims=(5,), embed_dim=4, proj_dim=3, num_classes=2)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+model_configs = st.builds(
+    ModelConfig,
+    input_dim=st.integers(1, 40),
+    hidden_dims=st.lists(st.integers(1, 70), max_size=2).map(tuple),
+    embed_dim=st.integers(1, 70),
+    proj_dim=st.integers(1, 40),
+    num_classes=st.integers(2, 10),
+    bn_epsilon=st.floats(1e-8, 1e-2),
+    bn_momentum=st.floats(0.01, 0.99),
+)
+
+
+def heads(result):
+    return result.embedding, result.projection, result.logits
 
 
 class TestBuildModel:
@@ -196,6 +218,100 @@ class TestForward:
             weights = rng.standard_normal((6, 2))
             fn = make_fn(branch, mode, weights)
             assert grad_check(fn, base, eps=1e-6) < 1e-4
+
+
+class TestBlockedEvalForward:
+    """Eval mode runs `_EVAL_ROWS`-row blocks, one graph each; train mode
+    one graph over the whole batch."""
+
+    EVAL_ROWS = model_mod._EVAL_ROWS
+
+    @staticmethod
+    def block_sizes(model, x, **kw):
+        sizes = []
+        original = GraphBuilder.forward
+
+        def spy(self, x_id, *args, **kwargs):
+            sizes.append(len(self.graph.value(x_id)))
+            return original(self, x_id, *args, **kwargs)
+
+        with mock.patch.object(GraphBuilder, "forward", spy):
+            result = forward(model, x, **kw)
+        return sizes, result
+
+    def test_empty_batch_returns_empty_heads(self):
+        model = build_model(small_config(), seed=1)
+        out = forward(model, np.zeros((0, 6)))
+        assert [h.shape for h in heads(out)] == [(0, 4), (0, 3), (0, 2)]
+        assert forward(model, np.zeros((0, 6)), heads=()).projection is None
+
+    def test_wrong_width_names_the_whole_batch_shape(self):
+        model = build_model(small_config(input_dim=4), seed=1)
+        with pytest.raises(ValueError) as err:
+            forward(model, np.zeros((3000, 5)))
+        assert str(err.value) == "forward: batch shape (3000, 5) does not match input_dim 4"
+
+    def test_eval_mode_runs_even_blocks_of_at_most_eval_rows(self):
+        # even blocks leave no one-row remainder, which numpy would run as
+        # a vector-matrix product that rounds differently
+        model = build_model(small_config(), seed=1)
+        n = 2 * self.EVAL_ROWS + 1
+        sizes, out = self.block_sizes(model, np.ones((n, 6)))
+        assert len(sizes) == 3 and sum(sizes) == n
+        assert max(sizes) <= self.EVAL_ROWS and max(sizes) - min(sizes) <= 1
+        assert out.logits.shape == (n, 2)
+
+    def test_train_mode_is_one_graph_whose_moments_cover_every_row(self):
+        model = build_model(small_config(), seed=1)
+        reference = model.copy()
+        x = np.random.default_rng(2).standard_normal((2 * self.EVAL_ROWS + 7, 6))
+        sizes, out = self.block_sizes(model, x, branch="aux", mode="train")
+        assert sizes == [len(x)]
+        builder = GraphBuilder(reference)
+        nodes = builder.forward(builder.const(x), branch="aux", mode="train")
+        commit_batch_stats(reference, nodes.batch_stats)
+        assert out.logits.tobytes() == builder.graph.value(nodes.logits).tobytes()
+        for name, value in reference.stats.items():
+            assert model.stats[name].tobytes() == value.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=model_configs, rows=st.integers(0, 70), block=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocked_heads_equal_the_whole_batch_graph(self, config, rows, block, seed):
+        # equal within 1e-12 of each head's largest magnitude: BLAS may
+        # round a row differently in a product with fewer rows
+        model = build_model(config, seed)
+        rng = np.random.default_rng(seed)
+        for name in model.stats:  # away from the initial (0, 1) statistics
+            model.stats[name] = model.stats[name] + rng.uniform(0.0, 0.5, model.stats[name].shape)
+        x = rng.standard_normal((rows, config.input_dim))
+        builder = GraphBuilder(model)
+        nodes = builder.forward(builder.const(x))
+        whole = [builder.graph.value(n) for n in (nodes.embedding, nodes.projection, nodes.logits)]
+        with mock.patch.object(model_mod, "_EVAL_ROWS", block):
+            blocked = heads(forward(model, x))
+        for b, w in zip(blocked, whole):
+            assert b.shape == w.shape
+            assert np.abs(b - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
+
+    def test_peak_memory_grows_only_by_the_input_and_output(self):
+        # from 4 to 16 blocks, the allocation peak may grow by the extra
+        # input and output bytes; a whole-batch graph grows by its tape
+        model = build_model(CRITERION_6_MODEL, seed=0)
+
+        def measure(blocks):
+            x = np.random.default_rng(0).standard_normal((blocks * self.EVAL_ROWS, 16))
+            tracemalloc.start()
+            try:
+                out = forward(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return x.nbytes + sum(h.nbytes for h in heads(out)), peak
+
+        small_bytes, small_peak = measure(4)
+        large_bytes, large_peak = measure(16)
+        assert large_peak - small_peak <= large_bytes - small_bytes + 2**20
 
 
 class TestHeadsOnDemand:
@@ -406,6 +522,45 @@ class TestCheckpoint:
             assert loaded.params[name].tobytes() == model.params[name].tobytes()
         for name in model.stats:
             assert loaded.stats[name].tobytes() == model.stats[name].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=model_configs, seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_is_bit_exact_for_any_config(self, config, seed):
+        model = build_model(config, seed)
+        rng = np.random.default_rng(seed)
+        special = [-0.0, 5e-324, 5e300, np.inf, -np.inf, np.nan]
+        for arrays in (model.params, model.stats):
+            for name, value in arrays.items():
+                value = rng.standard_normal(value.shape) * 10.0 ** rng.integers(-300, 300)
+                value.flat[0] = rng.choice(special)
+                arrays[name] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.ckpt")
+            save_checkpoint(path, model)
+            loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        for ours, theirs in ((loaded.params, model.params), (loaded.stats, model.stats)):
+            assert list(ours) == list(theirs)
+            for name, value in theirs.items():
+                assert ours[name].shape == value.shape
+                assert ours[name].tobytes() == value.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=model_configs, position=st.integers(0, 2**32))
+    @example(config=small_config(), position=0)
+    @example(config=small_config(), position=3)
+    @example(config=small_config(), position=4)
+    def test_file_cut_anywhere_fails_naming_the_path(self, config, position):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.ckpt")
+            save_checkpoint(path, build_model(config, seed=0))
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(blob[: position % len(blob)])
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(path)
+        assert str(err.value).startswith(f"checkpoint {path}: ")
 
     def test_both_branch_stats_in_file(self, tmp_path):
         model = build_model(small_config(), seed=9)

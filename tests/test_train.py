@@ -262,6 +262,21 @@ class TestTrainLoop:
     def test_default_batch_size_is_64(self):
         assert SSLConfig().batch_size == 64
 
+    def test_batch_size_one_rejected_when_the_aux_term_runs(self):
+        # the out-of-class batch runs train-mode batch norm, which needs two rows
+        with pytest.raises(ValueError) as err:
+            cfg(batch_size=1)
+        assert str(err.value) == "batch_size must be >= 2, got 1"
+        assert cfg(batch_size=2).batch_size == 2
+
+    def test_batch_size_one_allowed_without_the_aux_term(self):
+        lx, lq, ii, ix, oi, ox, q = small_training_setup()
+        for off in (dict(aux_loss=False), dict(lam=0.0)):
+            config = cfg(batch_size=1, steps=2, **off)
+            state = init_train_state(toy_model(), config)
+            train(state, lx, lq, ii, ix, oi, ox, q, config, seed=0)
+            assert state.step == 2
+
     def test_toggles_off_ignores_out_of_class_data(self):
         lx, lq, ii, ix, oi, ox, q = small_training_setup(seed=1)
         plain = cfg(steps=5, aux_loss=False, aux_bn=False, detect=False, topk_pl=False)
@@ -338,6 +353,14 @@ class TestAuxOnlyTrain:
         q = np.full((8, C), 0.5)
         aux_only_train(model, ox, q, cfg(steps=0), seed=0)
         assert {k: v.tobytes() for k, v in model.params.items()} == before
+
+    def test_batch_size_one_rejected_naming_the_field(self):
+        rng = np.random.default_rng(7)
+        ox = rng.standard_normal((8, DIM))
+        q = np.full((8, C), 0.5)
+        with pytest.raises(ValueError) as err:
+            aux_only_train(toy_model(), ox, q, cfg(batch_size=1, lam=0.0), seed=0)
+        assert str(err.value) == "batch_size must be >= 2, got 1"
 
     def test_uniform_q_raises_prediction_entropy(self):
         # sharpen a model on labeled data first, then fit uniform targets
