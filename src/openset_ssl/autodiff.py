@@ -18,8 +18,8 @@ and `backward` hands them back, bit for bit the arrays a recomputation
 would give.  A kind that keeps nothing returns None.  What each kind
 keeps:
 
-    batch-norm             `batch_moments(h, eps)`: the 1/n row, mu, h - mu,
-                           the biased variance and 1/sqrt(var + eps)
+    batch-norm             `batch_moments(h, eps)`: mu, h - mu, the biased
+                           variance and 1/sqrt(var + eps)
     softmax-cross-entropy  exp(x - rowmax(x)), its row sums, and the row
                            sums of the targets
     l2-normalize-rows      which rows count as zero, and the row norms
@@ -188,43 +188,28 @@ def _l2_normalize_rows_vjp(g, y, res, x):
 
 
 def batch_moments(h, eps):
-    """The train-mode batch-norm intermediates of an (n, w) batch, as the
-    primitive composition computes them: the 1/n row, mu, h - mu, the
-    biased variance and 1/sqrt(var + eps)."""
+    """The train-mode batch-norm intermediates of an (n, w) batch: mu,
+    h - mu, the biased variance and 1/sqrt(var + eps)."""
     if h.ndim != 2 or h.shape[0] < 2:
         raise ValueError(f"batch-norm: expects a 2-D batch of at least 2 rows, got {h.shape}")
-    ones_row = np.full((1, h.shape[0]), 1.0 / h.shape[0])
-    mu = ones_row @ h
-    centered = h + mu * -1.0
-    var = ones_row @ (centered * centered)
-    inv_std = np.exp(np.log(var + eps) * -0.5)
-    return ones_row, mu, centered, var, inv_std
+    mu = h.mean(axis=0, keepdims=True)
+    centered = h - mu
+    var = (centered * centered).mean(axis=0, keepdims=True)
+    return mu, centered, var, 1.0 / np.sqrt(var + eps)
 
 
 def _batch_norm(h, eps):
     moments = batch_moments(h, eps)
-    _, _, centered, _, inv_std = moments
+    _, centered, _, inv_std = moments
     return centered * inv_std, moments
 
 
 def _batch_norm_vjp(g, y, moments, h, eps):
-    # The composition's chain rule in the tape's order: the normalized
-    # output's two inputs, the variance branch (exp, scale, log, add, the
-    # 1/n-row matmul, the squared deviation), then centering and the mean.
-    # A branch whose incoming gradient is all zero adds nothing, as the
-    # tape skips such a node.
-    ones_row, _, centered, var, inv_std = moments
-    g_centered = g * inv_std
-    g_var = (g * centered).sum(axis=0, keepdims=True) * inv_std * -0.5 / (var + eps)
-    g_sq = ones_row.T @ g_var
-    if g_sq.any():
-        g_centered = g_centered + g_sq * centered + g_sq * centered
-    if not g_centered.any():
-        return (np.zeros_like(h),)
-    g_mu = g_centered.sum(axis=0, keepdims=True) * -1.0
-    if not g_mu.any():
-        return (g_centered,)
-    return (g_centered + ones_row.T @ g_mu,)
+    # Ioffe & Szegedy's closed form (arXiv 1502.03167), per column
+    inv_std = moments[-1]
+    g_mean = g.mean(axis=0, keepdims=True)
+    gy_mean = (g * y).mean(axis=0, keepdims=True)
+    return (inv_std * (g - g_mean - y * gy_mean),)
 
 
 class _Op(NamedTuple):

@@ -14,6 +14,7 @@ from .model import GraphBuilder, commit_batch_stats, forward
 from .optim import NesterovSGD, cosine_lr
 
 _DIAG_MASK = -1e9  # exp of a masked logit underflows to exactly 0.0
+_CALIBRATION_PASSES = 2  # over the clean pool after pretraining
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def ntxent_matrix_loss(builder, proj_node, tau_con):
     return g.apply("softmax-cross-entropy", [masked], targets=positives)
 
 
-def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None, builder=None):
+def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None):
     """Differentiable SimCLR loss over one batch of N samples.
 
     Two views per sample are drawn from the augmentation family keyed by
@@ -115,8 +116,7 @@ def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None, builder
         ids = list(range(batch.shape[0]))
     views = augment_batch(batch, ids, config.augment, seed, step, (0, 1))
 
-    if builder is None:
-        builder = GraphBuilder(model)
+    builder = GraphBuilder(model)
     x = builder.const(views)
     nodes = builder.forward(x, branch="main", mode="train", heads=("projection",))
     loss = ntxent_matrix_loss(builder, nodes.projection, config.tau_con)
@@ -126,9 +126,9 @@ def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None, builder
 def pretrain(model, pool, pool_ids, config, seed, trace_path=None):
     """Seeded SGD on the SimCLR loss; returns the model and a loss trace.
 
-    The pool is iterated in shuffled epochs of whole batches (a short
-    remainder rolls into the next epoch's shuffle).  Aborts if the loss
-    goes non-finite.
+    The pool is iterated in shuffled epochs of whole batches (a remainder
+    shorter than a batch is dropped, and the next epoch's shuffle starts
+    afresh).  Aborts if the loss goes non-finite.
     """
     pool = np.asarray(pool, dtype=np.float64)
     if pool.shape[0] < config.batch_size:
@@ -163,17 +163,17 @@ def pretrain(model, pool, pool_ids, config, seed, trace_path=None):
     return model, trace
 
 
-def calibrate_running_stats(model, pool, batch_size, seed, passes=2):
+def calibrate_running_stats(model, pool, batch_size, seed):
     """Re-estimate main-branch running statistics on clean features.
 
     Pretraining observes augmented views only, so its running statistics
     carry the augmentation noise; downstream scoring and fine-tuning
-    evaluate clean inputs.  A couple of seeded train-mode passes over the
-    clean pool realigns them (no parameters move).
+    evaluate clean inputs.  Two seeded train-mode passes over the clean
+    pool realign them (no parameters move).
     """
     gen = rng_mod.stream(seed, "pretrain.calibrate")
     n = pool.shape[0]
-    for _ in range(passes):
+    for _ in range(_CALIBRATION_PASSES):
         order = gen.permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             batch = pool[order[start : start + batch_size]]

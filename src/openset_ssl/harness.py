@@ -372,11 +372,14 @@ def load_stage_outputs(config, count):
         return []
     bench = read_benchmark(config.dataset_dir or os.path.join(config.out_dir, "dataset"))
     loaders = (
-        lambda: load_checkpoint(os.path.join(config.out_dir, "pretrained.ckpt")),
-        lambda: load_detect_outcome(config.out_dir, bench),
-        lambda: load_label_outcome(config.out_dir),
+        lambda bench: load_checkpoint(os.path.join(config.out_dir, "pretrained.ckpt")),
+        lambda bench, model: load_detect_outcome(config.out_dir, bench),
+        lambda bench, model, det: load_label_outcome(config.out_dir, det),
     )
-    return [bench] + [load() for load in loaders[: count - 1]]
+    outputs = [bench]
+    for load in loaders[: count - 1]:
+        outputs.append(load(*outputs))
+    return outputs
 
 
 def run_experiment(config):
@@ -545,10 +548,20 @@ def write_detect_summary(out_dir, det, config):
     )
 
 
-def load_label_outcome(out_dir):
-    """Rebuild a LabelOutcome from the label manifests."""
-    soft_ids, soft_q = read_soft_label_manifest(os.path.join(out_dir, "softlabels.csv"))
-    pseudo = read_pseudo_label_manifest(os.path.join(out_dir, "pseudolabels.csv"))
+def load_label_outcome(out_dir, det):
+    """Rebuild a LabelOutcome from the label manifests, which must label
+    what `det` detected: soft labels the detected-out ids in pool order,
+    pseudo-labels only detected-in ids."""
+    path = os.path.join(out_dir, "softlabels.csv")
+    soft_ids, soft_q = read_soft_label_manifest(path)
+    if not np.array_equal(soft_ids, det.out_set):
+        raise ValueError(f"{path}: sample_id column is not the detected-out ids in pool order")
+    path = os.path.join(out_dir, "pseudolabels.csv")
+    pseudo = read_pseudo_label_manifest(path)
+    detected_in = set(det.in_set.tolist())
+    for p in pseudo:
+        if p.sample_id not in detected_in:
+            raise ValueError(f"{path}: sample_id {p.sample_id} is not a detected-in pool id")
     return LabelOutcome(soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo)
 
 

@@ -171,7 +171,7 @@ class GraphBuilder:
         eps = self.model.config.bn_epsilon
         if mode == "train":
             normed = g.apply("batch-norm", [h_id], eps=eps)
-            _, mu, _, var, _ = g.residuals(normed)
+            mu, _, var, _ = g.residuals(normed)
             batch_stats = (layer, branch, mu, var)
         else:
             mean = self.model.stats[f"{layer}.bn.{branch}.mean"]

@@ -57,8 +57,8 @@ def reference_batch_norm(g, h_id, eps):
     """Train-mode batch norm of node `h_id` as the primitive composition
     the model built before the fused `batch-norm` kind, node for node.
 
-    Returns the (normed, mu, var) node ids; the fused kind's value,
-    moments and gradients must match these bit for bit.
+    Returns the (normed, mu, var) node ids.  The oracle test in
+    test_autodiff.py holds this and the fused kind to one error bound.
     """
     n_rows = g.value(h_id).shape[0]
     width = g.value(h_id).shape[1]

@@ -1,6 +1,7 @@
 """Graph forward values against hand computation and every operation's
 gradient against central finite differences."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -473,8 +474,7 @@ class TestSoftmaxCrossEntropy:
 
 # Column kinds: exact zeros, a constant, a near-constant column (var far
 # below eps), +-1 entries, a 1e4 scale.  With small-integer weights and
-# scales these put exact zeros into the variance and mean branches, where
-# the tape skips a node and the fused VJP must add nothing either.
+# scales these put exact zeros into the gradient's column sums.
 _COLUMNS = {
     "plain": lambda rng, n: rng.standard_normal(n),
     "zero": lambda rng, n: np.zeros(n),
@@ -493,22 +493,68 @@ def _draw(rng, kind, shape):
     return signs * 5e-324 if kind == "subnormal" else signs
 
 
-class TestBatchNormMatchesComposition:
-    """The fused kind against the 12-node composition it replaced: the
-    value, the batch moments and the gradients w.r.t. the input and the
-    affine scale and shift, byte for byte."""
+# and columns whose mean is far from zero, so centering cancels digits
+_ORACLE_COLUMNS = {**_COLUMNS, "offset": lambda rng, n: 1e3 + rng.standard_normal(n)}
+
+
+def _exact_batch_norm(h, g, eps):
+    """Per column of h, at 60 digits: mu, var, inv_std = 1/sqrt(var + eps),
+    y = (h - mu) * inv_std and the gradient w.r.t. h for the upstream
+    gradient g, inv_std * (g - mean(g) - y * mean(g * y))."""
+    mp = mpmath.mp
+    n = h.shape[0]
+    with mp.workdps(60):
+        columns = []
+        for hc, gc in zip(h.T, g.T):
+            hc, gc = [mp.mpf(float(v)) for v in hc], [mp.mpf(float(v)) for v in gc]
+            mu = mp.fsum(hc) / n
+            var = mp.fsum((v - mu) ** 2 for v in hc) / n
+            inv_std = 1 / mp.sqrt(var + mp.mpf(eps))
+            y = [(v - mu) * inv_std for v in hc]
+            g_mean = mp.fsum(gc) / n
+            gy_mean = mp.fsum(a * b for a, b in zip(gc, y)) / n
+            grad = [inv_std * (a - g_mean - b * gy_mean) for a, b in zip(gc, y)]
+            columns.append((mu, var, inv_std, y, grad))
+        return columns
+
+
+class TestBatchNormOracle:
+    """The fused kind and the 12-node composition it replaced
+    (`helpers.reference_batch_norm`) against a 60-digit evaluation: the
+    value y, mu, var and the gradient w.r.t. h.
+
+    Centering places h - mu only to within the rounding of d = max|h| of
+    the column, and all that follows inherits it, so the errors are
+    measured in units that scale with d, not with the output (0 on a
+    constant column, where rounding may still leave 1e-10 at eps 1e-12):
+
+        mu        BOUND * d
+        var       BOUND * d * (2 max|h - mu| + BOUND * d), how far the
+                  variance moves when each deviation moves by BOUND * d
+        y         BOUND * inv_std * d
+        grad h    BOUND * inv_std * max|g| * (1 + inv_std * d), plus
+                  UNDERFLOW smallest subnormals times (1 + inv_std), for
+                  upstream gradients at the bottom of the subnormal range
+
+    BOUND is about 90 units of 2**-53.  Over 4,000 random batches of this
+    strategy the composition's worst error was 1.2e-15 of its unit and the
+    closed form's 7.3e-16; underflow left at most 1.6 smallest subnormals
+    times (1 + inv_std)."""
+
+    BOUND = 1e-14
+    UNDERFLOW = 8
 
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(2, 40),
-        columns=st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=12),
+        columns=st.lists(st.sampled_from(sorted(_ORACLE_COLUMNS)), min_size=1, max_size=12),
         eps=st.sampled_from([1e-5, 1e-12, 0.5]),
         scale_kind=st.sampled_from(["normal", "integer"]),
         weight_kind=st.sampled_from(["normal", "integer", "subnormal"]),
         seed=st.integers(0, 2**32 - 1),
     )
     # found by search: each makes the variance, the centering or the mean
-    # branch all zero
+    # branch of the composition all zero
     @example(n=3, columns=["zero"], eps=1e-5, scale_kind="integer", weight_kind="integer", seed=38)
     @example(n=2, columns=["signs", "signs"], eps=1e-5, scale_kind="integer",
              weight_kind="integer", seed=7)
@@ -516,34 +562,47 @@ class TestBatchNormMatchesComposition:
              weight_kind="integer", seed=90)
     @example(n=2, columns=["plain"], eps=1e-5, scale_kind="integer", weight_kind="subnormal",
              seed=3)
-    def test_bytes_match_composition(self, n, columns, eps, scale_kind, weight_kind, seed):
+    def test_within_bound_of_exact(self, n, columns, eps, scale_kind, weight_kind, seed):
         rng = np.random.default_rng(seed)
-        w = len(columns)
-        h = np.stack([_COLUMNS[kind](rng, n) for kind in columns], axis=1)
-        scale = _draw(rng, scale_kind, (1, w))
-        shift = rng.standard_normal((1, w))
-        weights = _draw(rng, weight_kind, (n, w))
+        h = np.stack([_ORACLE_COLUMNS[kind](rng, n) for kind in columns], axis=1)
+        # the upstream gradient an affine scale hands the batch norm
+        upstream = _draw(rng, scale_kind, (1, len(columns))) * _draw(rng, weight_kind, h.shape)
+        exact = _exact_batch_norm(h, upstream, eps)
 
         def run(bn):
             g = DiffGraph()
-            ids = [g.input(v) for v in (h, scale, shift)]
-            normed, moments = bn(g, ids[0])
-            out = g.apply("add", [g.apply("elementwise-mul", [normed, ids[1]]), ids[2]])
-            root = reduce_sum(g, g.apply("elementwise-mul", [out, g.input(weights)]))
-            grads = g.backward(root)
-            return [g.value(out)] + list(moments) + [grads[i] for i in ids]
+            h_id = g.input(h)
+            normed, mu, var = bn(g, h_id)
+            root = reduce_sum(g, g.apply("elementwise-mul", [normed, g.input(upstream)]))
+            return g.value(normed), mu, var, g.backward(root)[h_id]
 
         def fused(g, h_id):
-            _, mu, _, var, _ = batch_moments(g.value(h_id), eps)
-            return g.apply("batch-norm", [h_id], eps=eps), (mu, var)
+            mu, _, var, _ = batch_moments(g.value(h_id), eps)
+            return g.apply("batch-norm", [h_id], eps=eps), mu, var
 
         def composed(g, h_id):
             normed, mu, var = reference_batch_norm(g, h_id, eps)
-            return normed, (g.value(mu), g.value(var))
+            return normed, g.value(mu), g.value(var)
 
-        names = ["value", "mu", "var", "grad h", "grad scale", "grad shift"]
-        for name, a, b in zip(names, run(fused), run(composed)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        def err(got, want):
+            return max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, want))
+
+        bound, tiny = self.BOUND, mpmath.mpf(5e-324)
+        for form, bn in (("fused", fused), ("composed", composed)):
+            y, mu, var, grad = run(bn)
+            for j, (e_mu, e_var, inv_std, e_y, e_grad) in enumerate(exact):
+                d = mpmath.mpf(float(np.abs(h[:, j]).max()))
+                spread = max(abs(v) for v in e_y) / inv_std  # max|h - mu|
+                g_max = mpmath.mpf(float(np.abs(upstream[:, j]).max()))
+                where = f"{form} column {j} ({columns[j]})"
+                assert err(mu[:, j], [e_mu]) <= bound * d, f"{where}: mu"
+                assert err(var[:, j], [e_var]) <= bound * d * (2 * spread + bound * d), \
+                    f"{where}: var"
+                assert err(y[:, j], e_y) <= bound * inv_std * d, f"{where}: value"
+                assert err(grad[:, j], e_grad) <= (
+                    bound * inv_std * g_max * (1 + inv_std * d)
+                    + self.UNDERFLOW * tiny * (1 + inv_std)
+                ), f"{where}: grad h"
 
 
 # The VJPs as they were before the kinds kept forward residuals: each

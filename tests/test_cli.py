@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import statistics
 
 import pytest
@@ -103,6 +104,70 @@ class TestStagedPipeline:
         out = str(tmp_path / "empty")
         assert run_cli("generate", "--out-dir", out, *MICRO) == 0
         assert run_cli("detect", "--out-dir", out, *MICRO) == 1
+
+
+class TestLabelManifestsMatchDetection:
+    """Staged `train` holds the label manifests to the detection they
+    follow, and names the file and the sample_id when they disagree."""
+
+    @pytest.fixture(scope="class")
+    def labeled(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("labeled") / "run"
+        for stage in ("generate", "pretrain", "detect", "label"):
+            assert run_cli(stage, "--out-dir", str(out), *MICRO) == 0
+        return out
+
+    def train(self, labeled, tmp_path, capsys, name, edit):
+        """Train on a copy of `labeled` whose `name` has its lines (the
+        last one empty, after the final terminator) replaced by
+        `edit(lines)`; returns the exit code, stderr and the file's path."""
+        out = tmp_path / "run"
+        shutil.copytree(labeled, out)
+        path = out / name
+        lines = path.read_bytes().split(b"\r\n")
+        path.write_bytes(b"\r\n".join(edit(lines)))
+        capsys.readouterr()
+        code = run_cli("train", "--out-dir", str(out), *MICRO)
+        return code, capsys.readouterr().err, path
+
+    def test_soft_label_manifest_one_row_short(self, labeled, tmp_path, capsys):
+        code, err, path = self.train(
+            labeled, tmp_path, capsys, "softlabels.csv", lambda lines: lines[:-2] + [b""]
+        )
+        assert code == 1
+        assert f"error: {path}: sample_id column is not the detected-out ids" in err
+
+    def test_soft_label_manifest_one_row_long(self, labeled, tmp_path, capsys):
+        code, err, path = self.train(
+            labeled, tmp_path, capsys, "softlabels.csv",
+            lambda lines: lines[:-1] + [lines[-2], b""],
+        )
+        assert code == 1
+        assert f"error: {path}: sample_id column is not the detected-out ids" in err
+
+    @staticmethod
+    def first_pseudo_label_as(sample_id):
+        def edit(lines):
+            fields = lines[1].split(b",")
+            return [lines[0], b",".join([sample_id, *fields[1:]]), *lines[2:]]
+
+        return edit
+
+    def test_pseudo_label_outside_the_pool(self, labeled, tmp_path, capsys):
+        code, err, path = self.train(
+            labeled, tmp_path, capsys, "pseudolabels.csv", self.first_pseudo_label_as(b"99999")
+        )
+        assert code == 1
+        assert f"error: {path}: sample_id 99999 is not a detected-in pool id" in err
+
+    def test_pseudo_label_of_a_labeled_sample(self, labeled, tmp_path, capsys):
+        table = (labeled / "dataset" / "labeled.csv").read_bytes()
+        sample_id = table.split(b"\r\n")[1].split(b",")[0]
+        code, err, path = self.train(
+            labeled, tmp_path, capsys, "pseudolabels.csv", self.first_pseudo_label_as(sample_id)
+        )
+        assert code == 1
+        assert f"error: {path}: sample_id {sample_id.decode()} is not a detected-in pool id" in err
 
 
 class TestSweepAndReport:

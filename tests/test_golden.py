@@ -16,9 +16,9 @@ import numpy as np
 from openset_ssl.harness import run_experiment, strip_timings
 from test_harness import micro_config
 
-PRETRAINED = "67b1917558e8aafc483f7989abbefa41cb88abc8d47e9924a1a1de9a24083a8b"
-LAST_CHECKPOINT = "3d0357ec1377932ac1914e723cea7334d0e6f9b1491c8761de5fc5fcf97ee2cc"
-REPORT = "d585aa724efa3c1dd1f7298a9119da229c585917ca7f0a4c14f1c421658c6f60"
+PRETRAINED = "1ff76ab55c39c9a310339bb3ca4f3a31dbbe69cf8a338f8fca2b802b94b0681a"
+LAST_CHECKPOINT = "72ed6b51a3b623cdd3b9af4351db3387479244c44f8004ac5a098786e5807f0b"
+REPORT = "e6ffcc4b00e9a6644365cf9d7d3724a54f1b3e71757835bc67ae4df0ada2b57f"
 
 RECORDED_ON = (
     "numpy 2.4.6 with OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, "
