@@ -11,8 +11,13 @@ Both directions go `_CHUNK_ROWS` records at a time: the writer formats
 a chunk of rows per write, and the reader parses and converts a chunk of
 records as they stream from the file, so neither holds a whole table as
 text or as field strings.
+
+Every writer goes through `replacing`: the file is written under a temp
+name beside its target and renamed over it when complete, so a write that
+raises leaves the previous file as it was and no partial one.
 """
 
+import contextlib
 import csv
 import json
 import os
@@ -50,6 +55,22 @@ def _quote(value):
     return value
 
 
+@contextlib.contextmanager
+def replacing(path, mode="w", **kwargs):
+    """Open a temp file in `path`'s directory for writing; when the block
+    completes it replaces `path` (`os.replace`), and when the block raises
+    it is removed, leaving `path` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_table(path, header, formats, rows):
     """Write `rows` (tuples) under `header`, each value through the `%`
     format of its column.  Rows are formatted a chunk at a time, so a
@@ -57,7 +78,7 @@ def write_table(path, header, formats, rows):
     line = ",".join(formats) + "\r\n"
     text = [col for col, fmt in enumerate(formats) if fmt == TEXT]
     rows = iter(rows)
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             for col in text:
@@ -162,7 +183,7 @@ def _record_line(path, record):
 
 
 def write_json(path, doc):
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

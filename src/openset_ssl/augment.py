@@ -10,6 +10,15 @@ one `uniform(lo, hi)` jitter factor, `standard_normal(dim)` noise, then
 `choice(dim, floor(mask_fraction * dim), replace=False)` coordinates to
 zero.  A null config (sigma 0, range [1, 1], mask 0) reproduces the
 input bit-exactly.
+
+Every row's stream is drawn in lockstep, as array code: the first
+1 + dim outputs of all streams at once (`rng.StreamStates.outputs`), the
+jitter factor as `Generator.uniform` forms it from the first,
+lo + (hi - lo)·((r >> 11)·2^-53), and each normal by the ziggurat's
+one-output accept path (`rng.standard_normals`).  A row is finished by a
+real `Generator` loaded with its stream's state at the first draw that
+array code does not cover: a normal the ziggurat does not accept from
+its word alone, or the masked coordinates, which `choice` draws.
 """
 
 from dataclasses import dataclass
@@ -51,33 +60,37 @@ def augment_batch(batch, ids, config, seed, step, view):
 
     `view` is one view index, giving (n, dim) rows, or a sequence of k
     view indices, giving (k * n, dim) rows view-major: all n rows of the
-    first view, then all n of the next.  The generator states of every
-    (id, view) pair come from one vectorized `rng.stream_states` call over
-    a (k * n, 2) block of subkeys and are loaded in turn into one reused
-    generator (seeded once with a constant, since every row overwrites its
-    state), instead of seeding a fresh generator per row.
+    first view, then all n of the next.  The streams of every (id, view)
+    pair come from one vectorized `rng.stream_states` call over a
+    (k * n, 2) block of subkeys and are drawn in lockstep.
     """
     batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2:
+        raise ValueError(f"augment_batch expects an (n, dim) batch, got shape {batch.shape}")
     if len(ids) != len(batch):
         raise ValueError(f"{len(ids)} ids for a batch of {len(batch)} rows")
     views = rng_mod.key_array(view).reshape(-1)
     n, dim = batch.shape
     keys = np.column_stack([np.tile(rng_mod.key_array(ids), len(views)), np.repeat(views, n)])
     states = rng_mod.stream_states(seed, config.stream, step, keys)
+    raw, stepped = states.outputs(1 + dim)
     lo, hi = config.jitter_range
+    factors = lo + (hi - lo) * ((raw[:, 0] >> 11) * 2.0**-53)
+    noise, accepted = rng_mod.standard_normals(raw[:, 1:])
+    # each row's first normal off the one-output path, dim where there is none
+    first = np.hstack([accepted, np.zeros((len(states), 1), dtype=bool)]).argmin(axis=1)
     n_mask = int(config.mask_fraction * dim)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    factors = []
-    noise = np.empty((len(states), dim))
     masked = np.empty((len(states), n_mask), dtype=np.intp)
-    for row, state in enumerate(states):
+    bitgen = np.random.PCG64(0)  # seeded once: every row loads its own state
+    gen = np.random.Generator(bitgen)
+    rows = np.arange(len(states)) if n_mask else np.flatnonzero(first < dim)
+    starts = first[rows]
+    for row, start, state in zip(rows.tolist(), starts.tolist(), stepped(rows, 1 + starts)):
         bitgen.state = state
-        factors.append(gen.uniform(lo, hi))
-        gen.standard_normal(out=noise[row])
+        gen.standard_normal(out=noise[row, start:])
         if n_mask:  # the stream's last draw: skipping an empty one changes nothing
             masked[row] = gen.choice(dim, size=n_mask, replace=False)
-    out = np.tile(batch, (len(views), 1)) * np.array(factors).reshape(-1, 1)
+    out = np.tile(batch, (len(views), 1)) * factors[:, None]
     out += config.noise_sigma * noise
     if n_mask:
         out[np.arange(len(states))[:, None], masked] = 0.0

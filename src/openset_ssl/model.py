@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
+from .artifacts import replacing
 from .autodiff import DiffGraph
 
 CHECKPOINT_VERSION = 1
@@ -329,7 +330,7 @@ def save_checkpoint(path, model):
         ],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for a in arrays:

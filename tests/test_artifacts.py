@@ -21,6 +21,7 @@ from openset_ssl.labeling import (
     write_pseudo_label_manifest,
     write_soft_label_manifest,
 )
+from openset_ssl.model import ModelConfig, build_model, save_checkpoint
 from openset_ssl.train import write_train_trace
 
 SPECIAL = [-0.0, 5e-324, 5e300, -1.25e-7, 1.0]  # negative zero, a subnormal, a huge real
@@ -278,3 +279,40 @@ def test_read_json_names_the_file(tmp_path):
     with pytest.raises(ValueError) as err:
         read_json(path)
     assert str(err.value).startswith(f"{path}: line 3, column 10: ")
+
+
+
+def _table(path, bad_row=None):
+    rows = [(i, 0.5 * i, f"r{i}") for i in range(2 * artifacts._CHUNK_ROWS)]
+    if bad_row is not None:
+        rows[bad_row] = (None, 0.0, "bad")  # None in a %d column
+    write_table(path, ["id", "x", "name"], [INT, REAL, TEXT], rows)
+
+
+def _checkpoint(path, broken=False):
+    model = build_model(ModelConfig(input_dim=3, embed_dim=4, proj_dim=2), seed=0)
+    if broken:  # fails after the manifest is written
+        model.stats["broken"] = np.array(["not a real"])
+    save_checkpoint(path, model)
+
+
+REWRITES = {
+    "table": (_table, lambda path: _table(path, bad_row=artifacts._CHUNK_ROWS + 500)),
+    "json": (lambda path: write_json(path, {"a": [1, 2]}),
+             lambda path: write_json(path, {"a": [1, object()]})),
+    "checkpoint": (_checkpoint, lambda path: _checkpoint(path, broken=True)),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(REWRITES))
+def test_failed_rewrite_keeps_the_previous_file(tmp_path, writer):
+    """A write that raises part way, here in the table's second chunk,
+    leaves the file it would replace byte for byte and no temp file."""
+    write, rewrite = REWRITES[writer]
+    path = tmp_path / "out"
+    write(path)
+    before = path.read_bytes()
+    with pytest.raises((TypeError, ValueError)):
+        rewrite(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -1,6 +1,8 @@
 """Augmentation family, paired-view contrastive loss against a brute-force
 evaluation, and pretraining behavior."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_augment_batch
 from openset_ssl import augment as augment_module
+from openset_ssl import rng as rng_mod
 from openset_ssl.augment import AugmentConfig, augment_batch
 from openset_ssl.contrastive import (
     ContrastiveConfig,
@@ -104,6 +107,11 @@ class TestAugment:
         with pytest.raises(ValueError):
             augment_batch(np.zeros((2, 3)), [1], AugmentConfig(), 0, 0, 0)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_batch_that_is_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            augment_batch(np.zeros(shape), [1, 2, 3][:shape[0]], AugmentConfig(), 0, 0, 0)
+
     def test_package_attribute_is_the_submodule(self):
         import openset_ssl
 
@@ -114,7 +122,8 @@ class TestAugment:
     @given(
         ids=st.lists(st.one_of(st.integers(0, 2**70),
                                st.sampled_from([0, 2**32 - 1, 2**32, 2**64])), max_size=9),
-        dim=st.integers(1, 12),
+        # 16 and 64 wide, a row's noise often leaves the ziggurat's one-output path
+        dim=st.one_of(st.integers(1, 12), st.sampled_from([16, 64])),
         mask_fraction=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
         sigma=st.sampled_from([0.0, 0.4, 1.3]),
         jitter=st.sampled_from([(1.0, 1.0), (0.8, 1.2), (0.5, 2.0)]),
@@ -150,6 +159,45 @@ class TestAugment:
         )
         got = augment_batch(batch, ids, cfg, seed, step, views)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    # (sample id, mask_fraction, normals that leave the one-output path) of
+    # the stream ("augment", seed 0, step 0, id, view 0) at dim 16, found by
+    # search over ids: the first, a middle and the last normal rejected,
+    # the tail of idx 0, idx 1 (ki = 0), and a masked row after a rejection
+    REJECTIONS = {
+        "first": (271, 0.0, [0]),
+        "middle": (14, 0.0, [8, 11]),
+        "last": (16, 0.0, [15]),
+        "idx-0-tail": (138, 0.0, [11]),
+        "idx-1": (41, 0.0, [8, 15]),
+        "masked-after-rejection": (14, 0.25, [8, 11]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_rows_off_the_one_output_path_match_the_oracle(self, case):
+        sid, mask_fraction, rejected = self.REJECTIONS[case]
+        raw = rng_mod.stream(0, "augment", 0, sid, 0).bit_generator.random_raw(17)
+        _, accepted = rng_mod.standard_normals(raw[1:])
+        assert np.flatnonzero(~accepted).tolist() == rejected
+        layer = {"idx-0-tail": 0, "idx-1": 1}.get(case)
+        assert layer is None or raw[1 + rejected[0]] & 0xFF == layer
+        cfg = AugmentConfig(noise_sigma=0.7, mask_fraction=mask_fraction)
+        batch = np.random.default_rng(sid).standard_normal((3, 16))
+        ids = [sid, 5, sid + 1]
+        got = augment_batch(batch, ids, cfg, 0, 0, 0)
+        assert got.tobytes() == reference_augment_batch(batch, ids, cfg, 0, 0, 0).tobytes()
+
+    @pytest.mark.parametrize("mask_fraction", [0.0, 0.25])
+    def test_every_row_falling_back_is_bit_equal(self, monkeypatch, mask_fraction):
+        wi, bound = rng_mod._ziggurat()
+        monkeypatch.setattr(rng_mod, "_ziggurat", lambda: (wi, 0 * bound))
+        cfg = AugmentConfig(noise_sigma=0.7, mask_fraction=mask_fraction)
+        batch = np.random.default_rng(2).standard_normal((40, 16))
+        ids = list(range(0, 400, 10))
+        expected = np.concatenate(
+            [reference_augment_batch(batch, ids, cfg, 3, 4, v) for v in (0, 1)]
+        )
+        assert augment_batch(batch, ids, cfg, 3, 4, (0, 1)).tobytes() == expected.tobytes()
 
     def test_views_in_one_call_with_duplicate_ids_zero_and_an_empty_batch(self):
         cfg = AugmentConfig(mask_fraction=0.25)

@@ -81,3 +81,74 @@ class TestStreamStates:
             rng.stream_states(0, "x", 1, 2)
         with pytest.raises(ValueError):
             rng.stream_states(0, "x", [1], [2])
+
+
+KEYS_PAST_WORDS = [0, 2**32 - 1, 2**63, 2**64, 2**70]
+
+
+class TestLockstepOutputs:
+    @pytest.mark.parametrize("count", [1, 2, 17, 65])
+    def test_outputs_and_stepped_states_match_the_stream(self, count):
+        def bitgen(key):
+            return rng.stream(5, "augment", 3, key, 1).bit_generator
+
+        states = rng.stream_states(5, "augment", 3, KEYS_PAST_WORDS, 1)
+        raw, stepped = states.outputs(count)
+        assert raw.shape == (len(KEYS_PAST_WORDS), count) and raw.dtype == np.uint64
+        for key, out in zip(KEYS_PAST_WORDS, raw):
+            assert np.array_equal(out, bitgen(key).random_raw(count)), key
+        rows = np.arange(len(KEYS_PAST_WORDS))
+        for draws in sorted({1, count // 2 + 1, count}):
+            for key, state in zip(KEYS_PAST_WORDS, stepped(rows, np.full(len(rows), draws))):
+                stream = bitgen(key)
+                stream.random_raw(draws)
+                assert state == stream.state, (key, draws)
+
+    def test_crafted_state_outputs_the_word(self):
+        bitgen = np.random.PCG64()
+        for word in [0, 1, 2**63 + 12345, 2**64 - 1]:
+            bitgen.state = rng._crafted(word)
+            assert int(bitgen.random_raw()) == word
+
+
+def _draw_from_word(word):
+    """Generator.standard_normal from a generator whose next output is
+    `word`, and whether it drew that output alone."""
+    bitgen = np.random.PCG64()
+    bitgen.state = rng._crafted(word)
+    x = np.random.Generator(bitgen).standard_normal()
+    after = int(bitgen.random_raw())
+    bitgen.state = rng._crafted(word)
+    return x, after == int(bitgen.random_raw(2)[1])
+
+
+class TestZigguratTables:
+    """The tables read back from numpy reproduce its `standard_normal` on
+    crafted words: rabs = 1 draws +-wi[idx], and every rabs below the
+    bound is accepted alone, its largest included."""
+
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_tables_reproduce_the_generator(self, sign):
+        wi, bound = rng._ziggurat()
+        assert wi.shape == bound.shape == (512,)
+        assert bound[1] == 0 and (bound[2:256] > 0).all() and bound[0] > 0
+        words, expected = [], []
+        for idx in range(256):
+            layer = idx | sign << 8
+            assert bound[layer] == bound[idx] and wi[layer] == (-1) ** sign * wi[idx]
+            if not bound[idx]:  # idx 1: even rabs = 1 leaves the one-output path
+                assert not _draw_from_word(1 << 9 | layer)[1]
+                continue
+            for rabs in {1, int(bound[idx]) - 1}:
+                word = rabs << 9 | layer
+                x, alone = _draw_from_word(word)
+                assert alone and x == (-1) ** sign * rabs * wi[idx], (idx, rabs)
+                words.append(word)
+                expected.append(x)
+        x, accepted = rng.standard_normals(np.array(words, dtype=np.uint64))
+        assert accepted.all() and np.array_equal(x, expected)
+
+    def test_idx_0_bound_is_exact(self):
+        _, bound = rng._ziggurat()
+        assert _draw_from_word(int(bound[0]) - 1 << 9)[1]
+        assert not _draw_from_word(int(bound[0]) << 9)[1]
