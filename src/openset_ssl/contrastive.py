@@ -53,6 +53,17 @@ class GraphLoss:
         grads = self.builder.graph.backward(self.node)
         return self.builder.gradients_by_name(grads)
 
+    def update(self, optimizer, config, loop, step, lr_step=None):
+        """The step of every fitting loop: abort on a non-finite loss, naming
+        `loop` and `step`; fold in the batch statistics; step at `config.lr`,
+        cosine-decayed at `lr_step` (default `step`) if `config` says so."""
+        if not np.isfinite(self.value):
+            raise RuntimeError(f"{loop} loss became non-finite at step {step}")
+        commit_batch_stats(self.builder.model, self.batch_stats)
+        lr_step = step if lr_step is None else lr_step
+        lr = cosine_lr(config.lr, lr_step, config.steps) if config.cosine_decay else None
+        optimizer.step(self.parameter_gradients(), lr=lr)
+
 
 def ntxent_query_loss(query, positive, candidates, tau_con):
     """-log( exp(h(q, +)/tau) / sum_i exp(h(q, c_i)/tau) ) with cosine h.
@@ -150,11 +161,7 @@ def pretrain(model, pool, pool_ids, config, seed, trace_path=None):
         loss = simclr_batch_loss(
             model, batch, config, seed=seed, step=step, ids=ids
         )
-        if not np.isfinite(loss.value):
-            raise RuntimeError(f"pretraining loss became non-finite at step {step}")
-        commit_batch_stats(model, loss.batch_stats)
-        lr = cosine_lr(config.lr, step, config.steps) if config.cosine_decay else None
-        opt.step(loss.parameter_gradients(), lr=lr)
+        loss.update(opt, config, "pretraining", step)
         trace.append((step, loss.value))
     if config.steps > 0:
         calibrate_running_stats(model, pool, config.batch_size, seed)

@@ -46,7 +46,10 @@ from .metrics import auroc, median_last_n, tpr_tnr
 from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .train import SSLConfig, init_train_state, one_hot, train
 
-SWEEP_AXES = ("proportion", "tau_sl", "lambda", "k_fraction", "eta")
+# each sweep axis -> the (section, field) of `ExperimentConfig` it sets
+SWEEP_AXES = {"proportion": ("benchmark", "out_proportion"), "tau_sl": ("labeling", "tau_sl"),
+              "lambda": ("ssl", "lam"), "k_fraction": ("labeling", "k_fraction"),
+              "eta": ("detection", "eta")}
 
 
 @dataclass(frozen=True)
@@ -414,34 +417,32 @@ def strip_timings(report):
 
 
 def apply_axis(config, axis, value):
-    if axis == "proportion":
-        return replace(config, benchmark=replace(config.benchmark, out_proportion=float(value)))
-    if axis == "tau_sl":
-        return replace(config, labeling=replace(config.labeling, tau_sl=float(value)))
-    if axis == "lambda":
-        return replace(config, ssl=replace(config.ssl, lam=float(value)))
-    if axis == "k_fraction":
-        return replace(config, labeling=replace(config.labeling, k_fraction=float(value)))
-    if axis == "eta":
-        return replace(config, detection=replace(config.detection, eta=float(value)))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+    section, name = SWEEP_AXES[axis]
+    return replace(config, **{section: replace(getattr(config, section), **{name: float(value)})})
 
 
 def run_sweep(config, axis, values):
-    """One experiment per axis value, same master seed throughout.
+    """One experiment per axis value, same master seed throughout, each in
+    its own `{axis}_{value:g}` directory (values that would share one fail).
 
     Per-run failures are recorded in the table and the sweep continues.
     """
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
+    runs = {}  # run directory -> value
+    for value in values:
+        run_dir = f"{axis}_{value:g}"
+        if run_dir in runs:
+            raise ValueError(f"sweep values {runs[run_dir]} and {value} share the run directory {run_dir}")
+        runs[run_dir] = value
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []
-    for value in values:
-        sub = apply_axis(config, axis, value)
-        sub = replace(
-            sub, out_dir=os.path.join(config.out_dir, f"{axis}_{value:g}"), raw_text=None
-        )
+    for run_dir, value in runs.items():
+        sub = replace(apply_axis(config, axis, value),
+                      out_dir=os.path.join(config.out_dir, run_dir), raw_text=None)
         row = {"axis": axis, "value": value, "error": None, "report": None}
         try:
             row["report"] = run_experiment(sub)

@@ -16,6 +16,7 @@ from . import rng as rng_mod
 from .artifacts import INT, REAL, read_table, write_table
 from .autodiff import softmax_rows
 from .model import forward
+from .train import one_hot
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,9 @@ def train_linear_eval(model, labeled_x, labeled_y, config, seed):
     if len(labeled_x) == 0:
         raise ValueError("labeled set is empty")
     emb = forward(model, np.asarray(labeled_x, dtype=np.float64), heads=()).embedding
-    y = np.asarray(labeled_y, dtype=np.int64)
     n, d = emb.shape
     c = model.config.num_classes
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y - 1] = 1.0
+    onehot = one_hot(labeled_y, c)
 
     gen = rng_mod.stream(seed, "linear_eval.init")
     bound = 1.0 / np.sqrt(d)

@@ -338,37 +338,39 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; a short or overlong file raises ValueError
-    naming the path and the part that does not fit."""
+    """Read a checkpoint; a short, overlong or malformed file raises
+    ValueError naming the path and the part or field that does not fit."""
     with open(path, "rb") as fh:
         data = fh.read()
     (length,) = struct.unpack_from("<I", data.ljust(4, b"\0"))
     end = 4 + length  # beyond a file shorter than the length field itself
     if len(data) < end:
         raise ValueError(f"checkpoint {path}: truncated manifest")
-    manifest = json.loads(data[4:end].decode("utf-8"))
-    if manifest["format_version"] != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version {manifest['format_version']}"
-        )
-    config = ModelConfig(**manifest["config"])
-    model = Model(config=config)
+    try:  # a byte that is not UTF-8, or text that is not JSON, is a ValueError
+        manifest = json.loads(data[4:end].decode("utf-8"))
+        if manifest["format_version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {manifest['format_version']}")
+        model = Model(config=ModelConfig(**manifest["config"]))
+        arrays = [(a["name"], tuple(a["shape"]), a["kind"]) for a in manifest["arrays"]]
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path}: manifest has no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc
     offset = end
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape, kind in arrays:
         count = int(np.prod(shape)) if shape else 1
         if offset + count * 8 > len(data):
             raise ValueError(
-                f"checkpoint {path}: array {entry['name']!r} truncated "
+                f"checkpoint {path}: array {name!r} truncated "
                 f"({len(data) - offset} of {count * 8} bytes)"
             )
         raw = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         arr = raw.astype(np.float64).reshape(shape)
         offset += count * 8
-        if entry["kind"] == "param":
-            model.params[entry["name"]] = arr
+        if kind == "param":
+            model.params[name] = arr
         else:
-            model.stats[entry["name"]] = arr
+            model.stats[name] = arr
     if offset != len(data):
         raise ValueError(f"checkpoint {path}: {len(data) - offset} trailing bytes")
     return model

@@ -6,9 +6,12 @@ are mutually independent, and drawing from one never shifts another, so
 enabling or disabling a pipeline stage cannot perturb the stages around it.
 
 `stream_states` seeds many streams that differ in one subkey, or in a
-block of consecutive subkeys, in a single vectorized pass: the entropy
-words of every stream are assembled as one uint32 array and mixed as
-NumPy's `SeedSequence` mixes them.  It returns a `StreamStates`, which
+block of consecutive subkeys, in two paths.  Rows whose batched keys are
+all below 2^32 give SeedSequence one entropy word per key, so they all
+read the same number of words: their words are assembled as one uint32
+array and mixed in a single vectorized pass, as NumPy's `SeedSequence`
+mixes them.  Any wider row is seeded by `SeedSequence` itself, as
+`stream` seeds it.  It returns a `StreamStates`, which
 holds each stream's PCG64 seed as arrays; its entry i is the
 `bit_generator.state` dict of stream i, bit-identical to
 `stream(...).bit_generator.state`, built only when read.
@@ -57,15 +60,16 @@ def _label_entropy(label):
     return int.from_bytes(digest, "little")
 
 
+def _seed_sequence(master_seed, label, subkeys):
+    return np.random.SeedSequence((int(master_seed), _label_entropy(label), *map(int, subkeys)))
+
+
 def stream(master_seed, label, *subkeys):
     """Return a Generator for the stream named (label, *subkeys).
 
     The same (master_seed, label, subkeys) always yields the same stream.
     """
-    entropy = (int(master_seed), _label_entropy(label)) + tuple(
-        int(k) for k in subkeys
-    )
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(master_seed, label, subkeys)))
 
 
 def _words(n):
@@ -151,28 +155,6 @@ def key_array(keys):
     return arr
 
 
-def _key_words(keys):
-    """The words SeedSequence reads from each of a column of keys.
-
-    Returns an (n, w) uint32 array of every key's little-endian 32-bit
-    words, zero past its top word, and the (n,) count of words it reads
-    (at least one).  Keys past int64 arrive as an object array of Python
-    ints, which the same shifts and masks split.
-    """
-    negative = keys < 0
-    if negative.any():
-        raise ValueError(f"stream keys must be nonnegative integers, got {keys[negative][0]}")
-    words = []
-    counts = np.ones(len(keys), dtype=np.intp)
-    while True:
-        words.append((keys & _MASK32).astype(np.uint32))
-        keys = keys >> 32
-        more = keys != 0
-        if not more.any():
-            return np.stack(words, axis=1), counts
-        counts[more] = len(words) + 1
-
-
 def stream_states(master_seed, label, *subkeys):
     """Starting PCG64 states of a batch of streams, as a `StreamStates`,
     without building the streams.
@@ -196,24 +178,19 @@ def stream_states(master_seed, label, *subkeys):
         block = block[:, None]
     if block.ndim != 2:
         raise ValueError(f"the sequence subkey must be 1-D or 2-D, got shape {block.shape}")
+    negative = block < 0
+    if negative.any():
+        raise ValueError(f"stream keys must be nonnegative integers, got {block[negative][0]}")
+    head = [w for k in (master_seed, _label_entropy(label), *subkeys[:pos]) for w in _words(k)]
+    tail = np.array([w for k in subkeys[pos + 1:] for w in _words(k)], dtype=np.uint32)
+    # a key below 2^32 is one word, so these rows all read as many words
+    narrow = (block <= _MASK32).all(axis=1)
+    keys = block[narrow].astype(np.uint32)
     seeds = np.empty((len(block), 4), dtype=np.uint64)
-    if not len(block):
-        return StreamStates(seeds)
-    head = _words(master_seed) + _words(_label_entropy(label))
-    for k in subkeys[:pos]:
-        head += _words(k)
-    tail = [w for k in subkeys[pos + 1:] for w in _words(k)]
-    # every key's words side by side, and which of them SeedSequence reads
-    columns = [_key_words(block[:, c]) for c in range(block.shape[1])]
-    words = np.hstack([w for w, _ in columns])
-    read = np.hstack([np.arange(w.shape[1]) < c[:, None] for w, c in columns])
-    lengths = read.sum(axis=1)
-    # SeedSequence consumes a varying number of words per row: group rows by it
-    for length in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == length)
-        keys = words[rows][read[rows]].reshape(len(rows), length)
-        tail_words = np.broadcast_to(np.array(tail, dtype=np.uint32), (len(rows), len(tail)))
-        seeds[rows] = _generate_state(np.hstack([keys, tail_words]), head)
+    seeds[narrow] = _generate_state(np.hstack([keys, np.broadcast_to(tail, (len(keys), len(tail)))]), head)
+    for row in np.flatnonzero(~narrow).tolist():
+        row_keys = (*subkeys[:pos], *block[row].tolist(), *subkeys[pos + 1:])
+        seeds[row] = _seed_sequence(master_seed, label, row_keys).generate_state(4, np.uint64)
     return StreamStates(seeds)
 
 

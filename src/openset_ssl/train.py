@@ -32,8 +32,8 @@ from .artifacts import INT, REAL, TEXT, optional_real, write_table
 from .augment import AugmentConfig, augment_batch
 from .autodiff import logsumexp_rows, softmax_rows
 from .contrastive import GraphLoss
-from .model import GraphBuilder, commit_batch_stats, forward, save_checkpoint
-from .optim import NesterovSGD, cosine_lr
+from .model import GraphBuilder, forward, save_checkpoint
+from .optim import NesterovSGD
 
 BACKENDS = ("consistency", "hard-pseudo")
 LOGITS = ("logits",)  # fine-tuning never reads the projection header
@@ -142,9 +142,7 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
     if config.backend == "hard-pseudo":
         conf = target_probs.max(axis=1)
         mask = (conf > config.confidence_threshold).astype(np.float64)[:, None]
-        hard = np.zeros_like(target_probs)
-        hard[np.arange(len(conf)), target_probs.argmax(axis=1)] = 1.0
-        return v2, hard, mask
+        return v2, one_hot(target_probs.argmax(axis=1) + 1, target_probs.shape[1]), mask
     return v2, target_probs, None
 
 
@@ -292,11 +290,7 @@ def train(
             plan_kwargs.update(out_x=out_x[oi], out_q=out_q[oi])
         plan = StepPlan(labeled_x=labeled_x[li], labeled_q=labeled_q[li], **plan_kwargs)
         loss = build_step_loss(model, plan, config)
-        if not np.isfinite(loss.value):
-            raise RuntimeError(f"training loss became non-finite at step {step}")
-        commit_batch_stats(model, loss.batch_stats)
-        lr = cosine_lr(config.lr, local, config.steps) if config.cosine_decay else None
-        state.optimizer.step(loss.parameter_gradients(), lr=lr)
+        loss.update(state.optimizer, config, "training", step, lr_step=local)
         state.step += 1
         state.samples_seen += bsz
 
@@ -357,15 +351,11 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
         nodes = builder.forward(x, branch="main", mode="train", heads=LOGITS)
         loss_node = cross_entropy_node(builder, out_q[idx], nodes.logits)
         loss = GraphLoss(builder=builder, node=loss_node, batch_stats=nodes.batch_stats)
-        if not np.isfinite(loss.value):
-            raise RuntimeError(f"aux-only loss became non-finite at step {step}")
+        loss.update(opt, config, "aux-only", step)
         if record_entropy:
             logits = builder.graph.value(nodes.logits)
             log_probs = logits - logsumexp_rows(logits)
             entropy_trace.append(float(-(np.exp(log_probs) * log_probs).sum(axis=1).mean()))
-        commit_batch_stats(model, loss.batch_stats)
-        lr = cosine_lr(config.lr, step, config.steps) if config.cosine_decay else None
-        opt.step(loss.parameter_gradients(), lr=lr)
     if record_entropy:
         return model, entropy_trace
     return model

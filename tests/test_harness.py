@@ -239,8 +239,19 @@ class TestSweep:
         assert rows[1]["report"]["detection"]["auroc"] is not None
 
     def test_unknown_axis_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             apply_axis(micro_config(tmp_path), "nope", 1.0)
+        assert str(err.value) == ("unknown sweep axis 'nope'; expected one of "
+                                  "('proportion', 'tau_sl', 'lambda', 'k_fraction', 'eta')")
+
+    @pytest.mark.parametrize("values", [[0.5, 0.5000001], [0.5, 1.0, 0.5]])
+    def test_values_sharing_a_run_directory_rejected_before_any_run(self, tmp_path, values):
+        out = tmp_path / "dup"
+        with pytest.raises(ValueError) as err:
+            run_sweep(micro_config(out), "lambda", values)
+        assert str(err.value) == (
+            f"sweep values 0.5 and {values[-1]} share the run directory lambda_0.5")
+        assert not out.exists()
 
     def test_empty_values_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -592,6 +592,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*trailing bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old, new, fault", [
+        (b'"enc0.w"', b'"\xffnc0.w"',
+         "'utf-8' codec can't decode byte 0xff in position 39: invalid start byte"),
+        (b'"arrays"', b'"arrayz"', "manifest has no field 'arrays'"),
+        (b'"shape"', b'"shapx"', "manifest has no field 'shape'"),
+        (b'"embed_dim"', b'"embed_dix"',
+         "ModelConfig.__init__() got an unexpected keyword argument 'embed_dix'"),
+        (b'"format_version": 1', b'"format_version": 2', "unsupported checkpoint version 2"),
+    ], ids=["utf8", "key", "shape", "config", "version"])
+    def test_manifest_fault_names_the_path_and_the_field(self, tmp_path, old, new, fault):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(small_config(), seed=9))
+        data = path.read_bytes()
+        assert len(old) == len(new) and old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"checkpoint {path}: {fault}"
+
     def test_version_check(self, tmp_path):
         import json
         import struct

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openset_ssl import rng
+from openset_ssl.augment import AugmentConfig, augment_batch
 
 
 class TestStreamStates:
@@ -30,6 +31,8 @@ class TestStreamStates:
         ids=st.lists(st.integers(0, 2**100), max_size=5),
         tail=st.lists(st.integers(0, 2**40), max_size=2),
     )
+    # keys either side of 2^32 take the two seeding paths in one call
+    @example(seed=9, label="augment", head=[4], ids=[2**32 - 1, 2**32, 1, 2**32], tail=[2])
     def test_states_match_stream(self, seed, label, head, ids, tail):
         states = rng.stream_states(seed, label, *head, ids, *tail)
         assert len(states) == len(ids)
@@ -48,6 +51,9 @@ class TestStreamStates:
             max_size=6)),
         tail=st.lists(st.integers(0, 2**40), max_size=2),
     )
+    # a key of 2^32 or more beside a narrow one, in one row and across rows
+    @example(seed=9, label="augment", head=[4], tail=[2],
+             block=[[2**32 - 1, 2**32], [2**32 - 1, 0], [2**32, 2**32], [1, 2**32 - 1]])
     def test_block_states_match_stream_row_by_row(self, seed, label, head, block, tail):
         states = rng.stream_states(seed, label, *head, block, *tail)
         assert len(states) == len(block)
@@ -75,6 +81,28 @@ class TestStreamStates:
             rng.stream_states(0, "x", [2**64, -1])
         with pytest.raises(ValueError):
             rng.stream_states(-1, "x", [1])
+
+    def test_pretrain_shape_builds_no_seed_sequence_per_row(self, monkeypatch):
+        """At the pretraining workload's shape (128 ids x 2 views, dim 16)
+        every key is below 2^32, so every row is seeded in the vectorized
+        pass: the one `SeedSequence` a call builds is the shared head's,
+        and a second one raises."""
+        batch = np.random.default_rng(0).standard_normal((128, 16))
+        ids = np.arange(4_000, 4_128)
+        config = AugmentConfig(stream="pretrain.augment")
+        expected = augment_batch(batch, ids, config, 1, 7, (0, 1))
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def first_only(*args, **kwargs):
+            if built:
+                raise AssertionError("a row was seeded on its own")
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(rng.np.random, "SeedSequence", first_only)
+        got = augment_batch(batch, ids, config, 1, 7, (0, 1))
+        assert len(built) == 1 and got.tobytes() == expected.tobytes()
 
     def test_exactly_one_sequence_subkey(self):
         with pytest.raises(ValueError):

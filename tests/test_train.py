@@ -10,6 +10,7 @@ from helpers import (
     relu_kink_margin,
 )
 from openset_ssl.augment import AugmentConfig
+from openset_ssl.contrastive import ContrastiveConfig, pretrain
 from openset_ssl.model import GraphBuilder, ModelConfig, build_model
 from openset_ssl.train import (
     SSLConfig,
@@ -333,15 +334,26 @@ class TestTrainLoop:
         for acc in state.checkpoint_accuracies:
             assert 0.0 <= acc <= 1.0
 
-    def test_non_finite_loss_aborts_with_step_index(self):
+    @pytest.mark.parametrize("loop", ["pretraining", "training", "aux-only"])
+    def test_non_finite_loss_aborts_with_step_index(self, loop):
+        """Every fitting loop stops at the first non-finite loss, naming
+        itself and the step; the infinite weights warn on the way."""
         lx, lq, ii, ix, oi, ox, q = small_training_setup(seed=6)
         model = toy_model()
-        model.params["head.w"] = model.params["head.w"] * np.inf
+        # the classifier feeds the fine-tuning losses, the projection NT-Xent
+        model.params["head.w"] = np.full_like(model.params["head.w"], np.inf)
+        model.params["proj1.w"] = np.full_like(model.params["proj1.w"], np.inf)
         config = cfg(steps=3)
-        state = init_train_state(model, config)
-        with pytest.raises(RuntimeError) as err:
-            train(state, lx, lq, ii, ix, oi, ox, q, config, seed=0)
-        assert "step 0" in str(err.value)
+        fits = {
+            "pretraining": lambda: pretrain(
+                model, ix, ii, ContrastiveConfig(batch_size=4, steps=3), seed=0),
+            "training": lambda: train(
+                init_train_state(model, config), lx, lq, ii, ix, oi, ox, q, config, seed=0),
+            "aux-only": lambda: aux_only_train(model, ox, q, config, seed=0),
+        }
+        with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError) as err:
+            fits[loop]()
+        assert str(err.value) == f"{loop} loss became non-finite at step 0"
 
 
 class TestAuxOnlyTrain:
