@@ -12,7 +12,7 @@ zero.  A null config (sigma 0, range [1, 1], mask 0) reproduces the
 input bit-exactly.
 
 Every row's stream is drawn in lockstep, as array code: the first
-1 + dim outputs of all streams at once (`rng.StreamStates.outputs`), the
+1 + dim outputs of all streams at once (`rng.stream_outputs`), the
 jitter factor as `Generator.uniform` forms it from the first,
 lo + (hi - lo)·((r >> 11)·2^-53), and each normal by the ziggurat's
 one-output accept path (`rng.standard_normals`).  A row is finished by a
@@ -61,8 +61,8 @@ def augment_batch(batch, ids, config, seed, step, view):
     `view` is one view index, giving (n, dim) rows, or a sequence of k
     view indices, giving (k * n, dim) rows view-major: all n rows of the
     first view, then all n of the next.  The streams of every (id, view)
-    pair come from one vectorized `rng.stream_states` call over a
-    (k * n, 2) block of subkeys and are drawn in lockstep.
+    pair are drawn in lockstep by one `rng.stream_outputs` call over a
+    (k * n, 2) block of subkeys.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -72,18 +72,17 @@ def augment_batch(batch, ids, config, seed, step, view):
     views = rng_mod.key_array(view).reshape(-1)
     n, dim = batch.shape
     keys = np.column_stack([np.tile(rng_mod.key_array(ids), len(views)), np.repeat(views, n)])
-    states = rng_mod.stream_states(seed, config.stream, step, keys)
-    raw, stepped = states.outputs(1 + dim)
+    raw, stepped = rng_mod.stream_outputs(seed, config.stream, step, keys, 1 + dim)
     lo, hi = config.jitter_range
     factors = lo + (hi - lo) * ((raw[:, 0] >> 11) * 2.0**-53)
     noise, accepted = rng_mod.standard_normals(raw[:, 1:])
     # each row's first normal off the one-output path, dim where there is none
-    first = np.hstack([accepted, np.zeros((len(states), 1), dtype=bool)]).argmin(axis=1)
+    first = np.hstack([accepted, np.zeros((len(raw), 1), dtype=bool)]).argmin(axis=1)
     n_mask = int(config.mask_fraction * dim)
-    masked = np.empty((len(states), n_mask), dtype=np.intp)
+    masked = np.empty((len(raw), n_mask), dtype=np.intp)
     bitgen = np.random.PCG64(0)  # seeded once: every row loads its own state
     gen = np.random.Generator(bitgen)
-    rows = np.arange(len(states)) if n_mask else np.flatnonzero(first < dim)
+    rows = np.arange(len(raw)) if n_mask else np.flatnonzero(first < dim)
     starts = first[rows]
     for row, start, state in zip(rows.tolist(), starts.tolist(), stepped(rows, 1 + starts)):
         bitgen.state = state
@@ -93,5 +92,5 @@ def augment_batch(batch, ids, config, seed, step, view):
     out = np.tile(batch, (len(views), 1)) * factors[:, None]
     out += config.noise_sigma * noise
     if n_mask:
-        out[np.arange(len(states))[:, None], masked] = 0.0
+        out[np.arange(len(raw))[:, None], masked] = 0.0
     return out

@@ -15,7 +15,7 @@ only; training code paths consume features and labels exclusively.
 """
 
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,15 +70,6 @@ class Dataset:
     @property
     def dim(self):
         return self.x.shape[1]
-
-    def subset(self, mask):
-        return Dataset(
-            ids=self.ids[mask],
-            x=self.x[mask],
-            label=self.label[mask],
-            truth=self.truth[mask],
-            origin=self.origin[mask],
-        )
 
     @classmethod
     def empty(cls, dim):
@@ -202,12 +193,6 @@ def generate(spec):
         ]
     ) if spec.test_per_class else Dataset.empty(spec.dim)
     return Benchmark(spec=spec, labeled=labeled, unlabeled=unlabeled, test=test)
-
-
-def sweep_proportions(spec, proportions):
-    """One benchmark per proportion, sharing cluster geometry and the
-    labeled/test draws (their streams do not depend on the proportion)."""
-    return [generate(replace(spec, out_proportion=float(p))) for p in proportions]
 
 
 # ----------------------------------------------------------------------

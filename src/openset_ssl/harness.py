@@ -281,7 +281,7 @@ def stage_train(config, bench, model, det, lab):
         out = np.zeros(len(bench.unlabeled.ids), dtype=bool)
         out_q = np.empty((0, num_classes))
     in_ids, in_x = bench.unlabeled.ids[~out], bench.unlabeled.x[~out]
-    out_ids, out_x = bench.unlabeled.ids[out], bench.unlabeled.x[out]
+    out_x = bench.unlabeled.x[out]
 
     ckpt_dir = os.path.join(config.out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -293,7 +293,6 @@ def stage_train(config, bench, model, det, lab):
         labeled_q,
         in_ids,
         in_x,
-        out_ids,
         out_x,
         out_q,
         ssl_cfg,
@@ -567,13 +566,15 @@ def load_label_outcome(out_dir, det):
 
 
 def collect_sweep_rows(sweep_dir):
-    """Recover sweep rows (with reports) from a sweep output directory."""
+    """Recover sweep rows (with reports) from a sweep output directory.  A
+    failed row has no report, even where an earlier run left one in its
+    directory."""
     table = read_table(
         os.path.join(sweep_dir, "sweep.csv"), {"axis": str, "value": float, "error": str}, default=str
     )
     rows = []
     for axis, value, error in zip(table["axis"], table["value"], table["error"]):
         path = os.path.join(sweep_dir, f"{axis}_{value:g}", "report.json")
-        report = read_json(path) if os.path.exists(path) else None
+        report = read_json(path) if not error and os.path.exists(path) else None
         rows.append({"axis": axis, "value": value, "error": error or None, "report": report})
     return rows

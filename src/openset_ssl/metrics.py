@@ -54,13 +54,3 @@ def median_last_n(accuracies, n):
     if len(accuracies) < n:
         raise ValueError(f"need at least {n} values, got {len(accuracies)}")
     return float(np.median(accuracies[-n:]))
-
-
-def accuracy(predicted, truth):
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
-    if predicted.shape != truth.shape:
-        raise ValueError("prediction/truth length mismatch")
-    if predicted.size == 0:
-        raise ValueError("empty prediction set")
-    return float((predicted == truth).mean())

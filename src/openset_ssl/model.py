@@ -78,26 +78,12 @@ class Model:
     params: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
-    def param_count(self):
-        return sum(p.size for p in self.params.values())
-
     def copy(self):
         return Model(
             config=self.config,
             params={k: v.copy() for k, v in self.params.items()},
             stats={k: v.copy() for k, v in self.stats.items()},
         )
-
-
-def expected_param_count(config):
-    """Closed-form trainable parameter count for a config."""
-    n = 0
-    for fan_in, fan_out in config.encoder_dims:
-        n += fan_in * fan_out + 2 * fan_out  # dense + bn scale/shift
-    n += config.embed_dim * config.embed_dim + config.embed_dim  # header layer 1
-    n += config.embed_dim * config.proj_dim + config.proj_dim  # header layer 2
-    n += config.embed_dim * config.num_classes + config.num_classes  # classifier
-    return n
 
 
 def build_model(config, seed):
@@ -145,9 +131,9 @@ class ForwardResult:
 class GraphBuilder:
     """One differentiable pass: owns a graph and lazily created param nodes."""
 
-    def __init__(self, model, graph=None):
+    def __init__(self, model):
         self.model = model
-        self.graph = graph if graph is not None else DiffGraph()
+        self.graph = DiffGraph()
         self._param_nodes = {}
 
     def param(self, name):
@@ -338,7 +324,8 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; a short, overlong or malformed file raises
+    """Read a checkpoint; a short, overlong or malformed file, or an array
+    list that is not the layout `build_model` gives its config, raises
     ValueError naming the path and the part or field that does not fit."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -352,6 +339,21 @@ def load_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {manifest['format_version']}")
         model = Model(config=ModelConfig(**manifest["config"]))
         arrays = [(a["name"], tuple(a["shape"]), a["kind"]) for a in manifest["arrays"]]
+        reference = build_model(model.config, seed=0)
+        layout = {n: ("param", a.shape) for n, a in reference.params.items()}
+        layout.update((n, ("stat", a.shape)) for n, a in reference.stats.items())
+        for name, shape, kind in arrays:
+            if name not in layout:  # a name the model lacks, or one listed twice
+                raise ValueError(f"array {name!r} is unexpected")
+            want_kind, want_shape = layout.pop(name)
+            if kind != want_kind:
+                raise ValueError(f"array {name!r} has kind {kind!r}, expected {want_kind!r}")
+            if shape != want_shape:
+                raise ValueError(
+                    f"array {name!r} has shape {list(shape)}, expected {list(want_shape)}"
+                )
+        if layout:
+            raise ValueError(f"array {next(iter(layout))!r} is missing")
     except KeyError as exc:
         raise ValueError(f"checkpoint {path}: manifest has no field {exc}") from exc
     except (TypeError, ValueError) as exc:

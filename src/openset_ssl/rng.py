@@ -5,21 +5,19 @@ master seed plus a string label (and optional integer subkeys).  Streams
 are mutually independent, and drawing from one never shifts another, so
 enabling or disabling a pipeline stage cannot perturb the stages around it.
 
-`stream_states` seeds many streams that differ in one subkey, or in a
-block of consecutive subkeys, in two paths.  Rows whose batched keys are
-all below 2^32 give SeedSequence one entropy word per key, so they all
-read the same number of words: their words are assembled as one uint32
-array and mixed in a single vectorized pass, as NumPy's `SeedSequence`
-mixes them.  Any wider row is seeded by `SeedSequence` itself, as
-`stream` seeds it.  It returns a `StreamStates`, which
-holds each stream's PCG64 seed as arrays; its entry i is the
-`bit_generator.state` dict of stream i, bit-identical to
-`stream(...).bit_generator.state`, built only when read.
+`stream_outputs` draws the first k 64-bit outputs of a batch of streams,
+`stream(seed, label, step, *keys[i])` for each row of an (n, k) block of
+keys, in lockstep, as array code.  Rows whose keys are all below 2^32
+give SeedSequence one entropy word per key, so they all read the same
+number of words: the shared head (seed, label digest, step), which fills
+SeedSequence's pool, is mixed once, and the rows' words are mixed in one
+vectorized pass, as NumPy's `SeedSequence` mixes them.  A row with a key
+of 2^32 or more, or every row when the head is shorter than the pool, is
+seeded by `SeedSequence` itself, as `stream` seeds it.
 
-`StreamStates.outputs` draws the first k 64-bit outputs of every stream
-in lockstep, as array code.  PCG64 is a 128-bit LCG s' = M·s + inc
-followed by the XSL-RR output function (O'Neill, "PCG", 2014), so the
-state after t steps has the closed form
+PCG64 is a 128-bit LCG s' = M·s + inc followed by the XSL-RR output
+function (O'Neill, "PCG", 2014), so the state after t steps has the
+closed form
     s_t = M^t·s_0 + (M^(t-1) + ... + M + 1)·inc   (mod 2^128),
 and with `pcg64_set_seed`'s s_0 = (init + inc)·M + inc and
 inc = 2·initseq + 1, every s_t is one constant combination of the seed's
@@ -38,7 +36,6 @@ finished by a real `Generator` from the state before it.
 
 import functools
 import hashlib
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -110,32 +107,18 @@ def _mix(x, y):
     return out ^ (out >> np.uint32(16))
 
 
-def _generate_state(entropy, head=()):
+def _generate_state(entropy, head):
     """`SeedSequence(head + row).generate_state(4, np.uint64)` for each row.
 
     `entropy` is an (n, L) uint32 array of entropy words, one stream per
-    row, that follow `head`, the words every row starts with; the result
-    is (n, 4) uint64.  A head long enough to fill the pool is mixed once,
-    by `SeedSequence` itself: it hashes the first words into the pool,
-    cross-mixes the pool and mixes each further word into every pool
-    word, four hashmix calls per word in all.
+    row, that follow `head`, the at least four words every row starts
+    with; the result is (n, 4) uint64.  The head fills the pool, so it is
+    mixed once, by `SeedSequence` itself: it hashes the first words into
+    the pool, cross-mixes the pool and mixes each further word into every
+    pool word, four hashmix calls per word in all.
     """
-    n = len(entropy)
-    if len(head) >= _POOL_SIZE:
-        pool = np.tile(np.random.SeedSequence(np.array(head, dtype=np.uint32)).pool, (n, 1))
-        hashmix = _HashMix(_INIT_A * pow(_MULT_A, _POOL_SIZE * len(head), 1 << 32) & _MASK32,
-                           _MULT_A)
-    else:
-        head = np.broadcast_to(np.array(head, dtype=np.uint32), (n, len(head)))
-        entropy = np.hstack([head, entropy])
-        if entropy.shape[1] < _POOL_SIZE:  # the pool hashes zeros past the entropy
-            entropy = np.hstack([entropy, np.zeros((n, _POOL_SIZE - entropy.shape[1]), np.uint32)])
-        hashmix = _HashMix(_INIT_A, _MULT_A)
-        pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
-        for src in range(_POOL_SIZE):
-            dst = [d for d in range(_POOL_SIZE) if d != src]
-            pool[:, dst] = _mix(pool[:, dst], hashmix(pool[:, src:src + 1], _POOL_SIZE - 1))
-        entropy = entropy[:, _POOL_SIZE:]
+    pool = np.tile(np.random.SeedSequence(np.array(head, dtype=np.uint32)).pool, (len(entropy), 1))
+    hashmix = _HashMix(_INIT_A * pow(_MULT_A, _POOL_SIZE * len(head), 1 << 32) & _MASK32, _MULT_A)
     for src in range(entropy.shape[1]):
         pool = _mix(pool, hashmix(entropy[:, src:src + 1], _POOL_SIZE))
     words = _HashMix(_INIT_B, _MULT_B)(np.tile(pool, 2), 2 * _POOL_SIZE).astype(np.uint64)
@@ -155,43 +138,53 @@ def key_array(keys):
     return arr
 
 
-def stream_states(master_seed, label, *subkeys):
-    """Starting PCG64 states of a batch of streams, as a `StreamStates`,
+def stream_outputs(master_seed, label, step, keys, count):
+    """The first `count` outputs of a batch of streams, drawn in lockstep,
     without building the streams.
 
-    Exactly one subkey is a sequence: a 1-D sequence of integers, or a 2-D
-    (n, k) block whose rows stand in for k consecutive subkeys.  Entry i
-    of the result is the `bit_generator.state` dict of the stream whose
-    subkeys take row i of that sequence in its place, e.g.
-    `stream_states(s, "aug", step, ids, view)[i] ==
-    stream(s, "aug", step, ids[i], view).bit_generator.state` and
-    `stream_states(s, "aug", step, [[id, view], ...])[i] ==
-    stream(s, "aug", step, id_i, view_i).bit_generator.state`.
-    Assigning it to a PCG64's `state` reproduces that stream bit for bit.
+    `keys` is an (n, k) block of subkeys: row i stands for the stream
+    `stream(master_seed, label, step, *keys[i])`.  Returns `(raw, stepped)`:
+    raw[i, j] is output j of stream i, as its `bit_generator.random_raw`
+    gives it, and `stepped(rows, draws)` is the list of
+    `bit_generator.state` dicts of streams `rows`, each after its first
+    `draws` outputs (1 <= draws <= count), from which a `Generator`
+    continues the stream bit for bit.
     """
-    batched = [i for i, k in enumerate(subkeys) if not isinstance(k, (int, np.integer))]
-    if len(batched) != 1:
-        raise ValueError("exactly one subkey must be a sequence of integers")
-    (pos,) = batched
-    block = key_array(subkeys[pos])
-    if block.ndim == 1:
-        block = block[:, None]
-    if block.ndim != 2:
-        raise ValueError(f"the sequence subkey must be 1-D or 2-D, got shape {block.shape}")
+    block = key_array(keys)
     negative = block < 0
     if negative.any():
         raise ValueError(f"stream keys must be nonnegative integers, got {block[negative][0]}")
-    head = [w for k in (master_seed, _label_entropy(label), *subkeys[:pos]) for w in _words(k)]
-    tail = np.array([w for k in subkeys[pos + 1:] for w in _words(k)], dtype=np.uint32)
+    head = [w for k in (master_seed, _label_entropy(label), step) for w in _words(k)]
     # a key below 2^32 is one word, so these rows all read as many words
-    narrow = (block <= _MASK32).all(axis=1)
-    keys = block[narrow].astype(np.uint32)
+    narrow = (block <= _MASK32).all(axis=1) & (len(head) >= _POOL_SIZE)
     seeds = np.empty((len(block), 4), dtype=np.uint64)
-    seeds[narrow] = _generate_state(np.hstack([keys, np.broadcast_to(tail, (len(keys), len(tail)))]), head)
+    if narrow.any():
+        seeds[narrow] = _generate_state(block[narrow].astype(np.uint32), head)
     for row in np.flatnonzero(~narrow).tolist():
-        row_keys = (*subkeys[:pos], *block[row].tolist(), *subkeys[pos + 1:])
+        row_keys = (step, *block[row].tolist())
         seeds[row] = _seed_sequence(master_seed, label, row_keys).generate_state(4, np.uint64)
-    return StreamStates(seeds)
+    # seeds[i] is `pcg64_set_seed`'s initstate (high, low), then its initseq
+    n = len(seeds)
+    limbs = np.empty((17, n))  # the seed words' 16-bit limbs, low first, and a 1
+    limbs[:16] = seeds.astype("<u8", copy=False).view("<u2").T
+    limbs[16] = 1.0
+    # (4, count, n): 32-bit column q of the state after output t of stream i
+    cols = (_jump_matrix(count) @ limbs).astype(np.int64).view(np.uint64).reshape(4, count, n)
+    w1 = cols[1] + (cols[0] >> 32)
+    w2 = cols[2] + (w1 >> 32)
+    lo = (cols[0] & _MASK32) | (w1 << 32)
+    hi = (w2 & _MASK32) | ((cols[3] + (w2 >> 32)) << 32)
+
+    def stepped(rows, draws):
+        states = zip(hi[draws - 1, rows].tolist(), lo[draws - 1, rows].tolist(),
+                     seeds[rows, 2].tolist(), seeds[rows, 3].tolist())
+        # pcg64_set_seed: inc = 2 * initseq + 1
+        return [_state_dict(s_hi << 64 | s_lo, ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128)
+                for s_hi, s_lo, i_hi, i_lo in states]
+
+    xored, rot = hi ^ lo, hi >> 58  # XSL-RR: rotate hi ^ lo right by the top 6 bits
+    raw = (xored >> rot) | (xored << ((64 - rot) & 63))
+    return np.ascontiguousarray(raw.T), stepped
 
 
 def _state_dict(state, inc):
@@ -201,56 +194,6 @@ def _state_dict(state, inc):
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-class StreamStates(Sequence):
-    """The PCG64 streams of one `stream_states` call, held as arrays.
-
-    `seeds` is the (n, 4) uint64 `SeedSequence.generate_state(4)` of each
-    stream: `pcg64_set_seed`'s initstate (high, low), then its initseq.
-    """
-
-    def __init__(self, seeds):
-        self.seeds = seeds
-
-    def __len__(self):
-        return len(self.seeds)
-
-    def __getitem__(self, row):
-        s_hi, s_lo, i_hi, i_lo = self.seeds[row].tolist()
-        # pcg64_set_seed: inc = 2 * initseq + 1; state = (inc + initstate) * M + inc
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        return _state_dict(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc)
-
-    def outputs(self, count):
-        """The first `count` outputs of every stream, drawn in lockstep.
-
-        Returns `(raw, stepped)`: raw[i, j] is output j of stream i, as its
-        `bit_generator.random_raw` gives it, and `stepped(rows, draws)` is
-        the list of state dicts of streams `rows`, each after its first
-        `draws` outputs (1 <= draws <= count), from which a `Generator`
-        continues the stream.
-        """
-        n = len(self.seeds)
-        limbs = np.empty((17, n))  # the seed words' 16-bit limbs, low first, and a 1
-        limbs[:16] = self.seeds.astype("<u8", copy=False).view("<u2").T
-        limbs[16] = 1.0
-        # (4, count, n): 32-bit column q of the state after output t of stream i
-        cols = (_jump_matrix(count) @ limbs).astype(np.int64).view(np.uint64).reshape(4, count, n)
-        w1 = cols[1] + (cols[0] >> 32)
-        w2 = cols[2] + (w1 >> 32)
-        lo = (cols[0] & _MASK32) | (w1 << 32)
-        hi = (w2 & _MASK32) | ((cols[3] + (w2 >> 32)) << 32)
-
-        def stepped(rows, draws):
-            states = zip(hi[draws - 1, rows].tolist(), lo[draws - 1, rows].tolist(),
-                         self.seeds[rows, 2].tolist(), self.seeds[rows, 3].tolist())
-            return [_state_dict(s_hi << 64 | s_lo, ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128)
-                    for s_hi, s_lo, i_hi, i_lo in states]
-
-        xored, rot = hi ^ lo, hi >> 58  # XSL-RR: rotate hi ^ lo right by the top 6 bits
-        raw = (xored >> rot) | (xored << ((64 - rot) & 63))
-        return np.ascontiguousarray(raw.T), stepped
 
 
 @functools.cache

@@ -238,7 +238,6 @@ def train(
     labeled_q,
     in_ids,
     in_x,
-    out_ids,
     out_x,
     out_q,
     config,
@@ -264,7 +263,6 @@ def train(
     out_x = np.asarray(out_x, dtype=np.float64)
     out_q = np.asarray(out_q, dtype=np.float64)
     in_ids = np.asarray(in_ids, dtype=np.int64)
-    out_ids = np.asarray(out_ids, dtype=np.int64)
 
     model = state.model
     bsz = config.batch_size
@@ -340,6 +338,8 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
     _check_batch_norm_rows(config.batch_size)
     out_x = np.asarray(out_x, dtype=np.float64)
     out_q = np.asarray(out_q, dtype=np.float64)
+    if out_x.shape[0] == 0 or out_q.shape[0] == 0:
+        raise ValueError("soft-labeled out-of-class set is empty")
     _check_rows_normalized(out_q, "soft-labels")
     opt = NesterovSGD(model.params, lr=config.lr, momentum=config.momentum)
     cycler = _Cycler(out_x.shape[0], seed, "aux_only")

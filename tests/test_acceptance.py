@@ -468,8 +468,7 @@ def test_criterion_05_aux_bn_isolation():
                         aux_loss=True, aux_bn=True,
                         augment=AugmentConfig(noise_sigma=0.2, stream="train.augment"))
         state = init_train_state(model, cfg)
-        train(state, labeled_x, labeled_q, np.arange(8), in_x, np.arange(8), out_x,
-              out_q, cfg, seed=9)
+        train(state, labeled_x, labeled_q, np.arange(8), in_x, out_x, out_q, cfg, seed=9)
         return model
 
     a = run(0.5)

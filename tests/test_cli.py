@@ -186,6 +186,18 @@ class TestSweepAndReport:
         assert curve[0] == "value,median_accuracy,best_accuracy"
         assert len(curve) == 3
 
+    def test_failed_rerun_leaves_no_stale_curve_point(self, tmp_path):
+        out = str(tmp_path / "sweep")
+        sweep = ["sweep", "--out-dir", out, "--axis", "proportion", "--values", "0.5", *MICRO]
+        assert run_cli(*sweep) == 0
+        assert (tmp_path / "sweep" / "proportion_0.5" / "report.json").exists()
+        # out-of-class samples with no out-of-class classes: generate fails
+        assert run_cli(*sweep, "--out-classes", "0") != 0
+        assert harness.collect_sweep_rows(out)[0]["error"]
+        assert run_cli("report", "--sweep-dir", out) == 0
+        curve = (tmp_path / "sweep" / "curve.csv").read_text().splitlines()
+        assert curve == ["value,median_accuracy,best_accuracy"]
+
 
 class TestConfigFile:
     def test_config_file_overrides_flags(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from openset_ssl.data import (
     read_benchmark,
     read_dataset,
     round_half_up,
-    sweep_proportions,
     write_benchmark,
     write_dataset,
     _class_means,
@@ -105,8 +105,8 @@ class TestGenerate:
 
     def test_out_truth_above_in_classes(self):
         bench = generate(small_spec())
-        out = bench.unlabeled.subset(bench.unlabeled.origin == "out")
-        assert (out.truth > bench.spec.in_classes).all()
+        out = bench.unlabeled.origin == "out"
+        assert (bench.unlabeled.truth[out] > bench.spec.in_classes).all()
 
     def test_out_proportion_without_out_classes_rejected(self):
         with pytest.raises(ValueError):
@@ -119,13 +119,21 @@ class TestGenerate:
         assert a.labeled.x.tobytes() == b.labeled.x.tobytes()
 
 
+def at_proportions(spec, proportions):
+    return [generate(replace(spec, out_proportion=p)) for p in proportions]
+
+
 class TestSweepProportions:
+    """Benchmarks generated from one spec at several out-of-class
+    proportions share the cluster geometry and the labeled and test draws:
+    their streams do not depend on the proportion."""
+
     def test_single_zero_proportion(self):
-        (bench,) = sweep_proportions(small_spec(), [0])
+        (bench,) = at_proportions(small_spec(), [0])
         assert (bench.unlabeled.origin == "in").all()
 
     def test_shared_geometry_across_proportions(self):
-        low, high = sweep_proportions(small_spec(), [0.0, 0.8])
+        low, high = at_proportions(small_spec(), [0.0, 0.8])
         assert low.labeled.x.tobytes() == high.labeled.x.tobytes()
         assert low.test.x.tobytes() == high.test.x.tobytes()
         # shared in-class sample streams: common prefix per class
@@ -136,7 +144,7 @@ class TestSweepProportions:
             assert np.array_equal(a[:n], b[:n])
 
     def test_counts_match_closed_form(self):
-        specs = sweep_proportions(small_spec(total_unlabeled=67), [0.0, 0.33, 0.8, 1.0])
+        specs = at_proportions(small_spec(total_unlabeled=67), [0.0, 0.33, 0.8, 1.0])
         for p, bench in zip([0.0, 0.33, 0.8, 1.0], specs):
             expect_out = round_half_up(p * 67)
             assert (bench.unlabeled.origin == "out").sum() == expect_out

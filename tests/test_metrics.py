@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_midranks
-from openset_ssl.metrics import _midranks, accuracy, auroc, median_last_n, tpr_tnr
+from openset_ssl.metrics import _midranks, auroc, median_last_n, tpr_tnr
 
 
 def pairwise_auroc(scores, is_out):
@@ -129,12 +129,3 @@ class TestMedianLastN:
     def test_too_few_entries_rejected(self):
         with pytest.raises(ValueError):
             median_last_n([0.1, 0.2], 5)
-
-
-class TestAccuracy:
-    def test_basic(self):
-        assert accuracy([1, 2, 2], [1, 2, 1]) == pytest.approx(2 / 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy([], [])

@@ -24,7 +24,6 @@ from openset_ssl.model import (
     build_model,
     commit_batch_stats,
     cosine_similarity,
-    expected_param_count,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -96,8 +95,7 @@ class TestBuildModel:
         count += 4 * 4 + 4
         count += 4 * 3 + 3
         count += 4 * 2 + 2
-        assert model.param_count() == count
-        assert expected_param_count(cfg) == count
+        assert sum(p.size for p in model.params.values()) == count
 
     def test_bn_state_initialized_per_branch(self):
         model = build_model(small_config(), seed=0)
@@ -351,8 +349,8 @@ class TestHeadsOnDemand:
         labeled_q = one_hot(rng.integers(1, 3, size=6), 2)
         out_q = np.full((8, 2), 0.5)
         state = init_train_state(model, config)
-        train(state, pool[:6], labeled_q, np.arange(6, 14), pool[6:14],
-              np.arange(14, 22), pool[14:22], out_q, config, seed=1)
+        train(state, pool[:6], labeled_q, np.arange(6, 14), pool[6:14], pool[14:22], out_q,
+              config, seed=1)
         assert model.params["head.w"].tobytes() != pretrained.params["head.w"].tobytes()
         for name in ("proj0.w", "proj0.b", "proj1.w", "proj1.b"):
             assert model.params[name].tobytes() == pretrained.params[name].tobytes(), name
@@ -600,7 +598,17 @@ class TestCheckpoint:
         (b'"embed_dim"', b'"embed_dix"',
          "ModelConfig.__init__() got an unexpected keyword argument 'embed_dix'"),
         (b'"format_version": 1', b'"format_version": 2', "unsupported checkpoint version 2"),
-    ], ids=["utf8", "key", "shape", "config", "version"])
+        # the manifest parses, but its arrays are not the config's layout
+        (b'"shape": [6, 5]', b'"shape": [5, 6]',
+         "array 'enc0.w' has shape [5, 6], expected [6, 5]"),
+        (b'"kind": "param", "name": "enc0.w"', b'"kind": "stat" , "name": "enc0.w"',
+         "array 'enc0.w' has kind 'stat', expected 'param'"),
+        (b'"enc0.w"', b'"enc9.w"', "array 'enc9.w' is unexpected"),
+        (b'"head.b"', b'"head.w"', "array 'head.w' is unexpected"),
+        (b'{"kind": "param", "name": "head.b", "shape": [1, 2]}, ', b' ' * 54,
+         "array 'head.b' is missing"),
+    ], ids=["utf8", "key", "shape", "config", "version",
+            "array-shape", "array-kind", "array-unexpected", "array-repeated", "array-missing"])
     def test_manifest_fault_names_the_path_and_the_field(self, tmp_path, old, new, fault):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, build_model(small_config(), seed=9))

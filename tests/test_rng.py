@@ -1,4 +1,4 @@
-"""Named streams and the vectorized seeding that reproduces them."""
+"""Named streams and the lockstep draws that reproduce them."""
 
 import numpy as np
 import pytest
@@ -9,78 +9,113 @@ from openset_ssl import rng
 from openset_ssl.augment import AugmentConfig, augment_batch
 
 
+def check_rows_match_stream(seed, label, step, block, count):
+    """Row i of `stream_outputs` is `stream(seed, label, step, *block[i])`:
+    its first `count` raw outputs, and its state after 1, count // 2 + 1
+    and count of them."""
+    raw, stepped = rng.stream_outputs(seed, label, step, block, count)
+    assert raw.shape == (len(block), count) and raw.dtype == np.uint64
+    keys = [[int(k) for k in row] for row in block]
+    for row, out in zip(keys, raw):
+        bitgen = rng.stream(seed, label, step, *row).bit_generator
+        assert np.array_equal(out, bitgen.random_raw(count)), row
+    rows = np.arange(len(keys))
+    for draws in sorted({1, count // 2 + 1, count}):
+        for row, state in zip(keys, stepped(rows, np.full(len(rows), draws))):
+            bitgen = rng.stream(seed, label, step, *row).bit_generator
+            bitgen.random_raw(draws)
+            assert state == bitgen.state, (row, draws)
+
+
 class TestStreamStates:
+    """The streams `stream_outputs` seeds, in each seeding path, are the
+    streams `rng.stream` builds."""
+
     @settings(max_examples=60, deadline=None)
     @given(
-        entropy=st.integers(1, 12).flatmap(lambda width: st.lists(
+        head=st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=8),
+        entropy=st.integers(0, 8).flatmap(lambda width: st.lists(
             st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width),
             min_size=1, max_size=6))
     )
-    def test_generate_state_matches_seed_sequence(self, entropy):
-        words = np.array(entropy, dtype=np.uint32)
-        got = rng._generate_state(words)
+    def test_generate_state_matches_seed_sequence(self, head, entropy):
+        words = np.array(entropy, dtype=np.uint32).reshape(len(entropy), -1)
+        got = rng._generate_state(words, head)
         assert got.dtype == np.uint64
-        for row, out in zip(words, got):
-            assert np.array_equal(out, np.random.SeedSequence(row).generate_state(4, np.uint64))
+        for row, out in zip(words.tolist(), got):
+            expected = np.random.SeedSequence(np.array(head + row, dtype=np.uint32))
+            assert np.array_equal(out, expected.generate_state(4, np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**70),
         label=st.sampled_from(["augment", "pretrain.augment", "train.augment", ""]),
-        head=st.lists(st.integers(0, 2**40), max_size=2),
+        step=st.integers(0, 2**40),
         ids=st.lists(st.integers(0, 2**100), max_size=5),
-        tail=st.lists(st.integers(0, 2**40), max_size=2),
     )
     # keys either side of 2^32 take the two seeding paths in one call
-    @example(seed=9, label="augment", head=[4], ids=[2**32 - 1, 2**32, 1, 2**32], tail=[2])
-    def test_states_match_stream(self, seed, label, head, ids, tail):
-        states = rng.stream_states(seed, label, *head, ids, *tail)
-        assert len(states) == len(ids)
-        for sid, state in zip(ids, states):
-            assert state == rng.stream(seed, label, *head, sid, *tail).bit_generator.state
+    @example(seed=9, label="augment", step=4, ids=[2**32 - 1, 2**32, 1, 2**32])
+    def test_states_match_stream(self, seed, label, step, ids):
+        block = rng.key_array(ids).reshape(-1, 1)
+        check_rows_match_stream(seed, label, step, block, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**70),
         label=st.sampled_from(["augment", "pretrain.augment", ""]),
-        head=st.lists(st.integers(0, 2**40), max_size=2),
+        step=st.integers(0, 2**40),
         block=st.integers(1, 3).flatmap(lambda k: st.lists(
             st.lists(st.one_of(st.integers(0, 2**100),
                                st.sampled_from([0, 2**32 - 1, 2**32, 2**63, 2**64])),
                      min_size=k, max_size=k),
-            max_size=6)),
-        tail=st.lists(st.integers(0, 2**40), max_size=2),
+            min_size=1, max_size=6)),
     )
     # a key of 2^32 or more beside a narrow one, in one row and across rows
-    @example(seed=9, label="augment", head=[4], tail=[2],
+    @example(seed=9, label="augment", step=4,
              block=[[2**32 - 1, 2**32], [2**32 - 1, 0], [2**32, 2**32], [1, 2**32 - 1]])
-    def test_block_states_match_stream_row_by_row(self, seed, label, head, block, tail):
-        states = rng.stream_states(seed, label, *head, block, *tail)
-        assert len(states) == len(block)
-        for row, state in zip(block, states):
-            assert state == rng.stream(seed, label, *head, *row, *tail).bit_generator.state
+    def test_block_states_match_stream_row_by_row(self, seed, label, step, block):
+        check_rows_match_stream(seed, label, step, rng.key_array(block), 2)
 
     def test_uint64_block_keeps_keys_past_int64_exact(self):
         block = np.array([[2**63 + 5, 0], [1, 2**64 - 1]], dtype=np.uint64)
-        for row, state in zip(block.tolist(), rng.stream_states(1, "x", 2, block)):
-            assert state == rng.stream(1, "x", 2, *row).bit_generator.state
+        check_rows_match_stream(1, "x", 2, block, 2)
 
     def test_loaded_state_reproduces_draws(self):
-        (state,) = rng.stream_states(3, "x", 7, [2**33 + 5], 1)
+        _, stepped = rng.stream_outputs(3, "x", 7, rng.key_array([[2**33 + 5, 1]]), 4)
+        (state,) = stepped(np.arange(1), np.array([4]))
         bitgen = np.random.PCG64()
         bitgen.state = state
-        expected = rng.stream(3, "x", 7, 2**33 + 5, 1).standard_normal(50)
-        assert np.array_equal(np.random.Generator(bitgen).standard_normal(50), expected)
+        expected = rng.stream(3, "x", 7, 2**33 + 5, 1)
+        expected.bit_generator.random_raw(4)
+        assert np.array_equal(np.random.Generator(bitgen).standard_normal(50),
+                              expected.standard_normal(50))
 
     def test_negative_key_rejected(self):
+        for block, bad in [([[1], [-2]], -2), ([[1, 2], [3, -4]], -4), ([[2**64], [-1]], -1)]:
+            with pytest.raises(ValueError) as err:
+                rng.stream_outputs(0, "x", 0, rng.key_array(block), 1)
+            assert str(err.value) == f"stream keys must be nonnegative integers, got {bad}"
         with pytest.raises(ValueError):
-            rng.stream_states(0, "x", [1, -2])
-        with pytest.raises(ValueError):
-            rng.stream_states(0, "x", [[1, 2], [3, -4]])
-        with pytest.raises(ValueError):
-            rng.stream_states(0, "x", [2**64, -1])
-        with pytest.raises(ValueError):
-            rng.stream_states(-1, "x", [1])
+            rng.stream_outputs(-1, "x", 0, rng.key_array([[1]]), 1)
+
+    def test_short_head_rows_seeded_on_their_own(self, monkeypatch):
+        """A label digest below 2^32 with a seed below 2^32 gives a head of
+        three words, short of the pool: every row is seeded by its own
+        `SeedSequence`, as `stream` seeds it."""
+        monkeypatch.setattr(rng, "_label_entropy", lambda label: 0x9E3779B9)
+        block = rng.key_array([[0, 0], [2**32 - 1, 1], [5, 2**32], [7, 1]])
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(rng.np.random, "SeedSequence", counted)
+        rng.stream_outputs(3, "augment", 2, block, 1)
+        assert len(built) == len(block)
+        monkeypatch.setattr(rng.np.random, "SeedSequence", seed_sequence)
+        check_rows_match_stream(3, "augment", 2, block, 5)
 
     def test_pretrain_shape_builds_no_seed_sequence_per_row(self, monkeypatch):
         """At the pretraining workload's shape (128 ids x 2 views, dim 16)
@@ -104,33 +139,15 @@ class TestStreamStates:
         got = augment_batch(batch, ids, config, 1, 7, (0, 1))
         assert len(built) == 1 and got.tobytes() == expected.tobytes()
 
-    def test_exactly_one_sequence_subkey(self):
-        with pytest.raises(ValueError):
-            rng.stream_states(0, "x", 1, 2)
-        with pytest.raises(ValueError):
-            rng.stream_states(0, "x", [1], [2])
 
-
-KEYS_PAST_WORDS = [0, 2**32 - 1, 2**63, 2**64, 2**70]
+KEYS_PAST_WORDS = [0, 2**32 - 1, 2**32, 2**63, 2**64, 2**70]
 
 
 class TestLockstepOutputs:
     @pytest.mark.parametrize("count", [1, 2, 17, 65])
     def test_outputs_and_stepped_states_match_the_stream(self, count):
-        def bitgen(key):
-            return rng.stream(5, "augment", 3, key, 1).bit_generator
-
-        states = rng.stream_states(5, "augment", 3, KEYS_PAST_WORDS, 1)
-        raw, stepped = states.outputs(count)
-        assert raw.shape == (len(KEYS_PAST_WORDS), count) and raw.dtype == np.uint64
-        for key, out in zip(KEYS_PAST_WORDS, raw):
-            assert np.array_equal(out, bitgen(key).random_raw(count)), key
-        rows = np.arange(len(KEYS_PAST_WORDS))
-        for draws in sorted({1, count // 2 + 1, count}):
-            for key, state in zip(KEYS_PAST_WORDS, stepped(rows, np.full(len(rows), draws))):
-                stream = bitgen(key)
-                stream.random_raw(draws)
-                assert state == stream.state, (key, draws)
+        block = rng.key_array([[key, 1] for key in KEYS_PAST_WORDS])
+        check_rows_match_stream(5, "augment", 3, block, count)
 
     def test_crafted_state_outputs_the_word(self):
         bitgen = np.random.PCG64()

@@ -149,17 +149,17 @@ class TestCombinedLoss:
     def test_lambda_zero_equals_ssl_loss_bitwise(self):
         # with lambda = 0 the out-of-class batch never enters the loss,
         # even with the auxiliary term and branch switched on
-        lx, lq, ii, ix, oi, ox, q = small_training_setup(seed=8)
+        lx, lq, ii, ix, ox, q = small_training_setup(seed=8)
         config = cfg(steps=6, beta=1.0, lam=0.0, aux_loss=True, aux_bn=True)
 
         def run(with_out):
             model = toy_model(seed=1)
             state = init_train_state(model, config)
             if with_out:
-                train(state, lx, lq, ii, ix, oi, ox, q, config, seed=2)
+                train(state, lx, lq, ii, ix, ox, q, config, seed=2)
             else:
-                train(state, lx, lq, ii, ix, [], np.zeros((0, DIM)),
-                      np.zeros((0, C)), config, seed=2)
+                train(state, lx, lq, ii, ix, np.zeros((0, DIM)), np.zeros((0, C)),
+                      config, seed=2)
             return {k: v.tobytes() for k, v in {**model.params, **model.stats}.items()}
 
         assert run(True) == run(False)
@@ -229,26 +229,26 @@ def small_training_setup(seed=0, n_lab=6, n_in=8, n_out=8):
     out_x = rng.standard_normal((n_out, DIM))
     q = rng.uniform(0.1, 1.0, size=(n_out, C))
     q /= q.sum(axis=1, keepdims=True)
-    return labeled_x, labeled_q, np.arange(n_in), in_x, np.arange(n_out), out_x, q
+    return labeled_x, labeled_q, np.arange(n_in), in_x, out_x, q
 
 
 class TestTrainLoop:
     def test_zero_steps_unchanged(self):
         model = toy_model()
         before = {k: v.tobytes() for k, v in model.params.items()}
-        lx, lq, ii, ix, oi, ox, q = small_training_setup()
+        lx, lq, ii, ix, ox, q = small_training_setup()
         state = init_train_state(model, cfg(steps=0))
-        train(state, lx, lq, ii, ix, oi, ox, q, cfg(steps=0), seed=0)
+        train(state, lx, lq, ii, ix, ox, q, cfg(steps=0), seed=0)
         assert {k: v.tobytes() for k, v in model.params.items()} == before
         assert state.step == 0
 
     def test_same_seed_bit_identical(self):
-        lx, lq, ii, ix, oi, ox, q = small_training_setup()
+        lx, lq, ii, ix, ox, q = small_training_setup()
 
         def run():
             model = toy_model()
             state = init_train_state(model, cfg(steps=6))
-            train(state, lx, lq, ii, ix, oi, ox, q, cfg(steps=6), seed=7)
+            train(state, lx, lq, ii, ix, ox, q, cfg(steps=6), seed=7)
             return {k: v.tobytes() for k, v in model.params.items()}
 
         assert run() == run()
@@ -258,7 +258,7 @@ class TestTrainLoop:
         state = init_train_state(model, cfg())
         with pytest.raises(ValueError):
             train(state, np.zeros((0, DIM)), np.zeros((0, C)), [], np.zeros((0, DIM)),
-                  [], np.zeros((0, DIM)), np.zeros((0, C)), cfg(steps=1), seed=0)
+                  np.zeros((0, DIM)), np.zeros((0, C)), cfg(steps=1), seed=0)
 
     def test_default_batch_size_is_64(self):
         assert SSLConfig().batch_size == 64
@@ -271,25 +271,25 @@ class TestTrainLoop:
         assert cfg(batch_size=2).batch_size == 2
 
     def test_batch_size_one_allowed_without_the_aux_term(self):
-        lx, lq, ii, ix, oi, ox, q = small_training_setup()
+        lx, lq, ii, ix, ox, q = small_training_setup()
         for off in (dict(aux_loss=False), dict(lam=0.0)):
             config = cfg(batch_size=1, steps=2, **off)
             state = init_train_state(toy_model(), config)
-            train(state, lx, lq, ii, ix, oi, ox, q, config, seed=0)
+            train(state, lx, lq, ii, ix, ox, q, config, seed=0)
             assert state.step == 2
 
     def test_toggles_off_ignores_out_of_class_data(self):
-        lx, lq, ii, ix, oi, ox, q = small_training_setup(seed=1)
+        lx, lq, ii, ix, ox, q = small_training_setup(seed=1)
         plain = cfg(steps=5, aux_loss=False, aux_bn=False, detect=False, topk_pl=False)
 
         def run(with_out):
             model = toy_model()
             state = init_train_state(model, plain)
             if with_out:
-                train(state, lx, lq, ii, ix, oi, ox, q, plain, seed=2)
+                train(state, lx, lq, ii, ix, ox, q, plain, seed=2)
             else:
-                train(state, lx, lq, ii, ix, [], np.zeros((0, DIM)),
-                      np.zeros((0, C)), plain, seed=2)
+                train(state, lx, lq, ii, ix, np.zeros((0, DIM)), np.zeros((0, C)),
+                      plain, seed=2)
             return {k: v.tobytes() for k, v in model.params.items()}
 
         assert run(True) == run(False)
@@ -297,13 +297,13 @@ class TestTrainLoop:
     def test_main_stats_identical_between_lambda_runs(self):
         # the auxiliary term moves the parameters but may never move the
         # main branch's running statistics
-        lx, lq, ii, ix, oi, ox, q = small_training_setup(seed=3)
+        lx, lq, ii, ix, ox, q = small_training_setup(seed=3)
 
         def run(lam):
             model = toy_model(seed=5)
             config = cfg(steps=8, lam=lam, aux_loss=True, aux_bn=True)
             state = init_train_state(model, config)
-            train(state, lx, lq, ii, ix, oi, ox, q, config, seed=9)
+            train(state, lx, lq, ii, ix, ox, q, config, seed=9)
             return model
 
         a = run(0.5)
@@ -321,14 +321,14 @@ class TestTrainLoop:
         )
 
     def test_checkpoint_accuracies_recorded(self):
-        lx, lq, ii, ix, oi, ox, q = small_training_setup(seed=4)
+        lx, lq, ii, ix, ox, q = small_training_setup(seed=4)
         rng = np.random.default_rng(5)
         test_x = rng.standard_normal((10, DIM))
         test_y = rng.integers(1, C + 1, size=10)
         model = toy_model()
         config = cfg(steps=10, batch_size=4)
         state = init_train_state(model, config)
-        train(state, lx, lq, ii, ix, oi, ox, q, config, seed=1,
+        train(state, lx, lq, ii, ix, ox, q, config, seed=1,
               test_x=test_x, test_y=test_y, checkpoint_interval=8)
         assert len(state.checkpoint_accuracies) == 5  # 40 samples / 8
         for acc in state.checkpoint_accuracies:
@@ -338,7 +338,7 @@ class TestTrainLoop:
     def test_non_finite_loss_aborts_with_step_index(self, loop):
         """Every fitting loop stops at the first non-finite loss, naming
         itself and the step; the infinite weights warn on the way."""
-        lx, lq, ii, ix, oi, ox, q = small_training_setup(seed=6)
+        lx, lq, ii, ix, ox, q = small_training_setup(seed=6)
         model = toy_model()
         # the classifier feeds the fine-tuning losses, the projection NT-Xent
         model.params["head.w"] = np.full_like(model.params["head.w"], np.inf)
@@ -348,7 +348,7 @@ class TestTrainLoop:
             "pretraining": lambda: pretrain(
                 model, ix, ii, ContrastiveConfig(batch_size=4, steps=3), seed=0),
             "training": lambda: train(
-                init_train_state(model, config), lx, lq, ii, ix, oi, ox, q, config, seed=0),
+                init_train_state(model, config), lx, lq, ii, ix, ox, q, config, seed=0),
             "aux-only": lambda: aux_only_train(model, ox, q, config, seed=0),
         }
         with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError) as err:
@@ -374,6 +374,11 @@ class TestAuxOnlyTrain:
             aux_only_train(toy_model(), ox, q, cfg(batch_size=1, lam=0.0), seed=0)
         assert str(err.value) == "batch_size must be >= 2, got 1"
 
+    def test_empty_soft_labeled_set_rejected_by_name(self):
+        with pytest.raises(ValueError) as err:
+            aux_only_train(toy_model(), np.zeros((0, DIM)), np.zeros((0, C)), cfg(), seed=0)
+        assert str(err.value) == "soft-labeled out-of-class set is empty"
+
     def test_uniform_q_raises_prediction_entropy(self):
         # sharpen a model on labeled data first, then fit uniform targets
         rng = np.random.default_rng(8)
@@ -383,8 +388,8 @@ class TestAuxOnlyTrain:
         lq = one_hot(np.array([1] * 8 + [2] * 8), C)
         sharpen = cfg(steps=30, batch_size=8, lr=0.2, beta=0.0)
         state = init_train_state(model, sharpen)
-        train(state, lx, lq, [], np.zeros((0, DIM)), [], np.zeros((0, DIM)),
-              np.zeros((0, C)), sharpen, seed=1)
+        train(state, lx, lq, [], np.zeros((0, DIM)), np.zeros((0, DIM)), np.zeros((0, C)),
+              sharpen, seed=1)
 
         ox = rng.standard_normal((16, DIM)) * 3
         q = np.full((16, C), 1.0 / C)
