@@ -19,7 +19,8 @@ would give.  A kind that keeps nothing returns None.  What each kind
 keeps:
 
     batch-norm             `batch_moments(h, eps)`: mu, h - mu, the biased
-                           variance and 1/sqrt(var + eps)
+                           variance and 1/sqrt(var + eps); with running
+                           statistics, 1/sqrt(var + eps) of those
     softmax-cross-entropy  exp(x - rowmax(x)), its row sums, and the row
                            sums of the targets
     l2-normalize-rows      which rows count as zero, and the row norms
@@ -36,9 +37,15 @@ The kinds (64-bit reals throughout):
     l2-normalize-rows    rows scaled to unit norm; zero rows pass through
                          with zero gradient
     elementwise-mul      same broadcast rule as add
-    batch-norm           train-mode batch normalization of an (n, w) batch,
-                         n >= 2, by its own mean and biased variance:
-                         (h - mu) / sqrt(var + eps); params: eps
+    batch-norm           batch normalization of an (n, w) batch; params:
+                         eps, running.  Train mode (running None): n >= 2,
+                         by the batch's own mean mu and biased variance,
+                         (h - mu) / sqrt(var + eps).  Eval mode: running is
+                         a (mean, var) pair of (1, w) rows, node constants
+                         that get no gradient, and the value is
+                         (h + -mean) * (1 / sqrt(var + eps))
+    affine-relu          max(x * scale + shift, 0) for an (n, w) x and
+                         (1, w) rows scale and shift; subgradient at 0 is 0
     softmax-cross-entropy
                          mean over the rows of an (n, C) logit matrix x of
                          sum_c t_c * logsumexp(x) - sum_c t_c * x_c, a 0-d
@@ -192,24 +199,52 @@ def batch_moments(h, eps):
     h - mu, the biased variance and 1/sqrt(var + eps)."""
     if h.ndim != 2 or h.shape[0] < 2:
         raise ValueError(f"batch-norm: expects a 2-D batch of at least 2 rows, got {h.shape}")
-    mu = h.mean(axis=0, keepdims=True)
+    # sum / n is the division np.mean does after its sum, bit for bit
+    n = h.shape[0]
+    mu = h.sum(axis=0, keepdims=True) / n
     centered = h - mu
-    var = (centered * centered).mean(axis=0, keepdims=True)
+    var = (centered * centered).sum(axis=0, keepdims=True) / n
     return mu, centered, var, 1.0 / np.sqrt(var + eps)
 
 
-def _batch_norm(h, eps):
-    moments = batch_moments(h, eps)
-    _, centered, _, inv_std = moments
-    return centered * inv_std, moments
+def _check_row(op, what, row, x):
+    """`row` must be one (1, w) row for the 2-D (n, w) batch `x`."""
+    if x.ndim != 2 or np.shape(row) != (1, x.shape[1]):
+        raise ValueError(f"{op}: {what} of shape {np.shape(row)} is not a row for {x.shape}")
 
 
-def _batch_norm_vjp(g, y, moments, h, eps):
+def _batch_norm(h, eps, running=None):
+    if running is None:
+        moments = batch_moments(h, eps)
+        _, centered, _, inv_std = moments
+        return centered * inv_std, moments
+    mean, var = running
+    _check_row("batch-norm", "running mean", mean, h)
+    _check_row("batch-norm", "running variance", var, h)
+    inv = 1.0 / np.sqrt(var + eps)
+    return (h + -mean) * inv, inv
+
+
+def _batch_norm_vjp(g, y, res, h, eps, running=None):
+    if running is not None:
+        return (g * res,)
     # Ioffe & Szegedy's closed form (arXiv 1502.03167), per column
-    inv_std = moments[-1]
-    g_mean = g.mean(axis=0, keepdims=True)
-    gy_mean = (g * y).mean(axis=0, keepdims=True)
+    n = g.shape[0]
+    inv_std = res[-1]
+    g_mean = g.sum(axis=0, keepdims=True) / n
+    gy_mean = (g * y).sum(axis=0, keepdims=True) / n
     return (inv_std * (g - g_mean - y * gy_mean),)
+
+
+def _affine_relu(x, scale, shift):
+    _check_row("affine-relu", "scale", scale, x)
+    _check_row("affine-relu", "shift", shift, x)
+    return np.maximum(x * scale + shift, 0.0)
+
+
+def _affine_relu_vjp(g, y, res, x, scale, shift):
+    gr = g * (y > 0.0)
+    return gr * scale, (gr * x).sum(axis=0, keepdims=True), gr.sum(axis=0, keepdims=True)
 
 
 class _Op(NamedTuple):
@@ -238,6 +273,7 @@ OPS = {
         lambda g, y, res, a, b: (g * b, _reduce_broadcast(g * a, b.shape)),
     ),
     "batch-norm": _Op(1, _batch_norm, _batch_norm_vjp),
+    "affine-relu": _Op(3, _keeps_nothing(_affine_relu), _affine_relu_vjp),
     "softmax-cross-entropy": _Op(1, _softmax_cross_entropy, _softmax_cross_entropy_vjp),
 }
 

@@ -426,7 +426,9 @@ def run_sweep(config, axis, values):
     """One experiment per axis value, same master seed throughout, each in
     its own `{axis}_{value:g}` directory (values that would share one fail).
 
-    Per-run failures are recorded in the table and the sweep continues.
+    Per-run failures are recorded in the table and the sweep continues; a
+    value's earlier report is removed before it reruns, so a failed rerun
+    leaves none behind.
     """
     values = list(values)
     if not values:
@@ -443,6 +445,9 @@ def run_sweep(config, axis, values):
         sub = replace(apply_axis(config, axis, value),
                       out_dir=os.path.join(config.out_dir, run_dir), raw_text=None)
         row = {"axis": axis, "value": value, "error": None, "report": None}
+        stale = os.path.join(sub.out_dir, "report.json")
+        if os.path.exists(stale):
+            os.remove(stale)
         try:
             row["report"] = run_experiment(sub)
         except Exception as exc:

@@ -2,9 +2,13 @@
 
 The encoder is a stack of dense layers (no bias; the following batch-norm
 shift makes one redundant), each followed by batch normalization and relu.
-Batch-norm scale/shift parameters are shared between a *main* and an
-*auxiliary* statistics branch; each branch keeps its own running
-mean/variance and is only ever touched by batches routed to it.
+On the tape a layer is three nodes: `matmul`, `batch-norm` and
+`affine-relu` (the batch-norm scale and shift, then the relu).  Train mode
+normalizes by the batch's own moments; eval mode by a branch's running
+statistics, which the `batch-norm` node holds as constants, so they get
+no gradient.  Batch-norm scale/shift parameters are shared between a
+*main* and an *auxiliary* statistics branch; each branch keeps its own
+running mean/variance and is only ever touched by batches routed to it.
 
 The projection header is a two-layer perceptron over the embedding; the
 classifier head is a single dense layer over the embedding (the linear-
@@ -86,30 +90,33 @@ class Model:
         )
 
 
+def _layout(config):
+    """(name, kind, shape) of every array of a model of `config`: the
+    params, then the running statistics, each in `build_model`'s order."""
+    params, stats = [], []
+    for i, (fan_in, fan_out) in enumerate(config.encoder_dims):
+        row = (1, fan_out)
+        params += [(f"enc{i}.w", (fan_in, fan_out)), (f"enc{i}.bn.scale", row),
+                   (f"enc{i}.bn.shift", row)]
+        stats += [(f"enc{i}.bn.{b}.{s}", row) for b in BRANCHES for s in ("mean", "var")]
+    e = config.embed_dim
+    for head, width in (("proj0", e), ("proj1", config.proj_dim), ("head", config.num_classes)):
+        params += [(f"{head}.w", (e, width)), (f"{head}.b", (1, width))]
+    return [(n, "param", s) for n, s in params] + [(n, "stat", s) for n, s in stats]
+
+
 def build_model(config, seed):
     """Seeded uniform fan-in init; BN scale 1, shift 0, running stats (0, 1)."""
     gen = rng_mod.stream(seed, "model.init")
-
-    def dense(fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        return gen.uniform(-bound, bound, size=(fan_in, fan_out))
-
-    params = {}
-    stats = {}
-    for i, (fan_in, fan_out) in enumerate(config.encoder_dims):
-        params[f"enc{i}.w"] = dense(fan_in, fan_out)
-        params[f"enc{i}.bn.scale"] = np.ones((1, fan_out))
-        params[f"enc{i}.bn.shift"] = np.zeros((1, fan_out))
-        for branch in BRANCHES:
-            stats[f"enc{i}.bn.{branch}.mean"] = np.zeros((1, fan_out))
-            stats[f"enc{i}.bn.{branch}.var"] = np.ones((1, fan_out))
-    params["proj0.w"] = dense(config.embed_dim, config.embed_dim)
-    params["proj0.b"] = np.zeros((1, config.embed_dim))
-    params["proj1.w"] = dense(config.embed_dim, config.proj_dim)
-    params["proj1.b"] = np.zeros((1, config.proj_dim))
-    params["head.w"] = dense(config.embed_dim, config.num_classes)
-    params["head.b"] = np.zeros((1, config.num_classes))
-    return Model(config=config, params=params, stats=stats)
+    model = Model(config=config)
+    for name, kind, shape in _layout(config):
+        if name.endswith(".w"):
+            bound = 1.0 / np.sqrt(shape[0])
+            value = gen.uniform(-bound, bound, size=shape)
+        else:
+            value = np.ones(shape) if name.endswith((".scale", ".var")) else np.zeros(shape)
+        (model.params if kind == "param" else model.stats)[name] = value
+    return model
 
 
 @dataclass
@@ -153,25 +160,21 @@ class GraphBuilder:
 
     # ------------------------------------------------------------------
 
-    def _bn(self, h_id, layer, branch, mode):
+    def _bn_relu(self, h_id, layer, branch, mode):
+        """Batch norm, its affine and the relu: two nodes, and the layer's
+        batch statistics in train mode (None in eval mode)."""
         g = self.graph
-        eps = self.model.config.bn_epsilon
+        stats = self.model.stats
+        running = batch_stats = None
+        if mode == "eval":
+            running = (stats[f"{layer}.bn.{branch}.mean"], stats[f"{layer}.bn.{branch}.var"])
+        normed = g.apply("batch-norm", [h_id], eps=self.model.config.bn_epsilon, running=running)
         if mode == "train":
-            normed = g.apply("batch-norm", [h_id], eps=eps)
             mu, _, var, _ = g.residuals(normed)
             batch_stats = (layer, branch, mu, var)
-        else:
-            mean = self.model.stats[f"{layer}.bn.{branch}.mean"]
-            var = self.model.stats[f"{layer}.bn.{branch}.var"]
-            inv = 1.0 / np.sqrt(var + eps)
-            centered = g.apply("add", [h_id, self.const(-mean)])
-            normed = g.apply("elementwise-mul", [centered, self.const(inv)])
-            batch_stats = None
-
         scale = self.param(f"{layer}.bn.scale")
         shift = self.param(f"{layer}.bn.shift")
-        out = g.apply("add", [g.apply("elementwise-mul", [normed, scale]), shift])
-        return out, batch_stats
+        return g.apply("affine-relu", [normed, scale, shift]), batch_stats
 
     def forward(self, x_id, branch="main", mode="eval", heads=HEADS):
         """Encoder -> (embedding, projection, logits) node ids; of the
@@ -195,10 +198,9 @@ class GraphBuilder:
         h = x_id
         for i in range(len(cfg.encoder_dims)):
             h = g.apply("matmul", [h, self.param(f"enc{i}.w")])
-            h, bs = self._bn(h, f"enc{i}", branch, mode)
+            h, bs = self._bn_relu(h, f"enc{i}", branch, mode)
             if bs is not None:
                 collected.append(bs)
-            h = g.apply("relu", [h])
         embedding = h
 
         projection = logits = None
@@ -325,7 +327,7 @@ def save_checkpoint(path, model):
 
 def load_checkpoint(path):
     """Read a checkpoint; a short, overlong or malformed file, or an array
-    list that is not the layout `build_model` gives its config, raises
+    list that is not the layout `_layout` gives its config, raises
     ValueError naming the path and the part or field that does not fit."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -339,9 +341,7 @@ def load_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {manifest['format_version']}")
         model = Model(config=ModelConfig(**manifest["config"]))
         arrays = [(a["name"], tuple(a["shape"]), a["kind"]) for a in manifest["arrays"]]
-        reference = build_model(model.config, seed=0)
-        layout = {n: ("param", a.shape) for n, a in reference.params.items()}
-        layout.update((n, ("stat", a.shape)) for n, a in reference.stats.items())
+        layout = {name: (kind, shape) for name, kind, shape in _layout(model.config)}
         for name, shape, kind in arrays:
             if name not in layout:  # a name the model lacks, or one listed twice
                 raise ValueError(f"array {name!r} is unexpected")

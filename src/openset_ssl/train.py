@@ -201,21 +201,26 @@ class _Cycler:
     """Seeded per-epoch shuffles of range(n); shorter streams wrap."""
 
     def __init__(self, n, seed, label):
+        if n < 1:
+            raise ValueError("cannot cycle an empty stream")
         self.n = n
         self.seed = seed
         self.label = label
         self.epoch = 0
-        self.pending = []
+        self.pending = np.empty(0, dtype=np.int64)
 
     def take(self, k):
-        out = []
-        while len(out) < k:
-            if not self.pending:
+        """The next k indices, as an array."""
+        parts = []
+        while k > 0:
+            if not len(self.pending):
                 gen = rng_mod.stream(self.seed, self.label, self.epoch)
-                self.pending = list(gen.permutation(self.n))
+                self.pending = gen.permutation(self.n)
                 self.epoch += 1
-            out.append(self.pending.pop(0))
-        return out
+            parts.append(self.pending[:k])
+            self.pending = self.pending[k:]
+            k -= len(parts[-1])
+        return np.concatenate(parts)
 
 
 def one_hot(labels, num_classes):

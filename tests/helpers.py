@@ -90,17 +90,24 @@ def nudge_into_generic_position(model, seed=0, scale=0.05):
 
 
 def relu_kink_margin(loss):
-    """Smallest |pre-activation| over relu nodes that carry gradient."""
+    """Smallest |pre-activation| over relu and affine-relu nodes that pass
+    gradient; an affine-relu's pre-activation is x * scale + shift."""
     g = loss.builder.graph
     grads = g.backward(loss.node)
     margin = np.inf
-    for node in g.nodes:
-        if node.op != "relu":
+    for i, node in enumerate(g.nodes):
+        if node.op == "relu":
+            pre = g.value(node.inputs[0])
+            passed = grads[node.inputs[0]]
+        elif node.op == "affine-relu":
+            x, scale, shift = (g.value(j) for j in node.inputs)
+            pre = x * scale + shift
+            passed = grads[i] * (pre > 0.0)
+        else:
             continue
-        upstream = node.inputs[0]
-        if np.abs(grads[upstream]).max() == 0.0:
+        if np.abs(passed).max() == 0.0:
             continue
-        margin = min(margin, float(np.abs(g.value(upstream)).min()))
+        margin = min(margin, float(np.abs(pre).min()))
     return margin
 
 

@@ -84,6 +84,13 @@ MALFORMED = [
     ("l2-normalize-rows", [(2, 2, 2)], {}, ["l2-normalize-rows", "(2, 2, 2)"]),
     ("batch-norm", [(1, 3)], {"eps": 1e-5}, ["batch-norm", "at least 2 rows", "(1, 3)"]),
     ("batch-norm", [(4,)], {"eps": 1e-5}, ["batch-norm", "2-D", "(4,)"]),
+    ("affine-relu", [(2, 3), (1, 2), (1, 3)], {}, ["affine-relu", "scale", "(1, 2)", "(2, 3)"]),
+    ("affine-relu", [(2, 3), (1, 3), (2, 3)], {}, ["affine-relu", "shift", "(2, 3)"]),
+    ("affine-relu", [(2, 3), (1, 3)], {}, ["affine-relu", "expects 3", "(2, 3), (1, 3)"]),
+    ("batch-norm", [(2, 3)], {"eps": 1e-5, "running": (np.zeros((1, 2)), np.ones((1, 3)))},
+     ["batch-norm", "running mean", "(1, 2)", "(2, 3)"]),
+    ("batch-norm", [(2, 3)], {"eps": 1e-5, "running": (np.zeros((1, 3)), np.ones(3))},
+     ["batch-norm", "running variance", "(3,)", "(2, 3)"]),
 ]
 
 
@@ -347,6 +354,42 @@ class TestEveryKindGradient:
             weights_shape=(6, 3),
         )
 
+    def test_batch_norm_running(self):
+        rng = np.random.default_rng(15)
+        running = (rng.standard_normal((1, 3)), rng.uniform(0.1, 2.0, (1, 3)))
+        self.check(
+            lambda g, x: g.apply("batch-norm", [x], eps=1e-5, running=running),
+            lambda rng: rng.standard_normal((6, 3)),
+            weights_shape=(6, 3),
+        )
+
+    # Every entry of x is 1 to 2 from zero, every scale 0.5 to 1.5 and
+    # every shift within 0.4, so x * scale + shift stays 0.1 clear of the
+    # relu's kink wherever the point moves during the check.
+    AFFINE = {
+        "x": lambda rng: rng.choice([-1.0, 1.0], (4, 3)) * rng.uniform(1.0, 2.0, (4, 3)),
+        "scale": lambda rng: rng.choice([-1.0, 1.0], (1, 3)) * rng.uniform(0.5, 1.5, (1, 3)),
+        "shift": lambda rng: rng.uniform(-0.4, 0.4, (1, 3)),
+    }
+
+    def check_affine_relu(self, operand):
+        fixed = {k: draw(np.random.default_rng(16)) for k, draw in self.AFFINE.items()}
+
+        def build(g, point):
+            ids = [point if k == operand else g.input(v) for k, v in fixed.items()]
+            return g.apply("affine-relu", ids)
+
+        self.check(build, self.AFFINE[operand], weights_shape=(4, 3))
+
+    def test_affine_relu(self):
+        self.check_affine_relu("x")
+
+    def test_affine_relu_scale(self):
+        self.check_affine_relu("scale")
+
+    def test_affine_relu_shift(self):
+        self.check_affine_relu("shift")
+
     def test_softmax_cross_entropy(self):
         # targets of any sign and row mass, one row all zero
         targets = np.random.default_rng(14).standard_normal((4, 5))
@@ -368,7 +411,10 @@ _EXAMPLE_PARAMS = {
 def _keeps_residuals(kind):
     g = DiffGraph()
     x = g.input(np.arange(1.0, 10.0).reshape(3, 3))
-    node = g.apply(kind, [x] * OPS[kind].arity, **_EXAMPLE_PARAMS.get(kind, {}))
+    # affine-relu: x with a unit scale row and a zero shift row
+    inputs = [x, g.input(np.ones((1, 3))), g.input(np.zeros((1, 3)))] if kind == "affine-relu" \
+        else [x] * OPS[kind].arity
+    node = g.apply(kind, inputs, **_EXAMPLE_PARAMS.get(kind, {}))
     return g.residuals(node) is not None
 
 
@@ -607,6 +653,203 @@ class TestBatchNormOracle:
                 ), f"{where}: grad h"
 
 
+class TestBatchNormRunningOracle:
+    """Eval-mode batch norm against a 60-digit evaluation of its formula:
+    y = (h - mean) / sqrt(var + eps) and the VJP g / sqrt(var + eps).
+
+    Every entry is one subtraction and one product with 1/sqrt(var + eps),
+    each correctly rounded, so the error of an entry is relative to the
+    exact entry: BOUND of it, plus UNDERFLOW smallest subnormals for
+    results at the bottom of the subnormal range.  BOUND is about 45 units
+    of 2**-53; the arithmetic allows 4."""
+
+    BOUND = 1e-14
+    UNDERFLOW = 1
+
+    COLUMNS = {
+        **_ORACLE_COLUMNS,
+        "at-mean": lambda rng, n: np.full(n, 0.25),  # h == mean exactly
+        "huge": lambda rng, n: 1e150 * rng.standard_normal(n),
+    }
+    VARIANCES = {"unit": 1.0, "tiny": 1e-14, "zero": 0.0, "large": 1e8, "huge": 1e300}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        columns=st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=6),
+        variances=st.lists(st.sampled_from(sorted(VARIANCES)), min_size=6, max_size=6),
+        eps=st.sampled_from([1e-5, 1e-12, 0.5]),
+        upstream=st.sampled_from(["normal", "integer", "subnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, columns=["at-mean", "huge", "offset"], variances=["zero", "huge", "tiny"] * 2,
+             eps=1e-12, upstream="subnormal", seed=0)
+    def test_within_bound_of_exact(self, n, columns, variances, eps, upstream, seed):
+        rng = np.random.default_rng(seed)
+        h = np.stack([self.COLUMNS[kind](rng, n) for kind in columns], axis=1)
+        w = h.shape[1]
+        mean = np.where([c == "at-mean" for c in columns], 0.25, rng.standard_normal(w))[None]
+        var = np.array([[self.VARIANCES[v] for v in variances[:w]]])
+        g = _draw(rng, upstream, h.shape)
+        y, grad = _kind_and_vjp("batch-norm", h, g, eps=eps, running=(mean, var))
+        with mpmath.mp.workdps(60):
+            for j in range(w):
+                inv = 1 / mpmath.sqrt(mpmath.mpf(float(var[0, j])) + mpmath.mpf(eps))
+                for i in range(n):
+                    e_y = (mpmath.mpf(float(h[i, j])) - mpmath.mpf(float(mean[0, j]))) * inv
+                    e_grad = mpmath.mpf(float(g[i, j])) * inv
+                    for got, want, what in ((y, e_y, "value"), (grad, e_grad, "grad")):
+                        assert abs(mpmath.mpf(float(got[i, j])) - want) <= (
+                            self.BOUND * abs(want) + self.UNDERFLOW * _TINY
+                        ), f"{what} [{i}, {j}] ({columns[j]}, var {variances[j]})"
+
+
+class TestAffineReluOracle:
+    """The kind against a 60-digit evaluation of its formula: with
+    z = x * scale + shift, y = max(z, 0) and, for upstream g and the mask
+    m = (z > 0), the VJP g·m·scale, sum_i g·m·x and sum_i g·m.
+
+    z is a product and a sum, each correctly rounded, so y's error is in
+    units of |x·scale| + |shift|.  Where the exact z lies within that
+    error of 0 the kind may take either side of the kink; elsewhere its
+    mask must be the exact one, and the VJP is compared with the exact
+    formula under the kind's own mask.  The x-gradient is one product, so
+    its unit is its exact value; the column sums' units are the sums of
+    the absolute terms.  Each allows UNDERFLOW smallest subnormals per row
+    for products at the bottom of the subnormal range.  BOUND is about 45
+    units of 2**-53; over 12 rows pairwise summation allows about 12."""
+
+    BOUND = 1e-14
+    UNDERFLOW = 1
+
+    ENTRIES = {
+        "normal": lambda rng, shape: rng.standard_normal(shape),
+        "large": lambda rng, shape: 1e150 * rng.standard_normal(shape),
+        "small": lambda rng, shape: 1e-150 * rng.standard_normal(shape),
+        "signs": lambda rng, shape: rng.choice([-1.0, 1.0], shape),
+        "zero": lambda rng, shape: np.zeros(shape),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        w=st.integers(1, 5),
+        kinds=st.tuples(*[st.sampled_from(sorted(ENTRIES))] * 3),
+        upstream=st.sampled_from(["normal", "integer", "subnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # x·scale cancels the shift exactly on every entry: z is 0 at the kink
+    @example(n=4, w=3, kinds=("signs", "signs", "signs"), upstream="integer", seed=0)
+    @example(n=3, w=2, kinds=("large", "small", "normal"), upstream="subnormal", seed=1)
+    def test_within_bound_of_exact(self, n, w, kinds, upstream, seed):
+        rng = np.random.default_rng(seed)
+        x = self.ENTRIES[kinds[0]](rng, (n, w))
+        scale = self.ENTRIES[kinds[1]](rng, (1, w))
+        shift = self.ENTRIES[kinds[2]](rng, (1, w))
+        if kinds == ("signs",) * 3:
+            shift = -(x[:1] * scale)
+            x = np.repeat(x[:1], n, axis=0)
+        g = _draw(rng, upstream, (n, w))
+        graph = DiffGraph()
+        ids = [graph.input(v) for v in (x, scale, shift)]
+        node = graph.apply("affine-relu", ids)
+        y = graph.value(node)
+        grads = OPS["affine-relu"].vjp(g, y, None, x, scale, shift)
+        mp = mpmath.mpf
+        with mpmath.mp.workdps(60):
+            for j in range(w):
+                s, b = mp(float(scale[0, j])), mp(float(shift[0, j]))
+                sums = [mp(0)] * 4  # g·m·x and g·m, and their absolute terms
+                for i in range(n):
+                    xs, gs = mp(float(x[i, j])), mp(float(g[i, j]))
+                    z = xs * s + b
+                    unit = abs(xs * s) + abs(b)
+                    where = f"[{i}, {j}]"
+                    assert abs(mp(float(y[i, j])) - max(z, 0)) <= (
+                        self.BOUND * unit + self.UNDERFLOW * _TINY
+                    ), f"y {where}"
+                    kept = y[i, j] > 0
+                    if abs(z) > self.BOUND * unit + self.UNDERFLOW * _TINY:
+                        assert kept == (z > 0), f"mask {where}"
+                    gm = gs if kept else mp(0)
+                    assert abs(mp(float(grads[0][i, j])) - gm * s) <= (
+                        self.BOUND * abs(gm * s) + self.UNDERFLOW * _TINY
+                    ), f"grad x {where}"
+                    sums = [sums[0] + gm * xs, sums[1] + gm, sums[2] + abs(gm * xs),
+                            sums[3] + abs(gm)]
+                for k, what in ((1, "scale"), (2, "shift")):
+                    assert abs(mp(float(grads[k][0, j])) - sums[k - 1]) <= (
+                        self.BOUND * sums[k + 1] + self.UNDERFLOW * n * _TINY
+                    ), f"grad {what} [0, {j}]"
+
+
+def _composed_layer(g, h, scale, shift, eps, running):
+    """Batch norm, affine and relu as the model built them before the
+    eval-mode `batch-norm` and the `affine-relu` kind: in eval mode
+    (h + -mean) * inv from two constant leaves, then mul, add and relu."""
+    if running is None:
+        normed = g.apply("batch-norm", [h], eps=eps)
+    else:
+        mean, var = running
+        centered = g.apply("add", [h, g.input(-mean)])
+        normed = g.apply("elementwise-mul", [centered, g.input(1.0 / np.sqrt(var + eps))])
+    return g.apply("relu", [g.apply("add", [g.apply("elementwise-mul", [normed, scale]), shift])])
+
+
+def _fused_layer(g, h, scale, shift, eps, running):
+    normed = g.apply("batch-norm", [h], eps=eps, running=running)
+    return g.apply("affine-relu", [normed, scale, shift])
+
+
+class TestLayerMatchesComposition:
+    """Two batches through one layer's batch norm, affine and relu, sharing
+    its scale and shift as the fine-tuning forwards do: the fused kinds give
+    the composition's values and gradients byte for byte, dead units,
+    signed zeros and a layer through which nothing passes included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        columns=st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=6),
+        modes=st.tuples(*[st.sampled_from(["train", "eval"])] * 2),
+        eps=st.sampled_from([1e-5, 1e-12, 0.5]),
+        affine=st.sampled_from(["normal", "integer", "dead"]),
+        weight_kind=st.sampled_from(["normal", "integer", "subnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, columns=["plain", "zero"], modes=("eval", "train"), eps=1e-5, affine="dead",
+             weight_kind="normal", seed=0)
+    def test_values_and_gradients_are_bytes_equal(
+        self, n, columns, modes, eps, affine, weight_kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        w = len(columns)
+        batches = [np.stack([_COLUMNS[k](rng, n) for k in columns], axis=1) for _ in modes]
+        runnings = [None if mode == "train" else (rng.standard_normal((1, w)),
+                                                  rng.uniform(0.0, 3.0, (1, w)))
+                    for mode in modes]
+        if affine == "dead":  # nothing passes the relu, in either batch
+            scale, shift = np.zeros((1, w)), -np.ones((1, w))
+        else:
+            scale, shift = _draw(rng, affine, (1, w)), _draw(rng, affine, (1, w))
+        weights = [_draw(rng, weight_kind, h.shape) for h in batches]
+
+        def run(layer):
+            g = DiffGraph()
+            s_id, b_id = g.input(scale), g.input(shift)
+            h_ids = [g.input(h) for h in batches]
+            outs = [layer(g, h_id, s_id, b_id, eps, running)
+                    for h_id, running in zip(h_ids, runnings)]
+            terms = [reduce_sum(g, g.apply("elementwise-mul", [out, g.input(wt)]))
+                     for out, wt in zip(outs, weights)]
+            grads = g.backward(g.apply("add", terms))
+            return [g.value(o).tobytes() for o in outs] + [
+                grads[i].tobytes() for i in (s_id, b_id, *h_ids)
+            ]
+
+        assert run(_fused_layer) == run(_composed_layer)
+
+
 def _kind_and_vjp(kind, x, upstream, **params):
     """A kind's forward value and its VJP of `upstream`, as backward calls it."""
     g = DiffGraph()
@@ -791,6 +1034,9 @@ def _recomputed_vjp(kind, g, y, x, **params):
         grad = (g - y * (g * y).sum(axis=1, keepdims=True)) / safe
         return (np.where(zero, 0.0, grad),)
     assert kind == "batch-norm"
+    if params.get("running") is not None:
+        _, var = params["running"]
+        return (g * (1.0 / np.sqrt(var + params["eps"])),)
     return OPS[kind].vjp(g, y, batch_moments(x, params["eps"]), x, **params)
 
 
@@ -863,3 +1109,17 @@ class TestResidualsMatchRecomputation:
         node = g.apply("batch-norm", [g.input(h)], eps=eps)
         for kept, fresh in zip(g.residuals(node), batch_moments(h, eps)):
             assert kept.tobytes() == fresh.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        columns=st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=8),
+        eps=st.sampled_from([1e-5, 1e-12, 0.5]),
+        weight_kind=st.sampled_from(["normal", "integer", "subnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_norm_running(self, n, columns, eps, weight_kind, seed):
+        rng = np.random.default_rng(seed)
+        h = np.stack([_COLUMNS[kind](rng, n) for kind in columns], axis=1)
+        running = (rng.standard_normal((1, h.shape[1])), rng.uniform(0.0, 3.0, (1, h.shape[1])))
+        self.check("batch-norm", h, _draw(rng, weight_kind, h.shape), eps=eps, running=running)

@@ -194,6 +194,9 @@ class TestSweepAndReport:
         # out-of-class samples with no out-of-class classes: generate fails
         assert run_cli(*sweep, "--out-classes", "0") != 0
         assert harness.collect_sweep_rows(out)[0]["error"]
+        # the first run's report is gone, so eval cannot pass it off as the rerun's
+        assert not (tmp_path / "sweep" / "proportion_0.5" / "report.json").exists()
+        assert run_cli("eval", "--out-dir", os.path.join(out, "proportion_0.5")) != 0
         assert run_cli("report", "--sweep-dir", out) == 0
         curve = (tmp_path / "sweep" / "curve.csv").read_text().splitlines()
         assert curve == ["value,median_accuracy,best_accuracy"]

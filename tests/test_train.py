@@ -3,18 +3,22 @@ fine-tuning loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     nudge_into_generic_position,
     combined_param_gradcheck,
     relu_kink_margin,
 )
+from openset_ssl import rng as rng_mod
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig, pretrain
 from openset_ssl.model import GraphBuilder, ModelConfig, build_model
 from openset_ssl.train import (
     SSLConfig,
     StepPlan,
+    _Cycler,
     aux_only_train,
     build_step_loss,
     cross_entropy_node,
@@ -404,6 +408,34 @@ class TestAuxOnlyTrain:
         y = rng.integers(1, C + 1, size=6)
         acc = evaluate_accuracy(model, x, y)
         assert 0.0 <= acc <= 1.0
+
+
+class TestCycler:
+    @staticmethod
+    def popped(n, seed, label, takes):
+        """The indices as `_Cycler` drew them with list.pop(0)."""
+        pending, epoch, out = [], 0, []
+        for k in takes:
+            batch = []
+            while len(batch) < k:
+                if not pending:
+                    pending = list(rng_mod.stream(seed, label, epoch).permutation(n))
+                    epoch += 1
+                batch.append(pending.pop(0))
+            out.append(batch)
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), takes=st.lists(st.integers(1, 90), max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_takes_the_indices_of_a_popped_permutation(self, n, takes, seed):
+        cycler = _Cycler(n, seed, "train.labeled")
+        got = [cycler.take(k).tolist() for k in takes]
+        assert got == self.popped(n, seed, "train.labeled", takes)
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            _Cycler(0, 1, "train.in")
 
 
 def test_package_attribute_is_the_submodule():
