@@ -25,6 +25,8 @@ keeps:
                            sums of the targets
     l2-normalize-rows      which rows count as zero, and the row norms
                            with 1 in their place
+    ntxent                 the normalized rows and what l2-normalize-rows
+                           keeps, exp of the shifted logits and its row sums
 
 The kinds (64-bit reals throughout):
 
@@ -53,6 +55,10 @@ The kinds (64-bit reals throughout):
                          no gradient.  With targets summing to one per row
                          this is -sum_c t_c * log softmax(x)_c; a zero row
                          adds exactly 0 and the mean stays over all n rows
+    ntxent               SimCLR's NT-Xent over a (2N, d) batch, a 0-d scalar;
+                         params: tau > 0.  With logits y @ y.T / tau of its
+                         l2-normalized rows y, diagonal masked, the mean over
+                         q of logsumexp(logits_q) - logits_q,(q+N) mod 2N
 """
 
 from typing import Callable, NamedTuple
@@ -60,6 +66,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 _ZERO_ROW_EPS = 1e-12
+_DIAG_MASK = -1e9  # exp of a masked logit underflows to exactly 0.0
 
 
 class Node:
@@ -194,6 +201,33 @@ def _l2_normalize_rows_vjp(g, y, res, x):
     return (np.where(zero, 0.0, grad),)
 
 
+def _ntxent(p, tau):
+    if p.ndim != 2 or p.shape[0] % 2:
+        raise ValueError(f"ntxent: expects a 2-D batch of an even row count, got {p.shape}")
+    if not tau > 0:
+        raise ValueError(f"ntxent: tau must be positive, got {tau}")
+    y, (zero, safe) = _l2_normalize_rows(p)
+    # matmul, scale and a mask add in this order keep their composition's bits
+    logits = (y @ y.T) * (1.0 / tau)
+    rows = np.arange(p.shape[0])
+    logits[rows, rows] += _DIAG_MASK
+    m, e, total = _shifted_exp(logits)
+    positives = logits[rows, (rows + p.shape[0] // 2) % p.shape[0], None]
+    return (m + np.log(total) - positives).mean(), (y, zero, safe, e, total)
+
+
+def _ntxent_vjp(g, value, res, p, tau):
+    # the softmax-cross-entropy, scale, matmul and l2-normalize-rows VJPs in turn
+    y, zero, safe, e, total = res
+    two_n = p.shape[0]
+    rows = np.arange(two_n)
+    grad = e / total
+    grad[rows, (rows + two_n // 2) % two_n] -= 1.0
+    grad *= g.item() / two_n
+    grad *= 1.0 / tau
+    return _l2_normalize_rows_vjp(grad @ y + grad.T @ y, y, (zero, safe), p)
+
+
 def batch_moments(h, eps):
     """The train-mode batch-norm intermediates of an (n, w) batch: mu,
     h - mu, the biased variance and 1/sqrt(var + eps)."""
@@ -275,6 +309,7 @@ OPS = {
     "batch-norm": _Op(1, _batch_norm, _batch_norm_vjp),
     "affine-relu": _Op(3, _keeps_nothing(_affine_relu), _affine_relu_vjp),
     "softmax-cross-entropy": _Op(1, _softmax_cross_entropy, _softmax_cross_entropy_vjp),
+    "ntxent": _Op(1, _ntxent, _ntxent_vjp),
 }
 
 OP_KINDS = tuple(OPS)

@@ -1,6 +1,6 @@
-"""NT-Xent contrastive loss and self-supervised pretraining of the
-encoder and projection header on the pooled labeled + unlabeled features,
-labels stripped.
+"""Self-supervised pretraining of the encoder and projection header with
+the NT-Xent loss (one `ntxent` tape node per batch) on the pooled labeled
++ unlabeled features, labels stripped.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +13,6 @@ from .augment import AugmentConfig, augment_batch
 from .model import GraphBuilder, commit_batch_stats, forward
 from .optim import NesterovSGD, cosine_lr
 
-_DIAG_MASK = -1e9  # exp of a masked logit underflows to exactly 0.0
 _CALIBRATION_PASSES = 2  # over the clean pool after pretraining
 
 
@@ -65,53 +64,15 @@ class GraphLoss:
         optimizer.step(self.parameter_gradients(), lr=lr)
 
 
-def ntxent_query_loss(query, positive, candidates, tau_con):
-    """-log( exp(h(q, +)/tau) / sum_i exp(h(q, c_i)/tau) ) with cosine h.
-
-    The candidate set must be nonempty and contain the positive; the query
-    itself must not be among the candidates (the caller's contract).
-    """
-    from .model import cosine_similarity
-
-    if tau_con <= 0:
-        raise ValueError("tau_con must be positive")
-    candidates = [np.asarray(c, dtype=np.float64) for c in candidates]
-    if not candidates:
-        raise ValueError("ntxent_query_loss: empty candidate set")
-    positive = np.asarray(positive, dtype=np.float64)
-    hits = [i for i, c in enumerate(candidates) if np.array_equal(positive, c)]
-    if not hits:
-        raise ValueError("ntxent_query_loss: positive is not among the candidates")
-    sims = cosine_similarity(query, np.stack(candidates))[0] / tau_con
-    pos = sims[hits[0]]
-    m = sims.max()
-    return float(np.log(np.exp(sims - m).sum()) + m - pos)
-
-
 def ntxent_matrix_loss(builder, proj_node, tau_con):
     """Mean NT-Xent loss node over all 2N queries of a paired view batch.
 
     Rows of `proj_node` are projections of views ordered so that row q's
     positive sits at row (q + N) mod 2N; every other row except q itself
-    is a negative.  One softmax-cross-entropy node over the masked cosine
-    logits, so the loss stays finite at any temperature.
+    is a negative.  One `ntxent` node: cosine logits with the diagonal
+    masked out, so the loss stays finite at any temperature.
     """
-    g = builder.graph
-    two_n = g.value(proj_node).shape[0]
-    if two_n % 2 != 0:
-        raise ValueError("paired view batch must have an even row count")
-    n = two_n // 2
-
-    normed = g.apply("l2-normalize-rows", [proj_node])
-    sims = g.apply("matmul", [normed, normed], transpose_b=True)
-    logits = g.apply("scale", [sims], factor=1.0 / tau_con)
-    rows = np.arange(two_n)
-    mask = np.zeros((two_n, two_n))
-    mask[rows, rows] = _DIAG_MASK
-    masked = g.apply("add", [logits, builder.const(mask)])
-    positives = np.zeros((two_n, two_n))
-    positives[rows, (rows + n) % two_n] = 1.0
-    return g.apply("softmax-cross-entropy", [masked], targets=positives)
+    return builder.graph.apply("ntxent", [proj_node], tau=tau_con)
 
 
 def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None):

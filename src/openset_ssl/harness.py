@@ -386,8 +386,12 @@ def load_stage_outputs(config, count):
 
 def run_experiment(config):
     """Every stage in one process; returns the report that stage_train
-    wrote, with the stage wall times added under `timings`."""
+    wrote, with the stage wall times added under `timings`.  An earlier
+    run's report is removed first, so a failed rerun leaves none behind."""
     os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, "report.json")
+    if os.path.exists(path):
+        os.remove(path)
     timings, outputs = {}, []
     for name, stage in stages().items():
         start = time.perf_counter()
@@ -396,7 +400,6 @@ def run_experiment(config):
         except Exception as exc:
             raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
         timings[name] = time.perf_counter() - start
-    path = os.path.join(config.out_dir, "report.json")
     report = read_json(path)
     report["timings"] = timings
     write_json(path, report)
@@ -426,8 +429,8 @@ def run_sweep(config, axis, values):
     """One experiment per axis value, same master seed throughout, each in
     its own `{axis}_{value:g}` directory (values that would share one fail).
 
-    Per-run failures are recorded in the table and the sweep continues; a
-    value's earlier report is removed before it reruns, so a failed rerun
+    Per-run failures are recorded in the table and the sweep continues; as
+    `run_experiment` removes a value's earlier report first, a failed rerun
     leaves none behind.
     """
     values = list(values)
@@ -445,9 +448,6 @@ def run_sweep(config, axis, values):
         sub = replace(apply_axis(config, axis, value),
                       out_dir=os.path.join(config.out_dir, run_dir), raw_text=None)
         row = {"axis": axis, "value": value, "error": None, "report": None}
-        stale = os.path.join(sub.out_dir, "report.json")
-        if os.path.exists(stale):
-            os.remove(stale)
         try:
             row["report"] = run_experiment(sub)
         except Exception as exc:

@@ -38,10 +38,8 @@ def soft_label(sims, tau_sl):
     of a (n, C) matrix, or of one vector."""
     if tau_sl <= 0:
         raise ValueError("tau_sl must be positive")
-    sims = np.asarray(sims, dtype=np.float64) / tau_sl
-    sims = sims - sims.max(axis=-1, keepdims=True)
-    e = np.exp(sims)
-    return e / e.sum(axis=-1, keepdims=True)
+    sims = np.asarray(sims, dtype=np.float64)
+    return softmax_rows(np.atleast_2d(sims) / tau_sl).reshape(sims.shape)
 
 
 @dataclass

@@ -76,6 +76,24 @@ def reference_batch_norm(g, h_id, eps):
     return normed, mu, var
 
 
+def reference_ntxent(g, proj_id, tau):
+    """NT-Xent of node `proj_id` as the six-node composition the SimCLR
+    loss built before the `ntxent` kind, node for node: normalized rows,
+    cosine logits, a constant diagonal mask added, and softmax cross
+    entropy against the one-hot positives."""
+    two_n = g.value(proj_id).shape[0]
+    normed = g.apply("l2-normalize-rows", [proj_id])
+    sims = g.apply("matmul", [normed, normed], transpose_b=True)
+    logits = g.apply("scale", [sims], factor=1.0 / tau)
+    rows = np.arange(two_n)
+    mask = np.zeros((two_n, two_n))
+    mask[rows, rows] = -1e9
+    masked = g.apply("add", [logits, g.input(mask)])
+    positives = np.zeros((two_n, two_n))
+    positives[rows, (rows + two_n // 2) % two_n] = 1.0
+    return g.apply("softmax-cross-entropy", [masked], targets=positives)
+
+
 def nudge_into_generic_position(model, seed=0, scale=0.05):
     """Jitter every parameter so no relu input sits exactly on a kink.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reduce_sum, reference_batch_norm, scalar_fn
+from helpers import reduce_sum, reference_batch_norm, reference_ntxent, scalar_fn
 from openset_ssl.autodiff import (
     OP_KINDS,
     OPS,
@@ -91,6 +91,10 @@ MALFORMED = [
      ["batch-norm", "running mean", "(1, 2)", "(2, 3)"]),
     ("batch-norm", [(2, 3)], {"eps": 1e-5, "running": (np.zeros((1, 3)), np.ones(3))},
      ["batch-norm", "running variance", "(3,)", "(2, 3)"]),
+    ("ntxent", [(3, 2)], {"tau": 0.5}, ["ntxent", "even row count", "(3, 2)"]),
+    ("ntxent", [(4,)], {"tau": 0.5}, ["ntxent", "2-D", "(4,)"]),
+    ("ntxent", [(4, 2)], {"tau": 0.0}, ["ntxent", "tau", "0.0"]),
+    ("ntxent", [(4, 2)], {"tau": -0.5}, ["ntxent", "tau", "-0.5"]),
 ]
 
 
@@ -390,6 +394,17 @@ class TestEveryKindGradient:
     def test_affine_relu_shift(self):
         self.check_affine_relu("shift")
 
+    @staticmethod
+    def paired_rows(rng):
+        x = rng.standard_normal((6, 3))
+        return x + np.sign(x) * 0.1  # keep row norms clear of zero
+
+    def test_ntxent(self):
+        self.check(lambda g, x: g.apply("ntxent", [x], tau=0.5), self.paired_rows)
+
+    def test_ntxent_cold(self):
+        self.check(lambda g, x: g.apply("ntxent", [x], tau=0.05), self.paired_rows)
+
     def test_softmax_cross_entropy(self):
         # targets of any sign and row mass, one row all zero
         targets = np.random.default_rng(14).standard_normal((4, 5))
@@ -400,29 +415,38 @@ class TestEveryKindGradient:
         )
 
 
-# params that let every kind run on a (3, 3) input (matmul: x @ x)
-_EXAMPLE_PARAMS = {
-    "scale": {"factor": 2.0},
-    "batch-norm": {"eps": 1e-5},
-    "softmax-cross-entropy": {"targets": np.eye(3)},
+_SQUARE = np.arange(1.0, 10.0).reshape(3, 3)
+
+# one example per kind: the input arrays it runs on, and its params
+_EXAMPLES = {
+    "matmul": ([_SQUARE, _SQUARE], {}),
+    "add": ([_SQUARE, _SQUARE], {}),
+    "scale": ([_SQUARE], {"factor": 2.0}),
+    "relu": ([_SQUARE], {}),
+    "exp": ([_SQUARE], {}),
+    "log": ([_SQUARE], {}),
+    "l2-normalize-rows": ([_SQUARE], {}),
+    "elementwise-mul": ([_SQUARE, _SQUARE], {}),
+    "batch-norm": ([_SQUARE], {"eps": 1e-5}),
+    "affine-relu": ([_SQUARE, np.ones((1, 3)), np.zeros((1, 3))], {}),
+    "softmax-cross-entropy": ([_SQUARE], {"targets": np.eye(3)}),
+    "ntxent": ([np.arange(1.0, 9.0).reshape(4, 2)], {"tau": 0.5}),  # two pairs of rows
 }
 
 
 def _keeps_residuals(kind):
+    inputs, params = _EXAMPLES[kind]
     g = DiffGraph()
-    x = g.input(np.arange(1.0, 10.0).reshape(3, 3))
-    # affine-relu: x with a unit scale row and a zero shift row
-    inputs = [x, g.input(np.ones((1, 3))), g.input(np.zeros((1, 3)))] if kind == "affine-relu" \
-        else [x] * OPS[kind].arity
-    node = g.apply(kind, inputs, **_EXAMPLE_PARAMS.get(kind, {}))
+    node = g.apply(kind, [g.input(x) for x in inputs], **params)
     return g.residuals(node) is not None
 
 
 def test_every_kind_has_a_gradient_case():
-    """Every kind has a finite-difference case in TestEveryKindGradient,
-    and every kind that keeps forward residuals also has a byte-equality
-    case in TestResidualsMatchRecomputation.  A kind's cases are named
-    test_<kind> or test_<kind>_<variant>."""
+    """Every kind has an example input, a finite-difference case in
+    TestEveryKindGradient and, if it keeps forward residuals, a
+    byte-equality case in TestResidualsMatchRecomputation.  A kind's cases
+    are named test_<kind> or test_<kind>_<variant>."""
+    assert sorted(_EXAMPLES) == sorted(OP_KINDS)
     missing = []
     for kind in OP_KINDS:
         stem = "test_" + kind.replace("-", "_")
@@ -704,6 +728,16 @@ class TestBatchNormRunningOracle:
                         ), f"{what} [{i}, {j}] ({columns[j]}, var {variances[j]})"
 
 
+# oracle entries: magnitudes near 1e±150, whose pairwise products stay finite and normal
+_ENTRIES = {
+    "normal": lambda rng, shape: rng.standard_normal(shape),
+    "large": lambda rng, shape: 1e150 * rng.standard_normal(shape),
+    "small": lambda rng, shape: 1e-150 * rng.standard_normal(shape),
+    "signs": lambda rng, shape: rng.choice([-1.0, 1.0], shape),
+    "zero": lambda rng, shape: np.zeros(shape),
+}
+
+
 class TestAffineReluOracle:
     """The kind against a 60-digit evaluation of its formula: with
     z = x * scale + shift, y = max(z, 0) and, for upstream g and the mask
@@ -722,19 +756,11 @@ class TestAffineReluOracle:
     BOUND = 1e-14
     UNDERFLOW = 1
 
-    ENTRIES = {
-        "normal": lambda rng, shape: rng.standard_normal(shape),
-        "large": lambda rng, shape: 1e150 * rng.standard_normal(shape),
-        "small": lambda rng, shape: 1e-150 * rng.standard_normal(shape),
-        "signs": lambda rng, shape: rng.choice([-1.0, 1.0], shape),
-        "zero": lambda rng, shape: np.zeros(shape),
-    }
-
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 12),
         w=st.integers(1, 5),
-        kinds=st.tuples(*[st.sampled_from(sorted(ENTRIES))] * 3),
+        kinds=st.tuples(*[st.sampled_from(sorted(_ENTRIES))] * 3),
         upstream=st.sampled_from(["normal", "integer", "subnormal"]),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -743,9 +769,9 @@ class TestAffineReluOracle:
     @example(n=3, w=2, kinds=("large", "small", "normal"), upstream="subnormal", seed=1)
     def test_within_bound_of_exact(self, n, w, kinds, upstream, seed):
         rng = np.random.default_rng(seed)
-        x = self.ENTRIES[kinds[0]](rng, (n, w))
-        scale = self.ENTRIES[kinds[1]](rng, (1, w))
-        shift = self.ENTRIES[kinds[2]](rng, (1, w))
+        x = _ENTRIES[kinds[0]](rng, (n, w))
+        scale = _ENTRIES[kinds[1]](rng, (1, w))
+        shift = _ENTRIES[kinds[2]](rng, (1, w))
         if kinds == ("signs",) * 3:
             shift = -(x[:1] * scale)
             x = np.repeat(x[:1], n, axis=0)
@@ -848,6 +874,49 @@ class TestLayerMatchesComposition:
             ]
 
         assert run(_fused_layer) == run(_composed_layer)
+
+
+class TestNtxentMatchesComposition:
+    """The `ntxent` kind gives the value and the input gradient of the
+    six-node composition it replaced (`helpers.reference_ntxent`) byte for
+    byte: zero rows, identical pairs, a single pair (whose gradient is all
+    zero) and upstream gradients that underflow included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.integers(1, 129),
+        cols=st.integers(1, 39),
+        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+        zero_rows=st.booleans(),
+        twins=st.booleans(),
+        tau=st.sampled_from([0.001, 0.1, 0.5, 2.0]),
+        upstream=st.sampled_from([1.0, -0.37, 5e-324]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pairs=1, cols=3, scale=1.0, zero_rows=False, twins=False, tau=0.5, upstream=1.0,
+             seed=0)
+    @example(pairs=3, cols=2, scale=1e3, zero_rows=True, twins=True, tau=0.001, upstream=-0.37,
+             seed=1)
+    def test_value_and_gradient_are_bytes_equal(
+        self, pairs, cols, scale, zero_rows, twins, tau, upstream, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((2 * pairs, cols))
+        if twins:  # every positive equal to its query
+            x[pairs:] = x[:pairs]
+        if zero_rows:
+            x[rng.random(2 * pairs) < 0.25] = 0.0
+
+        def run(loss):
+            g = DiffGraph()
+            p = g.input(x)
+            node = loss(g, p)
+            grads = g.backward(g.apply("scale", [node], factor=upstream))
+            return g.value(node).tobytes(), grads[p].tobytes()
+
+        assert run(lambda g, p: g.apply("ntxent", [p], tau=tau)) == run(
+            lambda g, p: reference_ntxent(g, p, tau)
+        )
 
 
 def _kind_and_vjp(kind, x, upstream, **params):
@@ -1020,6 +1089,238 @@ class TestL2NormalizeRowsOracle:
                     ), f"grad [{i}, {j}]"
 
 
+def _product_terms(x, y):
+    """The products x_ik * y_kj that sum to each entry (i, j) of x @ y,
+    exact at 60 digits."""
+    with mpmath.mp.workdps(60):
+        return {(i, j): [a * b for a, b in zip(_mp(x[i]), _mp(y[:, j]))]
+                for i, j in np.ndindex(x.shape[0], y.shape[1])}
+
+
+def _entry_terms(*arrays):
+    """Entry (i, j) of the sum of the arrays, row broadcasting as add does,
+    as its terms."""
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    return {ij: [mpmath.mpf(float(np.broadcast_to(a, shape)[ij])) for a in arrays]
+            for ij in np.ndindex(shape)}
+
+
+def _assert_sums(got, terms, what, bound, underflow):
+    """Each entry of `got` within `bound` of the exact sum of its terms, in
+    units of the largest exact sum of absolute terms over all entries, plus
+    `underflow` smallest subnormals per term."""
+    with mpmath.mp.workdps(60):
+        unit = max(mpmath.fsum(abs(t) for t in ts) for ts in terms.values())
+        for ij, ts in terms.items():
+            assert abs(mpmath.mpf(float(got[ij])) - mpmath.fsum(ts)) <= (
+                bound * unit + underflow * len(ts) * _TINY
+            ), f"{what} {list(ij)}"
+
+
+class TestMatmulOracle:
+    """matmul against a 60-digit evaluation: the value a @ b (a @ b.T with
+    transpose_b) and the VJP of an upstream g, g @ b.T and a.T @ g (g @ b
+    and g.T @ a with transpose_b).
+
+    An entry is a sum of k products, so its error is in units of the
+    largest exact entry of the product of the absolute values, plus
+    UNDERFLOW smallest subnormals per product for upstream gradients at the
+    bottom of the subnormal range.  BOUND is about 45 units of 2**-53; k <=
+    6 products allow about 6."""
+
+    BOUND = 1e-14
+    UNDERFLOW = 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5)),
+        kinds=st.tuples(*[st.sampled_from(sorted(_ENTRIES))] * 2),
+        upstream=st.sampled_from(["normal", "integer", "subnormal"]),
+        transpose_b=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(3, 4, 2), kinds=("large", "small"), upstream="subnormal", transpose_b=True,
+             seed=0)
+    @example(shape=(2, 5, 3), kinds=("large", "large"), upstream="normal", transpose_b=False,
+             seed=1)
+    def test_within_bound_of_exact(self, shape, kinds, upstream, transpose_b, seed):
+        m, k, n = shape
+        rng = np.random.default_rng(seed)
+        a = _ENTRIES[kinds[0]](rng, (m, k))
+        b = _ENTRIES[kinds[1]](rng, (n, k) if transpose_b else (k, n))
+        g = _draw(rng, upstream, (m, n))
+        graph = DiffGraph()
+        node = graph.apply("matmul", [graph.input(a), graph.input(b)], transpose_b=transpose_b)
+        y = graph.value(node)
+        grad_a, grad_b = OPS["matmul"].vjp(g, y, None, a, b, transpose_b=transpose_b)
+        right = b.T if transpose_b else b  # b as it is multiplied
+        for got, terms, what in (
+            (y, _product_terms(a, right), "value"),
+            (grad_a, _product_terms(g, right.T), "grad a"),
+            (grad_b, _product_terms(g.T, a) if transpose_b else _product_terms(a.T, g), "grad b"),
+        ):
+            _assert_sums(got, terms, what, self.BOUND, self.UNDERFLOW)
+
+
+class TestAddOracle:
+    """add against a 60-digit evaluation, b an (m, n) matrix or a (1, n)
+    row broadcast down a's rows: the value a + b and the VJP of an upstream
+    g, which is g for a and for a matrix b, and g's column sums for a row b.
+
+    A sum of two is one rounding and a column sum of m entries m - 1, so
+    the errors are in units of the largest exact entry of |a| + |b|, or of
+    the column sums of |g|; a sum of subnormals is exact.  BOUND is about
+    45 units of 2**-53; m <= 6 rows allow about 5."""
+
+    BOUND = 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 5),
+        kinds=st.tuples(*[st.sampled_from(sorted(_ENTRIES))] * 2),
+        row=st.booleans(),
+        upstream=st.sampled_from(["normal", "integer", "subnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=4, n=3, kinds=("large", "small"), row=True, upstream="subnormal", seed=0)
+    def test_within_bound_of_exact(self, m, n, kinds, row, upstream, seed):
+        rng = np.random.default_rng(seed)
+        a = _ENTRIES[kinds[0]](rng, (m, n))
+        b = _ENTRIES[kinds[1]](rng, (1 if row else m, n))
+        g = _draw(rng, upstream, (m, n))
+        graph = DiffGraph()
+        y = graph.value(graph.apply("add", [graph.input(a), graph.input(b)]))
+        grad_a, grad_b = OPS["add"].vjp(g, y, None, a, b)
+        _assert_sums(y, _entry_terms(a, b), "value", self.BOUND, 0)
+        _assert_sums(grad_a, _entry_terms(g), "grad a", self.BOUND, 0)
+        # for a row b, the terms are g's rows, as (1, n) arrays
+        _assert_sums(grad_b, _entry_terms(*g[:, None]) if row else _entry_terms(g), "grad b",
+                     self.BOUND, 0)
+
+
+class TestScaleOracle:
+    """scale against a 60-digit evaluation: the value x * factor and the VJP
+    g * factor of an upstream g.  Each entry is one product, correctly
+    rounded, so the errors are in units of the largest exact entry, plus
+    UNDERFLOW smallest subnormals for products at the bottom of the
+    subnormal range.  BOUND is about 45 units of 2**-53; the arithmetic
+    allows 1."""
+
+    BOUND = 1e-14
+    UNDERFLOW = 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 5),
+        kind=st.sampled_from(sorted(_ENTRIES)),
+        factor=st.sampled_from([-1.7, 0.5, 3.0, 1e150, -1e-150]),
+        upstream=st.sampled_from(["normal", "integer", "subnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=3, n=2, kind="small", factor=-1e-150, upstream="subnormal", seed=0)
+    def test_within_bound_of_exact(self, m, n, kind, factor, upstream, seed):
+        rng = np.random.default_rng(seed)
+        x = _ENTRIES[kind](rng, (m, n))
+        g = _draw(rng, upstream, (m, n))
+        y, grad = _kind_and_vjp("scale", x, g, factor=factor)
+        with mpmath.mp.workdps(60):
+            for got, z, what in ((y, x, "value"), (grad, g, "grad")):
+                terms = {ij: [mpmath.mpf(float(z[ij])) * mpmath.mpf(factor)]
+                         for ij in np.ndindex(z.shape)}
+                _assert_sums(got, terms, what, self.BOUND, self.UNDERFLOW)
+
+
+class TestNtxentOracle:
+    """The kind against a 60-digit evaluation of SimCLR's NT-Xent over 2N
+    paired rows x_q.  With y_q = x_q/|x_q| (x_q itself for a row of norm
+    below 1e-12, which gets a zero gradient), logits l_qj = y_q·y_j/tau,
+    s_qj the softmax of l_q over j != q and q's positive p(q) = (q + N) mod
+    2N, the value is mean_q(logsumexp_{j != q} l_qj - l_q,p(q)).  For an
+    upstream g, with G_qj = g/2N·(s_qj - [j = p(q)]) and d_q = sum_j
+    (G_qj + G_jq)·y_j/tau, the VJP of row q is (d_q - y_q·(d_q·y_q))/|x_q|.
+
+    Every logit carries the rounding of a cosine, amplified by 1/tau, and
+    |l_qj| <= 1/tau, so the value's error is in units of 1 + 1/tau.  Row
+    q's gradient is in units of (1 + 1/tau)·A_q/(tau·|x_q|), where A_q sums
+    the absolute terms of row and column q of G, |g|/2N·(s_qj + [j =
+    p(q)]); plus UNDERFLOW smallest subnormals per entry of G, that is
+    2N/(tau·|x_q|) of them, for upstream gradients at the bottom of the
+    subnormal range.  BOUND is about 45 units of 2**-53; over 3,000 random
+    cases of this strategy the worst errors were 3.5e-16 (value) and
+    8.0e-17 (VJP) of their units, and underflow left at most 0.12 of its
+    allowance."""
+
+    BOUND = 1e-14
+    UNDERFLOW = 1
+
+    @staticmethod
+    def exact(x, tau, upstream):
+        """60-digit value and, per row, its norm, gradient and A_q."""
+        mp = mpmath.mpf
+        two_n = x.shape[0]
+        pos = [(q + two_n // 2) % two_n for q in range(two_n)]
+        with mpmath.mp.workdps(60):
+            tau, upstream = mp(tau), mp(float(upstream))
+            rows = [_mp(r) for r in x]
+            norms = [mpmath.sqrt(mpmath.fsum(v * v for v in r)) for r in rows]
+            ys = [r if nm < mp(1e-12) else [v / nm for v in r] for r, nm in zip(rows, norms)]
+            logits = [[mpmath.fsum(a * b for a, b in zip(yq, yj)) / tau for yj in ys] for yq in ys]
+            lse = [mpmath.log(mpmath.fsum(mpmath.exp(v) for j, v in enumerate(lq) if j != q))
+                   for q, lq in enumerate(logits)]
+            value = mpmath.fsum(lse[q] - logits[q][pos[q]] for q in range(two_n)) / two_n
+            soft = [[0 if j == q else mpmath.exp(logits[q][j] - lse[q]) for j in range(two_n)]
+                    for q in range(two_n)]
+            hot = [[int(j == pos[q]) for j in range(two_n)] for q in range(two_n)]
+            G = [[upstream / two_n * (soft[q][j] - hot[q][j]) for j in range(two_n)]
+                 for q in range(two_n)]
+            out = []
+            for q, (yq, nm) in enumerate(zip(ys, norms)):
+                coef = [G[q][j] + G[j][q] for j in range(two_n)]
+                d = [mpmath.fsum(c * yj[k] for c, yj in zip(coef, ys)) / tau
+                     for k in range(len(yq))]
+                dy = mpmath.fsum(a * b for a, b in zip(d, yq))
+                grad = [mp(0)] * len(yq) if nm < mp(1e-12) else [
+                    (a - b * dy) / nm for a, b in zip(d, yq)]
+                terms = abs(upstream) / two_n * mpmath.fsum(
+                    soft[q][j] + hot[q][j] + soft[j][q] + hot[j][q] for j in range(two_n))
+                out.append((nm, grad, terms))
+            return value, out
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(*[st.sampled_from(sorted(_ENTRIES))] * 2), min_size=1,
+                       max_size=6),
+        cols=st.integers(1, 8),
+        twins=st.booleans(),
+        tau=st.sampled_from([0.001, 0.5]),
+        upstream=st.sampled_from([1.0, -0.37, 5e-324]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pairs=[("normal", "normal"), ("signs", "large")], cols=3, twins=False, tau=0.001,
+             upstream=1.0, seed=0)
+    @example(pairs=[("large", "small"), ("zero", "normal"), ("signs", "signs")], cols=2,
+             twins=True, tau=0.5, upstream=5e-324, seed=1)
+    def test_within_bound_of_exact(self, pairs, cols, twins, tau, upstream, seed):
+        rng = np.random.default_rng(seed)
+        kinds = [a for a, _ in pairs] + [b for _, b in pairs]
+        x = np.concatenate([_ENTRIES[k](rng, (1, cols)) for k in kinds])
+        if twins:  # every positive equal to its query
+            x[len(pairs):] = x[:len(pairs)]
+        value, grad = _kind_and_vjp("ntxent", x, upstream, tau=tau)
+        e_value, rows = self.exact(x, tau, upstream)
+        with mpmath.mp.workdps(60):
+            cold = 1 + 1 / mpmath.mpf(tau)
+            assert abs(mpmath.mpf(float(value)) - e_value) <= self.BOUND * cold, "value"
+            for q, (nm, e_grad, terms) in enumerate(rows):
+                nm = nm if nm >= mpmath.mpf(1e-12) else 1  # zero rows: exactly 0
+                slack = (self.BOUND * cold * terms + self.UNDERFLOW * len(x) * _TINY) / (tau * nm)
+                for k in range(cols):
+                    assert abs(mpmath.mpf(float(grad[q, k])) - e_grad[k]) <= slack, \
+                        f"grad [{q}, {k}]"
+
+
 # The VJPs as they were before the kinds kept forward residuals: each
 # recomputes what it needs from the input.
 def _recomputed_vjp(kind, g, y, x, **params):
@@ -1033,6 +1334,18 @@ def _recomputed_vjp(kind, g, y, x, **params):
         safe = np.where(zero, 1.0, norms)
         grad = (g - y * (g * y).sum(axis=1, keepdims=True)) / safe
         return (np.where(zero, 0.0, grad),)
+    if kind == "ntxent":
+        # the VJPs of the six-node composition it replaced, from its forward
+        two_n, tau = x.shape[0], params["tau"]
+        rows = np.arange(two_n)
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        normed = x / np.where(norms < 1e-12, 1.0, norms)
+        logits = normed @ normed.T * (1.0 / tau)
+        logits[rows, rows] += -1e9
+        grad = softmax_rows(logits)
+        grad[rows, (rows + two_n // 2) % two_n] -= 1.0
+        grad = grad * (g.item() / two_n) * (1.0 / tau)
+        return _recomputed_vjp("l2-normalize-rows", grad @ normed + grad.T @ normed, normed, x)
     assert kind == "batch-norm"
     if params.get("running") is not None:
         _, var = params["running"]
@@ -1123,3 +1436,27 @@ class TestResidualsMatchRecomputation:
         h = np.stack([_COLUMNS[kind](rng, n) for kind in columns], axis=1)
         running = (rng.standard_normal((1, h.shape[1])), rng.uniform(0.0, 3.0, (1, h.shape[1])))
         self.check("batch-norm", h, _draw(rng, weight_kind, h.shape), eps=eps, running=running)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.integers(1, 6),
+        rows=st.lists(st.sampled_from(["normal", "zero", "tiny", "large"]), min_size=12,
+                      max_size=12),
+        cols=st.integers(1, 8),
+        tau=st.sampled_from([0.001, 0.1, 0.5, 2.0]),
+        upstream=st.sampled_from([1.0, -0.37, 3.0, 5e-324]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ntxent(self, pairs, rows, cols, tau, upstream, seed):
+        rng = np.random.default_rng(seed)
+        scales = {"normal": 1.0, "zero": 0.0, "tiny": 1e-13, "large": 1e150}
+        x = np.array([scales[r] * rng.standard_normal(cols) for r in rows[: 2 * pairs]])
+        value = self.check("ntxent", x, np.array(upstream), tau=tau)
+        two_n = 2 * pairs
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        normed = x / np.where(norms < 1e-12, 1.0, norms)
+        logits = normed @ normed.T * (1.0 / tau)
+        logits[range(two_n), range(two_n)] += -1e9
+        positives = logits[range(two_n), [(q + pairs) % two_n for q in range(two_n)]]
+        expected = (logsumexp_rows(logits) - positives[:, None]).mean()
+        assert value.tobytes() == np.float64(expected).tobytes()

@@ -52,6 +52,14 @@ class TestStagedPipeline:
         assert recomputed["threshold"] == report["detection"]["threshold"]
         assert recomputed["median_accuracy"] == report["median_accuracy"]
 
+    def test_failed_rerun_leaves_no_stale_report(self, tmp_path):
+        out = str(tmp_path / "full")
+        assert run_cli("run", "--out-dir", out, *MICRO) == 0
+        # out-of-class samples with no out-of-class classes: generate fails
+        assert run_cli("run", "--out-dir", out, *MICRO, "--out-classes", "0") == 1
+        assert not (tmp_path / "full" / "report.json").exists()
+        assert run_cli("eval", "--out-dir", out) != 0
+
     def test_staged_and_run_directories_match(self, tmp_path):
         staged, full = str(tmp_path / "staged"), str(tmp_path / "full")
         for stage in ("generate", "pretrain", "detect", "label", "train"):

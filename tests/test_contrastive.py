@@ -15,7 +15,6 @@ from openset_ssl.augment import AugmentConfig, augment_batch
 from openset_ssl.contrastive import (
     ContrastiveConfig,
     ntxent_matrix_loss,
-    ntxent_query_loss,
     pretrain,
     simclr_batch_loss,
 )
@@ -208,41 +207,6 @@ class TestAugment:
         )
         assert augment_batch(batch, ids, cfg, 1, 2, (0, 1)).tobytes() == expected.tobytes()
         assert augment_batch(np.zeros((0, 8)), [], cfg, 1, 2, (0, 1)).shape == (0, 8)
-
-
-class TestNtxentQueryLoss:
-    def test_single_candidate_equal_to_positive_is_zero(self):
-        q = np.array([1.0, 0.0])
-        pos = np.array([0.5, 0.5])
-        assert ntxent_query_loss(q, pos, [pos], tau_con=0.5) == 0.0
-
-    def test_all_identical_gives_log3(self):
-        v = np.array([0.3, 0.4])
-        loss = ntxent_query_loss(v, v, [v, v, v], tau_con=0.5)
-        assert abs(loss - np.log(3.0)) < 1e-12
-
-    def test_random_instance_matches_direct_summation(self):
-        rng = np.random.default_rng(3)
-        q = rng.standard_normal(4)
-        cands = [rng.standard_normal(4) for _ in range(4)]
-        pos = cands[2]
-        tau = 0.7
-
-        def cos(u, v):
-            return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-
-        direct = -np.log(
-            np.exp(cos(q, pos) / tau) / sum(np.exp(cos(q, c) / tau) for c in cands)
-        )
-        assert abs(ntxent_query_loss(q, pos, cands, tau) - direct) < 1e-10
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            ntxent_query_loss(np.ones(2), np.ones(2), [], 0.5)
-
-    def test_positive_must_be_among_candidates(self):
-        with pytest.raises(ValueError):
-            ntxent_query_loss(np.ones(2), np.array([9.0, 9.0]), [np.ones(2)], 0.5)
 
 
 def matrix_loss_value(projections, tau):
