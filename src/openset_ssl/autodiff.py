@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 _ZERO_ROW_EPS = 1e-12
-_DIAG_MASK = -1e9  # exp of a masked logit underflows to exactly 0.0
+_DIAG_MASK = -np.inf  # exp of a masked logit is exactly 0.0 at any tau
 
 
 class Node:

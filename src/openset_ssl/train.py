@@ -5,12 +5,14 @@ The combined loss is
 
     L = H(y, f(x_l)) + beta * H(f(t1(x_u)), f(t2(x_u))) + lambda * H(q, f(x_out))
 
-with the consistency target f(t1(x_u)) detached.  Each H is one
-`softmax-cross-entropy` tape node whose targets (labels, consistency
-targets, soft-labels) are constants of the step.  During fine-tuning the
-labeled, in-class, and consistency forwards run the main branch in eval
-mode (frozen pretrained statistics), so the supervised path never moves
-the main running statistics.  Detected out-of-class batches run in train
+with the consistency target f(t1(x_u)) detached.  The targets (labels,
+consistency targets, soft-labels) are constants of the step.  During
+fine-tuning the labeled and consistency batches run the main branch in
+eval mode (frozen pretrained statistics), so the supervised path never
+moves the main running statistics.  Eval-mode rows are independent, so
+the two batches share one forward and one `softmax-cross-entropy` tape
+node, each block's weight folded into its target rows; the out-of-class
+H is a node of its own.  Detected out-of-class batches run in train
 mode: through the auxiliary branch when aux_bn is enabled (their batch
 statistics land in the auxiliary running statistics and the main ones
 stay bit-identical to an aux-free run), and through the main branch when
@@ -19,8 +21,8 @@ distribution, the mismatch the auxiliary BNs exist to absorb.
 
 A `hard-pseudo` backend is also provided: confident argmax labels from a
 weak view are fit on a strong view (noise doubled), with sub-threshold
-samples masked out (their target rows zeroed, so they add nothing while
-the mean stays over the whole batch).
+samples masked out (their target rows zeroed, so they add nothing and
+stay off the tape, while the mean stays over the whole batch).
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ import numpy as np
 from . import rng as rng_mod
 from .artifacts import INT, REAL, TEXT, optional_real, write_table
 from .augment import AugmentConfig, augment_batch
-from .autodiff import logsumexp_rows, softmax_rows
+from .autodiff import OPS, logsumexp_rows, softmax_rows
 from .contrastive import GraphLoss
 from .model import GraphBuilder, forward, save_checkpoint
 from .optim import NesterovSGD
@@ -94,16 +96,13 @@ def init_train_state(model, config):
 # ----------------------------------------------------------------------
 
 
-def cross_entropy_node(builder, targets, logits_node, mask=None):
+def cross_entropy_node(builder, targets, logits_node):
     """Mean over rows of -sum_c targets * log softmax(logits).
 
-    `targets` is a constant matrix whose rows sum to one.  An optional
-    (n, 1) mask zeroes individual rows while keeping the mean over the
-    full batch.
+    `targets` is a constant matrix whose rows sum to each row's weight
+    (one for a plain mean); a zero row adds nothing but counts in the mean.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    if mask is not None:
-        targets = targets * mask
     return builder.graph.apply("softmax-cross-entropy", [logits_node], targets=targets)
 
 
@@ -114,7 +113,9 @@ class StepPlan:
     Rebuilding the loss from a plan is a deterministic function of the
     parameters, which is what gradient checking needs: the consistency /
     pseudo targets below were computed from the model once and do not
-    move with the perturbed parameters.
+    move with the perturbed parameters.  A `cons_mask` of 0 zeroes a
+    row's consistency target: the row adds nothing and never reaches the
+    tape, while the consistency mean stays over all of `cons_x`.
     """
 
     labeled_x: np.ndarray
@@ -147,26 +148,41 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
 
 
 def build_step_loss(model, plan, config):
-    """Differentiable combined loss from a frozen step plan."""
+    """Differentiable combined loss from a frozen step plan.
+
+    The labeled rows and the consistency rows with target mass share one
+    forward and one cross-entropy node whose target rows carry their
+    block's weight, n/n_l or beta*n/n_c for n stacked rows and n_c
+    consistency rows in the plan: the node's mean is mean_l + beta *
+    mean_c, each over its whole batch.
+    """
     builder = GraphBuilder(model)
     g = builder.graph
+    cross_entropy = OPS["softmax-cross-entropy"].forward
 
     labeled_q = np.asarray(plan.labeled_q, dtype=np.float64)
     _check_rows_normalized(labeled_q, "labeled targets")
-    x_l = builder.const(np.asarray(plan.labeled_x, dtype=np.float64))
-    sup_nodes = builder.forward(x_l, branch="main", mode="eval", heads=LOGITS)
-    loss = cross_entropy_node(builder, labeled_q, sup_nodes.logits)
-    terms = {"supervised": float(g.value(loss))}
-    batch_stats = []
-
+    n_l = labeled_q.shape[0]
+    x, targets = np.asarray(plan.labeled_x, dtype=np.float64), labeled_q
     if plan.cons_x is not None:
-        x_u = builder.const(plan.cons_x)
-        cons_nodes = builder.forward(x_u, branch="main", mode="eval", heads=LOGITS)
-        cons = cross_entropy_node(
-            builder, plan.cons_targets, cons_nodes.logits, mask=plan.cons_mask
+        cons_t = np.asarray(plan.cons_targets, dtype=np.float64)
+        if plan.cons_mask is not None:
+            cons_t = cons_t * plan.cons_mask
+        kept = cons_t.any(axis=1)
+        n = n_l + int(kept.sum())
+        x = np.concatenate([x, np.asarray(plan.cons_x, dtype=np.float64)[kept]])
+        targets = np.concatenate(
+            [labeled_q * (n / n_l), cons_t[kept] * (config.beta * n / len(cons_t))]
         )
-        terms["consistency"] = float(g.value(cons))
-        loss = g.apply("add", [loss, g.apply("scale", [cons], factor=config.beta)])
+    nodes = builder.forward(builder.const(x), branch="main", mode="eval", heads=LOGITS)
+    loss = cross_entropy_node(builder, targets, nodes.logits)
+    logits = g.value(nodes.logits)
+    terms = {"supervised": float(cross_entropy(logits[:n_l], labeled_q)[0])}
+    if plan.cons_x is not None:
+        cons_logits = np.zeros(cons_t.shape)  # a row without mass adds 0 at any logits
+        cons_logits[kept] = logits[n_l:]
+        terms["consistency"] = float(cross_entropy(cons_logits, cons_t)[0])
+    batch_stats = []
 
     if plan.out_x is not None:
         out_q = np.asarray(plan.out_q, dtype=np.float64)

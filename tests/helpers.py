@@ -8,7 +8,9 @@ import numpy as np
 
 from openset_ssl import rng
 from openset_ssl.autodiff import DiffGraph, grad_check
-from openset_ssl.train import build_step_loss
+from openset_ssl.contrastive import GraphLoss
+from openset_ssl.model import GraphBuilder
+from openset_ssl.train import LOGITS, build_step_loss, cross_entropy_node
 
 
 def reduce_sum(g, node):
@@ -92,6 +94,39 @@ def reference_ntxent(g, proj_id, tau):
     positives = np.zeros((two_n, two_n))
     positives[rows, (rows + two_n // 2) % two_n] = 1.0
     return g.apply("softmax-cross-entropy", [masked], targets=positives)
+
+
+def reference_step_loss(model, plan, config):
+    """The combined loss as `train.build_step_loss` built it before the
+    stacked pass, node for node: one eval-mode forward and one
+    cross-entropy node per batch, the consistency one over every row of
+    the plan with masked target rows zeroed, joined by `scale` and `add`.
+    """
+    builder = GraphBuilder(model)
+    g = builder.graph
+    x_l = builder.const(np.asarray(plan.labeled_x, dtype=np.float64))
+    sup_nodes = builder.forward(x_l, branch="main", mode="eval", heads=LOGITS)
+    loss = cross_entropy_node(builder, plan.labeled_q, sup_nodes.logits)
+    terms = {"supervised": float(g.value(loss))}
+    batch_stats = []
+    if plan.cons_x is not None:
+        targets = np.asarray(plan.cons_targets, dtype=np.float64)
+        if plan.cons_mask is not None:
+            targets = targets * plan.cons_mask
+        x_u = builder.const(plan.cons_x)
+        cons_nodes = builder.forward(x_u, branch="main", mode="eval", heads=LOGITS)
+        cons = cross_entropy_node(builder, targets, cons_nodes.logits)
+        terms["consistency"] = float(g.value(cons))
+        loss = g.apply("add", [loss, g.apply("scale", [cons], factor=config.beta)])
+    if plan.out_x is not None:
+        branch = "aux" if config.aux_bn else "main"
+        x_o = builder.const(plan.out_x)
+        out_nodes = builder.forward(x_o, branch=branch, mode="train", heads=LOGITS)
+        batch_stats.extend(out_nodes.batch_stats)
+        aux = cross_entropy_node(builder, plan.out_q, out_nodes.logits)
+        terms["aux"] = float(g.value(aux))
+        loss = g.apply("add", [loss, g.apply("scale", [aux], factor=config.lam)])
+    return GraphLoss(builder=builder, node=loss, batch_stats=batch_stats, terms=terms)
 
 
 def nudge_into_generic_position(model, seed=0, scale=0.05):

@@ -17,7 +17,7 @@ from openset_ssl.harness import run_experiment, strip_timings
 from test_harness import micro_config
 
 PRETRAINED = "1ff76ab55c39c9a310339bb3ca4f3a31dbbe69cf8a338f8fca2b802b94b0681a"
-LAST_CHECKPOINT = "72ed6b51a3b623cdd3b9af4351db3387479244c44f8004ac5a098786e5807f0b"
+LAST_CHECKPOINT = "51101964c16b8e691779402597c011035a23db5bf546103f5506c5f5546b7bf1"
 REPORT = "e6ffcc4b00e9a6644365cf9d7d3724a54f1b3e71757835bc67ae4df0ada2b57f"
 
 RECORDED_ON = (

@@ -389,7 +389,7 @@ class TestHeadsOnDemand:
                         out_x=rng.standard_normal((64, 16)), out_q=np.full((64, 8), 1 / 8))
         loss = build_step_loss(model, plan, config)
         assert set(loss.terms) == {"supervised", "consistency", "aux"}
-        assert len(loss.builder.graph) <= 54
+        assert len(loss.builder.graph) <= 39
 
 
 class TestBatchMomentsOncePerLayer:

@@ -1,6 +1,8 @@
 """Combined-loss construction, auxiliary-branch isolation, and the
 fine-tuning loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 from helpers import (
     nudge_into_generic_position,
     combined_param_gradcheck,
+    reference_step_loss,
     relu_kink_margin,
 )
 from openset_ssl import rng as rng_mod
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig, pretrain
-from openset_ssl.model import GraphBuilder, ModelConfig, build_model
+from openset_ssl.autodiff import logsumexp_rows
+from openset_ssl.model import GraphBuilder, ModelConfig, build_model, forward
 from openset_ssl.train import (
     SSLConfig,
     StepPlan,
@@ -131,15 +135,30 @@ class TestCrossEntropyNode:
         assert np.array_equal(builder.graph.backward(loss)[logits], [[1.0, -1.0]])
 
     def test_masked_rows_contribute_nothing_but_count_in_the_mean(self):
-        builder = GraphBuilder(toy_model())
-        z = np.array([[2.0, -1.0], [0.5, 0.5], [-3.0, 1.0]])
-        logits = builder.const(z)
-        targets = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        masked = cross_entropy_node(builder, targets, logits, mask=np.array([[1.0], [0.0], [1.0]]))
-        kept = cross_entropy_node(builder, targets[[0, 2]], builder.const(z[[0, 2]]))
-        g = builder.graph
-        assert abs(g.value(masked) - g.value(kept) * 2.0 / 3.0) < 1e-12
-        assert not g.backward(masked)[logits][1].any()
+        # a hard-pseudo step with rows 1 and 3 of five below the threshold
+        model = toy_model()
+        config = cfg(backend="hard-pseudo", beta=2.0)
+        x, y = batch(30)
+        rng = np.random.default_rng(31)
+        cons_x = rng.standard_normal((5, DIM))
+        cons_t = one_hot(rng.integers(1, C + 1, size=5), C)
+        mask = np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])
+
+        def step(cx):
+            plan = StepPlan(labeled_x=x, labeled_q=y, cons_x=cx, cons_targets=cons_t,
+                            cons_mask=mask)
+            loss = build_step_loss(model, plan, config)
+            grads = loss.parameter_gradients()
+            return loss, [np.float64(loss.value).tobytes()] + [grads[k].tobytes() for k in grads]
+
+        loss, found = step(cons_x)
+        moved = cons_x.copy()
+        moved[[1, 3]] = 1e3 * rng.standard_normal((2, DIM))
+        assert step(moved)[1] == found
+        z = forward(model, cons_x[[0, 2, 4]]).logits
+        t = cons_t[[0, 2, 4]]
+        kept = (logsumexp_rows(z) - (t * z).sum(axis=1, keepdims=True)).sum()
+        assert abs(loss.terms["consistency"] - kept / 5) < 1e-12
 
 
 class TestCombinedLoss:
@@ -207,6 +226,88 @@ class TestCombinedLoss:
         loss = build_step_loss(model, plan, config)
         assert relu_kink_margin(loss) >= 1e-3
         assert combined_param_gradcheck(model, plan, config) < 1e-4
+
+
+class TestStackedPass:
+    """One eval-mode forward over the labeled rows and the consistency rows
+    with target mass gives the loss and gradients of the two-forward build
+    it replaced (`helpers.reference_step_loss`) to rounding, and the same
+    trace terms."""
+
+    BOUND = 1e-14
+
+    @staticmethod
+    def gradient_unit(model, plan, config):
+        """The largest entry, over every parameter, of the sum of the
+        absolute gradients of what the loss adds up: each labeled row and
+        each consistency row with mass, at its weight, and the out-of-class
+        term.  Where rows nearly cancel, the rounding scales with this sum,
+        not with the gradient itself."""
+
+        def grads(p):
+            return reference_step_loss(model, p, config).parameter_gradients()
+
+        mask = 1.0 if plan.cons_mask is None else plan.cons_mask
+        blocks = [(plan.labeled_x, plan.labeled_q, 1.0 / len(plan.labeled_x)),
+                  (plan.cons_x, plan.cons_targets * mask, config.beta / len(plan.cons_x))]
+        total = {}
+        for xs, qs, weight in blocks:
+            for x, q in zip(xs, qs):
+                if q.any():
+                    for name, g in grads(StepPlan(labeled_x=x[None], labeled_q=q[None])).items():
+                        total[name] = total.get(name, 0.0) + weight * np.abs(g)
+        if plan.out_x is not None:
+            whole, inner = grads(plan), grads(replace(plan, out_x=None, out_q=None))
+            for name in total:
+                total[name] = total[name] + np.abs(whole[name] - inner[name])
+        return max(g.max() for g in total.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_l=st.integers(1, 9),
+        n_c=st.integers(1, 9),
+        beta=st.sampled_from([0.5, 1.0, 3.0, 4.0]),
+        mask=st.sampled_from([None, "none", "some", "all"]),
+        with_out=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_two_forward_build(self, n_l, n_c, beta, mask, with_out, seed):
+        rng = np.random.default_rng(seed)
+        model = nudge_into_generic_position(toy_model(seed=seed % 7), seed=seed % 11)
+        model.stats = {k: v + 0.1 * rng.random(v.shape) for k, v in model.stats.items()}
+        x, y = batch(seed, n_l)
+        cons_x = rng.standard_normal((n_c, DIM))
+        if mask is None:  # the consistency backend: soft targets, nothing masked
+            config = cfg(beta=beta, lam=0.5)
+            cons_t, cons_m = rng.dirichlet(np.ones(C), size=n_c), None
+        else:
+            config = cfg(backend="hard-pseudo", beta=beta, lam=0.5)
+            cons_t = one_hot(rng.integers(1, C + 1, size=n_c), C)
+            on = {"none": 0.0, "some": 0.5, "all": 1.0}[mask]
+            cons_m = (rng.random((n_c, 1)) < on).astype(np.float64)
+        plan = StepPlan(labeled_x=x, labeled_q=y, cons_x=cons_x, cons_targets=cons_t,
+                        cons_mask=cons_m)
+        if with_out:
+            plan.out_x = rng.standard_normal((3, DIM))
+            plan.out_q = rng.dirichlet(np.ones(C), size=3)
+        stacked = build_step_loss(model, plan, config)
+        ref = reference_step_loss(model, plan, config)
+
+        assert abs(stacked.value - ref.value) <= self.BOUND * abs(ref.value)
+        found, expected = stacked.parameter_gradients(), ref.parameter_gradients()
+        assert found.keys() == expected.keys()
+        unit = self.gradient_unit(model, plan, config)
+        for name, want in expected.items():
+            assert np.abs(found[name] - want).max() <= self.BOUND * unit, name
+        for name, want in ref.terms.items():
+            assert abs(stacked.terms[name] - want) <= self.BOUND * abs(want), name
+        # a one-row block runs as a vector-matrix product, which rounds differently
+        if mask is None and min(n_l, n_c) >= 2:
+            assert [np.float64(stacked.terms[k]).tobytes() for k in ref.terms] == [
+                np.float64(v).tobytes() for v in ref.terms.values()]
+        # the stacked input holds the labeled rows and the kept consistency rows only
+        kept = n_c if cons_m is None else int(cons_m.sum())
+        assert stacked.builder.graph.value(0).shape == (n_l + kept, DIM)
 
 
 class TestHardPseudoBackend:
