@@ -23,6 +23,8 @@ import json
 import os
 from itertools import islice
 
+import numpy as np
+
 INT = "%d"
 REAL = "%.17g"
 TEXT = "%s"
@@ -143,6 +145,21 @@ def read_table(path, converters, default=None):
         if fault is not None:
             fail(*fault)
     return dict(zip(header, columns))
+
+
+def real_columns(path, table, names):
+    """The columns `names` of a `read_table` result as an (n, len(names))
+    float64 matrix; a nan or an inf fails naming the path, and the line
+    and column of the first bad row of the leftmost column that has one."""
+    n = len(next(iter(table.values())))
+    x = np.array([table[name] for name in names], dtype=np.float64).reshape(len(names), n)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        col = bad.any(axis=1).argmax()
+        row = bad[col].argmax()
+        raise ValueError(f"{path}: line {_record_line(path, row + 1)}, column {names[col]!r}: "
+                         f"'{x[col, row]}' is not a finite real")
+    return x.T.copy()
 
 
 def _convert_chunk(chunk, convert, columns, first, bad):

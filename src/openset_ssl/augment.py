@@ -45,15 +45,6 @@ class AugmentConfig:
         if not 0.0 <= self.mask_fraction < 1.0:
             raise ValueError("mask_fraction must lie in [0, 1)")
 
-    def scaled_noise(self, factor):
-        """Same family with the noise level multiplied (strong views)."""
-        return AugmentConfig(
-            noise_sigma=self.noise_sigma * factor,
-            jitter_range=self.jitter_range,
-            mask_fraction=self.mask_fraction,
-            stream=self.stream,
-        )
-
 
 def augment_batch(batch, ids, config, seed, step, view):
     """Row-wise views of an (n, dim) batch, each keyed by its own sample id.

@@ -4,6 +4,7 @@ the NT-Xent loss (one `ntxent` tape node per batch) on the pooled labeled
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class GraphLoss:
 
     def parameter_gradients(self):
         grads = self.builder.graph.backward(self.node)
-        return self.builder.gradients_by_name(grads)
+        return {name: grads[node] for name, node in self.builder.param_nodes.items()}
 
     def update(self, optimizer, config, loop, step, lr_step=None):
         """The step of every fitting loop: abort on a non-finite loss, naming
@@ -110,18 +111,10 @@ def pretrain(model, pool, pool_ids, config, seed, trace_path=None):
         )
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
     opt = NesterovSGD(model.params, lr=config.lr, momentum=config.momentum)
-    shuffled = rng_mod.stream(seed, "pretrain.shuffle")
-    order = []
+    batches = _epochs(rng_mod.stream(seed, "pretrain.shuffle"), len(pool), config.batch_size)
     trace = []
-    for step in range(config.steps):
-        if len(order) < config.batch_size:
-            order = list(shuffled.permutation(pool.shape[0]))
-        take, order = order[: config.batch_size], order[config.batch_size :]
-        batch = pool[take]
-        ids = pool_ids[take]
-        loss = simclr_batch_loss(
-            model, batch, config, seed=seed, step=step, ids=ids
-        )
+    for step, idx in zip(range(config.steps), batches):
+        loss = simclr_batch_loss(model, pool[idx], config, seed=seed, step=step, ids=pool_ids[idx])
         loss.update(opt, config, "pretraining", step)
         trace.append((step, loss.value))
     if config.steps > 0:
@@ -139,13 +132,20 @@ def calibrate_running_stats(model, pool, batch_size, seed):
     evaluate clean inputs.  Two seeded train-mode passes over the clean
     pool realign them (no parameters move).
     """
-    gen = rng_mod.stream(seed, "pretrain.calibrate")
-    n = pool.shape[0]
-    for _ in range(_CALIBRATION_PASSES):
+    batches = _epochs(rng_mod.stream(seed, "pretrain.calibrate"), len(pool), batch_size)
+    for idx in islice(batches, _CALIBRATION_PASSES * (len(pool) // batch_size)):
+        forward(model, pool[idx], branch="main", mode="train", heads=())
+
+
+def _epochs(gen, n, batch_size):
+    """Batches of `batch_size` (at most n) indices from successive
+    permutations of range(n) drawn from `gen`, each epoch's remainder
+    dropped; endless, and it draws a permutation only when a batch is
+    asked for."""
+    while True:
         order = gen.permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
-            batch = pool[order[start : start + batch_size]]
-            forward(model, batch, branch="main", mode="train", heads=())
+            yield order[start : start + batch_size]
 
 
 def write_loss_trace(path, trace):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .artifacts import (
-    INT, REAL, TEXT, one_of, read_json, read_table, write_json, write_table,
+    INT, REAL, TEXT, one_of, read_json, read_table, real_columns, write_json, write_table,
 )
 
 UNLABELED = -1
@@ -212,19 +212,9 @@ def write_dataset(path, dataset):
 def read_dataset(path):
     converters = {"id": int, "label": int, "truth": int, "origin": one_of("in", "out")}
     cols = read_table(path, converters, default=float)
-    names = list(cols)[1:-3]
-    features = [cols[name] for name in names]
-    x = np.array(features, dtype=np.float64).reshape(len(features), len(cols["id"]))
-    bad = ~np.isfinite(x)
-    if bad.any():  # the first bad row of the first bad column
-        col = bad.any(axis=1).argmax()
-        row = bad[col].argmax()
-        raise ValueError(
-            f"{path}: line {row + 2}, column {names[col]!r}: '{x[col, row]}' is not a finite real"
-        )
     return Dataset(
         ids=np.array(cols["id"], dtype=np.int64),
-        x=x.T.copy(),
+        x=real_columns(path, cols, list(cols)[1:-3]),
         label=np.array(cols["label"], dtype=np.int64),
         truth=np.array(cols["truth"], dtype=np.int64),
         origin=np.array(cols["origin"], dtype="<U3"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import INT, REAL, TEXT, one_of, read_table, write_table
+from .artifacts import INT, REAL, TEXT, one_of, read_table, real_columns, write_table
 from .model import cosine_similarity, forward
 
 
@@ -128,7 +128,7 @@ def read_scored_manifest(path):
     """(ids, sims, scores, out) columns of a scored manifest; `out` is
     the mask of rows whose split reads "out"."""
     cols = read_table(path, {"sample_id": int, "split": one_of("in", "out")}, default=float)
-    ids, sims = cols["sample_id"], [cols[name] for name in list(cols)[1:-2]]
-    sims = np.array(sims, dtype=np.float64).reshape(len(sims), len(ids)).T.copy()
-    return (np.array(ids, dtype=np.int64), sims, np.array(cols["score"], dtype=np.float64),
+    sims = real_columns(path, cols, list(cols)[1:-2])
+    return (np.array(cols["sample_id"], dtype=np.int64), sims,
+            real_columns(path, cols, ["score"])[:, 0],
             np.array(cols["split"], dtype="<U3") == "out")

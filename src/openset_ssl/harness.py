@@ -10,6 +10,7 @@ master seed, so identical configs reproduce byte-identical reports
 upstream artifact.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -490,14 +491,15 @@ def recompute_metrics(out_dir, dataset_dir=None):
     """Rebuild the detection and accuracy metrics of a finished run from
     its report.json and manifests; byte-equal to the report's values when
     nothing was touched."""
-    report = read_json(os.path.join(out_dir, "report.json"))
-    config = report["config"]
-    bench = read_benchmark(
-        dataset_dir or config["dataset_dir"] or os.path.join(out_dir, "dataset")
-    )
+    path = os.path.join(out_dir, "report.json")
+    report = read_json(path)
+    with _fields_of(path):
+        config = ExperimentConfig.from_dict(report["config"])
+        accs = report["checkpoint_accuracies"]
+    bench = read_benchmark(dataset_dir or config.dataset_dir or os.path.join(out_dir, "dataset"))
 
     _, _, labeled_scores, _ = read_scored_manifest(os.path.join(out_dir, "scored_labeled.csv"))
-    threshold, mu, sigma = compute_threshold(labeled_scores, DetectionConfig(**config["detection"]))
+    threshold, mu, sigma = compute_threshold(labeled_scores, config.detection)
 
     path = os.path.join(out_dir, "scored.csv")
     ids, _, scores, out = read_scored_manifest(path)
@@ -509,25 +511,32 @@ def recompute_metrics(out_dir, dataset_dir=None):
         "sigma": sigma,
         **(metrics or dict.fromkeys(("tpr", "tnr", "auroc"))),
         "split_sizes": {"in": int((~out).sum()), "out": int(out.sum())},
-        **_accuracy_summary(report["checkpoint_accuracies"], config["median_last"]),
+        **_accuracy_summary(accs, config.median_last),
     }
+
+
+@contextlib.contextmanager
+def _fields_of(path):
+    """Re-raise a missing or unfit field of the document read from `path`
+    as a ValueError naming the path and the field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_detect_outcome(out_dir, bench):
     """Rebuild a DetectOutcome from scored.csv and detect.json."""
-    summary = read_json(os.path.join(out_dir, "detect.json"))
+    path = os.path.join(out_dir, "detect.json")
+    summary = read_json(path)
+    with _fields_of(path):
+        threshold, mu, sigma = summary["threshold"], summary["mu"], summary["sigma"]
     path = os.path.join(out_dir, "scored.csv")
     ids, sims, scores, _ = read_scored_manifest(path)
     _check_pool_ids(path, ids, bench)
-    return DetectOutcome(
-        threshold=summary["threshold"],
-        mu=summary["mu"],
-        sigma=summary["sigma"],
-        ids=ids,
-        sims=sims,
-        scores=scores,
-        metrics=summary.get("metrics"),
-    )
+    return DetectOutcome(threshold, mu, sigma, ids, sims, scores, summary.get("metrics"))
 
 
 def _check_pool_ids(path, ids, bench):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .artifacts import INT, REAL, read_table, write_table
+from .artifacts import INT, REAL, read_table, real_columns, write_table
 from .autodiff import softmax_rows
 from .model import forward
 from .train import one_hot
@@ -153,9 +153,8 @@ def write_soft_label_manifest(path, ids, labels):
 def read_soft_label_manifest(path):
     """(ids, q): the list of sample ids and the (n, C) soft-label matrix."""
     cols = read_table(path, {"sample_id": int}, default=float)
-    ids = cols.pop("sample_id")
-    q = np.array(list(cols.values()), dtype=np.float64).reshape(len(cols), len(ids))
-    return ids, q.T.copy()
+    names = [name for name in cols if name != "sample_id"]
+    return cols["sample_id"], real_columns(path, cols, names)
 
 
 def write_pseudo_label_manifest(path, pseudo):

@@ -155,9 +155,6 @@ class GraphBuilder:
     def param_nodes(self):
         return dict(self._param_nodes)
 
-    def gradients_by_name(self, grads):
-        return {name: grads[node] for name, node in self._param_nodes.items()}
-
     # ------------------------------------------------------------------
 
     def _bn_relu(self, h_id, layer, branch, mode):

@@ -20,12 +20,12 @@ it is disabled, which drags the shared statistics toward the out-of-class
 distribution, the mismatch the auxiliary BNs exist to absorb.
 
 A `hard-pseudo` backend is also provided: confident argmax labels from a
-weak view are fit on a strong view (noise doubled), with sub-threshold
-samples masked out (their target rows zeroed, so they add nothing and
-stay off the tape, while the mean stays over the whole batch).
+weak view are fit on a strong view (noise doubled); a sub-threshold
+sample's target row is zero, so it adds nothing and stays off the tape,
+while the mean stays over the whole batch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,16 +96,6 @@ def init_train_state(model, config):
 # ----------------------------------------------------------------------
 
 
-def cross_entropy_node(builder, targets, logits_node):
-    """Mean over rows of -sum_c targets * log softmax(logits).
-
-    `targets` is a constant matrix whose rows sum to each row's weight
-    (one for a plain mean); a zero row adds nothing but counts in the mean.
-    """
-    targets = np.asarray(targets, dtype=np.float64)
-    return builder.graph.apply("softmax-cross-entropy", [logits_node], targets=targets)
-
-
 @dataclass
 class StepPlan:
     """Everything stochastic about one optimizer step, frozen.
@@ -113,38 +103,40 @@ class StepPlan:
     Rebuilding the loss from a plan is a deterministic function of the
     parameters, which is what gradient checking needs: the consistency /
     pseudo targets below were computed from the model once and do not
-    move with the perturbed parameters.  A `cons_mask` of 0 zeroes a
-    row's consistency target: the row adds nothing and never reaches the
-    tape, while the consistency mean stays over all of `cons_x`.
+    move with the perturbed parameters.  A zero row of `cons_targets`
+    adds nothing and never reaches the tape, while the consistency mean
+    stays over all of `cons_x`.
     """
 
     labeled_x: np.ndarray
     labeled_q: np.ndarray
     cons_x: np.ndarray = None
     cons_targets: np.ndarray = None
-    cons_mask: np.ndarray = None
     out_x: np.ndarray = None
     out_q: np.ndarray = None
 
 
 def prepare_consistency(model, u_x, u_ids, config, seed, step):
-    """Frozen targets and second views for the unlabeled term."""
+    """(cons_x, cons_targets): the second views of the unlabeled batch and
+    their frozen targets, predicted from the first views.  Hard-pseudo
+    targets are one-hot argmax rows, zero where the confidence is not
+    above the threshold.  (None, None) when the term does not run."""
     u_x = np.asarray(u_x, dtype=np.float64)
     if u_x.shape[0] == 0 or config.beta == 0:
-        return None, None, None
+        return None, None
     aug = config.augment
     if config.backend == "hard-pseudo":  # a weak view and a strong one
         v1 = augment_batch(u_x, u_ids, aug, seed, step, 0)
-        v2 = augment_batch(u_x, u_ids, aug.scaled_noise(2.0), seed, step, 1)
+        strong = replace(aug, noise_sigma=2.0 * aug.noise_sigma)
+        v2 = augment_batch(u_x, u_ids, strong, seed, step, 1)
     else:  # both views from one family: one call, view-major
         v1, v2 = np.split(augment_batch(u_x, u_ids, aug, seed, step, (0, 1)), 2)
     logits = forward(model, v1, branch="main", mode="eval", heads=LOGITS).logits
     target_probs = softmax_rows(logits)
     if config.backend == "hard-pseudo":
-        conf = target_probs.max(axis=1)
-        mask = (conf > config.confidence_threshold).astype(np.float64)[:, None]
-        return v2, one_hot(target_probs.argmax(axis=1) + 1, target_probs.shape[1]), mask
-    return v2, target_probs, None
+        kept = (target_probs.max(axis=1) > config.confidence_threshold)[:, None]
+        return v2, one_hot(target_probs.argmax(axis=1) + 1, target_probs.shape[1]) * kept
+    return v2, target_probs
 
 
 def build_step_loss(model, plan, config):
@@ -154,7 +146,8 @@ def build_step_loss(model, plan, config):
     forward and one cross-entropy node whose target rows carry their
     block's weight, n/n_l or beta*n/n_c for n stacked rows and n_c
     consistency rows in the plan: the node's mean is mean_l + beta *
-    mean_c, each over its whole batch.
+    mean_c, each over its whole batch.  A consistency row whose target
+    is zero is left out of the stack; it still counts in n_c.
     """
     builder = GraphBuilder(model)
     g = builder.graph
@@ -166,8 +159,6 @@ def build_step_loss(model, plan, config):
     x, targets = np.asarray(plan.labeled_x, dtype=np.float64), labeled_q
     if plan.cons_x is not None:
         cons_t = np.asarray(plan.cons_targets, dtype=np.float64)
-        if plan.cons_mask is not None:
-            cons_t = cons_t * plan.cons_mask
         kept = cons_t.any(axis=1)
         n = n_l + int(kept.sum())
         x = np.concatenate([x, np.asarray(plan.cons_x, dtype=np.float64)[kept]])
@@ -175,7 +166,7 @@ def build_step_loss(model, plan, config):
             [labeled_q * (n / n_l), cons_t[kept] * (config.beta * n / len(cons_t))]
         )
     nodes = builder.forward(builder.const(x), branch="main", mode="eval", heads=LOGITS)
-    loss = cross_entropy_node(builder, targets, nodes.logits)
+    loss = g.apply("softmax-cross-entropy", [nodes.logits], targets=targets)
     logits = g.value(nodes.logits)
     terms = {"supervised": float(cross_entropy(logits[:n_l], labeled_q)[0])}
     if plan.cons_x is not None:
@@ -194,7 +185,7 @@ def build_step_loss(model, plan, config):
         x_o = builder.const(plan.out_x)
         out_nodes = builder.forward(x_o, branch=branch, mode="train", heads=LOGITS)
         batch_stats.extend(out_nodes.batch_stats)
-        aux = cross_entropy_node(builder, out_q, out_nodes.logits)
+        aux = g.apply("softmax-cross-entropy", [out_nodes.logits], targets=out_q)
         terms["aux"] = float(g.value(aux))
         loss = g.apply("add", [loss, g.apply("scale", [aux], factor=config.lam)])
 
@@ -297,17 +288,15 @@ def train(
     for local in range(config.steps):
         step = state.step
         li = lab_cycle.take(bsz)
-        plan_kwargs = {}
+        plan = StepPlan(labeled_x=labeled_x[li], labeled_q=labeled_q[li])
         if in_cycle is not None and config.beta != 0:
             ui = in_cycle.take(bsz)
-            cons_x, cons_t, cons_m = prepare_consistency(
+            plan.cons_x, plan.cons_targets = prepare_consistency(
                 model, in_x[ui], in_ids[ui], config, seed, step
             )
-            plan_kwargs.update(cons_x=cons_x, cons_targets=cons_t, cons_mask=cons_m)
         if use_out:
             oi = out_cycle.take(bsz)
-            plan_kwargs.update(out_x=out_x[oi], out_q=out_q[oi])
-        plan = StepPlan(labeled_x=labeled_x[li], labeled_q=labeled_q[li], **plan_kwargs)
+            plan.out_x, plan.out_q = out_x[oi], out_q[oi]
         loss = build_step_loss(model, plan, config)
         loss.update(state.optimizer, config, "training", step, lr_step=local)
         state.step += 1
@@ -370,7 +359,7 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
         builder = GraphBuilder(model)
         x = builder.const(out_x[idx])
         nodes = builder.forward(x, branch="main", mode="train", heads=LOGITS)
-        loss_node = cross_entropy_node(builder, out_q[idx], nodes.logits)
+        loss_node = builder.graph.apply("softmax-cross-entropy", [nodes.logits], targets=out_q[idx])
         loss = GraphLoss(builder=builder, node=loss_node, batch_stats=nodes.batch_stats)
         loss.update(opt, config, "aux-only", step)
         if record_entropy:

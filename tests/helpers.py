@@ -10,7 +10,7 @@ from openset_ssl import rng
 from openset_ssl.autodiff import DiffGraph, grad_check
 from openset_ssl.contrastive import GraphLoss
 from openset_ssl.model import GraphBuilder
-from openset_ssl.train import LOGITS, build_step_loss, cross_entropy_node
+from openset_ssl.train import LOGITS, build_step_loss
 
 
 def reduce_sum(g, node):
@@ -99,23 +99,20 @@ def reference_ntxent(g, proj_id, tau):
 def reference_step_loss(model, plan, config):
     """The combined loss as `train.build_step_loss` built it before the
     stacked pass, node for node: one eval-mode forward and one
-    cross-entropy node per batch, the consistency one over every row of
-    the plan with masked target rows zeroed, joined by `scale` and `add`.
+    `softmax-cross-entropy` node per batch, the consistency one over every
+    row of the plan, zero target rows included, joined by `scale` and `add`.
     """
     builder = GraphBuilder(model)
     g = builder.graph
     x_l = builder.const(np.asarray(plan.labeled_x, dtype=np.float64))
     sup_nodes = builder.forward(x_l, branch="main", mode="eval", heads=LOGITS)
-    loss = cross_entropy_node(builder, plan.labeled_q, sup_nodes.logits)
+    loss = g.apply("softmax-cross-entropy", [sup_nodes.logits], targets=plan.labeled_q)
     terms = {"supervised": float(g.value(loss))}
     batch_stats = []
     if plan.cons_x is not None:
-        targets = np.asarray(plan.cons_targets, dtype=np.float64)
-        if plan.cons_mask is not None:
-            targets = targets * plan.cons_mask
         x_u = builder.const(plan.cons_x)
         cons_nodes = builder.forward(x_u, branch="main", mode="eval", heads=LOGITS)
-        cons = cross_entropy_node(builder, targets, cons_nodes.logits)
+        cons = g.apply("softmax-cross-entropy", [cons_nodes.logits], targets=plan.cons_targets)
         terms["consistency"] = float(g.value(cons))
         loss = g.apply("add", [loss, g.apply("scale", [cons], factor=config.beta)])
     if plan.out_x is not None:
@@ -123,7 +120,7 @@ def reference_step_loss(model, plan, config):
         x_o = builder.const(plan.out_x)
         out_nodes = builder.forward(x_o, branch=branch, mode="train", heads=LOGITS)
         batch_stats.extend(out_nodes.batch_stats)
-        aux = cross_entropy_node(builder, plan.out_q, out_nodes.logits)
+        aux = g.apply("softmax-cross-entropy", [out_nodes.logits], targets=plan.out_q)
         terms["aux"] = float(g.value(aux))
         loss = g.apply("add", [loss, g.apply("scale", [aux], factor=config.lam)])
     return GraphLoss(builder=builder, node=loss, batch_stats=batch_stats, terms=terms)
@@ -227,6 +224,29 @@ def reference_augment_batch(batch, ids, config, seed, step, view):
         out[row] = x * factor + config.noise_sigma * noise
         n_mask = int(config.mask_fraction * x.size)
         out[row, gen.choice(x.size, size=n_mask, replace=False)] = 0.0
+    return out
+
+
+def reference_pretrain_batches(gen, n, batch_size, steps):
+    """The index batches `contrastive.pretrain` drew from `gen` by list
+    slicing: a fresh permutation whenever fewer than a batch remained."""
+    order, out = [], []
+    for _ in range(steps):
+        if len(order) < batch_size:
+            order = list(gen.permutation(n))
+        take, order = order[:batch_size], order[batch_size:]
+        out.append(take)
+    return out
+
+
+def reference_calibration_batches(gen, n, batch_size, passes):
+    """The index batches `contrastive.calibrate_running_stats` drew from
+    `gen`: one permutation per pass, cut into whole batches."""
+    out = []
+    for _ in range(passes):
+        order = gen.permutation(n)
+        for start in range(0, n - batch_size + 1, batch_size):
+            out.append(order[start : start + batch_size])
     return out
 
 

@@ -237,9 +237,9 @@ def test_criterion_01_differentiation_soundness():
     o_q /= o_q.sum(axis=1, keepdims=True)
     config = SSLConfig(beta=0.8, lam=0.5, aux_bn=True, batch_size=4, steps=1,
                        augment=AugmentConfig(noise_sigma=0.2, stream="train.augment"))
-    cons_x, cons_t, cons_m = prepare_consistency(model, u_x, [0, 1, 2], config, 0, 0)
+    cons_x, cons_t = prepare_consistency(model, u_x, [0, 1, 2], config, 0, 0)
     plan = StepPlan(labeled_x=x_l, labeled_q=y_l, cons_x=cons_x, cons_targets=cons_t,
-                    cons_mask=cons_m, out_x=o_x, out_q=o_q)
+                    out_x=o_x, out_q=o_q)
     margin = relu_kink_margin(build_step_loss(model, plan, config))
     worst_full = combined_param_gradcheck(model, plan, config)
     elapsed = time.perf_counter() - start

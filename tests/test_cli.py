@@ -8,7 +8,7 @@ import statistics
 import pytest
 
 from openset_ssl import harness
-from openset_ssl.artifacts import read_json
+from openset_ssl.artifacts import read_json, write_json
 from openset_ssl.cli import main
 from openset_ssl.harness import strip_timings
 
@@ -112,6 +112,45 @@ class TestStagedPipeline:
         out = str(tmp_path / "empty")
         assert run_cli("generate", "--out-dir", out, *MICRO) == 0
         assert run_cli("detect", "--out-dir", out, *MICRO) == 1
+
+
+class TestDocumentFieldErrors:
+    """A field missing from, or unknown to, a JSON document a command reads
+    back fails naming the file and the field."""
+
+    REPORT_EDITS = {  # what is done to report.json, and the message it gives
+        "missing-field": (lambda doc: doc.pop("checkpoint_accuracies"),
+                          "no field 'checkpoint_accuracies'"),
+        "unknown-key": (lambda doc: doc["config"]["detection"].update(etta=1.0),
+                        "unknown DetectionConfig keys: etta"),
+    }
+
+    @staticmethod
+    def edit(path, change):
+        doc = read_json(path)
+        change(doc)
+        write_json(path, doc)
+
+    @pytest.mark.parametrize("case", sorted(REPORT_EDITS))
+    def test_eval_names_the_report_and_the_field(self, tmp_path, capsys, case):
+        change, message = self.REPORT_EDITS[case]
+        out = str(tmp_path / "full")
+        assert run_cli("run", "--out-dir", out, *MICRO) == 0
+        path = os.path.join(out, "report.json")
+        self.edit(path, change)
+        capsys.readouterr()
+        assert run_cli("eval", "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_label_names_the_detect_summary_and_the_field(self, tmp_path, capsys):
+        out = str(tmp_path / "staged")
+        for stage in ("generate", "pretrain", "detect"):
+            assert run_cli(stage, "--out-dir", out, *MICRO) == 0
+        path = os.path.join(out, "detect.json")
+        self.edit(path, lambda doc: doc.pop("mu"))
+        capsys.readouterr()
+        assert run_cli("label", "--out-dir", out, *MICRO) == 1
+        assert capsys.readouterr().err == f"error: {path}: no field 'mu'\n"
 
 
 class TestLabelManifestsMatchDetection:

@@ -2,18 +2,26 @@
 evaluation, and pretraining behavior."""
 
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_augment_batch
+from helpers import (
+    reference_augment_batch,
+    reference_calibration_batches,
+    reference_pretrain_batches,
+)
 from openset_ssl import augment as augment_module
 from openset_ssl import rng as rng_mod
 from openset_ssl.augment import AugmentConfig, augment_batch
 from openset_ssl.contrastive import (
+    _CALIBRATION_PASSES,
     ContrastiveConfig,
+    _epochs,
+    calibrate_running_stats,
     ntxent_matrix_loss,
     pretrain,
     simclr_batch_loss,
@@ -370,3 +378,33 @@ class TestPretrain:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) == 4
+
+
+class TestEpochs:
+    """`_epochs` draws the index batches of the two samplers it replaced,
+    and leaves their generators in the same state."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data(), steps=st.integers(0, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_pretraining_sampler(self, n, data, steps, seed):
+        batch_size = data.draw(st.integers(1, n), label="batch_size")
+        gen = rng_mod.stream(seed, "pretrain.shuffle")
+        ref = rng_mod.stream(seed, "pretrain.shuffle")
+        got = [b.tolist() for b in islice(_epochs(gen, n, batch_size), steps)]
+        want = reference_pretrain_batches(ref, n, batch_size, steps)
+        assert got == [[int(i) for i in b] for b in want]
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 30), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_calibration_makes_the_passes_of_the_reference(self, n, data, seed):
+        batch_size = data.draw(st.integers(2, n), label="batch_size")
+        pool = np.random.default_rng(seed).standard_normal((n, 6))
+        found, expected = tiny_model(), tiny_model()
+        calibrate_running_stats(found, pool, batch_size, seed)
+        ref = rng_mod.stream(seed, "pretrain.calibrate")
+        for take in reference_calibration_batches(ref, n, batch_size, _CALIBRATION_PASSES):
+            forward(expected, pool[take], branch="main", mode="train", heads=())
+        assert {k: v.tobytes() for k, v in found.stats.items()} == {
+            k: v.tobytes() for k, v in expected.stats.items()}

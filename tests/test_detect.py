@@ -279,3 +279,14 @@ class TestScoredManifest:
         path, lines = self.write(tmp_path)
         lines[5] = lines[5].rsplit(",", 1)[0] + ",maybe"
         self.rejects(path, "\r\n".join(lines), "line 6", "column 'split'", "'maybe'")
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["sim_2", "score"])
+    def test_non_finite_real_rejected_with_line_and_column(self, tmp_path, field, column):
+        # a nan score would otherwise read back and count as in-class
+        path, lines = self.write(tmp_path)
+        cells = lines[4].split(",")
+        cells[lines[0].split(",").index(column)] = field
+        lines[4] = ",".join(cells)
+        self.rejects(path, "\r\n".join(lines),
+                     f"{path}: line 5, column '{column}': '{field}' is not a finite real")

@@ -264,6 +264,18 @@ class TestManifests:
             read(path)
         assert str(err.value).startswith(f"{path}: line ")
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_soft_label_rejected_with_line_and_column(self, tmp_path, field):
+        soft, _ = self.write_both(tmp_path)
+        lines = soft.read_bytes().decode().split("\r\n")
+        cells = lines[6].split(",")
+        cells[3] = field  # q_3 of the sixth row
+        lines[6] = ",".join(cells)
+        soft.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(ValueError) as err:
+            read_soft_label_manifest(soft)
+        assert str(err.value) == f"{soft}: line 7, column 'q_3': '{field}' is not a finite real"
+
     def test_unparsable_field_named(self, tmp_path):
         _, pseudo = self.write_both(tmp_path)
         lines = pseudo.read_bytes().decode().split("\r\n")

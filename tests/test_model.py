@@ -380,12 +380,12 @@ class TestHeadsOnDemand:
         rng = np.random.default_rng(8)
         config = SSLConfig(beta=3.0, lam=0.5, batch_size=64,
                            augment=AugmentConfig(noise_sigma=0.5, stream="train.augment"))
-        cons_x, cons_t, cons_m = prepare_consistency(
+        cons_x, cons_t = prepare_consistency(
             model, rng.standard_normal((64, 16)), range(64), config, 0, 0
         )
         plan = StepPlan(labeled_x=rng.standard_normal((64, 16)),
                         labeled_q=one_hot(rng.integers(1, 9, size=64), 8),
-                        cons_x=cons_x, cons_targets=cons_t, cons_mask=cons_m,
+                        cons_x=cons_x, cons_targets=cons_t,
                         out_x=rng.standard_normal((64, 16)), out_q=np.full((64, 8), 1 / 8))
         loss = build_step_loss(model, plan, config)
         assert set(loss.terms) == {"supervised", "consistency", "aux"}

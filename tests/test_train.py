@@ -15,7 +15,7 @@ from helpers import (
     relu_kink_margin,
 )
 from openset_ssl import rng as rng_mod
-from openset_ssl.augment import AugmentConfig
+from openset_ssl.augment import AugmentConfig, augment_batch
 from openset_ssl.contrastive import ContrastiveConfig, pretrain
 from openset_ssl.autodiff import logsumexp_rows
 from openset_ssl.model import GraphBuilder, ModelConfig, build_model, forward
@@ -25,7 +25,6 @@ from openset_ssl.train import (
     _Cycler,
     aux_only_train,
     build_step_loss,
-    cross_entropy_node,
     evaluate_accuracy,
     init_train_state,
     one_hot,
@@ -68,7 +67,7 @@ def step_loss(model, config, x, y, ux=None, ox=None, q=None):
     0..n-1), the out-of-class batch `ox` with soft labels `q`."""
     plan = StepPlan(labeled_x=x, labeled_q=y, out_x=ox, out_q=q)
     if ux is not None:
-        plan.cons_x, plan.cons_targets, plan.cons_mask = prepare_consistency(
+        plan.cons_x, plan.cons_targets = prepare_consistency(
             model, ux, range(len(ux)), config, 0, 0
         )
     return build_step_loss(model, plan, config)
@@ -130,7 +129,8 @@ class TestCrossEntropyNode:
         # -log(1e-300), and the gradient still pushes the logits apart
         builder = GraphBuilder(toy_model())
         logits = builder.const(np.array([[800.0, 0.0]]))
-        loss = cross_entropy_node(builder, np.array([[0.0, 1.0]]), logits)
+        target = np.array([[0.0, 1.0]])
+        loss = builder.graph.apply("softmax-cross-entropy", [logits], targets=target)
         assert builder.graph.value(loss) == 800.0
         assert np.array_equal(builder.graph.backward(loss)[logits], [[1.0, -1.0]])
 
@@ -142,11 +142,10 @@ class TestCrossEntropyNode:
         rng = np.random.default_rng(31)
         cons_x = rng.standard_normal((5, DIM))
         cons_t = one_hot(rng.integers(1, C + 1, size=5), C)
-        mask = np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])
+        cons_t[[1, 3]] = 0.0
 
         def step(cx):
-            plan = StepPlan(labeled_x=x, labeled_q=y, cons_x=cx, cons_targets=cons_t,
-                            cons_mask=mask)
+            plan = StepPlan(labeled_x=x, labeled_q=y, cons_x=cx, cons_targets=cons_t)
             loss = build_step_loss(model, plan, config)
             grads = loss.parameter_gradients()
             return loss, [np.float64(loss.value).tobytes()] + [grads[k].tobytes() for k in grads]
@@ -220,9 +219,9 @@ class TestCombinedLoss:
         ux = rng.standard_normal((3, DIM))
         ox, q = self.out_batch(19, n=3)
         config = cfg(beta=0.8, lam=0.5, aux_bn=True)
-        cons_x, cons_t, cons_m = prepare_consistency(model, ux, [0, 1, 2], config, 0, 0)
+        cons_x, cons_t = prepare_consistency(model, ux, [0, 1, 2], config, 0, 0)
         plan = StepPlan(labeled_x=x, labeled_q=y, cons_x=cons_x, cons_targets=cons_t,
-                        cons_mask=cons_m, out_x=ox, out_q=q)
+                        out_x=ox, out_q=q)
         loss = build_step_loss(model, plan, config)
         assert relu_kink_margin(loss) >= 1e-3
         assert combined_param_gradcheck(model, plan, config) < 1e-4
@@ -247,9 +246,8 @@ class TestStackedPass:
         def grads(p):
             return reference_step_loss(model, p, config).parameter_gradients()
 
-        mask = 1.0 if plan.cons_mask is None else plan.cons_mask
         blocks = [(plan.labeled_x, plan.labeled_q, 1.0 / len(plan.labeled_x)),
-                  (plan.cons_x, plan.cons_targets * mask, config.beta / len(plan.cons_x))]
+                  (plan.cons_x, plan.cons_targets, config.beta / len(plan.cons_x))]
         total = {}
         for xs, qs, weight in blocks:
             for x, q in zip(xs, qs):
@@ -277,16 +275,16 @@ class TestStackedPass:
         model.stats = {k: v + 0.1 * rng.random(v.shape) for k, v in model.stats.items()}
         x, y = batch(seed, n_l)
         cons_x = rng.standard_normal((n_c, DIM))
-        if mask is None:  # the consistency backend: soft targets, nothing masked
+        if mask is None:  # the consistency backend: soft targets, none zero
             config = cfg(beta=beta, lam=0.5)
-            cons_t, cons_m = rng.dirichlet(np.ones(C), size=n_c), None
-        else:
+            cons_t, kept = rng.dirichlet(np.ones(C), size=n_c), np.ones((n_c, 1), dtype=bool)
+        else:  # hard-pseudo: one-hot targets, zero in the masked rows
             config = cfg(backend="hard-pseudo", beta=beta, lam=0.5)
             cons_t = one_hot(rng.integers(1, C + 1, size=n_c), C)
             on = {"none": 0.0, "some": 0.5, "all": 1.0}[mask]
-            cons_m = (rng.random((n_c, 1)) < on).astype(np.float64)
-        plan = StepPlan(labeled_x=x, labeled_q=y, cons_x=cons_x, cons_targets=cons_t,
-                        cons_mask=cons_m)
+            kept = rng.random((n_c, 1)) < on
+            cons_t = cons_t * kept
+        plan = StepPlan(labeled_x=x, labeled_q=y, cons_x=cons_x, cons_targets=cons_t)
         if with_out:
             plan.out_x = rng.standard_normal((3, DIM))
             plan.out_q = rng.dirichlet(np.ones(C), size=3)
@@ -306,8 +304,7 @@ class TestStackedPass:
             assert [np.float64(stacked.terms[k]).tobytes() for k in ref.terms] == [
                 np.float64(v).tobytes() for v in ref.terms.values()]
         # the stacked input holds the labeled rows and the kept consistency rows only
-        kept = n_c if cons_m is None else int(cons_m.sum())
-        assert stacked.builder.graph.value(0).shape == (n_l + kept, DIM)
+        assert stacked.builder.graph.value(0).shape == (n_l + int(kept.sum()), DIM)
 
 
 class TestHardPseudoBackend:
@@ -324,6 +321,22 @@ class TestHardPseudoBackend:
         ux = np.random.default_rng(23).standard_normal((4, DIM))
         loss = step_loss(model, cfg(backend="hard-pseudo", confidence_threshold=0.0), x, y, ux)
         assert loss.terms["consistency"] > 0.0
+
+    def test_targets_are_argmax_rows_of_the_weak_view_zero_below_the_threshold(self):
+        model = toy_model()
+        ux, ids = np.random.default_rng(24).standard_normal((8, DIM)), range(10, 18)
+        aug = cfg().augment
+        p = _softmax(forward(model, augment_batch(ux, ids, aug, 0, 0, 0)).logits)
+        threshold = float(np.median(p.max(axis=1)))
+        config = cfg(backend="hard-pseudo", confidence_threshold=threshold)
+        cons_x, cons_t = prepare_consistency(model, ux, ids, config, 0, 0)
+        confident = p.max(axis=1) > threshold
+        assert confident.sum() == 4
+        assert np.array_equal(cons_t[confident], one_hot(p[confident].argmax(axis=1) + 1, C))
+        assert not cons_t[~confident].any()
+        # the strong view: the same family with the noise doubled, view 1
+        strong = AugmentConfig(noise_sigma=2 * aug.noise_sigma, stream=aug.stream)
+        assert np.array_equal(cons_x, augment_batch(ux, ids, strong, 0, 0, 1))
 
 
 def small_training_setup(seed=0, n_lab=6, n_in=8, n_out=8):
