@@ -4,7 +4,7 @@ Subcommands cover the pipeline end to end and stage by stage:
 
     generate   write a synthetic benchmark from the generator flags
     pretrain   contrastive pretraining -> pretrained.ckpt
-    detect     prototypes, scores, threshold, split -> scored.csv, detect.json
+    detect     prototypes, scores, threshold, split -> scored*.csv, detect.json
     label      soft-labels and top-k pseudo-labels -> manifests
     train      open-set fine-tuning -> checkpoints, train_trace.csv, report.json
     run        the full pipeline -> the same files, report.json with timings
@@ -12,8 +12,12 @@ Subcommands cover the pipeline end to end and stage by stage:
     eval       recompute a finished run's metrics from its report and manifests
     report     plot-ready accuracy-vs-value CSV from a sweep directory
 
-Flags mirror the experiment config; a --config JSON file overrides flags.
-Its keys are the ExperimentConfig field names, with `lambda` for `lam`.
+Flags mirror the experiment config; a --config JSON file is laid over
+them, so a key it gives wins and one it leaves out, or a section it gives
+as null, keeps the flags' value.  Its keys are the ExperimentConfig field
+names, with `lambda` for `lam`.  `label`, `train` and `eval` rebuild the
+detection from the scored manifests under the config (never from
+detect.json), so a detection config that changed since `detect` fails.
 All randomness derives from --seed.  Exit status is nonzero on any stage
 error.
 """
@@ -91,22 +95,12 @@ def build_config(args):
             for parent in parents:
                 node = node.setdefault(parent, {})
             node[leaf] = value
-    text = None
+    config = harness.ExperimentConfig.from_dict(given)
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
-        given = _deep_merge(given, parse_json(args.config, text))
-    return harness.ExperimentConfig.from_dict(given, raw_text=text)
-
-
-def _deep_merge(base, override):
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+        config = harness.ExperimentConfig.from_dict(parse_json(args.config, text), text, config)
+    return config
 
 
 # what each pipeline command prints: the main file it leaves in --out-dir

@@ -8,6 +8,11 @@ manifest under the run directory, and all randomness derives from the one
 master seed, so identical configs reproduce byte-identical reports
 (timings aside) and flipping a downstream component cannot move an
 upstream artifact.
+
+A stage run on its own reads what came before from those files.  The
+detection is rebuilt from the two scored manifests under the config
+(`detect.json` is a summary for readers, never read back), so a config
+whose detection changed since `detect` fails rather than mixing the two.
 """
 
 import contextlib
@@ -106,10 +111,11 @@ class ExperimentConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d, raw_text=None):
-        """Inverse of `to_dict`.  Absent keys keep their defaults, and so
-        does a nested config given as null, such as a stage's augment."""
-        return replace(_from_dict(cls, d, cls()), raw_text=raw_text)
+    def from_dict(cls, d, raw_text=None, base=None):
+        """Inverse of `to_dict`, laid over `base` (the defaults if None):
+        absent keys keep base's values, and so does a nested config given
+        as null, such as a stage's augment."""
+        return replace(_from_dict(cls, d, cls() if base is None else base), raw_text=raw_text)
 
 
 def _from_dict(cls, d, base):
@@ -175,7 +181,7 @@ class DetectOutcome:
     ids: np.ndarray  # (n,) sample ids
     sims: np.ndarray  # (n, C) cosine similarity to each class prototype
     scores: np.ndarray  # (n,) detection scores
-    metrics: dict  # tpr/tnr/auroc vs hidden truth, or None at p = 0
+    metrics: dict  # tpr/tnr/auroc vs hidden truth, or None at p = 0 or 1
 
     @property
     def out(self):
@@ -194,36 +200,31 @@ class DetectOutcome:
 def stage_detect(config, bench, model):
     protos = compute_prototypes(bench.labeled.x, bench.labeled.label, model)
     labeled_sims, labeled_scores = score_samples(bench.labeled.x, protos, model)
-    threshold, mu, sigma = compute_threshold(labeled_scores, config.detection)
     sims, scores = score_samples(bench.unlabeled.x, protos, model)
+    det = detect_outcome(labeled_scores, bench.unlabeled, sims, scores, config.detection)
     write_scored_manifest(
-        os.path.join(config.out_dir, "scored.csv"), bench.unlabeled.ids, sims, scores, threshold
+        os.path.join(config.out_dir, "scored.csv"), det.ids, sims, scores, det.threshold
     )
     write_scored_manifest(
         os.path.join(config.out_dir, "scored_labeled.csv"),
-        bench.labeled.ids, labeled_sims, labeled_scores, threshold,
-    )
-    det = DetectOutcome(
-        threshold=threshold,
-        mu=mu,
-        sigma=sigma,
-        ids=bench.unlabeled.ids,
-        sims=sims,
-        scores=scores,
-        metrics=_detection_metrics(scores, bench.unlabeled.origin == "out", threshold),
+        bench.labeled.ids, labeled_sims, labeled_scores, det.threshold,
     )
     write_detect_summary(config.out_dir, det, config)
     return det
 
 
-def _detection_metrics(scores, is_out, threshold):
-    """tpr/tnr/auroc against the hidden origins; None unless the pool
-    holds both in- and out-of-class samples."""
-    if not (is_out.any() and (~is_out).any()):
-        return None
-    metrics = tpr_tnr(scores, is_out, threshold)
-    metrics["auroc"] = auroc(scores, is_out)
-    return metrics
+def detect_outcome(labeled_scores, pool, sims, scores, detection):
+    """The detection of `pool` (a benchmark's unlabeled split) from its
+    similarities and scores, at the threshold that `detection` sets over
+    the labeled scores.  Metrics are tpr/tnr/auroc against the pool's
+    hidden origins, None unless it holds both in- and out-of-class rows."""
+    threshold, mu, sigma = compute_threshold(labeled_scores, detection)
+    is_out = pool.origin == "out"
+    metrics = None
+    if is_out.any() and (~is_out).any():
+        metrics = tpr_tnr(scores, is_out, threshold)
+        metrics["auroc"] = auroc(scores, is_out)
+    return DetectOutcome(threshold, mu, sigma, pool.ids, sims, scores, metrics)
 
 
 @dataclass
@@ -376,7 +377,7 @@ def load_stage_outputs(config, count):
     bench = read_benchmark(config.dataset_dir or os.path.join(config.out_dir, "dataset"))
     loaders = (
         lambda bench: load_checkpoint(os.path.join(config.out_dir, "pretrained.ckpt")),
-        lambda bench, model: load_detect_outcome(config.out_dir, bench),
+        lambda bench, model: load_detect_outcome(config.out_dir, bench, config.detection),
         lambda bench, model, det: load_label_outcome(config.out_dir, det),
     )
     outputs = [bench]
@@ -489,28 +490,21 @@ def write_curve_csv(path, rows):
 
 def recompute_metrics(out_dir, dataset_dir=None):
     """Rebuild the detection and accuracy metrics of a finished run from
-    its report.json and manifests; byte-equal to the report's values when
-    nothing was touched."""
+    its report.json and scored manifests; byte-equal to the report's
+    values when nothing was touched."""
     path = os.path.join(out_dir, "report.json")
     report = read_json(path)
     with _fields_of(path):
         config = ExperimentConfig.from_dict(report["config"])
         accs = report["checkpoint_accuracies"]
     bench = read_benchmark(dataset_dir or config.dataset_dir or os.path.join(out_dir, "dataset"))
-
-    _, _, labeled_scores, _ = read_scored_manifest(os.path.join(out_dir, "scored_labeled.csv"))
-    threshold, mu, sigma = compute_threshold(labeled_scores, config.detection)
-
-    path = os.path.join(out_dir, "scored.csv")
-    ids, _, scores, out = read_scored_manifest(path)
-    _check_pool_ids(path, ids, bench)
-    metrics = _detection_metrics(scores, bench.unlabeled.origin == "out", threshold)
+    det = load_detect_outcome(out_dir, bench, config.detection)
     return {
-        "threshold": threshold,
-        "mu": mu,
-        "sigma": sigma,
-        **(metrics or dict.fromkeys(("tpr", "tnr", "auroc"))),
-        "split_sizes": {"in": int((~out).sum()), "out": int(out.sum())},
+        "threshold": det.threshold,
+        "mu": det.mu,
+        "sigma": det.sigma,
+        **(det.metrics or dict.fromkeys(("tpr", "tnr", "auroc"))),
+        "split_sizes": {"in": len(det.in_set), "out": len(det.out_set)},
         **_accuracy_summary(accs, config.median_last),
     }
 
@@ -527,23 +521,25 @@ def _fields_of(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_detect_outcome(out_dir, bench):
-    """Rebuild a DetectOutcome from scored.csv and detect.json."""
-    path = os.path.join(out_dir, "detect.json")
-    summary = read_json(path)
-    with _fields_of(path):
-        threshold, mu, sigma = summary["threshold"], summary["mu"], summary["sigma"]
+def load_detect_outcome(out_dir, bench, detection):
+    """Rebuild stage_detect's DetectOutcome under `detection` from
+    scored_labeled.csv and scored.csv.  scored.csv must hold the pool in
+    its row order, split as the rebuilt threshold splits it: a detection
+    config that changed since the manifests were written fails here."""
+    _, _, labeled_scores, _ = read_scored_manifest(os.path.join(out_dir, "scored_labeled.csv"))
     path = os.path.join(out_dir, "scored.csv")
-    ids, sims, scores, _ = read_scored_manifest(path)
-    _check_pool_ids(path, ids, bench)
-    return DetectOutcome(threshold, mu, sigma, ids, sims, scores, summary.get("metrics"))
-
-
-def _check_pool_ids(path, ids, bench):
-    """A scored manifest holds the unlabeled pool in its row order, so
-    that its columns index the pool's rows."""
+    ids, sims, scores, out = read_scored_manifest(path)
     if not np.array_equal(ids, bench.unlabeled.ids):
         raise ValueError(f"{path}: sample_id column is not the unlabeled pool's ids in order")
+    det = detect_outcome(labeled_scores, bench.unlabeled, sims, scores, detection)
+    wrong = np.flatnonzero(det.out != out)
+    if wrong.size:
+        row = wrong[0]
+        raise ValueError(
+            f"{path}: sample_id {ids[row]}: split '{'out' if out[row] else 'in'}' disagrees with "
+            f"score {float(scores[row])!r} at threshold {det.threshold!r} ({detection})"
+        )
+    return det
 
 
 def write_detect_summary(out_dir, det, config):
@@ -565,7 +561,7 @@ def write_detect_summary(out_dir, det, config):
 def load_label_outcome(out_dir, det):
     """Rebuild a LabelOutcome from the label manifests, which must label
     what `det` detected: soft labels the detected-out ids in pool order,
-    pseudo-labels only detected-in ids."""
+    pseudo-labels only detected-in ids, each with a class in 1..C."""
     path = os.path.join(out_dir, "softlabels.csv")
     soft_ids, soft_q = read_soft_label_manifest(path)
     if not np.array_equal(soft_ids, det.out_set):
@@ -573,9 +569,13 @@ def load_label_outcome(out_dir, det):
     path = os.path.join(out_dir, "pseudolabels.csv")
     pseudo = read_pseudo_label_manifest(path)
     detected_in = set(det.in_set.tolist())
+    classes = det.sims.shape[1]
     for p in pseudo:
         if p.sample_id not in detected_in:
             raise ValueError(f"{path}: sample_id {p.sample_id} is not a detected-in pool id")
+        if not 1 <= p.assigned_class <= classes:
+            raise ValueError(f"{path}: sample_id {p.sample_id}: assigned_class "
+                             f"{p.assigned_class} is not in 1..{classes}")
     return LabelOutcome(soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo)
 
 

@@ -164,5 +164,5 @@ def write_pseudo_label_manifest(path, pseudo):
 
 def read_pseudo_label_manifest(path):
     cols = read_table(path, {"sample_id": int, "assigned_class": int, "confidence": float})
-    rows = zip(cols["sample_id"], cols["assigned_class"], cols["confidence"])
-    return [PseudoLabel(*row) for row in rows]
+    confidence = real_columns(path, cols, ["confidence"])[:, 0].tolist()
+    return list(map(PseudoLabel, cols["sample_id"], cols["assigned_class"], confidence))

@@ -49,7 +49,9 @@ class TestStagedPipeline:
         capsys.readouterr()
         assert run_cli("eval", "--out-dir", out) == 0
         recomputed = json.loads(capsys.readouterr().out)
-        assert recomputed["threshold"] == report["detection"]["threshold"]
+        detection = {k: v for k, v in report["detection"].items() if k != "eta"}
+        assert {k: recomputed[k] for k in detection} == detection
+        assert recomputed["split_sizes"] == report["split_sizes"]
         assert recomputed["median_accuracy"] == report["median_accuracy"]
 
     def test_failed_rerun_leaves_no_stale_report(self, tmp_path):
@@ -113,10 +115,34 @@ class TestStagedPipeline:
         assert run_cli("generate", "--out-dir", out, *MICRO) == 0
         assert run_cli("detect", "--out-dir", out, *MICRO) == 1
 
+    def test_label_under_another_eta_names_the_scored_manifest(self, tmp_path, capsys):
+        out = str(tmp_path / "drift")
+        for stage in ("generate", "pretrain", "detect"):
+            assert run_cli(stage, "--out-dir", out, *MICRO, "--eta", "0.5") == 0
+        capsys.readouterr()
+        assert run_cli("label", "--out-dir", out, *MICRO, "--eta", "2") == 1
+        path = os.path.join(out, "scored.csv")
+        assert capsys.readouterr().err.startswith(f"error: {path}: sample_id ")
+        assert not os.path.exists(os.path.join(out, "pseudolabels.csv"))
+
+    def test_eval_names_a_scored_manifest_with_an_edited_split(self, tmp_path, capsys):
+        out = str(tmp_path / "full")
+        assert run_cli("run", "--out-dir", out, *MICRO) == 0
+        path = tmp_path / "full" / "scored.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        *fields, split = lines[3].split(b",")
+        lines[3] = b",".join([*fields, b"in" if split == b"out" else b"out"])
+        path.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        assert run_cli("eval", "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: sample_id {fields[0].decode()}: split "
+        )
+
 
 class TestDocumentFieldErrors:
-    """A field missing from, or unknown to, a JSON document a command reads
-    back fails naming the file and the field."""
+    """A field missing from, or unknown to, a document a command reads back
+    fails naming the file and the field."""
 
     REPORT_EDITS = {  # what is done to report.json, and the message it gives
         "missing-field": (lambda doc: doc.pop("checkpoint_accuracies"),
@@ -142,15 +168,15 @@ class TestDocumentFieldErrors:
         assert run_cli("eval", "--out-dir", out) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    def test_label_names_the_detect_summary_and_the_field(self, tmp_path, capsys):
+    def test_label_names_a_truncated_labeled_scores_manifest(self, tmp_path, capsys):
         out = str(tmp_path / "staged")
         for stage in ("generate", "pretrain", "detect"):
             assert run_cli(stage, "--out-dir", out, *MICRO) == 0
-        path = os.path.join(out, "detect.json")
-        self.edit(path, lambda doc: doc.pop("mu"))
+        path = tmp_path / "staged" / "scored_labeled.csv"
+        path.write_bytes(path.read_bytes()[:-30])
         capsys.readouterr()
         assert run_cli("label", "--out-dir", out, *MICRO) == 1
-        assert capsys.readouterr().err == f"error: {path}: no field 'mu'\n"
+        assert capsys.readouterr().err.startswith(f"error: {path}: line ")
 
 
 class TestLabelManifestsMatchDetection:
@@ -206,6 +232,18 @@ class TestLabelManifestsMatchDetection:
         )
         assert code == 1
         assert f"error: {path}: sample_id 99999 is not a detected-in pool id" in err
+
+    @pytest.mark.parametrize("assigned", [b"0", b"3"])
+    def test_pseudo_label_class_outside_1_to_c(self, labeled, tmp_path, capsys, assigned):
+        def edit(lines):
+            sample_id, _, confidence = lines[1].split(b",")
+            return [lines[0], b",".join([sample_id, assigned, confidence]), *lines[2:]]
+
+        code, err, path = self.train(labeled, tmp_path, capsys, "pseudolabels.csv", edit)
+        sample_id = (labeled / "pseudolabels.csv").read_bytes().split(b"\r\n")[1].split(b",")[0]
+        assert code == 1
+        assert err == (f"error: {path}: sample_id {sample_id.decode()}: assigned_class "
+                       f"{assigned.decode()} is not in 1..2\n")
 
     def test_pseudo_label_of_a_labeled_sample(self, labeled, tmp_path, capsys):
         table = (labeled / "dataset" / "labeled.csv").read_bytes()
@@ -376,3 +414,9 @@ class TestFlagTable:
         cfg = config_of("--config", str(path))
         assert cfg.contrastive.augment.stream == "pretrain.augment"
         assert cfg.ssl.augment.stream == "train.augment"
+
+    def test_config_file_section_given_as_null_keeps_the_flags(self, config_of, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"ssl": None, "detection": {"eta": 0.5}}))
+        cfg = config_of("--lambda", "0.75", "--eta", "1.5", "--config", str(path))
+        assert (cfg.ssl.lam, cfg.detection.eta) == (0.75, 0.5)

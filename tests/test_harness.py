@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig
 from openset_ssl.data import BenchmarkSpec
-from openset_ssl.detect import DetectionConfig
+from openset_ssl.detect import DetectionConfig, out_mask
 from openset_ssl.harness import (
     ExperimentConfig,
     ModelShape,
@@ -172,20 +172,30 @@ class TestRunExperiment:
 
 
 class TestDetectOutcome:
-    def detect(self, tmp_path):
-        cfg = micro_config(tmp_path / "run")
+    def detect(self, tmp_path, **kw):
+        cfg = micro_config(tmp_path / "run", **kw)
         os.makedirs(cfg.out_dir)
         bench = prepare_benchmark(cfg)
         return cfg, bench, stage_detect(cfg, bench, stage_pretrain(cfg, bench))
 
     def test_reload_is_bit_equal(self, tmp_path):
-        cfg, bench, det = self.detect(tmp_path)
-        loaded = load_detect_outcome(cfg.out_dir, bench)
-        assert np.array_equal(det.ids, bench.unlabeled.ids)
-        for name in ("ids", "sims", "scores", "out", "in_set", "out_set"):
-            assert getattr(loaded, name).tobytes() == getattr(det, name).tobytes(), name
-        assert (loaded.threshold, loaded.mu, loaded.sigma) == (det.threshold, det.mu, det.sigma)
-        assert len(det.in_set) + len(det.out_set) == len(bench.unlabeled)
+        spec = micro_config(tmp_path).benchmark
+        cases = {  # name -> micro_config changes
+            "default": {},
+            "explicit-threshold": {"detection": DetectionConfig(explicit_threshold=0.75)},
+            "p0": {"benchmark": replace(spec, out_proportion=0.0)},
+            "p1": {"benchmark": replace(spec, out_proportion=1.0)},
+        }
+        for case, kw in cases.items():
+            cfg, bench, det = self.detect(tmp_path / case, **kw)
+            loaded = load_detect_outcome(cfg.out_dir, bench, cfg.detection)
+            assert np.array_equal(det.ids, bench.unlabeled.ids), case
+            for name in ("ids", "sims", "scores", "out", "in_set", "out_set"):
+                assert getattr(loaded, name).tobytes() == getattr(det, name).tobytes(), (case, name)
+            assert (loaded.threshold, loaded.mu, loaded.sigma) == (det.threshold, det.mu, det.sigma)
+            assert loaded.metrics == det.metrics, case
+            assert (det.metrics is None) == (case in ("p0", "p1")), case
+            assert len(det.in_set) + len(det.out_set) == len(bench.unlabeled), case
 
     def test_reordered_scored_manifest_rejected_by_name(self, tmp_path):
         cfg, bench, _ = self.detect(tmp_path)
@@ -194,8 +204,18 @@ class TestDetectOutcome:
         lines[1], lines[2] = lines[2], lines[1]
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(ValueError) as err:
-            load_detect_outcome(cfg.out_dir, bench)
+            load_detect_outcome(cfg.out_dir, bench, cfg.detection)
         assert str(err.value).startswith(f"{path}: sample_id column")
+
+    def test_another_detection_config_names_the_first_row_it_splits_otherwise(self, tmp_path):
+        cfg, bench, det = self.detect(tmp_path)
+        drifted = DetectionConfig(explicit_threshold=float(np.median(det.scores)))
+        moved = det.ids[out_mask(det.scores, drifted.explicit_threshold) != det.out]
+        assert moved.size  # the drifted threshold splits some row otherwise
+        with pytest.raises(ValueError) as err:
+            load_detect_outcome(cfg.out_dir, bench, drifted)
+        path = tmp_path / "run" / "scored.csv"
+        assert str(err.value).startswith(f"{path}: sample_id {moved[0]}: split ")
 
 
 class TestSweep:

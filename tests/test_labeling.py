@@ -276,6 +276,18 @@ class TestManifests:
             read_soft_label_manifest(soft)
         assert str(err.value) == f"{soft}: line 7, column 'q_3': '{field}' is not a finite real"
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_confidence_rejected_with_line_and_column(self, tmp_path, field):
+        _, pseudo = self.write_both(tmp_path)
+        lines = pseudo.read_bytes().decode().split("\r\n")
+        lines[4] = lines[4].rsplit(",", 1)[0] + "," + field  # the fourth row's confidence
+        pseudo.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(ValueError) as err:
+            read_pseudo_label_manifest(pseudo)
+        assert str(err.value) == (
+            f"{pseudo}: line 5, column 'confidence': '{field}' is not a finite real"
+        )
+
     def test_unparsable_field_named(self, tmp_path):
         _, pseudo = self.write_both(tmp_path)
         lines = pseudo.read_bytes().decode().split("\r\n")
