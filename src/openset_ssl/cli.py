@@ -10,14 +10,16 @@ Subcommands cover the pipeline end to end and stage by stage:
     run        the full pipeline -> the same files, report.json with timings
     sweep      one run per value of an axis -> sweep.csv
     eval       recompute a finished run's metrics from its report and manifests
-    report     plot-ready accuracy-vs-value CSV from a sweep directory
+    report     plot-ready accuracy-vs-value CSV from a sweep directory's sweep.csv
 
 Flags mirror the experiment config; a --config JSON file is laid over
 them, so a key it gives wins and one it leaves out, or a section it gives
 as null, keeps the flags' value.  Its keys are the ExperimentConfig field
 names, with `lambda` for `lam`.  `label`, `train` and `eval` rebuild the
 detection from the scored manifests under the config (never from
-detect.json), so a detection config that changed since `detect` fails.
+detect.json), so a detection config that changed since `detect` fails;
+`train` recomputes the soft labels and holds both label manifests to the
+labeling config, so one that changed since `label` fails too.
 All randomness derives from --seed.  Exit status is nonzero on any stage
 error.
 """
@@ -147,9 +149,8 @@ def main(argv=None):
 
 def _dispatch(args):
     if args.command == "report":
-        rows = harness.collect_sweep_rows(args.sweep_dir)
         output = args.output or os.path.join(args.sweep_dir, "curve.csv")
-        harness.write_curve_csv(output, rows)
+        harness.write_curve_csv(output, args.sweep_dir)
         print(output)
         return 0
 

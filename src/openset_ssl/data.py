@@ -232,9 +232,10 @@ def write_benchmark(dirpath, bench):
 def read_benchmark(dirpath):
     path = os.path.join(dirpath, "spec.json")
     doc = read_json(path)
-    unknown = sorted(set(doc) - {f.name for f in fields(BenchmarkSpec)})
-    if unknown:
-        raise ValueError(f"{path}: unknown BenchmarkSpec keys: {', '.join(unknown)}")
+    names = {f.name for f in fields(BenchmarkSpec)}
+    for kind, keys in (("unknown", set(doc) - names), ("missing", names - set(doc))):
+        if keys:
+            raise ValueError(f"{path}: {kind} BenchmarkSpec keys: {', '.join(sorted(keys))}")
     return Benchmark(
         spec=BenchmarkSpec(**doc),
         labeled=read_dataset(os.path.join(dirpath, "labeled.csv")),

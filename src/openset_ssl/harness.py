@@ -13,6 +13,9 @@ A stage run on its own reads what came before from those files.  The
 detection is rebuilt from the two scored manifests under the config
 (`detect.json` is a summary for readers, never read back), so a config
 whose detection changed since `detect` fails rather than mixing the two.
+The labels follow from the detection and the config: `train` recomputes
+the soft labels and loads only the pseudo-labels, once both label
+manifests are held to its labeling config.
 """
 
 import contextlib
@@ -43,6 +46,7 @@ from .labeling import (
     read_pseudo_label_manifest,
     read_soft_label_manifest,
     select_topk,
+    topk_count,
     train_linear_eval,
     write_pseudo_label_manifest,
     write_soft_label_manifest,
@@ -196,6 +200,13 @@ class DetectOutcome:
     def out_set(self):
         return self.ids[self.out]
 
+    def summary(self):
+        """Threshold, mu, sigma, tpr/tnr/auroc (None unless the pool holds
+        both origins) and the split sizes, as report.json and `eval` give them."""
+        return {"threshold": self.threshold, "mu": self.mu, "sigma": self.sigma,
+                **(self.metrics or dict.fromkeys(("tpr", "tnr", "auroc"))),
+                "split_sizes": {"in": len(self.in_set), "out": len(self.out_set)}}
+
 
 def stage_detect(config, bench, model):
     protos = compute_prototypes(bench.labeled.x, bench.labeled.label, model)
@@ -227,21 +238,10 @@ def detect_outcome(labeled_scores, pool, sims, scores, detection):
     return DetectOutcome(threshold, mu, sigma, pool.ids, sims, scores, metrics)
 
 
-@dataclass
-class LabelOutcome:
-    soft_ids: list
-    soft_q: np.ndarray  # (len(soft_ids), C)
-    pseudo: list
-
-
 def stage_label(config, bench, model, det):
     out = det.out
-    soft_ids = det.ids[out].tolist()
-    soft_q = soft_label(det.sims[out], config.labeling.tau_sl)
-    write_soft_label_manifest(
-        os.path.join(config.out_dir, "softlabels.csv"), soft_ids, soft_q
-    )
-
+    write_soft_label_manifest(os.path.join(config.out_dir, "softlabels.csv"),
+                              det.ids[out], soft_label(det.sims[out], config.labeling.tau_sl))
     pseudo = []
     if config.ssl.topk_pl and not out.all():
         head = train_linear_eval(
@@ -255,10 +255,10 @@ def stage_label(config, bench, model, det):
             det.ids[~out], bench.unlabeled.x[~out], head, model, config.labeling.k_fraction
         )
     write_pseudo_label_manifest(os.path.join(config.out_dir, "pseudolabels.csv"), pseudo)
-    return LabelOutcome(soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo)
+    return pseudo
 
 
-def stage_train(config, bench, model, det, lab):
+def stage_train(config, bench, model, det, pseudo):
     """Fine-tune, then write final.ckpt and the run's report.json."""
     num_classes = bench.spec.in_classes
     id_to_row = {int(i): r for r, i in enumerate(bench.unlabeled.ids)}
@@ -266,22 +266,16 @@ def stage_train(config, bench, model, det, lab):
     ids = list(map(int, bench.labeled.ids))
     feats = {i: bench.labeled.x[r] for r, i in enumerate(ids)}
     labels = {i: int(bench.labeled.label[r]) for r, i in enumerate(ids)}
-    if config.ssl.topk_pl:
-        for p in lab.pseudo:
-            ids.append(p.sample_id)
-            feats[p.sample_id] = bench.unlabeled.x[id_to_row[p.sample_id]]
-            labels[p.sample_id] = p.assigned_class
+    for p in pseudo:
+        ids.append(p.sample_id)
+        feats[p.sample_id] = bench.unlabeled.x[id_to_row[p.sample_id]]
+        labels[p.sample_id] = p.assigned_class
     balanced = oversample(ids, [labels[i] for i in ids])
     labeled_x = np.stack([feats[i] for i in balanced])
     labeled_q = one_hot([labels[i] for i in balanced], num_classes)
 
-    if config.ssl.detect:
-        out = det.out
-        # an empty soft-label manifest reads back as a (0, 0) matrix
-        out_q = np.asarray(lab.soft_q, dtype=np.float64).reshape(-1, num_classes)
-    else:  # the whole pool counts as in-class
-        out = np.zeros(len(bench.unlabeled.ids), dtype=bool)
-        out_q = np.empty((0, num_classes))
+    out = det.out & config.ssl.detect  # without detection the whole pool counts as in-class
+    out_q = soft_label(det.sims[out], config.labeling.tau_sl)
     in_ids, in_x = bench.unlabeled.ids[~out], bench.unlabeled.x[~out]
     out_x = bench.unlabeled.x[out]
 
@@ -308,37 +302,30 @@ def stage_train(config, bench, model, det, lab):
     save_checkpoint(os.path.join(config.out_dir, "final.ckpt"), model)
     write_json(
         os.path.join(config.out_dir, "report.json"),
-        _report(config, bench, det, lab, state),
+        _report(config, bench, det, pseudo, state),
     )
     return state
 
 
-def _report(config, bench, det, lab, state):
+def _report(config, bench, det, pseudo, state):
     truth = dict(zip(bench.unlabeled.ids.tolist(), bench.unlabeled.truth.tolist()))
-    hits = [truth[p.sample_id] == p.assigned_class for p in lab.pseudo]
-    metrics = det.metrics or {}
+    hits = [truth[p.sample_id] == p.assigned_class for p in pseudo]
+    detection = det.summary()
+    split_sizes = detection.pop("split_sizes")
     accs = state.checkpoint_accuracies
     return {
         "config": config.to_dict(),
         "config_text": config.raw_text
         if config.raw_text is not None
         else json.dumps(config.to_dict(), sort_keys=True),
-        "split_sizes": {"in": len(det.in_set), "out": len(det.out_set)},
-        "detection": {
-            "mu": det.mu,
-            "sigma": det.sigma,
-            "eta": config.detection.eta,
-            "threshold": det.threshold,
-            "tpr": metrics.get("tpr"),
-            "tnr": metrics.get("tnr"),
-            "auroc": metrics.get("auroc"),
-        },
+        "split_sizes": split_sizes,
+        "detection": {**detection, "eta": config.detection.eta},
         # accuracy against the evaluation-only truth
         "pseudo": {
-            "count": len(lab.pseudo),
+            "count": len(pseudo),
             "accuracy": float(np.mean(hits)) if hits else None,
         },
-        "soft_label_count": len(lab.soft_ids),
+        "soft_label_count": len(det.out_set),
         "checkpoint_accuracies": accs,
         **_accuracy_summary(accs, config.median_last),
     }
@@ -378,7 +365,7 @@ def load_stage_outputs(config, count):
     loaders = (
         lambda bench: load_checkpoint(os.path.join(config.out_dir, "pretrained.ckpt")),
         lambda bench, model: load_detect_outcome(config.out_dir, bench, config.detection),
-        lambda bench, model, det: load_label_outcome(config.out_dir, det),
+        lambda bench, model, det: load_pseudo_labels(config, det),
     )
     outputs = [bench]
     for load in loaders[: count - 1]:
@@ -475,11 +462,14 @@ def write_sweep_table(path, rows):
     write_table(path, header, [TEXT, "%g"] + [TEXT] * 9, rows)
 
 
-def write_curve_csv(path, rows):
-    """Plot-ready accuracy-vs-axis curve from sweep rows."""
-    reports = [(row["value"], row["report"]) for row in rows if row["report"] is not None]
-    rows = ((value, *map(optional_real, (rep["median_accuracy"], rep["best_accuracy"])))
-            for value, rep in reports)
+def write_curve_csv(path, sweep_dir):
+    """Plot-ready accuracy-vs-axis curve from a sweep directory's
+    sweep.csv: one point per value whose run did not fail."""
+    table = read_table(os.path.join(sweep_dir, "sweep.csv"),
+                       {"value": float, "median_accuracy": str, "best_accuracy": str, "error": str},
+                       default=str)
+    points = zip(table["value"], table["median_accuracy"], table["best_accuracy"])
+    rows = (point for point, error in zip(points, table["error"]) if not error)
     write_table(path, ["value", "median_accuracy", "best_accuracy"], ["%g", TEXT, TEXT], rows)
 
 
@@ -499,14 +489,7 @@ def recompute_metrics(out_dir, dataset_dir=None):
         accs = report["checkpoint_accuracies"]
     bench = read_benchmark(dataset_dir or config.dataset_dir or os.path.join(out_dir, "dataset"))
     det = load_detect_outcome(out_dir, bench, config.detection)
-    return {
-        "threshold": det.threshold,
-        "mu": det.mu,
-        "sigma": det.sigma,
-        **(det.metrics or dict.fromkeys(("tpr", "tnr", "auroc"))),
-        "split_sizes": {"in": len(det.in_set), "out": len(det.out_set)},
-        **_accuracy_summary(accs, config.median_last),
-    }
+    return {**det.summary(), **_accuracy_summary(accs, config.median_last)}
 
 
 @contextlib.contextmanager
@@ -558,16 +541,27 @@ def write_detect_summary(out_dir, det, config):
     )
 
 
-def load_label_outcome(out_dir, det):
-    """Rebuild a LabelOutcome from the label manifests, which must label
-    what `det` detected: soft labels the detected-out ids in pool order,
-    pseudo-labels only detected-in ids, each with a class in 1..C."""
-    path = os.path.join(out_dir, "softlabels.csv")
+def load_pseudo_labels(config, det):
+    """The pseudo-labels stage_label wrote under `config` for `det`.  Both
+    label manifests must be what it writes: the soft labels of the
+    detected-out ids at tau_sl, and select_topk's count of detected-in ids,
+    each with a class in 1..C.  Linear-eval drift is not caught."""
+    path = os.path.join(config.out_dir, "softlabels.csv")
     soft_ids, soft_q = read_soft_label_manifest(path)
     if not np.array_equal(soft_ids, det.out_set):
         raise ValueError(f"{path}: sample_id column is not the detected-out ids in pool order")
-    path = os.path.join(out_dir, "pseudolabels.csv")
+    want = soft_label(det.sims[det.out], config.labeling.tau_sl).tolist()
+    # compared as row lists, as an empty manifest reads back as a (0, 0) matrix
+    wrong = [i for i, q, w in zip(soft_ids, soft_q.tolist(), want) if q != w]
+    if wrong:
+        raise ValueError(f"{path}: sample_id {wrong[0]}: soft label is not the detection's "
+                         f"at tau_sl {config.labeling.tau_sl!r}")
+    path = os.path.join(config.out_dir, "pseudolabels.csv")
     pseudo = read_pseudo_label_manifest(path)
+    count = topk_count(config.labeling.k_fraction, len(det.in_set)) if config.ssl.topk_pl else 0
+    if len(pseudo) != count:
+        raise ValueError(f"{path}: {len(pseudo)} pseudo-labels where {count} are due under "
+                         f"{config.labeling} with topk_pl={config.ssl.topk_pl}")
     detected_in = set(det.in_set.tolist())
     classes = det.sims.shape[1]
     for p in pseudo:
@@ -576,19 +570,4 @@ def load_label_outcome(out_dir, det):
         if not 1 <= p.assigned_class <= classes:
             raise ValueError(f"{path}: sample_id {p.sample_id}: assigned_class "
                              f"{p.assigned_class} is not in 1..{classes}")
-    return LabelOutcome(soft_ids=soft_ids, soft_q=soft_q, pseudo=pseudo)
-
-
-def collect_sweep_rows(sweep_dir):
-    """Recover sweep rows (with reports) from a sweep output directory.  A
-    failed row has no report, even where an earlier run left one in its
-    directory."""
-    table = read_table(
-        os.path.join(sweep_dir, "sweep.csv"), {"axis": str, "value": float, "error": str}, default=str
-    )
-    rows = []
-    for axis, value, error in zip(table["axis"], table["value"], table["error"]):
-        path = os.path.join(sweep_dir, f"{axis}_{value:g}", "report.json")
-        report = read_json(path) if not error and os.path.exists(path) else None
-        rows.append({"axis": axis, "value": value, "error": error or None, "report": report})
-    return rows
+    return pseudo

@@ -84,8 +84,13 @@ class PseudoLabel:
     confidence: float
 
 
+def topk_count(k_fraction, n):
+    """How many of n detected-in samples `select_topk` labels."""
+    return math.ceil(k_fraction * n)
+
+
 def select_topk(in_ids, in_x, head, model, k_fraction):
-    """Top ceil(k_fraction * n) samples by head confidence, one-hot labeled.
+    """Top `topk_count(k_fraction, n)` samples by head confidence, one-hot labeled.
 
     Confidence is the max softmax probability; ties break toward the
     smaller sample id, and argmax ties toward the lower class index.
@@ -101,14 +106,13 @@ def select_topk(in_ids, in_x, head, model, k_fraction):
     conf = probs.max(axis=1)
     classes = probs.argmax(axis=1) + 1
     order = sorted(range(len(in_ids)), key=lambda i: (-conf[i], in_ids[i]))
-    keep = math.ceil(k_fraction * len(in_ids))
     return [
         PseudoLabel(
             sample_id=int(in_ids[i]),
             assigned_class=int(classes[i]),
             confidence=float(conf[i]),
         )
-        for i in order[:keep]
+        for i in order[: topk_count(k_fraction, len(in_ids))]
     ]
 
 

@@ -163,9 +163,9 @@ def pretrained_for(workdir, name, cfg):
 def run_variant(cfg, bench, model, toggles):
     cfg = replace(cfg, ssl=replace(cfg.ssl, **toggles))
     det = stage_detect(cfg, bench, model)
-    lab = stage_label(cfg, bench, model, det)
-    state = stage_train(cfg, bench, model.copy(), det, lab)
-    return median_last_n(state.checkpoint_accuracies, 5), det, lab
+    pseudo = stage_label(cfg, bench, model, det)
+    state = stage_train(cfg, bench, model.copy(), det, pseudo)
+    return median_last_n(state.checkpoint_accuracies, 5), det, pseudo
 
 
 def report_line(number, passed, detail):
@@ -613,10 +613,8 @@ def test_criterion_09_aux_only_informativeness(workdir):
         cfg = experiment_config(out, bench_spec, SWEEP_PRETRAIN, SWEEP_SSL, seed=seed)
         bench, model = pretrained_for(workdir, f"sweep_s{seed}_p0.8", cfg)
         det = stage_detect(cfg, bench, model)
-        lab = stage_label(cfg, bench, model, det)
-        id_to_row = {int(i): r for r, i in enumerate(bench.unlabeled.ids)}
-        out_x = bench.unlabeled.x[[id_to_row[i] for i in lab.soft_ids]]
-        out_q = np.stack(lab.soft_q)
+        out_x = bench.unlabeled.x[det.out]
+        out_q = soft_label(det.sims[det.out], cfg.labeling.tau_sl)
 
         aux_cfg = replace(SWEEP_SSL, steps=300, lr=0.05)
         fresh = build_model(model.config, seed=seed + 1000)

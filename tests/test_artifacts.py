@@ -15,7 +15,7 @@ from openset_ssl.artifacts import INT, REAL, TEXT, read_json, read_table, write_
 from openset_ssl.contrastive import write_loss_trace
 from openset_ssl.data import Dataset, write_dataset
 from openset_ssl.detect import write_scored_manifest
-from openset_ssl.harness import collect_sweep_rows, write_curve_csv, write_sweep_table
+from openset_ssl.harness import write_curve_csv, write_sweep_table
 from openset_ssl.labeling import (
     PseudoLabel,
     write_pseudo_label_manifest,
@@ -121,6 +121,13 @@ sweep_rows = st.lists(st.one_of(
 ))
 FAILED_ROW = {"axis": "proportion", "value": 0.5, "report": None,
               "error": 'stage \'generate\' failed: need "out", got\r\n0,1\nclasses'}
+# the rows a sweep writes: a failed run always leaves its error
+swept_rows = st.lists(st.one_of(
+    st.builds(lambda axis, value, rep: {"axis": axis, "value": value, "error": None,
+                                         "report": rep}, text, reals, reports),
+    st.builds(lambda axis, value, err: {"axis": axis, "value": value, "error": err,
+                                         "report": None}, text, reals, st.text(min_size=1)),
+))
 
 
 @cases
@@ -141,9 +148,14 @@ def test_sweep_table_bytes_across_chunks(tmp_path):
 
 
 @cases
-@given(rows=sweep_rows)
+@given(rows=swept_rows)
+@example(rows=[FAILED_ROW])
 def test_curve_bytes(tmp_path, rows):
-    same_bytes(tmp_path, write_curve_csv, helpers.reference_write_curve_csv, rows)
+    # curve.csv read from sweep.csv is what the reference writes from the rows
+    write_sweep_table(tmp_path / "sweep.csv", rows)
+    write_curve_csv(tmp_path / "ours", tmp_path)
+    helpers.reference_write_curve_csv(tmp_path / "ref", rows)
+    assert (tmp_path / "ours").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
 json_values = st.recursive(
@@ -165,9 +177,15 @@ def test_quoted_error_survives_the_sweep_directory(tmp_path):
               "detection": {"auroc": None, "tpr": None, "tnr": None, "threshold": 0.1}}
     ok = {"axis": "proportion", "value": 0.0, "error": None, "report": report}
     write_sweep_table(tmp_path / "sweep.csv", [FAILED_ROW, ok])
+    table = read_table(tmp_path / "sweep.csv", {"error": str}, default=str)
+    assert table["error"] == [FAILED_ROW["error"], ""]
+    # the curve is read from sweep.csv alone: a report edited since moves nothing
     (tmp_path / "proportion_0").mkdir()
-    write_json(tmp_path / "proportion_0" / "report.json", report)
-    assert collect_sweep_rows(tmp_path) == [FAILED_ROW, ok]
+    write_json(tmp_path / "proportion_0" / "report.json", {**report, "median_accuracy": 0.5})
+    write_curve_csv(tmp_path / "curve.csv", tmp_path)
+    assert (tmp_path / "curve.csv").read_bytes() == (
+        b"value,median_accuracy,best_accuracy\r\n0,0.75,0.80000000000000004\r\n"
+    )
 
 
 class TestReadTable:

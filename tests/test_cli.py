@@ -8,7 +8,7 @@ import statistics
 import pytest
 
 from openset_ssl import harness
-from openset_ssl.artifacts import read_json, write_json
+from openset_ssl.artifacts import read_json, read_table, write_json
 from openset_ssl.cli import main
 from openset_ssl.harness import strip_timings
 
@@ -62,11 +62,15 @@ class TestStagedPipeline:
         assert not (tmp_path / "full" / "report.json").exists()
         assert run_cli("eval", "--out-dir", out) != 0
 
-    def test_staged_and_run_directories_match(self, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--no-detect"], ["--no-topk-pl"],
+                                       ["--backend", "hard-pseudo"], ["--eta", "100"]],
+                             ids=["default", "no-detect", "no-topk-pl", "hard-pseudo",
+                                  "nothing-detected-out"])
+    def test_staged_and_run_directories_match(self, tmp_path, flags):
         staged, full = str(tmp_path / "staged"), str(tmp_path / "full")
         for stage in ("generate", "pretrain", "detect", "label", "train"):
-            assert run_cli(stage, "--out-dir", staged, *MICRO) == 0
-        assert run_cli("run", "--out-dir", full, *MICRO) == 0
+            assert run_cli(stage, "--out-dir", staged, *MICRO, *flags) == 0
+        assert run_cli("run", "--out-dir", full, *MICRO, *flags) == 0
 
         def files(root):
             return sorted(
@@ -178,10 +182,23 @@ class TestDocumentFieldErrors:
         assert run_cli("label", "--out-dir", out, *MICRO) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: line ")
 
+    def test_pretrain_names_a_spec_missing_a_key(self, tmp_path, capsys):
+        out = str(tmp_path / "staged")
+        assert run_cli("generate", "--out-dir", out, *MICRO) == 0
+        path = tmp_path / "staged" / "dataset" / "spec.json"
+        spec = read_json(path)
+        del spec["in_classes"]
+        write_json(path, spec)
+        capsys.readouterr()
+        assert run_cli("pretrain", "--out-dir", out, *MICRO) == 1
+        assert capsys.readouterr().err == f"error: {path}: missing BenchmarkSpec keys: in_classes\n"
+        assert not (tmp_path / "staged" / "pretrained.ckpt").exists()
+
 
 class TestLabelManifestsMatchDetection:
     """Staged `train` holds the label manifests to the detection they
-    follow, and names the file and the sample_id when they disagree."""
+    follow and to its labeling config, and names the file (and the
+    sample_id, where one row is at fault) when they disagree."""
 
     @pytest.fixture(scope="class")
     def labeled(self, tmp_path_factory):
@@ -190,18 +207,32 @@ class TestLabelManifestsMatchDetection:
             assert run_cli(stage, "--out-dir", str(out), *MICRO) == 0
         return out
 
-    def train(self, labeled, tmp_path, capsys, name, edit):
-        """Train on a copy of `labeled` whose `name` has its lines (the
-        last one empty, after the final terminator) replaced by
-        `edit(lines)`; returns the exit code, stderr and the file's path."""
+    def train(self, labeled, tmp_path, capsys, name, edit, *flags):
+        """Train, with `flags` after MICRO, on a copy of `labeled` whose
+        `name` has its lines (the last one empty, after the final
+        terminator) replaced by `edit(lines)`; returns the exit code,
+        stderr and the file's path."""
         out = tmp_path / "run"
         shutil.copytree(labeled, out)
         path = out / name
         lines = path.read_bytes().split(b"\r\n")
         path.write_bytes(b"\r\n".join(edit(lines)))
         capsys.readouterr()
-        code = run_cli("train", "--out-dir", str(out), *MICRO)
+        code = run_cli("train", "--out-dir", str(out), *MICRO, *flags)
         return code, capsys.readouterr().err, path
+
+    @pytest.mark.parametrize("flags, name, message", [
+        (["--tau-sl", "5"], "softlabels.csv", "soft label is not the detection's at tau_sl 5.0"),
+        (["--k-fraction", "1.0"], "pseudolabels.csv", "2 pseudo-labels where 11 are due under "),
+        (["--no-topk-pl"], "pseudolabels.csv", "2 pseudo-labels where 0 are due under "),
+    ], ids=["tau-sl", "k-fraction", "no-topk-pl"])
+    def test_train_under_another_labeling_config_names_the_manifest(
+        self, labeled, tmp_path, capsys, flags, name, message
+    ):
+        code, err, path = self.train(labeled, tmp_path, capsys, name, lambda lines: lines, *flags)
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert not (tmp_path / "run" / "report.json").exists()
 
     def test_soft_label_manifest_one_row_short(self, labeled, tmp_path, capsys):
         code, err, path = self.train(
@@ -278,7 +309,7 @@ class TestSweepAndReport:
         assert (tmp_path / "sweep" / "proportion_0.5" / "report.json").exists()
         # out-of-class samples with no out-of-class classes: generate fails
         assert run_cli(*sweep, "--out-classes", "0") != 0
-        assert harness.collect_sweep_rows(out)[0]["error"]
+        assert read_table(os.path.join(out, "sweep.csv"), {"error": str}, default=str)["error"][0]
         # the first run's report is gone, so eval cannot pass it off as the rerun's
         assert not (tmp_path / "sweep" / "proportion_0.5" / "report.json").exists()
         assert run_cli("eval", "--out-dir", os.path.join(out, "proportion_0.5")) != 0

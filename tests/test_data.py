@@ -229,6 +229,17 @@ class TestDatasetFiles:
             read_benchmark(tmp_path / "bench")
         assert str(spec) in str(err.value) and "dims" in str(err.value)
 
+    def test_missing_spec_key_names_file_and_key(self, tmp_path):
+        # a missing key must not read as the BenchmarkSpec default
+        write_benchmark(tmp_path / "bench", generate(small_spec()))
+        spec = tmp_path / "bench" / "spec.json"
+        doc = json.loads(spec.read_text())
+        del doc["in_classes"], doc["seed"]
+        spec.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            read_benchmark(tmp_path / "bench")
+        assert str(err.value) == f"{spec}: missing BenchmarkSpec keys: in_classes, seed"
+
     def test_benchmark_directory_roundtrip(self, tmp_path):
         bench = generate(small_spec())
         write_benchmark(tmp_path / "bench", bench)
