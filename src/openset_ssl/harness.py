@@ -464,12 +464,13 @@ def write_sweep_table(path, rows):
 
 def write_curve_csv(path, sweep_dir):
     """Plot-ready accuracy-vs-axis curve from a sweep directory's
-    sweep.csv: one point per value whose run did not fail."""
+    sweep.csv: one point per value whose run reported (a failed run
+    leaves `in_count` empty, whatever its error reads)."""
     table = read_table(os.path.join(sweep_dir, "sweep.csv"),
-                       {"value": float, "median_accuracy": str, "best_accuracy": str, "error": str},
-                       default=str)
+                       {"value": float, "median_accuracy": str, "best_accuracy": str,
+                        "in_count": str}, default=str)
     points = zip(table["value"], table["median_accuracy"], table["best_accuracy"])
-    rows = (point for point, error in zip(points, table["error"]) if not error)
+    rows = (point for point, n_in in zip(points, table["in_count"]) if n_in)
     write_table(path, ["value", "median_accuracy", "best_accuracy"], ["%g", TEXT, TEXT], rows)
 
 
