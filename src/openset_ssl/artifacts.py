@@ -8,9 +8,13 @@ with sorted keys and a final newline.  A truncated or malformed file is
 rejected with a `ValueError` that names the path, the line and the column.
 
 Both directions go `_CHUNK_ROWS` records at a time: the writer formats
-a chunk of rows per write, and the reader parses and converts a chunk of
-records as they stream from the file, so neither holds a whole table as
-text or as field strings.
+a chunk of rows per write, and the streaming reader parses and converts a
+chunk of records as they stream from the file, so neither holds a whole
+table as text or as field strings.  A valid table of numbers and fixed
+choices (`int`, `float` and `one_of` columns) is parsed by numpy instead,
+in one `np.loadtxt` pass into typed columns; everything else, every
+error included, by the streaming reader, which is also the fallback
+wherever the numpy pass might read a file otherwise.
 
 Every writer goes through `replacing`: the file is written under a temp
 name beside its target and renamed over it when complete, so a write that
@@ -21,6 +25,7 @@ import contextlib
 import csv
 import json
 import os
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -30,6 +35,10 @@ REAL = "%.17g"
 TEXT = "%s"
 
 _CHUNK_ROWS = 1024
+_SCAN_BYTES = 1 << 18
+# ASCII characters np.loadtxt reads otherwise than csv.reader and int()
+# or float(): a quote, a NUL, the separators int() and float() keep
+_UNLIKE_CSV = b'"\0\x1c\x1d\x1e\x1f'
 
 
 def optional_real(value):
@@ -45,7 +54,18 @@ def one_of(*choices):
             raise ValueError(f"{field!r} is not one of {', '.join(choices)}")
         return field
 
+    convert.choices = choices
     return convert
+
+
+def _dtype(convert):
+    """The array type of a column `convert` parses, None for a column
+    that is not all numbers or choices.  A choice column is one character
+    wider than its longest choice, so a longer field is not cut to one."""
+    choices = getattr(convert, "choices", None)
+    if choices is not None:
+        return f"<U{max(map(len, choices)) + 1}"
+    return {int: "<i8", float: "<f8"}.get(convert)
 
 
 def _quote(value):
@@ -91,10 +111,62 @@ def write_table(path, header, formats, rows):
 
 
 def read_table(path, converters, default=None):
-    """The table at `path` as {column name: list of values}, in header
-    order.  `converters` maps each column that must be present to the
-    function that parses its fields; other columns use `default`, and
-    are rejected without one.
+    """The table at `path` as {column name: column}, in header order.
+    `converters` maps each column that must be present to the function
+    that parses its fields; other columns use `default`, and are rejected
+    without one.  Where every column's converter is `int`, `float` or
+    `one_of(...)`, the columns are typed arrays (`_dtype`), parsed by one
+    `np.loadtxt` pass if the file is plain enough that it reads as below;
+    otherwise, and for any other table, they are lists from `_stream_table`.
+    """
+    if any(c is not None and _dtype(c) is None for c in (*converters.values(), default)):
+        return _stream_table(path, converters, default)
+    return _load_numeric(path, converters, default) or {
+        name: np.array(col, dtype=_dtype(converters.get(name, default)))
+        for name, col in _stream_table(path, converters, default).items()}
+
+
+def _load_numeric(path, converters, default):
+    """The numeric table at `path` as views of one structured array read
+    by `np.loadtxt`, or None where the file might not read as
+    `_stream_table` reads it: where loadtxt raises or warns, or where the
+    file holds a character loadtxt takes otherwise, a blank line, no final
+    line break or a field that is not one of its choices.  The file is
+    scanned a chunk at a time.  Read from a binary file, loadtxt splits
+    lines at "\\n" alone and rejects a "\\r" other than a line's last
+    character, so a line is a record; the header, which it skips, is
+    checked here."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            fh.seek(0)
+            lines, last = 0, b""
+            while chunk := fh.read(_SCAN_BYTES):
+                if not chunk.isascii() or any(c in chunk for c in _UNLIKE_CSV):
+                    return None
+                lines, last = lines + chunk.count(b"\n"), chunk[-1:]
+            names = header.decode().rstrip("\r\n").split(",")
+            convert = [converters.get(name, default) for name in names]
+            if (last != b"\n" or b"\r" in header.removesuffix(b"\r\n") or names == [""]
+                    or None in convert or any(name not in names for name in converters)):
+                return None
+            fh.seek(len(header))
+            dtype = np.dtype([(f"c{col}", _dtype(c)) for col, c in enumerate(convert)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+    except (ArithmeticError, OSError, ValueError, Warning):  # the streaming reader names it
+        return None
+    columns = [rows[field] for field in dtype.names]
+    choices = [(col, c.choices) for col, c in zip(columns, convert) if hasattr(c, "choices")]
+    if len(rows) != lines - 1 or not all(np.isin(col, c).all() for col, c in choices):
+        return None
+    return dict(zip(names, columns))
+
+
+def _stream_table(path, converters, default):
+    """The table at `path` as {column name: list of values}: the reader
+    that checks every field and names the first fault of a bad file.
 
     Records stream from the file and are converted a chunk at a time, so
     only the converted columns grow with the table.  Wherever the faults

@@ -166,7 +166,7 @@ def _dispatch(args):
     if args.command == "sweep":
         values = [float(v) for v in args.values.split(",")]
         rows = harness.run_sweep(cfg, args.axis, values)
-        failed = [r for r in rows if r["error"]]
+        failed = [r for r in rows if r["report"] is None]
         for row in failed:
             print(f"value {row['value']:g} failed: {row['error']}", file=sys.stderr)
         print(os.path.join(cfg.out_dir, "sweep.csv"))

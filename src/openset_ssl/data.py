@@ -212,13 +212,10 @@ def write_dataset(path, dataset):
 def read_dataset(path):
     converters = {"id": int, "label": int, "truth": int, "origin": one_of("in", "out")}
     cols = read_table(path, converters, default=float)
-    return Dataset(
-        ids=np.array(cols["id"], dtype=np.int64),
-        x=real_columns(path, cols, list(cols)[1:-3]),
-        label=np.array(cols["label"], dtype=np.int64),
-        truth=np.array(cols["truth"], dtype=np.int64),
-        origin=np.array(cols["origin"], dtype="<U3"),
-    )
+    # copies, so that the table read is freed with `cols`
+    return Dataset(ids=cols["id"].copy(), x=real_columns(path, cols, list(cols)[1:-3]),
+                   label=cols["label"].copy(), truth=cols["truth"].copy(),
+                   origin=cols["origin"].astype("<U3"))
 
 
 def write_benchmark(dirpath, bench):

@@ -129,6 +129,6 @@ def read_scored_manifest(path):
     the mask of rows whose split reads "out"."""
     cols = read_table(path, {"sample_id": int, "split": one_of("in", "out")}, default=float)
     sims = real_columns(path, cols, list(cols)[1:-2])
-    return (np.array(cols["sample_id"], dtype=np.int64), sims,
-            real_columns(path, cols, ["score"])[:, 0],
-            np.array(cols["split"], dtype="<U3") == "out")
+    scores = real_columns(path, cols, ["score"])[:, 0]
+    # a copy: a view would keep the whole table read
+    return cols["sample_id"].copy(), sims, scores, cols["split"] == "out"

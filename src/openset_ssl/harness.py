@@ -418,7 +418,8 @@ def run_sweep(config, axis, values):
     """One experiment per axis value, same master seed throughout, each in
     its own `{axis}_{value:g}` directory (values that would share one fail).
 
-    Per-run failures are recorded in the table and the sweep continues; as
+    Per-run failures are recorded in the table (the exception's message, or
+    its type where the message is empty) and the sweep continues; as
     `run_experiment` removes a value's earlier report first, a failed rerun
     leaves none behind.
     """
@@ -440,7 +441,7 @@ def run_sweep(config, axis, values):
         try:
             row["report"] = run_experiment(sub)
         except Exception as exc:
-            row["error"] = str(exc)
+            row["error"] = str(exc) or type(exc).__name__
         rows.append(row)
     write_sweep_table(os.path.join(config.out_dir, "sweep.csv"), rows)
     return rows
@@ -486,11 +487,24 @@ def recompute_metrics(out_dir, dataset_dir=None):
     path = os.path.join(out_dir, "report.json")
     report = read_json(path)
     with _fields_of(path):
+        missing = next(_missing_keys(ExperimentConfig().to_dict(), report["config"]), None)
+        if missing is not None:
+            raise KeyError(f"config.{missing}")
         config = ExperimentConfig.from_dict(report["config"])
         accs = report["checkpoint_accuracies"]
     bench = read_benchmark(dataset_dir or config.dataset_dir or os.path.join(out_dir, "dataset"))
     det = load_detect_outcome(out_dir, bench, config.detection)
     return {**det.summary(), **_accuracy_summary(accs, config.median_last)}
+
+
+def _missing_keys(expected, doc):
+    """The dotted names of `expected`'s keys that `doc` lacks, recursing
+    where both hold a section."""
+    for key, value in expected.items():
+        if key not in doc:
+            yield key
+        elif isinstance(value, dict) and isinstance(doc[key], dict):
+            yield from (f"{key}.{name}" for name in _missing_keys(value, doc[key]))
 
 
 @contextlib.contextmanager

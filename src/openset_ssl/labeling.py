@@ -158,7 +158,7 @@ def read_soft_label_manifest(path):
     """(ids, q): the list of sample ids and the (n, C) soft-label matrix."""
     cols = read_table(path, {"sample_id": int}, default=float)
     names = [name for name in cols if name != "sample_id"]
-    return cols["sample_id"], real_columns(path, cols, names)
+    return cols["sample_id"].tolist(), real_columns(path, cols, names)
 
 
 def write_pseudo_label_manifest(path, pseudo):
@@ -168,5 +168,6 @@ def write_pseudo_label_manifest(path, pseudo):
 
 def read_pseudo_label_manifest(path):
     cols = read_table(path, {"sample_id": int, "assigned_class": int, "confidence": float})
-    confidence = real_columns(path, cols, ["confidence"])[:, 0].tolist()
-    return list(map(PseudoLabel, cols["sample_id"], cols["assigned_class"], confidence))
+    confidence = real_columns(path, cols, ["confidence"])[:, 0]
+    return list(map(PseudoLabel, cols["sample_id"].tolist(), cols["assigned_class"].tolist(),
+                    confidence.tolist()))

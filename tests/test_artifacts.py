@@ -11,10 +11,19 @@ from hypothesis import strategies as st
 
 import helpers
 from openset_ssl import artifacts
-from openset_ssl.artifacts import INT, REAL, TEXT, read_json, read_table, write_json, write_table
+from openset_ssl.artifacts import (
+    INT,
+    REAL,
+    TEXT,
+    one_of,
+    read_json,
+    read_table,
+    write_json,
+    write_table,
+)
 from openset_ssl.contrastive import write_loss_trace
-from openset_ssl.data import Dataset, write_dataset
-from openset_ssl.detect import write_scored_manifest
+from openset_ssl.data import Dataset, read_dataset, write_dataset
+from openset_ssl.detect import read_scored_manifest, write_scored_manifest
 from openset_ssl.harness import write_curve_csv, write_sweep_table
 from openset_ssl.labeling import (
     PseudoLabel,
@@ -283,6 +292,107 @@ def test_read_peak_grows_only_by_the_kept_columns(tmp_path):
     short_kept, short_peak = measure(4 * artifacts._CHUNK_ROWS)
     long_kept, long_peak = measure(16 * artifacts._CHUNK_ROWS)
     assert long_peak - short_peak <= long_kept - short_kept + 2**19
+
+
+NUMERIC = {"id": int, "label": int, "origin": one_of("in", "out")}  # other columns: float
+NUMERIC_TYPES = {"id": "<i8", "label": "<i8", "origin": "<U4"}  # other columns: "<f8"
+CORRUPT_FIELDS = ["1_0", " 2.5", "+1", "1.0", "1e500", "nan", "-nan", "Infinity",
+                  "99999999999999999999", "outside", "in\x00", " in", '"in"', "#1", "1\r2",
+                  "in\r", "\u01fe"]
+numeric_rows = st.lists(st.tuples(ids, reals, st.integers(-1, 9), reals,
+                                  st.sampled_from(["in", "out"])), max_size=6)
+
+
+@cases
+@given(rows=numeric_rows,
+       corrupt=st.none() | st.tuples(st.integers(0, 6), st.integers(0, 4),
+                                     st.sampled_from(CORRUPT_FIELDS)),
+       blank=st.none() | st.integers(1, 7), line_break=st.sampled_from(["\r\n", "\n"]),
+       header_end=st.sampled_from(["", "\r"]), cut=st.booleans())
+@example(rows=[(1, 0.5, -1, -0.0, "in"), (-2, 5e-324, 3, 5e300, "out")], corrupt=None,
+         blank=None, line_break="\r\n", header_end="", cut=False)  # as written
+# a blank record after the header, which loadtxt skips with the header
+@example(rows=[(1, 0.5, -1, -0.0, "in")], corrupt=None, blank=None, line_break="\r\n",
+         header_end="\r", cut=False)
+# no column 'label'
+@example(rows=[(1, 0.5, -1, -0.0, "in")], corrupt=(0, 2, "1_0"), blank=None,
+         line_break="\r\n", header_end="", cut=False)
+# the "\r" ends the record, and a blank one follows
+@example(rows=[(1, 0.5, -1, -0.0, "in")], corrupt=(1, 4, "in\r"), blank=None,
+         line_break="\r\n", header_end="", cut=False)
+# loadtxt drops a trailing NUL, and cuts a field to its column's width
+@example(rows=[(1, 0.5, -1, -0.0, "in")], corrupt=(1, 4, "in\x00"), blank=None,
+         line_break="\n", header_end="", cut=False)
+@example(rows=[(1, 0.5, -1, -0.0, "in")], corrupt=(1, 4, "outside"), blank=None,
+         line_break="\n", header_end="", cut=False)
+# from text, loadtxt reads "\u01fe" as the int 462
+@example(rows=[(1, 0.5, -1, -0.0, "in")], corrupt=(1, 0, "\u01fe"), blank=None,
+         line_break="\n", header_end="", cut=False)
+def test_numeric_read_matches_the_reference(tmp_path, rows, corrupt, blank, line_break,
+                                            header_end, cut):
+    # a numeric table comes out typed, with the reference's values bit for
+    # bit or its error byte for byte, whichever reader parses it
+    records = [["id", "x0", "label", "x1", "origin"]]  # the header can be corrupted too
+    records += [[str(i), REAL % a, str(label), REAL % b, origin]
+                for i, a, label, b, origin in rows]
+    if corrupt is not None:
+        row, col, field = corrupt
+        records[row % len(records)][col] = field
+    lines = [",".join(records[0]) + header_end, *map(",".join, records[1:])]
+    if blank is not None:
+        lines.insert(1 + blank % len(lines), "")
+    body = "".join(line + line_break for line in lines)
+    path = tmp_path / "t.csv"
+    path.write_bytes((body[:-1] if cut else body).encode())
+
+    def outcome(read):
+        try:
+            table = {name: np.asarray(col, dtype=NUMERIC_TYPES.get(name, "<f8"))
+                     for name, col in read(path, NUMERIC, float).items()}
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return {name: (col.dtype.str, col.tobytes()) for name, col in table.items()}
+
+    assert outcome(read_table) == outcome(helpers.reference_read_table)
+
+
+def test_written_tables_take_the_numpy_path(tmp_path):
+    # with the streaming reader out of reach, a written dataset and scored
+    # manifest still read back whole
+    rng = np.random.default_rng(0)
+    dataset = Dataset(ids=np.arange(50), x=rng.standard_normal((50, 3)),
+                      label=rng.integers(-1, 3, 50), truth=rng.integers(1, 5, 50),
+                      origin=np.where(rng.random(50) < 0.5, "in", "out"))
+    sims, scores = rng.random((50, 2)), rng.standard_normal(50)
+    write_dataset(tmp_path / "data.csv", dataset)
+    write_scored_manifest(tmp_path / "scored.csv", dataset.ids, sims, scores, 0.0)
+    with mock.patch.object(artifacts, "_stream_table", side_effect=AssertionError("streamed")):
+        loaded = read_dataset(tmp_path / "data.csv")
+        scored = read_scored_manifest(tmp_path / "scored.csv")
+    for name in ("ids", "x", "label", "truth", "origin"):
+        assert np.array_equal(getattr(loaded, name), getattr(dataset, name))
+    for got, want in zip(scored, (dataset.ids, sims, scores, scores < 0.0)):
+        assert np.array_equal(got, want)
+
+
+def test_numeric_read_peak_is_near_the_arrays_it_returns(tmp_path):
+    # a dataset table is parsed into its typed columns, not through lists
+    # of Python numbers
+    rows = 16 * artifacts._CHUNK_ROWS
+    rng = np.random.default_rng(rows)
+    dataset = Dataset(ids=np.arange(rows), x=rng.standard_normal((rows, 16)),
+                      label=np.full(rows, -1), truth=rng.integers(1, 17, rows),
+                      origin=np.full(rows, "out"))
+    write_dataset(tmp_path / "data.csv", dataset)
+    tracemalloc.start()
+    try:
+        table = read_table(tmp_path / "data.csv",
+                           {"id": int, "label": int, "truth": int, "origin": one_of("in", "out")},
+                           default=float)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sum(np.asarray(column).nbytes for column in table.values())
 
 
 def test_read_json_names_the_file(tmp_path):

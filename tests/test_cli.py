@@ -153,6 +153,9 @@ class TestDocumentFieldErrors:
                           "no field 'checkpoint_accuracies'"),
         "unknown-key": (lambda doc: doc["config"]["detection"].update(etta=1.0),
                         "unknown DetectionConfig keys: etta"),
+        # not filled with its default, which would split the pool otherwise
+        "missing-config-key": (lambda doc: doc["config"]["detection"].pop("eta"),
+                               "no field 'config.detection.eta'"),
     }
 
     @staticmethod
@@ -316,6 +319,22 @@ class TestSweepAndReport:
         assert run_cli("report", "--sweep-dir", out) == 0
         curve = (tmp_path / "sweep" / "curve.csv").read_text().splitlines()
         assert curve == ["value,median_accuracy,best_accuracy"]
+
+    def test_failure_with_an_empty_message_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
+        run_experiment = harness.run_experiment
+
+        def run_or_raise(config):
+            if config.benchmark.out_proportion == 0.5:
+                raise ValueError()
+            return run_experiment(config)
+
+        monkeypatch.setattr(harness, "run_experiment", run_or_raise)
+        out = str(tmp_path / "sweep")
+        sweep = ["sweep", "--out-dir", out, "--axis", "proportion", "--values", "0,0.5", *MICRO]
+        assert run_cli(*sweep) == 1
+        assert "value 0.5 failed: ValueError" in capsys.readouterr().err
+        table = read_table(os.path.join(out, "sweep.csv"), {"error": str}, default=str)
+        assert table["error"] == ["", "ValueError"]
 
 
 class TestConfigFile:
