@@ -12,16 +12,16 @@ Subcommands cover the pipeline end to end and stage by stage:
     eval       recompute a finished run's metrics from its report and manifests
     report     plot-ready accuracy-vs-value CSV from a sweep directory's sweep.csv
 
+The stage commands and the files they print come from `harness.stages()`;
+each loads what came before from --out-dir, and they and `run` go through
+`harness.run_stages`, which removes report.json before any stage runs.
 Flags mirror the experiment config; a --config JSON file is laid over
-them, so a key it gives wins and one it leaves out, or a section it gives
-as null, keeps the flags' value.  Its keys are the ExperimentConfig field
+them: a key it gives wins, and one it leaves out, or a section given as
+null, keeps the flags' value.  Its keys are the ExperimentConfig field
 names, with `lambda` for `lam`.  `label`, `train` and `eval` rebuild the
-detection from the scored manifests under the config (never from
-detect.json), so a detection config that changed since `detect` fails;
-`train` recomputes the soft labels and holds both label manifests to the
-labeling config, so one that changed since `label` fails too.
-All randomness derives from --seed.  Exit status is nonzero on any stage
-error.
+detection from the scored manifests (never from detect.json) and `train`
+holds both label manifests to its config, so drift since an earlier stage
+fails.  All randomness derives from --seed; any stage error exits nonzero.
 """
 
 import argparse
@@ -105,24 +105,13 @@ def build_config(args):
     return config
 
 
-# what each pipeline command prints: the main file it leaves in --out-dir
-PRODUCTS = {
-    "generate": "dataset",
-    "pretrain": "pretrained.ckpt",
-    "detect": "scored.csv",
-    "label": "pseudolabels.csv",
-    "train": "train_trace.csv",
-    "run": "report.json",
-}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="openset-ssl", description="open-set SSL experiment harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in PRODUCTS:
+    for name in [*harness.stages(), "run"]:
         p = sub.add_parser(name)
         _add_flags(p, COMMON_FLAGS, RUN_FLAGS)
 
@@ -161,8 +150,6 @@ def _dispatch(args):
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
     if args.command == "sweep":
         values = [float(v) for v in args.values.split(",")]
         rows = harness.run_sweep(cfg, args.axis, values)
@@ -172,16 +159,16 @@ def _dispatch(args):
         print(os.path.join(cfg.out_dir, "sweep.csv"))
         return 1 if failed else 0
 
-    if args.command == "run":
+    if args.command == "run":  # the one command whose report keeps its stages' timings
         harness.run_experiment(cfg)
+        product = "report.json"
     else:
-        stages = harness.stages()
-        inputs = harness.load_stage_outputs(cfg, list(stages).index(args.command))
-        stages[args.command](cfg, *inputs)
+        harness.run_stages(cfg, [args.command])
+        product = harness.stages()[args.command].product
     if args.command == "generate" and cfg.dataset_dir:
         print(cfg.dataset_dir)
     else:
-        print(os.path.join(cfg.out_dir, PRODUCTS[args.command]))
+        print(os.path.join(cfg.out_dir, product))
     return 0
 
 

@@ -209,11 +209,12 @@ def write_dataset(path, dataset):
     write_table(path, header, formats, ((i, *x, lab, tru, ori) for i, x, lab, tru, ori in rows))
 
 
-def read_dataset(path):
-    converters = {"id": int, "label": int, "truth": int, "origin": one_of("in", "out")}
-    cols = read_table(path, converters, default=float)
+def read_dataset(path, dim):
+    features = [f"f{i}" for i in range(dim)]
+    cols = read_table(path, {"id": int, **dict.fromkeys(features, float), "label": int,
+                             "truth": int, "origin": one_of("in", "out")})
     # copies, so that the table read is freed with `cols`
-    return Dataset(ids=cols["id"].copy(), x=real_columns(path, cols, list(cols)[1:-3]),
+    return Dataset(ids=cols["id"].copy(), x=real_columns(path, cols, features),
                    label=cols["label"].copy(), truth=cols["truth"].copy(),
                    origin=cols["origin"].astype("<U3"))
 
@@ -233,9 +234,6 @@ def read_benchmark(dirpath):
     for kind, keys in (("unknown", set(doc) - names), ("missing", names - set(doc))):
         if keys:
             raise ValueError(f"{path}: {kind} BenchmarkSpec keys: {', '.join(sorted(keys))}")
-    return Benchmark(
-        spec=BenchmarkSpec(**doc),
-        labeled=read_dataset(os.path.join(dirpath, "labeled.csv")),
-        unlabeled=read_dataset(os.path.join(dirpath, "unlabeled.csv")),
-        test=read_dataset(os.path.join(dirpath, "test.csv")),
-    )
+    spec = BenchmarkSpec(**doc)
+    return Benchmark(spec, *(read_dataset(os.path.join(dirpath, f"{name}.csv"), spec.dim)
+                             for name in ("labeled", "unlabeled", "test")))

@@ -124,11 +124,13 @@ def write_scored_manifest(path, ids, sims, scores, threshold):
     write_table(path, header, [INT] + [REAL] * (width + 1) + [TEXT], rows)
 
 
-def read_scored_manifest(path):
-    """(ids, sims, scores, out) columns of a scored manifest; `out` is
-    the mask of rows whose split reads "out"."""
-    cols = read_table(path, {"sample_id": int, "split": one_of("in", "out")}, default=float)
-    sims = real_columns(path, cols, list(cols)[1:-2])
+def read_scored_manifest(path, classes):
+    """(ids, sims, scores, out) columns of a scored manifest of `classes`
+    prototypes; `out` is the mask of rows whose split reads "out"."""
+    names = [f"sim_{c}" for c in range(1, classes + 1)]
+    cols = read_table(path, {"sample_id": int, **dict.fromkeys(names, float), "score": float,
+                             "split": one_of("in", "out")})
+    sims = real_columns(path, cols, names)
     scores = real_columns(path, cols, ["score"])[:, 0]
     # a copy: a view would keep the whole table read
     return cols["sample_id"].copy(), sims, scores, cols["split"] == "out"

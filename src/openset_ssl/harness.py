@@ -9,20 +9,22 @@ master seed, so identical configs reproduce byte-identical reports
 (timings aside) and flipping a downstream component cannot move an
 upstream artifact.
 
-A stage run on its own reads what came before from those files.  The
+`stages()` is the one table of the stages (run, loader, main file) and
+`run_stages` the one driver: `run_experiment` runs all five, a staged
+command one, after loading what came before from the run directory.  The
 detection is rebuilt from the two scored manifests under the config
-(`detect.json` is a summary for readers, never read back), so a config
-whose detection changed since `detect` fails rather than mixing the two.
-The labels follow from the detection and the config: `train` recomputes
-the soft labels and loads only the pseudo-labels, once both label
-manifests are held to its labeling config.
+(`detect.json` is never read back), so a detection config that changed
+since `detect` fails; `train` recomputes the soft labels and holds both
+label manifests to its labeling config.
 """
 
 import contextlib
+import fnmatch
 import json
 import math
 import os
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -30,7 +32,7 @@ import numpy as np
 from .artifacts import TEXT, optional_real, read_json, read_table, write_json, write_table
 from .augment import AugmentConfig
 from .contrastive import ContrastiveConfig, pretrain
-from .data import BenchmarkSpec, read_benchmark, write_benchmark
+from .data import BenchmarkSpec, generate, read_benchmark, write_benchmark
 from .detect import (
     DetectionConfig,
     compute_prototypes,
@@ -150,8 +152,6 @@ def prepare_benchmark(config):
     """Generate (and persist) the benchmark, or read an existing one."""
     if config.dataset_dir:
         return read_benchmark(config.dataset_dir)
-    from .data import generate
-
     bench = generate(replace(config.benchmark, seed=config.seed))
     write_benchmark(os.path.join(config.out_dir, "dataset"), bench)
     return bench
@@ -259,7 +259,8 @@ def stage_label(config, bench, model, det):
 
 
 def stage_train(config, bench, model, det, pseudo):
-    """Fine-tune, then write final.ckpt and the run's report.json."""
+    """Fine-tune, then write final.ckpt and the run's report.json; an
+    earlier run's step checkpoints are removed first."""
     num_classes = bench.spec.in_classes
     id_to_row = {int(i): r for r, i in enumerate(bench.unlabeled.ids)}
 
@@ -281,6 +282,8 @@ def stage_train(config, bench, model, det, pseudo):
 
     ckpt_dir = os.path.join(config.out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
+    for name in fnmatch.filter(os.listdir(ckpt_dir), "step_*.ckpt"):
+        os.remove(os.path.join(ckpt_dir, name))
     ssl_cfg = replace(config.ssl, steps=config.resolved_steps())
     state = init_train_state(model, ssl_cfg)
     state = train(
@@ -342,53 +345,57 @@ def _accuracy_summary(accs, median_last):
     }
 
 
+Stage = namedtuple("Stage", "run load product")
+
+
 def stages():
-    """Stage name -> function, in pipeline order.  Each stage takes the
-    config and the outputs of every stage before it, and persists what it
-    returns under the run directory.  Built per call, so that a function
-    replaced on this module (a tracer, a test double) is the one run."""
+    """Stage name -> Stage, in pipeline order: `run(config, *outputs of the
+    stages before)` persists what it returns in the run directory, `load`
+    reads that back from the same arguments (None for `train`, which
+    nothing follows) and `product` is its main file.  Built per call, so
+    that a function replaced on this module (a tracer, a test double) runs."""
     return {
-        "generate": prepare_benchmark,
-        "pretrain": stage_pretrain,
-        "detect": stage_detect,
-        "label": stage_label,
-        "train": stage_train,
+        "generate": Stage(prepare_benchmark, lambda config: read_benchmark(
+            config.dataset_dir or os.path.join(config.out_dir, "dataset")), "dataset"),
+        "pretrain": Stage(stage_pretrain, lambda config, bench: load_checkpoint(
+            os.path.join(config.out_dir, "pretrained.ckpt")), "pretrained.ckpt"),
+        "detect": Stage(stage_detect, lambda config, bench, model: load_detect_outcome(
+            config.out_dir, bench, config.detection), "scored.csv"),
+        "label": Stage(stage_label, lambda config, bench, model, det: load_pseudo_labels(
+            config, det), "pseudolabels.csv"),
+        "train": Stage(stage_train, None, "train_trace.csv"),
     }
 
 
-def load_stage_outputs(config, count):
-    """The outputs of the first `count` stages, read back from the run
-    directory in the form the stages return them."""
-    if count == 0:
-        return []
-    bench = read_benchmark(config.dataset_dir or os.path.join(config.out_dir, "dataset"))
-    loaders = (
-        lambda bench: load_checkpoint(os.path.join(config.out_dir, "pretrained.ckpt")),
-        lambda bench, model: load_detect_outcome(config.out_dir, bench, config.detection),
-        lambda bench, model, det: load_pseudo_labels(config, det),
-    )
-    outputs = [bench]
-    for load in loaders[: count - 1]:
-        outputs.append(load(*outputs))
-    return outputs
+def run_stages(config, names):
+    """Run `names`, consecutive stages in pipeline order, on the outputs of
+    the stages before them, loaded from the run directory; returns each
+    one's wall time.  report.json is removed before any stage runs, so no
+    command leaves an earlier run's report beside its own files.  A stage's
+    failure is raised as `stage 'x' failed: ...`; a load error as it is."""
+    table = stages()
+    outputs = []
+    for name in list(table)[: list(table).index(names[0])]:
+        outputs.append(table[name].load(config, *outputs))
+    os.makedirs(config.out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(config.out_dir, "report.json"))
+    timings = {}
+    for name in names:
+        start = time.perf_counter()
+        try:
+            outputs.append(table[name].run(config, *outputs))
+        except Exception as exc:
+            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
+        timings[name] = time.perf_counter() - start
+    return timings
 
 
 def run_experiment(config):
     """Every stage in one process; returns the report that stage_train
-    wrote, with the stage wall times added under `timings`.  An earlier
-    run's report is removed first, so a failed rerun leaves none behind."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    wrote, with the stage wall times added under `timings`."""
+    timings = run_stages(config, list(stages()))
     path = os.path.join(config.out_dir, "report.json")
-    if os.path.exists(path):
-        os.remove(path)
-    timings, outputs = {}, []
-    for name, stage in stages().items():
-        start = time.perf_counter()
-        try:
-            outputs.append(stage(config, *outputs))
-        except Exception as exc:
-            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
-        timings[name] = time.perf_counter() - start
     report = read_json(path)
     report["timings"] = timings
     write_json(path, report)
@@ -411,6 +418,9 @@ def apply_axis(config, axis, value):
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     section, name = SWEEP_AXES[axis]
+    if section == "benchmark" and config.dataset_dir:
+        raise ValueError(f"sweep axis {axis!r} sets the benchmark, which dataset_dir "
+                         f"{config.dataset_dir} overrides: every run would read the same data")
     return replace(config, **{section: replace(getattr(config, section), **{name: float(value)})})
 
 
@@ -420,7 +430,7 @@ def run_sweep(config, axis, values):
 
     Per-run failures are recorded in the table (the exception's message, or
     its type where the message is empty) and the sweep continues; as
-    `run_experiment` removes a value's earlier report first, a failed rerun
+    `run_stages` removes a value's earlier report first, a failed rerun
     leaves none behind.
     """
     values = list(values)
@@ -524,9 +534,10 @@ def load_detect_outcome(out_dir, bench, detection):
     scored_labeled.csv and scored.csv.  scored.csv must hold the pool in
     its row order, split as the rebuilt threshold splits it: a detection
     config that changed since the manifests were written fails here."""
-    _, _, labeled_scores, _ = read_scored_manifest(os.path.join(out_dir, "scored_labeled.csv"))
+    labeled = os.path.join(out_dir, "scored_labeled.csv")
+    _, _, labeled_scores, _ = read_scored_manifest(labeled, bench.spec.in_classes)
     path = os.path.join(out_dir, "scored.csv")
-    ids, sims, scores, out = read_scored_manifest(path)
+    ids, sims, scores, out = read_scored_manifest(path, bench.spec.in_classes)
     if not np.array_equal(ids, bench.unlabeled.ids):
         raise ValueError(f"{path}: sample_id column is not the unlabeled pool's ids in order")
     det = detect_outcome(labeled_scores, bench.unlabeled, sims, scores, detection)

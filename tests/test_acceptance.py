@@ -669,7 +669,7 @@ def test_criterion_10_determinism_and_persistence(workdir):
     path_a = out / "roundtrip_a.csv"
     path_b = out / "roundtrip_b.csv"
     write_dataset(path_a, bench.unlabeled)
-    write_dataset(path_b, read_dataset(path_a))
+    write_dataset(path_b, read_dataset(path_a, bench.unlabeled.dim))
     dataset_lossless = path_a.read_bytes() == path_b.read_bytes()
 
     model = load_checkpoint(out / "final.ckpt")

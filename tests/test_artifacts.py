@@ -367,8 +367,8 @@ def test_written_tables_take_the_numpy_path(tmp_path):
     write_dataset(tmp_path / "data.csv", dataset)
     write_scored_manifest(tmp_path / "scored.csv", dataset.ids, sims, scores, 0.0)
     with mock.patch.object(artifacts, "_stream_table", side_effect=AssertionError("streamed")):
-        loaded = read_dataset(tmp_path / "data.csv")
-        scored = read_scored_manifest(tmp_path / "scored.csv")
+        loaded = read_dataset(tmp_path / "data.csv", 3)
+        scored = read_scored_manifest(tmp_path / "scored.csv", 2)
     for name in ("ids", "x", "label", "truth", "origin"):
         assert np.array_equal(getattr(loaded, name), getattr(dataset, name))
     for got, want in zip(scored, (dataset.ids, sims, scores, scores < 0.0)):

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import statistics
+import struct
 
 import pytest
 
@@ -25,22 +26,123 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_dir(root):
+    """{path relative to `root`: bytes} of every file under the run
+    directory `root`, report.json without its timings and with `root`
+    written as <out_dir>, so that two directories compare."""
+    files = {}
+    for d, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(d, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    if "report.json" in files:
+        report = strip_timings(read_json(os.path.join(root, "report.json")))
+        files["report.json"] = json.dumps(report, sort_keys=True).replace(str(root), "<out_dir>")
+    return files
+
+
+def edit_json(path, change):
+    """Rewrite the JSON document at `path` after `change(doc)`."""
+    doc = read_json(path)
+    change(doc)
+    write_json(path, doc)
+
+
+def drop_key(key):
+    """Edit that removes `key` from a JSON document."""
+    return lambda path: edit_json(path, lambda doc: doc.pop(key))
+
+
+def drop_column(name):
+    """Edit that removes the column `name` from a table."""
+    def edit(path):
+        lines = path.read_bytes().split(b"\r\n")
+        col = lines[0].split(b",").index(name.encode())
+        for i, line in enumerate(lines[:-1]):
+            fields = line.split(b",")
+            lines[i] = b",".join(fields[:col] + fields[col + 1 :])
+        path.write_bytes(b"\r\n".join(lines))
+
+    return edit
+
+
+def drop_manifest_key(*keys):
+    """Edit that removes the key at the path `keys` from a checkpoint's
+    JSON manifest (a little-endian uint32 length, then the manifest)."""
+    def edit(path):
+        data = path.read_bytes()
+        (length,) = struct.unpack_from("<I", data)
+        manifest = json.loads(data[4 : 4 + length])
+        *parents, leaf = keys
+        node = manifest
+        for key in parents:
+            node = node[key]
+        del node[leaf]
+        text = json.dumps(manifest).encode()
+        path.write_bytes(struct.pack("<I", len(text)) + text + data[4 + length :])
+
+    return edit
+
+
+@pytest.fixture(scope="module")
+def labeled(tmp_path_factory):
+    """A run directory staged through `label`; tests edit copies of it."""
+    out = tmp_path_factory.mktemp("labeled") / "run"
+    for stage in ("generate", "pretrain", "detect", "label"):
+        assert run_cli(stage, "--out-dir", str(out), *MICRO) == 0
+    return out
+
+
 class TestStagedPipeline:
-    def test_each_stage_in_order(self, tmp_path):
+    def test_each_stage_in_order(self, tmp_path, capsys):
         out = str(tmp_path / "staged")
-        base = ["--out-dir", out] + MICRO
-        assert run_cli("generate", *base) == 0
+        for name, stage in harness.stages().items():
+            assert run_cli(name, "--out-dir", out, *MICRO) == 0
+            product = os.path.join(out, stage.product)
+            assert capsys.readouterr().out == product + "\n"
+            assert os.path.exists(product), name
         assert (tmp_path / "staged" / "dataset" / "unlabeled.csv").exists()
-        assert run_cli("pretrain", *base) == 0
-        assert (tmp_path / "staged" / "pretrained.ckpt").exists()
-        assert run_cli("detect", *base) == 0
-        assert (tmp_path / "staged" / "scored.csv").exists()
         assert (tmp_path / "staged" / "detect.json").exists()
-        assert run_cli("label", *base) == 0
-        assert (tmp_path / "staged" / "pseudolabels.csv").exists()
-        assert run_cli("train", *base) == 0
-        assert (tmp_path / "staged" / "train_trace.csv").exists()
         assert (tmp_path / "staged" / "final.ckpt").exists()
+
+    def test_run_and_staged_detect_call_the_module_stage(self, tmp_path, monkeypatch):
+        # the function replaced on the module (as the benchmark's tracer
+        # replaces it) is the one both paths run
+        calls = []
+        stage_detect = harness.stage_detect
+
+        def recorded(config, *outputs):
+            calls.append(config.out_dir)
+            return stage_detect(config, *outputs)
+
+        monkeypatch.setattr(harness, "stage_detect", recorded)
+        staged, full = str(tmp_path / "staged"), str(tmp_path / "full")
+        for name in ("generate", "pretrain", "detect"):
+            assert run_cli(name, "--out-dir", staged, *MICRO) == 0
+        assert run_cli("run", "--out-dir", full, *MICRO) == 0
+        assert calls == [staged, full]
+
+    def test_a_staged_stage_removes_the_report(self, tmp_path, capsys):
+        out = str(tmp_path / "full")
+        assert run_cli("run", "--out-dir", out, *MICRO) == 0
+        assert run_cli("detect", "--out-dir", out, *MICRO, "--eta", "0.5") == 0
+        path = os.path.join(out, "report.json")
+        assert not os.path.exists(path)
+        capsys.readouterr()
+        assert run_cli("eval", "--out-dir", out) == 1
+        assert path in capsys.readouterr().err
+
+    def test_rerun_with_fewer_steps_matches_a_fresh_run(self, tmp_path):
+        rerun, fresh = str(tmp_path / "rerun"), str(tmp_path / "fresh")
+        assert run_cli("run", "--out-dir", rerun, *MICRO, "--steps", "16") == 0
+        assert run_cli("run", "--out-dir", rerun, *MICRO) == 0
+        assert run_cli("run", "--out-dir", fresh, *MICRO) == 0
+        assert len(os.listdir(os.path.join(fresh, "checkpoints"))) == 4
+        first, second = run_dir(rerun), run_dir(fresh)
+        assert sorted(first) == sorted(second)
+        for name in first:
+            assert first[name] == second[name], name
 
     def test_run_then_eval(self, tmp_path, capsys):
         out = str(tmp_path / "full")
@@ -66,31 +168,21 @@ class TestStagedPipeline:
                                        ["--backend", "hard-pseudo"], ["--eta", "100"]],
                              ids=["default", "no-detect", "no-topk-pl", "hard-pseudo",
                                   "nothing-detected-out"])
-    def test_staged_and_run_directories_match(self, tmp_path, flags):
+    def test_staged_and_run_directories_match(self, tmp_path, capsys, flags):
         staged, full = str(tmp_path / "staged"), str(tmp_path / "full")
-        for stage in ("generate", "pretrain", "detect", "label", "train"):
-            assert run_cli(stage, "--out-dir", staged, *MICRO, *flags) == 0
+        for name, stage in harness.stages().items():
+            assert run_cli(name, "--out-dir", staged, *MICRO, *flags) == 0
+            assert capsys.readouterr().out == os.path.join(staged, stage.product) + "\n"
         assert run_cli("run", "--out-dir", full, *MICRO, *flags) == 0
-
-        def files(root):
-            return sorted(
-                os.path.relpath(os.path.join(d, name), root)
-                for d, _, names in os.walk(root) for name in names
-            )
-
-        assert files(staged) == files(full)
-        assert "detect.json" in files(full) and "report.json" in files(staged)
-        for name in files(full):
-            if name != "report.json":
-                a = (tmp_path / "staged" / name).read_bytes()
-                assert a == (tmp_path / "full" / name).read_bytes(), name
-        reports = {}
+        assert capsys.readouterr().out == os.path.join(full, "report.json") + "\n"
+        files = {out: run_dir(out) for out in (staged, full)}
+        assert sorted(files[staged]) == sorted(files[full])
+        assert "detect.json" in files[full] and "report.json" in files[staged]
+        for name in files[full]:
+            assert files[staged][name] == files[full][name], name
         for out in (staged, full):
             report = read_json(os.path.join(out, "report.json"))
             assert ("timings" in report) == (out == full)
-            text = json.dumps(strip_timings(report), sort_keys=True)
-            reports[out] = text.replace(out, "<out_dir>")
-        assert reports[staged] == reports[full]
 
     def test_eval_uses_the_runs_median_window(self, tmp_path, capsys):
         out = str(tmp_path / "m3")
@@ -158,19 +250,13 @@ class TestDocumentFieldErrors:
                                "no field 'config.detection.eta'"),
     }
 
-    @staticmethod
-    def edit(path, change):
-        doc = read_json(path)
-        change(doc)
-        write_json(path, doc)
-
     @pytest.mark.parametrize("case", sorted(REPORT_EDITS))
     def test_eval_names_the_report_and_the_field(self, tmp_path, capsys, case):
         change, message = self.REPORT_EDITS[case]
         out = str(tmp_path / "full")
         assert run_cli("run", "--out-dir", out, *MICRO) == 0
         path = os.path.join(out, "report.json")
-        self.edit(path, change)
+        edit_json(path, change)
         capsys.readouterr()
         assert run_cli("eval", "--out-dir", out) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
@@ -185,30 +271,49 @@ class TestDocumentFieldErrors:
         assert run_cli("label", "--out-dir", out, *MICRO) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: line ")
 
-    def test_pretrain_names_a_spec_missing_a_key(self, tmp_path, capsys):
-        out = str(tmp_path / "staged")
-        assert run_cli("generate", "--out-dir", out, *MICRO) == 0
-        path = tmp_path / "staged" / "dataset" / "spec.json"
-        spec = read_json(path)
-        del spec["in_classes"]
-        write_json(path, spec)
+    # case -> the file, its edit, the command that loads it, and the error
+    MISSING = {
+        "spec": ("dataset/spec.json", drop_key("in_classes"), "pretrain",
+                 "{path}: missing BenchmarkSpec keys: in_classes"),
+        "labeled-label": ("dataset/labeled.csv", drop_column("label"), "pretrain",
+                          "{path}: line 1: no column 'label'"),
+        "unlabeled-f3": ("dataset/unlabeled.csv", drop_column("f3"), "pretrain",
+                         "{path}: line 1: no column 'f3'"),
+        "test-f5": ("dataset/test.csv", drop_column("f5"), "pretrain",
+                    "{path}: line 1: no column 'f5'"),
+        "checkpoint-version": ("pretrained.ckpt", drop_manifest_key("format_version"), "detect",
+                               "checkpoint {path}: manifest has no field 'format_version'"),
+        "checkpoint-input-dim": ("pretrained.ckpt", drop_manifest_key("config", "input_dim"),
+                                 "detect", "checkpoint {path}: ModelConfig.__init__() missing 1 "
+                                 "required positional argument: 'input_dim'"),
+        "scored-labeled-score": ("scored_labeled.csv", drop_column("score"), "label",
+                                 "{path}: line 1: no column 'score'"),
+        "scored-sim": ("scored.csv", drop_column("sim_2"), "label",
+                       "{path}: line 1: no column 'sim_2'"),
+        "softlabels-id": ("softlabels.csv", drop_column("sample_id"), "train",
+                          "{path}: line 1: no column 'sample_id'"),
+        "pseudolabels-confidence": ("pseudolabels.csv", drop_column("confidence"), "train",
+                                    "{path}: line 1: no column 'confidence'"),
+    }
+
+    @pytest.mark.parametrize("case", list(MISSING))
+    def test_staged_command_names_a_missing_field(self, labeled, tmp_path, capsys, case):
+        name, edit, command, message = self.MISSING[case]
+        out = tmp_path / "run"
+        shutil.copytree(labeled, out)
+        path = out / name
+        edit(path)
+        before = run_dir(out)
         capsys.readouterr()
-        assert run_cli("pretrain", "--out-dir", out, *MICRO) == 1
-        assert capsys.readouterr().err == f"error: {path}: missing BenchmarkSpec keys: in_classes\n"
-        assert not (tmp_path / "staged" / "pretrained.ckpt").exists()
+        assert run_cli(command, "--out-dir", str(out), *MICRO) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert run_dir(out) == before  # the load failed before anything was written
 
 
 class TestLabelManifestsMatchDetection:
     """Staged `train` holds the label manifests to the detection they
     follow and to its labeling config, and names the file (and the
     sample_id, where one row is at fault) when they disagree."""
-
-    @pytest.fixture(scope="class")
-    def labeled(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("labeled") / "run"
-        for stage in ("generate", "pretrain", "detect", "label"):
-            assert run_cli(stage, "--out-dir", str(out), *MICRO) == 0
-        return out
 
     def train(self, labeled, tmp_path, capsys, name, edit, *flags):
         """Train, with `flags` after MICRO, on a copy of `labeled` whose
@@ -335,6 +440,19 @@ class TestSweepAndReport:
         assert "value 0.5 failed: ValueError" in capsys.readouterr().err
         table = read_table(os.path.join(out, "sweep.csv"), {"error": str}, default=str)
         assert table["error"] == ["", "ValueError"]
+
+    def test_proportion_sweep_over_a_fixed_dataset_is_rejected(self, tmp_path, capsys):
+        # the dataset overrides the benchmark, so every value would run on it
+        gen = str(tmp_path / "gen")
+        assert run_cli("generate", "--out-dir", gen, *MICRO) == 0
+        dataset = os.path.join(gen, "dataset")
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run_cli("sweep", "--out-dir", str(out), "--dataset-dir", dataset,
+                       "--axis", "proportion", "--values", "0.2,0.8", *MICRO) == 1
+        err = capsys.readouterr().err
+        assert "'proportion'" in err and dataset in err
+        assert not out.exists() or not any(out.iterdir())  # no run started
 
 
 class TestConfigFile:

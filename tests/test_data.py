@@ -156,7 +156,7 @@ class TestDatasetFiles:
         bench = generate(small_spec())
         path = tmp_path / "d.csv"
         write_dataset(path, bench.unlabeled)
-        loaded = read_dataset(path)
+        loaded = read_dataset(path, bench.unlabeled.dim)
         assert np.array_equal(loaded.ids, bench.unlabeled.ids)
         assert loaded.x.tobytes() == bench.unlabeled.x.tobytes()
         assert np.array_equal(loaded.label, bench.unlabeled.label)
@@ -168,7 +168,7 @@ class TestDatasetFiles:
         write_dataset(path, Dataset.empty(dim=3))
         lines = path.read_text().strip().splitlines()
         assert lines == ["id,f0,f1,f2,label,truth,origin"]
-        assert len(read_dataset(path)) == 0
+        assert len(read_dataset(path, 3)) == 0
 
     def test_checksum_stable_across_runs(self, tmp_path):
         spec = small_spec(total_unlabeled=100)
@@ -194,31 +194,33 @@ class TestDatasetFiles:
         path = tmp_path / "bad.csv"
         path.write_text("id,f0,label,truth,origin\n0,1.5,1,1,in\n1,oops,1,1,in\n")
         with pytest.raises(ValueError) as err:
-            read_dataset(path)
+            read_dataset(path, 1)
         assert "line 3" in str(err.value)
 
     def test_missing_final_terminator_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_dataset(path, generate(small_spec()).labeled)
+        labeled = generate(small_spec()).labeled
+        write_dataset(path, labeled)
         data = path.read_bytes()
         assert data.endswith(b"\r\n")
         path.write_bytes(data[:-2])
         with pytest.raises(ValueError) as err:
-            read_dataset(path)
+            read_dataset(path, labeled.dim)
         lines = data.count(b"\n")
         assert f"{path}: line {lines}, column 'origin'" in str(err.value)
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
     def test_non_finite_feature_rejected_with_line_and_column(self, tmp_path, field):
         path = tmp_path / "labeled.csv"
-        write_dataset(path, generate(small_spec()).labeled)
+        labeled = generate(small_spec()).labeled
+        write_dataset(path, labeled)
         lines = path.read_bytes().split(b"\r\n")
         cells = lines[2].split(b",")
         cells[2] = field.encode()  # f1 of the second row
         lines[2] = b",".join(cells)
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(ValueError) as err:
-            read_dataset(path)
+            read_dataset(path, labeled.dim)
         assert f"{path}: line 3, column 'f1'" in str(err.value)
 
     def test_unknown_spec_key_names_file_and_key(self, tmp_path):

@@ -240,7 +240,7 @@ class TestScoredManifest:
         scores = sims.max(axis=1)
         path = tmp_path / "scored.csv"
         write_scored_manifest(path, ids, sims, scores, threshold=0.1)
-        loaded_ids, loaded_sims, loaded_scores, out = read_scored_manifest(path)
+        loaded_ids, loaded_sims, loaded_scores, out = read_scored_manifest(path, 3)
         assert np.array_equal(loaded_ids, ids)
         assert np.array_equal(loaded_scores, scores)
         assert np.array_equal(loaded_sims, sims)
@@ -256,7 +256,7 @@ class TestScoredManifest:
     def rejects(self, path, text, *expected):
         path.write_bytes(text.encode())
         with pytest.raises(ValueError) as err:
-            read_scored_manifest(path)
+            read_scored_manifest(path, 3)
         for part in (str(path),) + expected:
             assert part in str(err.value)
 
