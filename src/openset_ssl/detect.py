@@ -1,13 +1,13 @@
 """Prototype construction and out-of-class detection over the unlabeled pool.
 
 Class prototypes are unnormalized means of labeled projections, computed
-once against the frozen pretrained model.  A batch of samples is scored
-on arrays: one `cosine_similarity` call gives the (rows x classes) matrix
-of similarities to the prototypes, and a row's detection score is its
-maximum entry.  Samples scoring below t = mu_l - eta * sigma_l (moments
-of the labeled scores, population standard deviation) are flagged
-out-of-class by a boolean mask; the boundary score itself counts as
-in-class.
+once against the frozen pretrained model, as the rows of a (C, d) matrix
+(row c - 1 is class c's).  A batch of samples is scored on arrays: one
+`cosine_similarity` call gives the (rows x classes) matrix of similarities
+to the prototypes, and a row's detection score is its maximum entry.
+Samples scoring below t = mu_l - eta * sigma_l (moments of the labeled
+scores, population standard deviation) are flagged out-of-class by a
+boolean mask; the boundary score itself counts as in-class.
 """
 
 from dataclasses import dataclass
@@ -28,19 +28,6 @@ class DetectionConfig:
             raise ValueError("eta must be finite and nonnegative")
 
 
-@dataclass
-class PrototypeSet:
-    prototypes: dict  # class id (1..C) -> projection-space mean vector
-    counts: dict  # class id -> number of labeled samples averaged
-
-    @property
-    def class_ids(self):
-        return sorted(self.prototypes)
-
-    def matrix(self):
-        return np.stack([self.prototypes[c] for c in self.class_ids])
-
-
 def project(model, x):
     """Eval-mode main-branch projections g(f_e(x)) for a feature matrix."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -48,21 +35,21 @@ def project(model, x):
 
 
 def prototypes_from_projections(projections, labels, num_classes):
-    """Per-class unnormalized mean of projection rows."""
+    """(C, d) matrix of per-class unnormalized means of projection rows:
+    row c - 1 is class c's."""
     projections = np.asarray(projections, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    prototypes, counts = {}, {}
+    means = []
     for c in range(1, num_classes + 1):
         rows = projections[labels == c]
         if rows.shape[0] == 0:
             raise ValueError(f"class {c} has no labeled samples")
-        prototypes[c] = rows.mean(axis=0)
-        counts[c] = int(rows.shape[0])
-    return PrototypeSet(prototypes=prototypes, counts=counts)
+        means.append(rows.mean(axis=0))
+    return np.stack(means)
 
 
 def compute_prototypes(labeled_x, labeled_y, model, num_classes=None):
-    """Prototype set from labeled features through the frozen model."""
+    """Prototype matrix of labeled features through the frozen model."""
     if num_classes is None:
         num_classes = model.config.num_classes
     return prototypes_from_projections(
@@ -81,11 +68,9 @@ def detection_score(sims):
 
 def score_samples(x, prototypes, model):
     """(sims, scores) of the rows of `x`: the (n, C) cosine matrix of their
-    projections to the prototypes, from one eval-mode forward and one
-    `cosine_similarity` call, and each row's detection score."""
-    if not prototypes.prototypes:
-        raise ValueError("prototype set is empty")
-    sims = cosine_similarity(project(model, x), prototypes.matrix())
+    projections to the (C, d) prototype matrix, from one eval-mode forward
+    and one `cosine_similarity` call, and each row's detection score."""
+    sims = cosine_similarity(project(model, x), prototypes)
     return sims, detection_score(sims)
 
 

@@ -44,6 +44,7 @@ from .detect import (
 )
 from .labeling import (
     LabelingConfig,
+    PseudoLabels,
     oversample,
     read_pseudo_label_manifest,
     read_soft_label_manifest,
@@ -242,7 +243,7 @@ def stage_label(config, bench, model, det):
     out = det.out
     write_soft_label_manifest(os.path.join(config.out_dir, "softlabels.csv"),
                               det.ids[out], soft_label(det.sims[out], config.labeling.tau_sl))
-    pseudo = []
+    pseudo = PseudoLabels(det.ids[:0], det.ids[:0], np.zeros(0))
     if config.ssl.topk_pl and not out.all():
         head = train_linear_eval(
             model,
@@ -261,19 +262,13 @@ def stage_label(config, bench, model, det):
 def stage_train(config, bench, model, det, pseudo):
     """Fine-tune, then write final.ckpt and the run's report.json; an
     earlier run's step checkpoints are removed first."""
-    num_classes = bench.spec.in_classes
-    id_to_row = {int(i): r for r, i in enumerate(bench.unlabeled.ids)}
-
-    ids = list(map(int, bench.labeled.ids))
-    feats = {i: bench.labeled.x[r] for r, i in enumerate(ids)}
-    labels = {i: int(bench.labeled.label[r]) for r, i in enumerate(ids)}
-    for p in pseudo:
-        ids.append(p.sample_id)
-        feats[p.sample_id] = bench.unlabeled.x[id_to_row[p.sample_id]]
-        labels[p.sample_id] = p.assigned_class
-    balanced = oversample(ids, [labels[i] for i in ids])
-    labeled_x = np.stack([feats[i] for i in balanced])
-    labeled_q = one_hot([labels[i] for i in balanced], num_classes)
+    pool = bench.unlabeled
+    by_id = np.argsort(pool.ids)
+    rows = by_id[np.searchsorted(pool.ids, pseudo.ids, sorter=by_id)]  # pseudo-labeled rows
+    labels = np.concatenate([bench.labeled.label, pseudo.classes])
+    balanced = oversample(np.concatenate([bench.labeled.ids, pseudo.ids]), labels)
+    labeled_x = np.concatenate([bench.labeled.x, pool.x[rows]])[balanced]
+    labeled_q = one_hot(labels[balanced], bench.spec.in_classes)
 
     out = det.out & config.ssl.detect  # without detection the whole pool counts as in-class
     out_q = soft_label(det.sims[out], config.labeling.tau_sl)
@@ -305,29 +300,29 @@ def stage_train(config, bench, model, det, pseudo):
     save_checkpoint(os.path.join(config.out_dir, "final.ckpt"), model)
     write_json(
         os.path.join(config.out_dir, "report.json"),
-        _report(config, bench, det, pseudo, state),
+        _report(config, bench, det, pool.truth[rows] == pseudo.classes, state),
     )
     return state
 
 
-def _report(config, bench, det, pseudo, state):
-    truth = dict(zip(bench.unlabeled.ids.tolist(), bench.unlabeled.truth.tolist()))
-    hits = [truth[p.sample_id] == p.assigned_class for p in pseudo]
+def _report(config, bench, det, hits, state):
+    """The run's report; `hits` marks the pseudo-labels that equal the
+    evaluation-only truth.  With `dataset_dir` set, the benchmark section
+    is the dataset's spec.json, not the flags' unused one."""
     detection = det.summary()
     split_sizes = detection.pop("split_sizes")
     accs = state.checkpoint_accuracies
+    config_dict = config.to_dict()
+    if config.dataset_dir:
+        config_dict["benchmark"] = asdict(bench.spec)
     return {
-        "config": config.to_dict(),
+        "config": config_dict,
         "config_text": config.raw_text
         if config.raw_text is not None
-        else json.dumps(config.to_dict(), sort_keys=True),
+        else json.dumps(config_dict, sort_keys=True),
         "split_sizes": split_sizes,
         "detection": {**detection, "eta": config.detection.eta},
-        # accuracy against the evaluation-only truth
-        "pseudo": {
-            "count": len(pseudo),
-            "accuracy": float(np.mean(hits)) if hits else None,
-        },
+        "pseudo": {"count": len(hits), "accuracy": float(hits.mean()) if hits.size else None},
         "soft_label_count": len(det.out_set),
         "checkpoint_accuracies": accs,
         **_accuracy_summary(accs, config.median_last),
@@ -428,6 +423,7 @@ def run_sweep(config, axis, values):
     """One experiment per axis value, same master seed throughout, each in
     its own `{axis}_{value:g}` directory (values that would share one fail).
 
+    A rejected axis or value fails before the sweep directory is made.
     Per-run failures are recorded in the table (the exception's message, or
     its type where the message is empty) and the sweep continues; as
     `run_stages` removes a value's earlier report first, a failed rerun
@@ -436,17 +432,16 @@ def run_sweep(config, axis, values):
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    runs = {}  # run directory -> value
+    runs = {}  # run directory -> (value, its config)
     for value in values:
         run_dir = f"{axis}_{value:g}"
         if run_dir in runs:
-            raise ValueError(f"sweep values {runs[run_dir]} and {value} share the run directory {run_dir}")
-        runs[run_dir] = value
+            raise ValueError(f"sweep values {runs[run_dir][0]} and {value} share the run directory {run_dir}")
+        runs[run_dir] = value, replace(apply_axis(config, axis, value),
+                                       out_dir=os.path.join(config.out_dir, run_dir), raw_text=None)
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []
-    for run_dir, value in runs.items():
-        sub = replace(apply_axis(config, axis, value),
-                      out_dir=os.path.join(config.out_dir, run_dir), raw_text=None)
+    for value, sub in runs.values():
         row = {"axis": axis, "value": value, "error": None, "report": None}
         try:
             row["report"] = run_experiment(sub)
@@ -572,28 +567,27 @@ def load_pseudo_labels(config, det):
     label manifests must be what it writes: the soft labels of the
     detected-out ids at tau_sl, and select_topk's count of detected-in ids,
     each with a class in 1..C.  Linear-eval drift is not caught."""
+    classes = det.sims.shape[1]
     path = os.path.join(config.out_dir, "softlabels.csv")
-    soft_ids, soft_q = read_soft_label_manifest(path)
+    soft_ids, soft_q = read_soft_label_manifest(path, classes)
     if not np.array_equal(soft_ids, det.out_set):
         raise ValueError(f"{path}: sample_id column is not the detected-out ids in pool order")
-    want = soft_label(det.sims[det.out], config.labeling.tau_sl).tolist()
-    # compared as row lists, as an empty manifest reads back as a (0, 0) matrix
-    wrong = [i for i, q, w in zip(soft_ids, soft_q.tolist(), want) if q != w]
-    if wrong:
-        raise ValueError(f"{path}: sample_id {wrong[0]}: soft label is not the detection's "
-                         f"at tau_sl {config.labeling.tau_sl!r}")
+    wrong = (soft_q != soft_label(det.sims[det.out], config.labeling.tau_sl)).any(axis=1)
+    if wrong.any():
+        raise ValueError(f"{path}: sample_id {soft_ids[wrong.argmax()]}: soft label is not the "
+                         f"detection's at tau_sl {config.labeling.tau_sl!r}")
     path = os.path.join(config.out_dir, "pseudolabels.csv")
     pseudo = read_pseudo_label_manifest(path)
     count = topk_count(config.labeling.k_fraction, len(det.in_set)) if config.ssl.topk_pl else 0
-    if len(pseudo) != count:
-        raise ValueError(f"{path}: {len(pseudo)} pseudo-labels where {count} are due under "
+    if len(pseudo.ids) != count:
+        raise ValueError(f"{path}: {len(pseudo.ids)} pseudo-labels where {count} are due under "
                          f"{config.labeling} with topk_pl={config.ssl.topk_pl}")
-    detected_in = set(det.in_set.tolist())
-    classes = det.sims.shape[1]
-    for p in pseudo:
-        if p.sample_id not in detected_in:
-            raise ValueError(f"{path}: sample_id {p.sample_id} is not a detected-in pool id")
-        if not 1 <= p.assigned_class <= classes:
-            raise ValueError(f"{path}: sample_id {p.sample_id}: assigned_class "
-                             f"{p.assigned_class} is not in 1..{classes}")
+    outside = ~np.isin(pseudo.ids, det.in_set)
+    bad = outside | (pseudo.classes < 1) | (pseudo.classes > classes)
+    if bad.any():
+        row = bad.argmax()
+        sid, cls = pseudo.ids[row], pseudo.classes[row]
+        if outside[row]:
+            raise ValueError(f"{path}: sample_id {sid} is not a detected-in pool id")
+        raise ValueError(f"{path}: sample_id {sid}: assigned_class {cls} is not in 1..{classes}")
     return pseudo

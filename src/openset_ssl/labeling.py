@@ -1,13 +1,15 @@
 """Label assignment for the two halves of the unlabeled split.
 
 Detected out-of-class samples get soft-labels: a temperature softmax over
-their class-wise prototype similarities.  Detected in-class samples are
-ranked by the confidence of a linear head trained on frozen embeddings,
-and the top fraction receive one-hot pseudo-labels.  Oversampling then
-equalizes per-class counts of the enlarged labeled set.
+their class-wise prototype similarities, one (n, C) row each.  Detected
+in-class samples are ranked by the confidence of a linear head trained on
+frozen embeddings, and the top fraction receive one-hot pseudo-labels, as
+the equal-length columns of a `PseudoLabels`.  Oversampling then equalizes
+per-class counts of the enlarged labeled set, as row indices into it.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +79,9 @@ def train_linear_eval(model, labeled_x, labeled_y, config, seed):
     return LinearHead(weights=w, bias=b)
 
 
-@dataclass
-class PseudoLabel:
-    sample_id: int
-    assigned_class: int  # 1..C
-    confidence: float
+# equal-length columns, most confident first: sample ids, classes in 1..C
+# and the head's confidence in them
+PseudoLabels = namedtuple("PseudoLabels", "ids classes confidence")
 
 
 def topk_count(k_fraction, n):
@@ -94,51 +94,29 @@ def select_topk(in_ids, in_x, head, model, k_fraction):
 
     Confidence is the max softmax probability; ties break toward the
     smaller sample id, and argmax ties toward the lower class index.
-    Returns an empty list for an empty in-class set.
+    Returns `PseudoLabels` columns, empty for an empty in-class set.
     """
     if not 0.0 < k_fraction <= 1.0:
         raise ValueError("k_fraction must lie in (0, 1]")
-    in_ids = list(in_ids)
-    if not in_ids:
-        return []
+    in_ids = np.asarray(in_ids, dtype=np.int64)
     emb = forward(model, np.asarray(in_x, dtype=np.float64), heads=()).embedding
     probs = head.probabilities(emb)
     conf = probs.max(axis=1)
-    classes = probs.argmax(axis=1) + 1
-    order = sorted(range(len(in_ids)), key=lambda i: (-conf[i], in_ids[i]))
-    return [
-        PseudoLabel(
-            sample_id=int(in_ids[i]),
-            assigned_class=int(classes[i]),
-            confidence=float(conf[i]),
-        )
-        for i in order[: topk_count(k_fraction, len(in_ids))]
-    ]
+    order = np.lexsort((in_ids, -conf))[: topk_count(k_fraction, len(in_ids))]
+    return PseudoLabels(in_ids[order], probs.argmax(axis=1)[order] + 1, conf[order])
 
 
 def oversample(ids, labels):
-    """Duplicate each class round-robin until all class counts equal the max.
-
-    Returns the id list of the balanced set; distinct ids per class are
-    preserved and replayed in ascending-id order.
-    """
-    ids = [int(i) for i in ids]
-    labels = [int(l) for l in labels]
-    if not ids:
-        return []
-    by_class = {}
-    for sid, lab in zip(ids, labels):
-        by_class.setdefault(lab, []).append(sid)
-    for members in by_class.values():
-        members.sort()
-    target = max(len(m) for m in by_class.values())
-    out = list(ids)
-    for lab in sorted(by_class):
-        members = by_class[lab]
-        need = target - len(members)
-        for i in range(need):
-            out.append(members[i % len(members)])
-    return out
+    """Row indices of the class-balanced set: every row once, then, class
+    by class in ascending order, that class's rows in ascending-id order,
+    replayed round-robin until its count equals the largest class's."""
+    ids, labels = np.asarray(ids), np.asarray(labels)
+    classes, counts = np.unique(labels, return_counts=True)
+    rows = [np.arange(len(ids))]
+    for c, n in zip(classes, counts):
+        members = np.flatnonzero(labels == c)
+        rows.append(np.resize(members[np.argsort(ids[members], kind="stable")], counts.max() - n))
+    return np.concatenate(rows)
 
 
 # ----------------------------------------------------------------------
@@ -147,27 +125,30 @@ def oversample(ids, labels):
 
 
 def write_soft_label_manifest(path, ids, labels):
-    labels = np.asarray(labels, dtype=np.float64).tolist()
-    width = len(labels[0]) if labels else 0
+    """One row per sample: its id and its row of the (n, C) soft-label
+    matrix, under the header q_1..q_C even when n is 0."""
+    labels = np.asarray(labels, dtype=np.float64)
+    width = labels.shape[1]
     header = ["sample_id", *(f"q_{c}" for c in range(1, width + 1))]
-    rows = ((int(sid), *q) for sid, q in zip(ids, labels))
+    rows = ((int(sid), *q) for sid, q in zip(ids, labels.tolist()))
     write_table(path, header, [INT] + [REAL] * width, rows)
 
 
-def read_soft_label_manifest(path):
-    """(ids, q): the list of sample ids and the (n, C) soft-label matrix."""
-    cols = read_table(path, {"sample_id": int}, default=float)
-    names = [name for name in cols if name != "sample_id"]
-    return cols["sample_id"].tolist(), real_columns(path, cols, names)
+def read_soft_label_manifest(path, classes):
+    """(ids, q) columns of a soft-label manifest of `classes` classes: the
+    sample ids and the (n, C) soft-label matrix."""
+    names = [f"q_{c}" for c in range(1, classes + 1)]
+    cols = read_table(path, {"sample_id": int, **dict.fromkeys(names, float)})
+    return cols["sample_id"], real_columns(path, cols, names)
 
 
 def write_pseudo_label_manifest(path, pseudo):
-    rows = ((p.sample_id, p.assigned_class, p.confidence) for p in pseudo)
+    rows = zip(*(np.asarray(col).tolist() for col in pseudo))
     write_table(path, ["sample_id", "assigned_class", "confidence"], [INT, INT, REAL], rows)
 
 
 def read_pseudo_label_manifest(path):
+    """The `PseudoLabels` columns of a pseudo-label manifest."""
     cols = read_table(path, {"sample_id": int, "assigned_class": int, "confidence": float})
     confidence = real_columns(path, cols, ["confidence"])[:, 0]
-    return list(map(PseudoLabel, cols["sample_id"].tolist(), cols["assigned_class"].tolist(),
-                    confidence.tolist()))
+    return PseudoLabels(cols["sample_id"], cols["assigned_class"], confidence)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,6 +257,44 @@ def reference_calibration_batches(gen, n, batch_size, passes):
 # ----------------------------------------------------------------------
 
 
+@dataclass
+class PseudoLabel:
+    sample_id: int
+    assigned_class: int  # 1..C
+    confidence: float
+
+
+def reference_select_topk(in_ids, probs, k):
+    """The first `k` pseudo-labels of a pool whose head probabilities are
+    `probs`: most confident first, ties toward the smaller sample id."""
+    conf = probs.max(axis=1)
+    classes = probs.argmax(axis=1) + 1
+    order = sorted(range(len(in_ids)), key=lambda i: (-conf[i], in_ids[i]))
+    return [PseudoLabel(int(in_ids[i]), int(classes[i]), float(conf[i])) for i in order[:k]]
+
+
+def reference_oversample(ids, labels):
+    """The ids of the class-balanced set: every id once, then each class's
+    ids in ascending order, round-robin up to the largest class's count."""
+    ids = [int(i) for i in ids]
+    labels = [int(l) for l in labels]
+    if not ids:
+        return []
+    by_class = {}
+    for sid, lab in zip(ids, labels):
+        by_class.setdefault(lab, []).append(sid)
+    for members in by_class.values():
+        members.sort()
+    target = max(len(m) for m in by_class.values())
+    out = list(ids)
+    for lab in sorted(by_class):
+        members = by_class[lab]
+        need = target - len(members)
+        for i in range(need):
+            out.append(members[i % len(members)])
+    return out
+
+
 def reference_write_dataset(path, data):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -299,7 +338,7 @@ def reference_write_scored_manifest(path, ids, sims, scores, threshold):
 
 
 def reference_write_soft_label_manifest(path, ids, labels):
-    width = len(labels[0]) if len(labels) else 0
+    width = np.asarray(labels).shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id"] + [f"q_{c}" for c in range(1, width + 1)])
@@ -311,8 +350,8 @@ def reference_write_pseudo_label_manifest(path, pseudo):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "assigned_class", "confidence"])
-        for p in pseudo:
-            writer.writerow([p.sample_id, p.assigned_class, f"{p.confidence:.17g}"])
+        for sid, cls, conf in zip(*pseudo):
+            writer.writerow([int(sid), int(cls), f"{conf:.17g}"])
 
 
 def _fmt(value):

@@ -343,13 +343,12 @@ def test_criterion_03_detection_exactness():
             if y == c:
                 acc = acc + p
                 count += 1
-        worst = max(worst, np.abs(protos.prototypes[c] - acc / count).max())
+        worst = max(worst, np.abs(protos[c - 1] - acc / count).max())
 
-    sims = cosine_similarity(unlabeled_proj, protos.matrix())
+    sims = cosine_similarity(unlabeled_proj, protos)
     for i in rng.choice(1000, size=50, replace=False):
         p = unlabeled_proj[i]
-        for j, c in enumerate(protos.class_ids):
-            v = protos.prototypes[c]
+        for j, v in enumerate(protos):
             oracle = (p * v).sum() / np.sqrt((p * p).sum() * (v * v).sum())
             worst = max(worst, abs(sims[i, j] - oracle))
 
@@ -357,7 +356,7 @@ def test_criterion_03_detection_exactness():
     for i in range(1000):
         worst = max(worst, abs(scores[i] - sorted(sims[i])[-1]))
 
-    labeled_sims = cosine_similarity(labeled_proj, protos.matrix())
+    labeled_sims = cosine_similarity(labeled_proj, protos)
     labeled_scores = labeled_sims.max(axis=1)
     t, mu, sigma = compute_threshold(labeled_scores, DetectionConfig(eta=2.0))
     mu_o = sum(labeled_scores) / len(labeled_scores)
@@ -375,10 +374,10 @@ def test_criterion_03_detection_exactness():
     )
 
     protos_scaled = prototypes_from_projections(labeled_proj * 41.0, labeled_y, num_classes)
-    sims_scaled = cosine_similarity(unlabeled_proj * 41.0, protos_scaled.matrix())
+    sims_scaled = cosine_similarity(unlabeled_proj * 41.0, protos_scaled)
     scale_dev = np.abs(sims - sims_scaled).max()
     t_scaled, _, _ = compute_threshold(
-        cosine_similarity(labeled_proj * 41.0, protos_scaled.matrix()).max(axis=1),
+        cosine_similarity(labeled_proj * 41.0, protos_scaled).max(axis=1),
         DetectionConfig(eta=2.0),
     )
     split_same = np.array_equal(scores < t, sims_scaled.max(axis=1) < t_scaled)
@@ -424,11 +423,11 @@ def test_criterion_04_labeling_exactness():
     conf = head.probabilities(emb).max(axis=1)
     order = sorted(range(43), key=lambda i: (-conf[i], ids[i]))
     expected_ids = [ids[i] for i in order[: int(np.ceil(0.25 * 43))]]
-    topk_ok = [p.sample_id for p in picked] == expected_ids
+    topk_ok = picked.ids.tolist() == expected_ids
 
     ids2 = list(range(10))
     labels2 = [1, 1, 2, 2, 2, 3, 3, 3, 3, 3]
-    balanced = oversample(ids2, labels2)
+    balanced = np.array(ids2)[oversample(ids2, labels2)].tolist()
     counts = {}
     for sid in balanced:
         counts[labels2[ids2.index(sid)]] = counts.get(labels2[ids2.index(sid)], 0) + 1
@@ -438,7 +437,7 @@ def test_criterion_04_labeling_exactness():
     report_line(
         4, ok,
         f"soft-label sums within {sum_dev:.1e} of 1 (< 1e-12) and argmax-match, "
-        f"top-k selection == full-sort oracle ({len(picked)} of 43), "
+        f"top-k selection == full-sort oracle ({len(picked.ids)} of 43), "
         f"oversample equalizes counts exactly",
     )
 

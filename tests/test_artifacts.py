@@ -26,7 +26,7 @@ from openset_ssl.data import Dataset, read_dataset, write_dataset
 from openset_ssl.detect import read_scored_manifest, write_scored_manifest
 from openset_ssl.harness import write_curve_csv, write_sweep_table
 from openset_ssl.labeling import (
-    PseudoLabel,
+    PseudoLabels,
     write_pseudo_label_manifest,
     write_soft_label_manifest,
 )
@@ -99,15 +99,20 @@ def test_scored_manifest_bytes(tmp_path, width, n, threshold, data):
 @given(width=st.integers(1, 4), n=st.integers(0, 6), data=st.data())
 def test_soft_label_manifest_bytes(tmp_path, width, n, data):
     sample_ids = data.draw(st.lists(ids, min_size=n, max_size=n))
-    labels = [np.array(data.draw(st.lists(reals, min_size=width, max_size=width)))
-              for _ in range(n)]
+    labels = np.array([data.draw(st.lists(reals, min_size=width, max_size=width))
+                       for _ in range(n)]).reshape(n, width)
     same_bytes(tmp_path, write_soft_label_manifest,
                helpers.reference_write_soft_label_manifest, sample_ids, labels)
 
 
 @cases
-@given(pseudo=st.lists(st.builds(PseudoLabel, ids, st.integers(1, 99), reals)))
-def test_pseudo_label_manifest_bytes(tmp_path, pseudo):
+@given(n=st.integers(0, 12), data=st.data())
+def test_pseudo_label_manifest_bytes(tmp_path, n, data):
+    def column(elements, dtype):
+        return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    pseudo = PseudoLabels(column(ids, np.int64), column(st.integers(1, 99), np.int64),
+                          column(reals, np.float64))
     same_bytes(tmp_path, write_pseudo_label_manifest,
                helpers.reference_write_pseudo_label_manifest, pseudo)
 

@@ -184,6 +184,32 @@ class TestStagedPipeline:
             report = read_json(os.path.join(out, "report.json"))
             assert ("timings" in report) == (out == full)
 
+    def test_nothing_detected_out_writes_every_soft_label_column(self, tmp_path):
+        out = tmp_path / "no-out"
+        for stage in ("generate", "pretrain", "detect", "label"):
+            assert run_cli(stage, "--out-dir", str(out), *MICRO, "--eta", "100") == 0
+        assert (out / "softlabels.csv").read_bytes() == b"sample_id,q_1,q_2\r\n"
+        assert run_cli("train", "--out-dir", str(out), *MICRO, "--eta", "100") == 0
+        assert read_json(out / "report.json")["soft_label_count"] == 0
+
+    def test_report_of_a_given_dataset_holds_its_spec(self, tmp_path, capsys):
+        gen, out = str(tmp_path / "gen"), str(tmp_path / "run")
+        assert run_cli("generate", "--out-dir", gen, *MICRO, "--proportion", "0.2") == 0
+        dataset = os.path.join(gen, "dataset")
+        assert run_cli("run", "--out-dir", out, "--dataset-dir", dataset,
+                       *MICRO, "--proportion", "0.9") == 0
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["config"]["benchmark"] == read_json(os.path.join(dataset, "spec.json"))
+        assert report["config"]["benchmark"]["out_proportion"] == 0.2
+        assert json.loads(report["config_text"])["benchmark"]["out_proportion"] == 0.2
+        capsys.readouterr()
+        assert run_cli("eval", "--out-dir", out) == 0
+        recomputed = json.loads(capsys.readouterr().out)
+        detection = {k: v for k, v in report["detection"].items() if k != "eta"}
+        assert {k: recomputed[k] for k in detection} == detection
+        assert recomputed["split_sizes"] == report["split_sizes"]
+        assert recomputed["median_accuracy"] == report["median_accuracy"]
+
     def test_eval_uses_the_runs_median_window(self, tmp_path, capsys):
         out = str(tmp_path / "m3")
         path = tmp_path / "config.json"
@@ -292,6 +318,8 @@ class TestDocumentFieldErrors:
                        "{path}: line 1: no column 'sim_2'"),
         "softlabels-id": ("softlabels.csv", drop_column("sample_id"), "train",
                           "{path}: line 1: no column 'sample_id'"),
+        "softlabels-q2": ("softlabels.csv", drop_column("q_2"), "train",
+                          "{path}: line 1: no column 'q_2'"),
         "pseudolabels-confidence": ("pseudolabels.csv", drop_column("confidence"), "train",
                                     "{path}: line 1: no column 'confidence'"),
     }
@@ -452,7 +480,7 @@ class TestSweepAndReport:
                        "--axis", "proportion", "--values", "0.2,0.8", *MICRO) == 1
         err = capsys.readouterr().err
         assert "'proportion'" in err and dataset in err
-        assert not out.exists() or not any(out.iterdir())  # no run started
+        assert not out.exists()  # rejected before the sweep directory is made
 
 
 class TestConfigFile:

@@ -36,20 +36,21 @@ class TestPrototypes:
         x = np.random.default_rng(0).standard_normal((2, 6))
         protos = compute_prototypes(x, np.array([1, 2]), model)
         projections = project(model, x)
-        assert np.allclose(protos.prototypes[1], projections[0], atol=0)
-        assert np.allclose(protos.prototypes[2], projections[1], atol=0)
+        assert np.allclose(protos[0], projections[0], atol=0)
+        assert np.allclose(protos[1], projections[1], atol=0)
 
     def test_two_projection_mean(self):
         protos = prototypes_from_projections(
             np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]), num_classes=1
         )
-        assert np.array_equal(protos.prototypes[1], [0.5, 0.5])
+        assert np.array_equal(protos, [[0.5, 0.5]])
 
     def test_mean_matches_accumulation_loop(self):
         rng = np.random.default_rng(1)
         projections = rng.standard_normal((9, 4))
         labels = np.array([1, 2, 3, 1, 2, 3, 1, 2, 3])
         protos = prototypes_from_projections(projections, labels, num_classes=3)
+        assert protos.shape == (3, 4)
         for c in (1, 2, 3):
             acc = np.zeros(4)
             n = 0
@@ -57,8 +58,7 @@ class TestPrototypes:
                 if l == c:
                     acc = acc + p
                     n += 1
-            assert np.abs(protos.prototypes[c] - acc / n).max() < 1e-12
-            assert protos.counts[c] == n
+            assert np.abs(protos[c - 1] - acc / n).max() < 1e-12
 
     def test_missing_class_rejected_by_name(self):
         with pytest.raises(ValueError) as err:
@@ -71,14 +71,14 @@ class TestSimilaritiesAndScore:
         protos = prototypes_from_projections(
             np.array([[3.0, 4.0]]), np.array([1]), num_classes=1
         )
-        sims = cosine_similarity(np.array([3.0, 4.0]), protos.matrix())[0]
+        sims = cosine_similarity(np.array([3.0, 4.0]), protos)[0]
         assert abs(sims[0] - 1.0) < 1e-12
 
     def test_orthogonal_projection_scores_zero(self):
         protos = prototypes_from_projections(
             np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 2]), num_classes=2
         )
-        sims = cosine_similarity(np.array([0.0, 5.0]), protos.matrix())[0]
+        sims = cosine_similarity(np.array([0.0, 5.0]), protos)[0]
         assert np.abs(sims).max() == 0.0
 
     def test_matches_independent_dot_norm_routine(self):
@@ -90,8 +90,7 @@ class TestSimilaritiesAndScore:
         x = rng.standard_normal(6)
         sims = score_samples(x[None], protos, model)[0][0]
         p = project(model, x)[0]
-        for idx, c in enumerate(protos.class_ids):
-            v = protos.prototypes[c]
+        for idx, v in enumerate(protos):
             expected = (p * v).sum() / np.sqrt((p * p).sum() * (v * v).sum())
             assert abs(sims[idx] - expected) < 1e-12
 
@@ -192,7 +191,7 @@ class TestSplit:
 
         def pipeline(scale):
             protos = prototypes_from_projections(projections * scale, labels, 2)
-            sims = cosine_similarity(queries * scale, protos.matrix())
+            sims = cosine_similarity(queries * scale, protos)
             scores = sims.max(axis=1)
             t, _, _ = compute_threshold(scores[:10], DetectionConfig(eta=2.0))
             split = scores < t

@@ -264,6 +264,13 @@ class TestSweep:
         assert str(err.value) == ("unknown sweep axis 'nope'; expected one of "
                                   "('proportion', 'tau_sl', 'lambda', 'k_fraction', 'eta')")
 
+    def test_sweep_over_an_unknown_axis_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "unknown"
+        with pytest.raises(ValueError) as err:
+            run_sweep(micro_config(out), "nope", [0.5, 1.0])
+        assert str(err.value).startswith("unknown sweep axis 'nope'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("values", [[0.5, 0.5000001], [0.5, 1.0, 0.5]])
     def test_values_sharing_a_run_directory_rejected_before_any_run(self, tmp_path, values):
         out = tmp_path / "dup"

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from openset_ssl.labeling import (
     LabelingConfig,
-    PseudoLabel,
+    PseudoLabels,
     oversample,
     read_pseudo_label_manifest,
     read_soft_label_manifest,
@@ -131,25 +132,26 @@ class TestSelectTopk:
         rng = np.random.default_rng(3)
         pool = rng.standard_normal((10, 4))
         out = select_topk(range(10), pool, self.head, self.model, k_fraction=1.0)
-        assert len(out) == 10
+        assert len(out.ids) == 10
         emb = forward(self.model, pool).embedding
         expect = self.head.probabilities(emb).argmax(axis=1) + 1
-        assert [p.assigned_class for p in sorted(out, key=lambda p: p.sample_id)] == list(expect)
+        assert out.classes[np.argsort(out.ids)].tolist() == list(expect)
 
     def test_ten_percent_of_hundred_is_ten(self):
         rng = np.random.default_rng(4)
         pool = rng.standard_normal((100, 4))
         out = select_topk(range(100), pool, self.head, self.model, k_fraction=0.1)
-        assert len(out) == 10
+        assert [len(col) for col in out] == [10, 10, 10]
 
     def test_size_is_ceil(self):
         rng = np.random.default_rng(5)
         pool = rng.standard_normal((7, 4))
         out = select_topk(range(7), pool, self.head, self.model, k_fraction=0.3)
-        assert len(out) == math.ceil(0.3 * 7)
+        assert len(out.ids) == math.ceil(0.3 * 7)
 
     def test_empty_in_set_returns_empty(self):
-        assert select_topk([], np.zeros((0, 4)), self.head, self.model, 0.5) == []
+        out = select_topk([], np.zeros((0, 4)), self.head, self.model, 0.5)
+        assert [col.shape for col in out] == [(0,), (0,), (0,)]
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(6)
@@ -161,10 +163,8 @@ class TestSelectTopk:
         conf = probs.max(axis=1)
         ranked = sorted(range(40), key=lambda i: (-conf[i], ids[i]))
         expect_ids = [ids[i] for i in ranked[:10]]
-        assert [p.sample_id for p in out] == expect_ids
-        assert all(
-            a.confidence >= b.confidence for a, b in zip(out, out[1:])
-        )
+        assert out.ids.tolist() == expect_ids
+        assert (np.diff(out.confidence) <= 0).all()
 
     def test_selected_confidences_dominate_unselected(self):
         rng = np.random.default_rng(7)
@@ -172,73 +172,118 @@ class TestSelectTopk:
         out = select_topk(range(30), pool, self.head, self.model, k_fraction=0.2)
         emb = forward(self.model, pool).embedding
         conf = self.head.probabilities(emb).max(axis=1)
-        chosen = {p.sample_id for p in out}
-        worst_chosen = min(p.confidence for p in out)
+        chosen = set(out.ids.tolist())
+        worst_chosen = out.confidence.min()
         best_rest = max(
             (c for i, c in enumerate(conf) if i not in chosen), default=-np.inf
         )
         assert worst_chosen >= best_rest
 
 
+class FixedHead:
+    """A head whose probabilities are fixed, whatever the embeddings."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def probabilities(self, embeddings):
+        return self.probs
+
+
+class TestSelectTopkOracle:
+    """`select_topk`'s columns against the sorted-list reference, with
+    confidences drawn from a few rows so that ties are common."""
+
+    model = separable_setup(seed=1)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ids=st.lists(st.integers(-(2**40), 2**40), unique=True, max_size=30),
+        k_fraction=st.sampled_from([0.05, 0.25, 0.5, 1.0]),
+        data=st.data(),
+    )
+    def test_columns_equal_the_reference(self, ids, k_fraction, data):
+        choices = [[0.5, 0.5], [0.7, 0.3], [0.3, 0.7], [0.9, 0.1], [0.1, 0.9]]
+        probs = np.array(data.draw(st.lists(st.sampled_from(choices), min_size=len(ids),
+                                            max_size=len(ids)))).reshape(len(ids), 2)
+        out = select_topk(ids, np.zeros((len(ids), 4)), FixedHead(probs), self.model, k_fraction)
+        expect = helpers.reference_select_topk(ids, probs, math.ceil(k_fraction * len(ids)))
+        assert out.ids.tolist() == [p.sample_id for p in expect]
+        assert out.classes.tolist() == [p.assigned_class for p in expect]
+        assert out.confidence.tolist() == [p.confidence for p in expect]
+
+
 class TestOversample:
     def test_unbalanced_pair(self):
-        ids = [10, 11, 12, 20]
+        ids = np.array([10, 11, 12, 20])
         labels = [1, 1, 1, 2]
-        out = oversample(ids, labels)
+        out = ids[oversample(ids, labels)]
         assert sorted(out) == sorted([10, 11, 12, 20, 20, 20])
 
     def test_balanced_unchanged(self):
         ids = [1, 2, 3, 4]
         labels = [1, 1, 2, 2]
-        assert oversample(ids, labels) == ids
+        assert oversample(ids, labels).tolist() == [0, 1, 2, 3]
 
     def test_counts_2_3_5_all_become_5(self):
-        ids = list(range(10))
-        labels = [1, 1, 2, 2, 2, 3, 3, 3, 3, 3]
-        out = oversample(ids, labels)
+        labels = np.array([1, 1, 2, 2, 2, 3, 3, 3, 3, 3])
+        out = oversample(np.arange(10), labels)
         assert len(out) == 15
-        by_class = {1: 0, 2: 0, 3: 0}
-        for sid in out:
-            by_class[labels[ids.index(sid)]] += 1
-        assert by_class == {1: 5, 2: 5, 3: 5}
+        assert np.bincount(labels[out]).tolist() == [0, 5, 5, 5]
 
     def test_round_robin_order_is_deterministic(self):
-        ids = [5, 3, 9]
+        ids = np.array([5, 3, 9])
         labels = [1, 1, 2]
-        out = oversample(ids, labels)
-        assert out == [5, 3, 9, 9]  # class 2 replays ascending ids
+        assert ids[oversample(ids, labels)].tolist() == [5, 3, 9, 9]  # class 2 replays ascending ids
 
     def test_preserves_distinct_members(self):
         rng = np.random.default_rng(8)
-        ids = list(range(30))
-        labels = list(rng.integers(1, 4, size=30))
-        out = oversample(ids, labels)
-        assert set(out) == set(ids)
+        ids = np.arange(30)
+        labels = rng.integers(1, 4, size=30)
+        out = ids[oversample(ids, labels)]
+        assert set(out.tolist()) == set(ids.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-(2**40), 2**40), st.integers(-3, 5)),
+                    unique_by=lambda row: row[0], max_size=40))
+    def test_ids_equal_the_reference(self, rows):
+        ids = np.array([sid for sid, _ in rows], dtype=np.int64)
+        labels = np.array([label for _, label in rows], dtype=np.int64)
+        expect = helpers.reference_oversample(ids, labels)
+        assert ids[oversample(ids, labels)].tolist() == expect
 
 
 class TestManifests:
     def test_soft_label_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         ids = [3, 7, 11]
-        labels = [soft_label(rng.uniform(-1, 1, size=4), 0.1) for _ in ids]
+        labels = soft_label(rng.uniform(-1, 1, size=(3, 4)), 0.1)
         path = tmp_path / "soft.csv"
         write_soft_label_manifest(path, ids, labels)
-        rids, rlabels = read_soft_label_manifest(path)
-        assert rids == ids
-        for a, b in zip(labels, rlabels):
-            assert np.array_equal(a, b)
+        rids, rlabels = read_soft_label_manifest(path, 4)
+        assert rids.tolist() == ids
+        assert rlabels.tobytes() == labels.tobytes()
+
+    def test_empty_soft_label_manifest_keeps_its_columns(self, tmp_path):
+        path = tmp_path / "soft.csv"
+        write_soft_label_manifest(path, [], np.empty((0, 3)))
+        assert path.read_bytes() == b"sample_id,q_1,q_2,q_3\r\n"
+        rids, rlabels = read_soft_label_manifest(path, 3)
+        assert rids.shape == (0,) and rlabels.shape == (0, 3)
+
+    def test_soft_label_columns_read_by_name(self, tmp_path):
+        path = tmp_path / "soft.csv"
+        write_soft_label_manifest(path, [4], [[0.25, 0.75]])
+        with pytest.raises(ValueError) as err:
+            read_soft_label_manifest(path, 3)
+        assert str(err.value) == f"{path}: line 1: no column 'q_3'"
 
     def test_pseudo_label_roundtrip(self, tmp_path):
-        from openset_ssl.labeling import PseudoLabel
-
-        pseudo = [
-            PseudoLabel(sample_id=4, assigned_class=2, confidence=0.75),
-            PseudoLabel(sample_id=9, assigned_class=1, confidence=0.5),
-        ]
+        pseudo = PseudoLabels(np.array([4, 9]), np.array([2, 1]), np.array([0.75, 0.5]))
         path = tmp_path / "pseudo.csv"
         write_pseudo_label_manifest(path, pseudo)
         loaded = read_pseudo_label_manifest(path)
-        assert loaded == pseudo
+        assert [col.tolist() for col in loaded] == [[4, 9], [2, 1], [0.75, 0.5]]
 
     def write_both(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -247,8 +292,9 @@ class TestManifests:
         write_soft_label_manifest(soft, ids, [soft_label(rng.uniform(-1, 1, 4), 0.1)
                                               for _ in ids])
         pseudo = tmp_path / "pseudolabels.csv"
+        confidence = [float(rng.uniform()) for _ in ids]
         write_pseudo_label_manifest(
-            pseudo, [PseudoLabel(i, 1 + i % 3, float(rng.uniform())) for i in ids]
+            pseudo, PseudoLabels(ids, [1 + i % 3 for i in ids], confidence)
         )
         return soft, pseudo
 
@@ -256,7 +302,7 @@ class TestManifests:
     def test_truncated_manifest_rejected_by_name(self, tmp_path, which):
         soft, pseudo = self.write_both(tmp_path)
         path, read = {
-            "soft": (soft, read_soft_label_manifest),
+            "soft": (soft, lambda path: read_soft_label_manifest(path, 4)),
             "pseudo": (pseudo, read_pseudo_label_manifest),
         }[which]
         path.write_bytes(path.read_bytes()[:-30])
@@ -273,7 +319,7 @@ class TestManifests:
         lines[6] = ",".join(cells)
         soft.write_bytes("\r\n".join(lines).encode())
         with pytest.raises(ValueError) as err:
-            read_soft_label_manifest(soft)
+            read_soft_label_manifest(soft, 4)
         assert str(err.value) == f"{soft}: line 7, column 'q_3': '{field}' is not a finite real"
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
