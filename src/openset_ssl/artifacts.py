@@ -5,7 +5,15 @@ A table is a header line, then one "\\r\\n"-terminated line per row, as
 back bit for bit, and a text field is quoted only where it holds a
 comma, a quote or a line break.  A JSON document is indented by two,
 with sorted keys and a final newline.  A truncated or malformed file is
-rejected with a `ValueError` that names the path, the line and the column.
+rejected with a `ValueError` that names the path, the line and the column,
+and so is a JSON document that holds `NaN`, `Infinity` or `-Infinity`,
+which the writer refuses to write.
+
+`from_dict` is the one reader from a document to a config: strict for a
+document read from disk (`spec.json`, `report.json`'s config, a
+checkpoint's config), which must give every field, and laid over a base
+for `--config` over the flags.  `fields_of` re-raises what a document
+lacks or gets wrong as one `ValueError` naming the path and the field.
 
 Both directions go `_CHUNK_ROWS` records at a time: the writer formats
 a chunk of rows per write, and the streaming reader parses and converts a
@@ -25,7 +33,9 @@ import contextlib
 import csv
 import json
 import os
+import re
 import warnings
+from dataclasses import fields, is_dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -39,6 +49,8 @@ _SCAN_BYTES = 1 << 18
 # ASCII characters np.loadtxt reads otherwise than csv.reader and int()
 # or float(): a quote, a NUL, the separators int() and float() keep
 _UNLIKE_CSV = b'"\0\x1c\x1d\x1e\x1f'
+# a JSON string, or one of the literals json.loads reads and JSON lacks
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN')
 
 
 def optional_real(value):
@@ -273,7 +285,7 @@ def _record_line(path, record):
 
 def write_json(path, doc):
     with replacing(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_json(path):
@@ -283,8 +295,56 @@ def read_json(path):
 
 def parse_json(path, text):
     """The JSON document `text`, read from `path`; one that does not
-    decode fails with a `ValueError` naming the path, line and column."""
+    decode, or holds `NaN`, `Infinity` or `-Infinity`, fails with a
+    `ValueError` naming the path, line and column."""
+
+    def reject(name):  # the first literal outside a string is the one parsed
+        at = next(m for m in _STRING_OR_CONSTANT.finditer(text) if m[0][0] != '"').start()
+        raise json.JSONDecodeError(f"{name} is not a JSON value", text, at)
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def from_dict(cls, doc, base=None, prefix=""):
+    """The `cls` config (a dataclass) that a document's section `doc` gives;
+    keys are field names (`lambda` for `lam`), save a field whose metadata
+    has `document` False.  Strict without `base`: an unknown key fails first,
+    at each level, then nested sections are read, then the first missing field
+    in field order raises KeyError, dotted from the root (`prefix` is `doc`'s path).
+    Overlay: `base` with the given fields replaced.  A null section is an absent one."""
+    by_key = {"lambda" if f.name == "lam" else f.name: f
+              for f in fields(cls) if f.metadata.get("document", True)}
+    unknown = sorted(set(doc) - set(by_key))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    values = {}
+    for key, value in doc.items():
+        f = by_key[key]
+        if is_dataclass(f.type) and value is None:
+            continue
+        if is_dataclass(f.type):
+            value = from_dict(f.type, value, getattr(base, f.name, None), f"{prefix}{key}.")
+        elif f.type is tuple:
+            value = tuple(value)
+        values[f.name] = value
+    if base is not None:
+        return replace(base, **values)
+    missing = next((key for key, f in by_key.items() if f.name not in values), None)
+    if missing is not None:
+        raise KeyError(prefix + missing)
+    return cls(**values)
+
+
+@contextlib.contextmanager
+def fields_of(path):
+    """Re-raise a missing or unfit field of the document read from `path`
+    as a ValueError naming the path and the field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -21,16 +21,19 @@ null, keeps the flags' value.  Its keys are the ExperimentConfig field
 names, with `lambda` for `lam`.  `label`, `train` and `eval` rebuild the
 detection from the scored manifests (never from detect.json) and `train`
 holds both label manifests to its config, so drift since an earlier stage
-fails.  All randomness derives from --seed; any stage error exits nonzero.
+fails; so does a dataset generated under another benchmark.  `report`
+takes only --sweep-dir and --output.  All randomness derives from --seed;
+any stage error exits nonzero.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import harness
-from .artifacts import parse_json
+from .artifacts import fields_of, parse_json
 
 
 TOGGLE = {"action": argparse.BooleanOptionalAction}  # --x sets True, --no-x False
@@ -91,17 +94,21 @@ def build_config(args):
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is None:
             continue
+        if isinstance(value, float) and not math.isfinite(value):  # no report could hold it
+            raise ValueError(f"{flag} {value} is not a finite real")
         for key in keys:
             *parents, leaf = key.split(".")
             node = given
             for parent in parents:
                 node = node.setdefault(parent, {})
             node[leaf] = value
-    config = harness.ExperimentConfig.from_dict(given)
+    config = harness.ExperimentConfig.from_dict(given, base=harness.ExperimentConfig())
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
-        config = harness.ExperimentConfig.from_dict(parse_json(args.config, text), text, config)
+        doc = parse_json(args.config, text)
+        with fields_of(args.config):
+            config = harness.ExperimentConfig.from_dict(doc, text, config)
     return config
 
 
@@ -124,7 +131,6 @@ def main(argv=None):
     _add_flags(p, COMMON_FLAGS)
 
     p = sub.add_parser("report")
-    _add_flags(p, COMMON_FLAGS)
     p.add_argument("--sweep-dir", required=True)
     p.add_argument("--output", default=None, help="curve CSV path")
 

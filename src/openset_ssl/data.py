@@ -15,13 +15,14 @@ only; training code paths consume features and labels exclusively.
 """
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
 from .artifacts import (
-    INT, REAL, TEXT, one_of, read_json, read_table, real_columns, write_json, write_table,
+    INT, REAL, TEXT, fields_of, from_dict, one_of, read_json, read_table, real_columns,
+    write_json, write_table,
 )
 
 UNLABELED = -1
@@ -230,10 +231,7 @@ def write_benchmark(dirpath, bench):
 def read_benchmark(dirpath):
     path = os.path.join(dirpath, "spec.json")
     doc = read_json(path)
-    names = {f.name for f in fields(BenchmarkSpec)}
-    for kind, keys in (("unknown", set(doc) - names), ("missing", names - set(doc))):
-        if keys:
-            raise ValueError(f"{path}: {kind} BenchmarkSpec keys: {', '.join(sorted(keys))}")
-    spec = BenchmarkSpec(**doc)
+    with fields_of(path):
+        spec = from_dict(BenchmarkSpec, doc)
     return Benchmark(spec, *(read_dataset(os.path.join(dirpath, f"{name}.csv"), spec.dim)
                              for name in ("labeled", "unlabeled", "test")))

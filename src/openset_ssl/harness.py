@@ -11,7 +11,8 @@ upstream artifact.
 
 `stages()` is the one table of the stages (run, loader, main file) and
 `run_stages` the one driver: `run_experiment` runs all five, a staged
-command one, after loading what came before from the run directory.  The
+command one, after loading what came before from the run directory: a
+generated dataset whose spec.json is not the config's benchmark fails.  The
 detection is rebuilt from the two scored manifests under the config
 (`detect.json` is never read back), so a detection config that changed
 since `detect` fails; `train` recomputes the soft labels and holds both
@@ -25,11 +26,13 @@ import math
 import os
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .artifacts import TEXT, optional_real, read_json, read_table, write_json, write_table
+from .artifacts import (
+    TEXT, fields_of, from_dict, optional_real, read_json, read_table, write_json, write_table,
+)
 from .augment import AugmentConfig
 from .contrastive import ContrastiveConfig, pretrain
 from .data import BenchmarkSpec, generate, read_benchmark, write_benchmark
@@ -102,7 +105,12 @@ class ExperimentConfig:
     checkpoint_interval: int = 1280  # in labeled training samples
     checkpoint_count: int = 20
     median_last: int = 5
-    raw_text: str = None  # exact config file text, echoed into the report
+    raw_text: str = field(default=None, metadata={"document": False})  # echoed into the report
+
+    def __post_init__(self):
+        for name in ("checkpoint_interval", "checkpoint_count", "median_last"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def resolved_steps(self):
         if self.ssl.steps is not None:
@@ -119,29 +127,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d, raw_text=None, base=None):
-        """Inverse of `to_dict`, laid over `base` (the defaults if None):
-        absent keys keep base's values, and so does a nested config given
-        as null, such as a stage's augment."""
-        return replace(_from_dict(cls, d, cls() if base is None else base), raw_text=raw_text)
-
-
-def _from_dict(cls, d, base):
-    """`base` with the fields named in `d` replaced, recursing into
-    nested configs; lists become tuples where the field is a tuple."""
-    by_key = {"lambda" if f.name == "lam" else f.name: f for f in fields(cls)}
-    unknown = sorted(set(d) - set(by_key))
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-    changes = {}
-    for key, value in d.items():
-        f = by_key[key]
-        if is_dataclass(f.type):
-            current = getattr(base, f.name)
-            value = current if value is None else _from_dict(f.type, value, current)
-        elif f.type is tuple:
-            value = tuple(value)
-        changes[f.name] = value
-    return replace(base, **changes)
+        """Inverse of `to_dict`: `artifacts.from_dict`, strict unless `base` is given."""
+        return replace(from_dict(cls, d, base), raw_text=raw_text)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +142,22 @@ def prepare_benchmark(config):
         return read_benchmark(config.dataset_dir)
     bench = generate(replace(config.benchmark, seed=config.seed))
     write_benchmark(os.path.join(config.out_dir, "dataset"), bench)
+    return bench
+
+
+def load_benchmark(config):
+    """The benchmark `prepare_benchmark` gave under `config`, read back:
+    `dataset_dir`'s, or the run directory's, whose spec.json must be the
+    config's benchmark at the run seed."""
+    if config.dataset_dir:
+        return read_benchmark(config.dataset_dir)
+    bench = read_benchmark(os.path.join(config.out_dir, "dataset"))
+    want = replace(config.benchmark, seed=config.seed)
+    differ = [f.name for f in fields(want) if getattr(bench.spec, f.name) != getattr(want, f.name)]
+    if differ:
+        path = os.path.join(config.out_dir, "dataset", "spec.json")
+        raise ValueError(f"{path}: {differ[0]} is {getattr(bench.spec, differ[0])!r} where the "
+                         f"config gives {getattr(want, differ[0])!r}")
     return bench
 
 
@@ -350,8 +353,7 @@ def stages():
     nothing follows) and `product` is its main file.  Built per call, so
     that a function replaced on this module (a tracer, a test double) runs."""
     return {
-        "generate": Stage(prepare_benchmark, lambda config: read_benchmark(
-            config.dataset_dir or os.path.join(config.out_dir, "dataset")), "dataset"),
+        "generate": Stage(prepare_benchmark, load_benchmark, "dataset"),
         "pretrain": Stage(stage_pretrain, lambda config, bench: load_checkpoint(
             os.path.join(config.out_dir, "pretrained.ckpt")), "pretrained.ckpt"),
         "detect": Stage(stage_detect, lambda config, bench, model: load_detect_outcome(
@@ -491,37 +493,12 @@ def recompute_metrics(out_dir, dataset_dir=None):
     values when nothing was touched."""
     path = os.path.join(out_dir, "report.json")
     report = read_json(path)
-    with _fields_of(path):
-        missing = next(_missing_keys(ExperimentConfig().to_dict(), report["config"]), None)
-        if missing is not None:
-            raise KeyError(f"config.{missing}")
-        config = ExperimentConfig.from_dict(report["config"])
+    with fields_of(path):
+        config = from_dict(ExperimentConfig, report["config"], prefix="config.")
         accs = report["checkpoint_accuracies"]
     bench = read_benchmark(dataset_dir or config.dataset_dir or os.path.join(out_dir, "dataset"))
     det = load_detect_outcome(out_dir, bench, config.detection)
     return {**det.summary(), **_accuracy_summary(accs, config.median_last)}
-
-
-def _missing_keys(expected, doc):
-    """The dotted names of `expected`'s keys that `doc` lacks, recursing
-    where both hold a section."""
-    for key, value in expected.items():
-        if key not in doc:
-            yield key
-        elif isinstance(value, dict) and isinstance(doc[key], dict):
-            yield from (f"{key}.{name}" for name in _missing_keys(value, doc[key]))
-
-
-@contextlib.contextmanager
-def _fields_of(path):
-    """Re-raise a missing or unfit field of the document read from `path`
-    as a ValueError naming the path and the field."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{path}: no field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_detect_outcome(out_dir, bench, detection):

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .artifacts import replacing
+from .artifacts import from_dict, replacing
 from .autodiff import DiffGraph
 
 CHECKPOINT_VERSION = 1
@@ -336,7 +336,7 @@ def load_checkpoint(path):
         manifest = json.loads(data[4:end].decode("utf-8"))
         if manifest["format_version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {manifest['format_version']}")
-        model = Model(config=ModelConfig(**manifest["config"]))
+        model = Model(config=from_dict(ModelConfig, manifest["config"], prefix="config."))
         arrays = [(a["name"], tuple(a["shape"]), a["kind"]) for a in manifest["arrays"]]
         layout = {name: (kind, shape) for name, kind, shape in _layout(model.config)}
         for name, shape, kind in arrays:

@@ -1,6 +1,7 @@
 """The artifact codec: every table and JSON document byte-identical to
 the csv.writer / json.dump writers it replaced, and strict reads."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -173,9 +174,23 @@ json_values = st.recursive(
 )
 
 
+def holds_infinity(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(holds_infinity, value))
+    return isinstance(value, float) and math.isinf(value)
+
+
 @cases
 @given(doc=st.dictionaries(text, json_values, max_size=6))
+@example(doc={"a": [1.0, {"b": -math.inf}]})
 def test_json_bytes(tmp_path, doc):
+    if holds_infinity(doc):  # not JSON: refused, as the reader refuses it
+        with pytest.raises(ValueError, match="Out of range float values"):
+            write_json(tmp_path / "infinite", doc)
+        assert list(tmp_path.glob("infinite*")) == []
+        return
     same_bytes(tmp_path, write_json, helpers.reference_write_json, doc)
     assert read_json(tmp_path / "ours") == doc
 
@@ -406,6 +421,21 @@ def test_read_json_names_the_file(tmp_path):
     with pytest.raises(ValueError) as err:
         read_json(path)
     assert str(err.value).startswith(f"{path}: line 3, column 10: ")
+
+
+@pytest.mark.parametrize("text, fault", [
+    ('{"eta": NaN}', "line 1, column 9: NaN is not a JSON value"),
+    ('[1,\n Infinity]', "line 2, column 2: Infinity is not a JSON value"),
+    ('{"a": [-Infinity, NaN]}', "line 1, column 8: -Infinity is not a JSON value"),
+    # the literals inside strings, escaped quotes included, are text
+    ('{"NaN": "\\"Infinity", "b": [NaN]}', "line 1, column 29: NaN is not a JSON value"),
+], ids=["nan", "infinity", "minus-infinity", "after-strings"])
+def test_read_json_rejects_non_json_literals(tmp_path, text, fault):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_json(path)
+    assert str(err.value) == f"{path}: {fault}"
 
 
 

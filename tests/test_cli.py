@@ -192,6 +192,22 @@ class TestStagedPipeline:
         assert run_cli("train", "--out-dir", str(out), *MICRO, "--eta", "100") == 0
         assert read_json(out / "report.json")["soft_label_count"] == 0
 
+    def test_generated_dataset_of_another_benchmark_is_rejected(self, tmp_path, capsys):
+        # a report would claim the flags' proportion over the other pool
+        out = tmp_path / "run"
+        assert run_cli("generate", "--out-dir", str(out), *MICRO, "--proportion", "0.2") == 0
+        before = run_dir(out)
+        capsys.readouterr()
+        assert run_cli("pretrain", "--out-dir", str(out), *MICRO, "--proportion", "0.9") == 1
+        path = out / "dataset" / "spec.json"
+        assert capsys.readouterr().err == (
+            f"error: {path}: out_proportion is 0.2 where the config gives 0.9\n")
+        assert run_dir(out) == before
+        # the run seed is the benchmark's
+        assert run_cli("pretrain", "--out-dir", str(out), *MICRO, "--proportion", "0.2",
+                       "--seed", "1") == 1
+        assert capsys.readouterr().err == f"error: {path}: seed is 0 where the config gives 1\n"
+
     def test_report_of_a_given_dataset_holds_its_spec(self, tmp_path, capsys):
         gen, out = str(tmp_path / "gen"), str(tmp_path / "run")
         assert run_cli("generate", "--out-dir", gen, *MICRO, "--proportion", "0.2") == 0
@@ -274,6 +290,9 @@ class TestDocumentFieldErrors:
         # not filled with its default, which would split the pool otherwise
         "missing-config-key": (lambda doc: doc["config"]["detection"].pop("eta"),
                                "no field 'config.detection.eta'"),
+        # not the defaults, as a null section in a --config file keeps the flags'
+        "null-config-section": (lambda doc: doc["config"].update(detection=None),
+                                "no field 'config.detection'"),
     }
 
     @pytest.mark.parametrize("case", sorted(REPORT_EDITS))
@@ -300,7 +319,7 @@ class TestDocumentFieldErrors:
     # case -> the file, its edit, the command that loads it, and the error
     MISSING = {
         "spec": ("dataset/spec.json", drop_key("in_classes"), "pretrain",
-                 "{path}: missing BenchmarkSpec keys: in_classes"),
+                 "{path}: no field 'in_classes'"),
         "labeled-label": ("dataset/labeled.csv", drop_column("label"), "pretrain",
                           "{path}: line 1: no column 'label'"),
         "unlabeled-f3": ("dataset/unlabeled.csv", drop_column("f3"), "pretrain",
@@ -310,8 +329,12 @@ class TestDocumentFieldErrors:
         "checkpoint-version": ("pretrained.ckpt", drop_manifest_key("format_version"), "detect",
                                "checkpoint {path}: manifest has no field 'format_version'"),
         "checkpoint-input-dim": ("pretrained.ckpt", drop_manifest_key("config", "input_dim"),
-                                 "detect", "checkpoint {path}: ModelConfig.__init__() missing 1 "
-                                 "required positional argument: 'input_dim'"),
+                                 "detect", "checkpoint {path}: manifest has no field "
+                                 "'config.input_dim'"),
+        # not filled with its default, which would load other batch-norm statistics
+        "checkpoint-bn-epsilon": ("pretrained.ckpt", drop_manifest_key("config", "bn_epsilon"),
+                                  "detect", "checkpoint {path}: manifest has no field "
+                                  "'config.bn_epsilon'"),
         "scored-labeled-score": ("scored_labeled.csv", drop_column("score"), "label",
                                  "{path}: line 1: no column 'score'"),
         "scored-sim": ("scored.csv", drop_column("sim_2"), "label",
@@ -438,6 +461,17 @@ class TestSweepAndReport:
         assert curve[0] == "value,median_accuracy,best_accuracy"
         assert len(curve) == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "7"), ("--out-dir", "x"), ("--dataset-dir", "x"),
+        ("--config", "/nonexistent.json"),
+    ])
+    def test_report_rejects_the_flags_it_never_reads(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("report", "--sweep-dir", str(tmp_path), flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_failed_rerun_leaves_no_stale_curve_point(self, tmp_path):
         out = str(tmp_path / "sweep")
         sweep = ["sweep", "--out-dir", out, "--axis", "proportion", "--values", "0.5", *MICRO]
@@ -511,6 +545,32 @@ class TestConfigFile:
         assert run_cli("generate", "--out-dir", out, "--config", str(path)) == 1
         err = capsys.readouterr().err
         assert f"{path}: line 1, column 12:" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"median_last": 0}', "median_last must be at least 1, got 0"),
+        ('{"checkpoint_count": -2}', "checkpoint_count must be at least 1, got -2"),
+        # not JSON: a threshold of nan would detect no row out
+        ('{"detection": {"explicit_threshold": NaN}}',
+         "line 1, column 38: NaN is not a JSON value"),
+        ('{"ssl": {\n  "lambda": Infinity}}', "line 2, column 13: Infinity is not a JSON value"),
+        ('{"seed": 1, "out_dir": "NaN", "ssl": {"lambda": -Infinity}}',
+         "line 1, column 49: -Infinity is not a JSON value"),
+    ], ids=["median-last", "checkpoint-count", "nan", "infinity", "minus-infinity"])
+    def test_config_file_fault_names_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "bad"
+        assert run_cli("generate", "--out-dir", str(out), "--config", str(path), *MICRO) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--tau-sl", "inf"), ("--lambda", "nan")])
+    def test_non_finite_flag_rejected_before_any_stage(self, tmp_path, capsys, flag, value):
+        # report.json could not hold it, so a run would fail only at its end
+        out = tmp_path / "bad"
+        assert run_cli("generate", "--out-dir", str(out), *MICRO, flag, value) == 1
+        assert capsys.readouterr().err == f"error: {flag} {value} is not a finite real\n"
+        assert not out.exists()
 
     def test_flags_apply_when_not_overridden(self, tmp_path):
         out = str(tmp_path / "flags")

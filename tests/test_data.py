@@ -240,7 +240,7 @@ class TestDatasetFiles:
         spec.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as err:
             read_benchmark(tmp_path / "bench")
-        assert str(err.value) == f"{spec}: missing BenchmarkSpec keys: in_classes, seed"
+        assert str(err.value) == f"{spec}: no field 'in_classes'"
 
     def test_benchmark_directory_roundtrip(self, tmp_path):
         bench = generate(small_spec())

@@ -303,6 +303,29 @@ class TestConfigRoundtrip:
         with pytest.raises(ValueError, match="median_lst"):
             ExperimentConfig.from_dict({"median_lst": 3})
 
+    def test_strict_read_names_the_first_missing_field(self):
+        # without a base every field must be given, none filled by its default
+        d = ExperimentConfig().to_dict()
+        del d["detection"]["eta"], d["median_last"]
+        with pytest.raises(KeyError) as err:
+            ExperimentConfig.from_dict(d)
+        assert err.value.args == ("detection.eta",)
+        # a misspelled key fails as unknown, before its section's missing field
+        d["detection"]["etta"] = 2.0
+        with pytest.raises(ValueError, match="unknown DetectionConfig keys: etta"):
+            ExperimentConfig.from_dict(d)
+
+    def test_raw_text_is_not_a_document_key(self):
+        with pytest.raises(ValueError, match="unknown ExperimentConfig keys: raw_text"):
+            ExperimentConfig.from_dict({"raw_text": "{}"}, base=ExperimentConfig())
+
+    @pytest.mark.parametrize("name", ["checkpoint_interval", "checkpoint_count", "median_last"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_counts_below_one_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(**{name: value})
+        assert str(err.value) == f"{name} must be at least 1, got {value}"
+
 
 def _unit(lo=0.0, hi=1.0, **kw):
     return st.floats(lo, hi, allow_nan=False, **kw)

@@ -607,7 +607,7 @@ class TestCheckpoint:
         (b'"arrays"', b'"arrayz"', "manifest has no field 'arrays'"),
         (b'"shape"', b'"shapx"', "manifest has no field 'shape'"),
         (b'"embed_dim"', b'"embed_dix"',
-         "ModelConfig.__init__() got an unexpected keyword argument 'embed_dix'"),
+         "unknown ModelConfig keys: embed_dix"),
         (b'"format_version": 1', b'"format_version": 2', "unsupported checkpoint version 2"),
         # the manifest parses, but its arrays are not the config's layout
         (b'"shape": [6, 5]', b'"shape": [5, 6]',
