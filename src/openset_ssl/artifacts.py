@@ -15,14 +15,13 @@ checkpoint's config), which must give every field, and laid over a base
 for `--config` over the flags.  `fields_of` re-raises what a document
 lacks or gets wrong as one `ValueError` naming the path and the field.
 
-Both directions go `_CHUNK_ROWS` records at a time: the writer formats
-a chunk of rows per write, and the streaming reader parses and converts a
-chunk of records as they stream from the file, so neither holds a whole
-table as text or as field strings.  A valid table of numbers and fixed
-choices (`int`, `float` and `one_of` columns) is parsed by numpy instead,
-in one `np.loadtxt` pass into typed columns; everything else, every
-error included, by the streaming reader, which is also the fallback
-wherever the numpy pass might read a file otherwise.
+The writer formats `_CHUNK_ROWS` rows per write, so it never holds a
+whole table as tuples.  A valid table of numbers and fixed choices
+(`int`, `float` and `one_of` columns) is parsed by numpy, in one
+`np.loadtxt` pass into typed columns; everything else, every error
+included, by the checked reader, which reads the whole file, checks every
+field and names the first fault, and is also the fallback wherever the
+numpy pass might read a file otherwise.
 
 Every writer goes through `replacing`: the file is written under a temp
 name beside its target and renamed over it when complete, so a write that
@@ -31,6 +30,7 @@ raises leaves the previous file as it was and no partial one.
 
 import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -129,19 +129,19 @@ def read_table(path, converters, default=None):
     without one.  Where every column's converter is `int`, `float` or
     `one_of(...)`, the columns are typed arrays (`_dtype`), parsed by one
     `np.loadtxt` pass if the file is plain enough that it reads as below;
-    otherwise, and for any other table, they are lists from `_stream_table`.
+    otherwise, and for any other table, they are lists from `_checked_table`.
     """
     if any(c is not None and _dtype(c) is None for c in (*converters.values(), default)):
-        return _stream_table(path, converters, default)
+        return _checked_table(path, converters, default)
     return _load_numeric(path, converters, default) or {
         name: np.array(col, dtype=_dtype(converters.get(name, default)))
-        for name, col in _stream_table(path, converters, default).items()}
+        for name, col in _checked_table(path, converters, default).items()}
 
 
 def _load_numeric(path, converters, default):
     """The numeric table at `path` as views of one structured array read
     by `np.loadtxt`, or None where the file might not read as
-    `_stream_table` reads it: where loadtxt raises or warns, or where the
+    `_checked_table` reads it: where loadtxt raises or warns, or where the
     file holds a character loadtxt takes otherwise, a blank line, no final
     line break or a field that is not one of its choices.  The file is
     scanned a chunk at a time.  Read from a binary file, loadtxt splits
@@ -167,7 +167,7 @@ def _load_numeric(path, converters, default):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
-    except (ArithmeticError, OSError, ValueError, Warning):  # the streaming reader names it
+    except (ArithmeticError, OSError, ValueError, Warning):  # the checked reader names it
         return None
     columns = [rows[field] for field in dtype.names]
     choices = [(col, c.choices) for col, c in zip(columns, convert) if hasattr(c, "choices")]
@@ -176,59 +176,54 @@ def _load_numeric(path, converters, default):
     return dict(zip(names, columns))
 
 
-def _stream_table(path, converters, default):
+def _checked_table(path, converters, default):
     """The table at `path` as {column name: list of values}: the reader
     that checks every field and names the first fault of a bad file.
-
-    Records stream from the file and are converted a chunk at a time, so
-    only the converted columns grow with the table.  Wherever the faults
-    of a bad file sit, the one reported is the first of: a malformed
-    record, a header fault, a missing final line break, the first record
-    of the wrong width, the first unconvertible field of the leftmost
-    column that has one.
+    Wherever the faults of a bad file sit, the one reported is the first
+    of: a malformed record, a header fault, a missing final line break, the
+    first record of the wrong width, the first unconvertible field of the
+    leftmost column that has one.
     """
+    with open(path, newline="") as fh:
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: line 1: no header")
+    header, width = rows[0], len(rows[0])
 
     def fail(record, col, reason):
         name = repr(header[col]) if col < width else f"#{col + 1}"
         raise ValueError(f"{path}: line {_record_line(path, record)}, column {name}: {reason}")
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, strict=True)
+    for name in converters:
+        if name not in header:
+            raise ValueError(f"{path}: line 1: no column {name!r}")
+    for col, name in enumerate(header):
+        if name not in converters and default is None:
+            fail(0, col, "unexpected column")
+    if not text.endswith("\n"):
+        fail(len(rows) - 1, len(rows[-1]) - 1, "truncated, the line has no terminator")
+    wrong = next((record for record, row in enumerate(rows) if len(row) != width), None)
+    if wrong is not None:
+        found = len(rows[wrong])
+        fail(wrong, min(found, width), f"{found} fields where the header has {width}")
+    columns = zip(*rows[1:]) if len(rows) > 1 else [()] * width
+    table = {}
+    for col, (name, column) in enumerate(zip(header, columns)):
+        convert = converters.get(name, default)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: line 1: no header")
-            width = len(header)
-            missing = [name for name in converters if name not in header]
-            unexpected = [col for col, name in enumerate(header)
-                          if name not in converters and default is None]
-            if missing or unexpected:
-                for _ in reader:  # a malformed record further on is reported first
-                    pass
-                if missing:
-                    raise ValueError(f"{path}: line 1: no column {missing[0]!r}")
-                fail(0, unexpected[0], "unexpected column")
-            convert = [converters.get(name, default) for name in header]
-            columns = [[] for _ in header]
-            records, last, wrong, bad = 0, header, None, None
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                if wrong is None:
-                    i = next((i for i, row in enumerate(chunk) if len(row) != width), None)
-                    if i is not None:
-                        found = len(chunk[i])
-                        wrong = (records + 1 + i, min(found, width),
-                                 f"{found} fields where the header has {width}")
-                    else:
-                        bad = _convert_chunk(chunk, convert, columns, records + 1, bad)
-                records, last = records + len(chunk), chunk[-1]
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not _ends_with_newline(path):
-        fail(records, len(last) - 1, "truncated, the line has no terminator")
-    for fault in (wrong, bad):
-        if fault is not None:
-            fail(*fault)
-    return dict(zip(header, columns))
+            table[name] = list(map(convert, column))
+        except ValueError:
+            for record, field in enumerate(column, start=1):
+                try:
+                    convert(field)
+                except ValueError as exc:
+                    fail(record, col, str(exc))
+    return table
 
 
 def real_columns(path, table, names):
@@ -244,31 +239,6 @@ def real_columns(path, table, names):
         raise ValueError(f"{path}: line {_record_line(path, row + 1)}, column {names[col]!r}: "
                          f"'{x[col, row]}' is not a finite real")
     return x.T.copy()
-
-
-def _convert_chunk(chunk, convert, columns, first, bad):
-    """Append the chunk's converted fields to `columns`, the chunk's first
-    record being record `first`.  Returns the table's fault so far, as
-    (record, column, reason) of the first unconvertible field of the
-    leftmost column that has one: only columns left of `bad` can move it."""
-    for col, fields in enumerate(zip(*chunk)):
-        if bad is not None and col >= bad[1]:
-            break
-        try:
-            columns[col].extend(map(convert[col], fields))
-        except ValueError:
-            for record, field in enumerate(fields, start=first):
-                try:
-                    convert[col](field)
-                except ValueError as exc:
-                    return record, col, str(exc)
-    return bad
-
-
-def _ends_with_newline(path):
-    with open(path, "rb") as fh:
-        fh.seek(-1, os.SEEK_END)
-        return fh.read(1) == b"\n"
 
 
 def _record_line(path, record):

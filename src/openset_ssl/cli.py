@@ -22,8 +22,9 @@ names, with `lambda` for `lam`.  `label`, `train` and `eval` rebuild the
 detection from the scored manifests (never from detect.json) and `train`
 holds both label manifests to its config, so drift since an earlier stage
 fails; so does a dataset generated under another benchmark.  `report`
-takes only --sweep-dir and --output.  All randomness derives from --seed;
-any stage error exits nonzero.
+takes only --sweep-dir and --output; `eval` only --out-dir, --dataset-dir
+and --config.  All randomness derives from --seed; any stage error
+exits nonzero.
 """
 
 import argparse
@@ -127,8 +128,8 @@ def main(argv=None):
     p.add_argument("--axis", choices=harness.SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
 
-    p = sub.add_parser("eval")
-    _add_flags(p, COMMON_FLAGS)
+    p = sub.add_parser("eval")  # a finished run: its directory, data and config
+    _add_flags(p, {flag: v for flag, v in COMMON_FLAGS.items() if flag != "--seed"})
 
     p = sub.add_parser("report")
     p.add_argument("--sweep-dir", required=True)

@@ -415,10 +415,13 @@ def apply_axis(config, axis, value):
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     section, name = SWEEP_AXES[axis]
+    value = float(value)
+    if not math.isfinite(value):  # no report could hold it
+        raise ValueError(f"sweep axis {axis!r} value {value} is not a finite real")
     if section == "benchmark" and config.dataset_dir:
         raise ValueError(f"sweep axis {axis!r} sets the benchmark, which dataset_dir "
                          f"{config.dataset_dir} overrides: every run would read the same data")
-    return replace(config, **{section: replace(getattr(config, section), **{name: float(value)})})
+    return replace(config, **{section: replace(getattr(config, section), **{name: value})})
 
 
 def run_sweep(config, axis, values):

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .artifacts import from_dict, replacing
+from .artifacts import from_dict, parse_json, replacing
 from .autodiff import DiffGraph
 
 CHECKPOINT_VERSION = 1
@@ -66,7 +66,7 @@ class ModelConfig:
             raise ValueError("need at least two classes")
         if not 0.0 < self.bn_momentum < 1.0:
             raise ValueError("bn_momentum must lie in (0, 1)")
-        if self.bn_epsilon <= 0.0:
+        if not self.bn_epsilon > 0.0:  # nan too
             raise ValueError("bn_epsilon must be positive")
 
     @property
@@ -314,7 +314,7 @@ def save_checkpoint(path, model):
             for n, a, k in zip(names, arrays, kinds)
         ],
     }
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    blob = json.dumps(manifest, sort_keys=True, allow_nan=False).encode("utf-8")
     with replacing(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -333,7 +333,7 @@ def load_checkpoint(path):
     if len(data) < end:
         raise ValueError(f"checkpoint {path}: truncated manifest")
     try:  # a byte that is not UTF-8, or text that is not JSON, is a ValueError
-        manifest = json.loads(data[4:end].decode("utf-8"))
+        manifest = parse_json("manifest", data[4:end].decode("utf-8"))
         if manifest["format_version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {manifest['format_version']}")
         model = Model(config=from_dict(ModelConfig, manifest["config"], prefix="config."))

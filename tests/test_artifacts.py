@@ -28,6 +28,8 @@ from openset_ssl.detect import read_scored_manifest, write_scored_manifest
 from openset_ssl.harness import write_curve_csv, write_sweep_table
 from openset_ssl.labeling import (
     PseudoLabels,
+    read_pseudo_label_manifest,
+    read_soft_label_manifest,
     write_pseudo_label_manifest,
     write_soft_label_manifest,
 )
@@ -264,17 +266,15 @@ line_breaks = st.sampled_from(["\r\n", "\n", "\r"])
 @given(header=st.sampled_from(["n,note", "n,note,x", "note,n", "x", "n,note,extra", "n,n,note"]),
        records=st.lists(st.tuples(st.lists(fields, max_size=4).map(",".join), line_breaks),
                         max_size=8),
-       cut=st.booleans(), default=st.sampled_from([float, None]), chunk=st.integers(1, 3))
+       cut=st.booleans(), default=st.sampled_from([float, None]))
 @example(header="n,note,x", records=[("1,a,b", "\r\n"), ("2.5,b,1", "\r\n"), ("1,a", "\r\n")],
-         cut=False, default=float, chunk=1)  # the short record outranks both bad fields
+         cut=False, default=float)  # the short record outranks both bad fields
 @example(header="n,note,x", records=[("1,a,b", "\r\n"), ("2.5,b,1", "\r\n")],
-         cut=False, default=float, chunk=1)  # column 'n' outranks the earlier 'x'
+         cut=False, default=float)  # column 'n' outranks the earlier 'x'
 @example(header="n,note,x", records=[("2.5,b,1", "\r\n"), ("1,a,b", "\r\n")],
-         cut=False, default=float, chunk=1)  # ... and the later 'x' does not displace it
-def test_streamed_read_matches_the_whole_file_read(tmp_path, header, records, cut, default,
-                                                   chunk):
-    # the same table or the same error, byte for byte, wherever the chunk
-    # boundaries fall among the faults
+         cut=False, default=float)  # ... and the later 'x' does not displace it
+def test_streamed_read_matches_the_whole_file_read(tmp_path, header, records, cut, default):
+    # the same table or the same error, byte for byte, wherever the faults sit
     body = header + "\r\n" + "".join(record + end for record, end in records)
     path = tmp_path / "t.csv"
     path.write_bytes((body[:-1] if cut and records else body).encode())
@@ -285,33 +285,7 @@ def test_streamed_read_matches_the_whole_file_read(tmp_path, header, records, cu
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    with mock.patch.object(artifacts, "_CHUNK_ROWS", chunk):
-        assert outcome(read_table) == outcome(helpers.reference_read_table)
-
-
-def test_read_peak_grows_only_by_the_kept_columns(tmp_path):
-    # a table 4x longer may raise the allocation peak by no more than the
-    # converted columns it returns; a whole-file read grows by the text
-    # and every field string
-    def measure(rows):
-        path = tmp_path / f"{rows}.csv"
-        rng = np.random.default_rng(rows)
-        x = rng.standard_normal((rows, 16))
-        dataset = Dataset(ids=np.arange(rows), x=x, label=np.full(rows, -1),
-                          truth=rng.integers(1, 17, rows), origin=np.full(rows, "out"))
-        write_dataset(path, dataset)
-        tracemalloc.start()
-        try:
-            table = read_table(path, {"id": int, "origin": str}, default=float)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(table["id"]) == rows
-        return kept, peak
-
-    short_kept, short_peak = measure(4 * artifacts._CHUNK_ROWS)
-    long_kept, long_peak = measure(16 * artifacts._CHUNK_ROWS)
-    assert long_peak - short_peak <= long_kept - short_kept + 2**19
+    assert outcome(read_table) == outcome(helpers.reference_read_table)
 
 
 NUMERIC = {"id": int, "label": int, "origin": one_of("in", "out")}  # other columns: float
@@ -377,21 +351,30 @@ def test_numeric_read_matches_the_reference(tmp_path, rows, corrupt, blank, line
 
 
 def test_written_tables_take_the_numpy_path(tmp_path):
-    # with the streaming reader out of reach, a written dataset and scored
-    # manifest still read back whole
+    # with the checked reader out of reach, every table a run reads back
+    # (dataset, scored manifest, soft and pseudo labels) still reads whole
     rng = np.random.default_rng(0)
     dataset = Dataset(ids=np.arange(50), x=rng.standard_normal((50, 3)),
                       label=rng.integers(-1, 3, 50), truth=rng.integers(1, 5, 50),
                       origin=np.where(rng.random(50) < 0.5, "in", "out"))
     sims, scores = rng.random((50, 2)), rng.standard_normal(50)
+    soft = rng.dirichlet(np.ones(4), 50)
+    pseudo = PseudoLabels(dataset.ids[:20], rng.integers(1, 5, 20), rng.random(20))
     write_dataset(tmp_path / "data.csv", dataset)
     write_scored_manifest(tmp_path / "scored.csv", dataset.ids, sims, scores, 0.0)
-    with mock.patch.object(artifacts, "_stream_table", side_effect=AssertionError("streamed")):
+    write_soft_label_manifest(tmp_path / "soft.csv", dataset.ids, soft)
+    write_pseudo_label_manifest(tmp_path / "pseudo.csv", pseudo)
+    with mock.patch.object(artifacts, "_checked_table", side_effect=AssertionError("checked")):
         loaded = read_dataset(tmp_path / "data.csv", 3)
         scored = read_scored_manifest(tmp_path / "scored.csv", 2)
+        soft_ids, soft_q = read_soft_label_manifest(tmp_path / "soft.csv", 4)
+        pseudo_read = read_pseudo_label_manifest(tmp_path / "pseudo.csv")
     for name in ("ids", "x", "label", "truth", "origin"):
         assert np.array_equal(getattr(loaded, name), getattr(dataset, name))
     for got, want in zip(scored, (dataset.ids, sims, scores, scores < 0.0)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(soft_ids, dataset.ids) and np.array_equal(soft_q, soft)
+    for got, want in zip(pseudo_read, pseudo):
         assert np.array_equal(got, want)
 
 

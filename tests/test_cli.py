@@ -472,6 +472,21 @@ class TestSweepAndReport:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "7"), ("--eta", "0.5")])
+    def test_eval_rejects_the_flags_it_never_reads(self, tmp_path, capsys, flag, value):
+        # eval recomputes a finished run under the config in its report
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--out-dir", str(tmp_path), flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_non_finite_value_is_rejected_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--out-dir", str(out), "--axis", "tau_sl",
+                       "--values", "0.1,inf,nan", *MICRO) == 1
+        assert "sweep axis 'tau_sl' value inf is not a finite real" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the sweep directory is made
+
     def test_failed_rerun_leaves_no_stale_curve_point(self, tmp_path):
         out = str(tmp_path / "sweep")
         sweep = ["sweep", "--out-dir", out, "--axis", "proportion", "--values", "0.5", *MICRO]

@@ -604,6 +604,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old, new, fault", [
         (b'"enc0.w"', b'"\xffnc0.w"',
          "'utf-8' codec can't decode byte 0xff in position 39: invalid start byte"),
+        (b'"arrays": [', b'"arrays": {',
+         "manifest: line 1, column 13: Expecting property name enclosed in double quotes"),
+        (b'"bn_epsilon": 1e-05', b'"bn_epsilon": NaN  ',
+         "manifest: line 1, column 1223: NaN is not a JSON value"),
         (b'"arrays"', b'"arrayz"', "manifest has no field 'arrays'"),
         (b'"shape"', b'"shapx"', "manifest has no field 'shape'"),
         (b'"embed_dim"', b'"embed_dix"',
@@ -618,7 +622,7 @@ class TestCheckpoint:
         (b'"head.b"', b'"head.w"', "array 'head.w' is unexpected"),
         (b'{"kind": "param", "name": "head.b", "shape": [1, 2]}, ', b' ' * 54,
          "array 'head.b' is missing"),
-    ], ids=["utf8", "key", "shape", "config", "version",
+    ], ids=["utf8", "json", "nan", "key", "shape", "config", "version",
             "array-shape", "array-kind", "array-unexpected", "array-repeated", "array-missing"])
     def test_manifest_fault_names_the_path_and_the_field(self, tmp_path, old, new, fault):
         path = tmp_path / "model.ckpt"
@@ -629,6 +633,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"checkpoint {path}: {fault}"
+
+    def test_nan_bn_epsilon_does_not_round_trip(self, tmp_path):
+        # the config refuses it, and a model that got one anyway is not saved
+        with pytest.raises(ValueError, match="bn_epsilon must be positive"):
+            build_model(ModelConfig(input_dim=3, bn_epsilon=float("nan")), 0)
+        model = build_model(ModelConfig(input_dim=3), 0)
+        object.__setattr__(model.config, "bn_epsilon", float("nan"))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(path, model)
+        assert not path.exists()
 
     def test_version_check(self, tmp_path):
         import json
