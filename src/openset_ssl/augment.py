@@ -1,15 +1,15 @@
 """Stochastic views of feature vectors: scale jitter, Gaussian noise,
 coordinate masking.
 
-Contract: a view is a function of (seed, stream, step, sample id, view
-index) only, never of the sample's position in the batch, of the batch
-around it or of the other views drawn in the same call.  Its numbers are
-drawn bit for bit from the generator
+Contract: a view is a function of its config and of (seed, stream, step,
+sample id, view index) only, never of the sample's position in the batch,
+of the batch around it or of the other views drawn in the same call,
+whatever their configs.  Its numbers are drawn bit for bit from
 `rng.stream(seed, config.stream, step, sample_id, view)`, in this order:
 one `uniform(lo, hi)` jitter factor, `standard_normal(dim)` noise, then
 `choice(dim, floor(mask_fraction * dim), replace=False)` coordinates to
-zero.  A null config (sigma 0, range [1, 1], mask 0) reproduces the
-input bit-exactly.
+zero in x * factor + noise_sigma * noise.  A null config (sigma 0, range
+[1, 1], mask 0) reproduces the input bit-exactly.
 
 Every row's stream is drawn in lockstep, as array code: the first
 1 + dim outputs of all streams at once (`rng.stream_outputs`), the
@@ -53,7 +53,8 @@ def augment_batch(batch, ids, config, seed, step, view):
     view indices, giving (k * n, dim) rows view-major: all n rows of the
     first view, then all n of the next.  The streams of every (id, view)
     pair are drawn in lockstep by one `rng.stream_outputs` call over a
-    (k * n, 2) block of subkeys.
+    (k * n, 2) block of subkeys.  `config` is one config for every view,
+    or k of them, one per view, that differ in `noise_sigma` alone.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -61,6 +62,13 @@ def augment_batch(batch, ids, config, seed, step, view):
     if len(ids) != len(batch):
         raise ValueError(f"{len(ids)} ids for a batch of {len(batch)} rows")
     views = rng_mod.key_array(view).reshape(-1)
+    configs = (config,) * len(views) if isinstance(config, AugmentConfig) else tuple(config)
+    if len(configs) != len(views):
+        raise ValueError(f"{len(configs)} augment configs for {len(views)} views")
+    config = configs[0]
+    for name in ("stream", "jitter_range", "mask_fraction"):
+        if any(getattr(c, name) != getattr(config, name) for c in configs):
+            raise ValueError(f"the augment configs of one call differ in {name}")
     n, dim = batch.shape
     keys = np.column_stack([np.tile(rng_mod.key_array(ids), len(views)), np.repeat(views, n)])
     raw, stepped = rng_mod.stream_outputs(seed, config.stream, step, keys, 1 + dim)
@@ -81,7 +89,7 @@ def augment_batch(batch, ids, config, seed, step, view):
         if n_mask:  # the stream's last draw: skipping an empty one changes nothing
             masked[row] = gen.choice(dim, size=n_mask, replace=False)
     out = np.tile(batch, (len(views), 1)) * factors[:, None]
-    out += config.noise_sigma * noise
+    out += np.repeat([c.noise_sigma for c in configs], n)[:, None] * noise
     if n_mask:
         out[np.arange(len(raw))[:, None], masked] = 0.0
     return out

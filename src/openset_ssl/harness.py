@@ -152,13 +152,25 @@ def load_benchmark(config):
     if config.dataset_dir:
         return read_benchmark(config.dataset_dir)
     bench = read_benchmark(os.path.join(config.out_dir, "dataset"))
-    want = replace(config.benchmark, seed=config.seed)
-    differ = [f.name for f in fields(want) if getattr(bench.spec, f.name) != getattr(want, f.name)]
-    if differ:
-        path = os.path.join(config.out_dir, "dataset", "spec.json")
-        raise ValueError(f"{path}: {differ[0]} is {getattr(bench.spec, differ[0])!r} where the "
-                         f"config gives {getattr(want, differ[0])!r}")
+    spec = os.path.join(config.out_dir, "dataset", "spec.json")
+    _hold_to_config(spec, bench.spec, replace(config.benchmark, seed=config.seed))
     return bench
+
+
+def _hold_to_config(path, found, want):
+    """Fail naming `path` and the first field where `found`, read there, is not `want`."""
+    differ = [f.name for f in fields(want) if getattr(found, f.name) != getattr(want, f.name)]
+    if differ:
+        raise ValueError(f"{path}: {differ[0]} is {getattr(found, differ[0])!r} where the "
+                         f"config gives {getattr(want, differ[0])!r}")
+
+
+def load_pretrained(config, bench):
+    """pretrained.ckpt, whose model config must be the one `config` gives."""
+    path = os.path.join(config.out_dir, "pretrained.ckpt")
+    model = load_checkpoint(path)
+    _hold_to_config(path, model.config, config.model.resolve(bench.spec.dim, bench.spec.in_classes))
+    return model
 
 
 def stage_pretrain(config, bench):
@@ -354,8 +366,7 @@ def stages():
     that a function replaced on this module (a tracer, a test double) runs."""
     return {
         "generate": Stage(prepare_benchmark, load_benchmark, "dataset"),
-        "pretrain": Stage(stage_pretrain, lambda config, bench: load_checkpoint(
-            os.path.join(config.out_dir, "pretrained.ckpt")), "pretrained.ckpt"),
+        "pretrain": Stage(stage_pretrain, load_pretrained, "pretrained.ckpt"),
         "detect": Stage(stage_detect, lambda config, bench, model: load_detect_outcome(
             config.out_dir, bench, config.detection), "scored.csv"),
         "label": Stage(stage_label, lambda config, bench, model, det: load_pseudo_labels(

@@ -126,11 +126,8 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
         return None, None
     aug = config.augment
     if config.backend == "hard-pseudo":  # a weak view and a strong one
-        v1 = augment_batch(u_x, u_ids, aug, seed, step, 0)
-        strong = replace(aug, noise_sigma=2.0 * aug.noise_sigma)
-        v2 = augment_batch(u_x, u_ids, strong, seed, step, 1)
-    else:  # both views from one family: one call, view-major
-        v1, v2 = np.split(augment_batch(u_x, u_ids, aug, seed, step, (0, 1)), 2)
+        aug = (aug, replace(aug, noise_sigma=2.0 * aug.noise_sigma))
+    v1, v2 = np.split(augment_batch(u_x, u_ids, aug, seed, step, (0, 1)), 2)  # view-major
     logits = forward(model, v1, branch="main", mode="eval", heads=LOGITS).logits
     target_probs = softmax_rows(logits)
     if config.backend == "hard-pseudo":

@@ -228,6 +228,16 @@ def reference_augment_batch(batch, ids, config, seed, step, view):
     return out
 
 
+def reference_nesterov_step(params, velocity, grads, lr, mu):
+    """One `optim.NesterovSGD` step, parameter by parameter, into fresh
+    arrays: v = mu*v + g; p = p - lr*(g + mu*v), an absent gradient zero."""
+    for name, p in params.items():
+        g = grads.get(name)
+        g = np.zeros_like(p) if g is None else g
+        velocity[name] = mu * velocity[name] + g
+        params[name] = p - lr * (g + mu * velocity[name])
+
+
 def reference_pretrain_batches(gen, n, batch_size, steps):
     """The index batches `contrastive.pretrain` drew from `gen` by list
     slicing: a fresh permutation whenever fewer than a batch remained."""

@@ -208,6 +208,26 @@ class TestStagedPipeline:
                        "--seed", "1") == 1
         assert capsys.readouterr().err == f"error: {path}: seed is 0 where the config gives 1\n"
 
+    @pytest.mark.parametrize("stage", ["detect", "label", "train"])
+    def test_pretrained_model_of_another_model_config_is_rejected(self, tmp_path, capsys, stage):
+        # a report would claim the config's hidden layer over the checkpoint's
+        out = tmp_path / "run"
+        for earlier in ("generate", "pretrain"):
+            assert run_cli(earlier, "--out-dir", str(out), *MICRO) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"hidden_dims": [16], "bn_momentum": 0.5}}))
+        before = run_dir(out)
+        capsys.readouterr()
+        assert run_cli(stage, "--out-dir", str(out), *MICRO, "--config", str(config)) == 1
+        path = out / "pretrained.ckpt"
+        assert capsys.readouterr().err == (
+            f"error: {path}: hidden_dims is (64,) where the config gives (16,)\n")
+        assert run_dir(out) == before
+        config.write_text(json.dumps({"model": {"bn_momentum": 0.5}}))
+        assert run_cli(stage, "--out-dir", str(out), *MICRO, "--config", str(config)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: bn_momentum is 0.1 where the config gives 0.5\n")
+
     def test_report_of_a_given_dataset_holds_its_spec(self, tmp_path, capsys):
         gen, out = str(tmp_path / "gen"), str(tmp_path / "run")
         assert run_cli("generate", "--out-dir", gen, *MICRO, "--proportion", "0.2") == 0

@@ -2,6 +2,7 @@
 evaluation, and pretraining behavior."""
 
 import re
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -216,6 +217,46 @@ class TestAugment:
         assert augment_batch(batch, ids, cfg, 1, 2, (0, 1)).tobytes() == expected.tobytes()
         assert augment_batch(np.zeros((0, 8)), [], cfg, 1, 2, (0, 1)).shape == (0, 8)
 
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 2**40), max_size=9),
+        # 16 wide, a row's noise often leaves the ziggurat's one-output path
+        dim=st.sampled_from([3, 8, 16]),
+        mask_fraction=st.sampled_from([0.0, 0.25]),
+        sigma=st.sampled_from([0.0, 0.3, 0.8]),
+        seed=st.integers(0, 2**40),
+        step=st.integers(0, 2**33),
+    )
+    def test_a_config_per_view_matches_a_call_per_view(self, ids, dim, mask_fraction, sigma,
+                                                       seed, step):
+        # the hard-pseudo weak and strong views, as prepare_consistency draws them
+        weak = AugmentConfig(noise_sigma=sigma, mask_fraction=mask_fraction, stream="train.augment")
+        strong = AugmentConfig(noise_sigma=2 * sigma, mask_fraction=mask_fraction,
+                               stream="train.augment")
+        batch = np.random.default_rng(seed % 1000).standard_normal((len(ids), dim))
+        got = augment_batch(batch, ids, (weak, strong), seed, step, (0, 1))
+        expected = np.concatenate([augment_batch(batch, ids, weak, seed, step, 0),
+                                   augment_batch(batch, ids, strong, seed, step, 1)])
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        # one config given once per view is that config for every view
+        alike = augment_batch(batch, ids, (weak, weak), seed, step, (0, 1))
+        assert alike.tobytes() == augment_batch(batch, ids, weak, seed, step, (0, 1)).tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("stream", "other.augment"), ("jitter_range", (0.5, 1.5)), ("mask_fraction", 0.25),
+    ])
+    def test_configs_of_one_call_differing_beyond_the_noise_are_rejected(self, field, value):
+        base = AugmentConfig(noise_sigma=0.3, mask_fraction=0.0)
+        other = replace(base, noise_sigma=0.6, **{field: value})
+        with pytest.raises(ValueError, match=f"differ in {field}$"):
+            augment_batch(np.zeros((2, 4)), [1, 2], (base, other), 0, 0, (0, 1))
+
+    @pytest.mark.parametrize("count, view", [(1, (0, 1)), (2, 0), (3, (0, 1)), (0, (0,))])
+    def test_a_config_count_other_than_the_view_count_is_rejected(self, count, view):
+        configs = (AugmentConfig(),) * count
+        with pytest.raises(ValueError, match=f"^{count} augment configs for "):
+            augment_batch(np.zeros((2, 4)), [1, 2], configs, 0, 0, view)
 
 def matrix_loss_value(projections, tau):
     model = build_model(ModelConfig(input_dim=2, embed_dim=2, proj_dim=2), seed=0)
