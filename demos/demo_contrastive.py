@@ -35,7 +35,7 @@ model, trace = pretrain(model, pool, bench.unlabeled.ids, config, seed=0)
 losses = [v for _, v in trace]
 print(f"loss: first 10% mean {np.mean(losses[:30]):.3f} -> last 10% mean {np.mean(losses[-30:]):.3f}")
 
-proj = forward(model, pool).projection
+proj = forward(model, pool, "projection")
 sims = cosine_similarity(proj, proj)
 rng = np.random.default_rng(2)
 same, diff = [], []

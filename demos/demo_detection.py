@@ -14,13 +14,15 @@ from openset_ssl.contrastive import ContrastiveConfig, pretrain
 from openset_ssl.data import BenchmarkSpec, generate
 from openset_ssl.detect import (
     DetectionConfig,
-    compute_prototypes,
     compute_threshold,
+    detection_score,
     out_mask,
+    project,
+    prototypes_from_projections,
     score_samples,
 )
 from openset_ssl.metrics import auroc, tpr_tnr
-from openset_ssl.model import ModelConfig, build_model
+from openset_ssl.model import ModelConfig, build_model, cosine_similarity
 
 spec = BenchmarkSpec(
     dim=16, in_classes=8, out_classes=8, separation=6.0,
@@ -41,8 +43,9 @@ pool = np.concatenate([bench.labeled.x, bench.unlabeled.x])
 ids = np.concatenate([bench.labeled.ids, bench.unlabeled.ids])
 model, _ = pretrain(model, pool, ids, config, seed=0)
 
-protos = compute_prototypes(bench.labeled.x, bench.labeled.label, model)
-_, labeled_scores = score_samples(bench.labeled.x, protos, model)
+labeled = project(model, bench.labeled.x)
+protos = prototypes_from_projections(labeled, bench.labeled.label, spec.in_classes)
+labeled_scores = detection_score(cosine_similarity(labeled, protos))
 threshold, mu, sigma = compute_threshold(labeled_scores, DetectionConfig(eta=2.0))
 print(f"labeled scores: mu={mu:.3f} sigma={sigma:.3f} -> threshold t={threshold:.3f}")
 

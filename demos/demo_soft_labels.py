@@ -11,7 +11,7 @@ import numpy as np
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig, pretrain
 from openset_ssl.data import BenchmarkSpec, generate
-from openset_ssl.detect import compute_prototypes, score_samples
+from openset_ssl.detect import project, prototypes_from_projections, score_samples
 from openset_ssl.labeling import soft_label
 from openset_ssl.model import ModelConfig, build_model
 
@@ -37,7 +37,9 @@ def soft_label_profile(mode, seed=0):
     ids = np.concatenate([bench.labeled.ids, bench.unlabeled.ids])
     model, _ = pretrain(model, pool, ids, config, seed=seed)
 
-    protos = compute_prototypes(bench.labeled.x, bench.labeled.label, model)
+    protos = prototypes_from_projections(
+        project(model, bench.labeled.x), bench.labeled.label, spec.in_classes
+    )
     out_rows = bench.unlabeled.origin == "out"
     sims, _ = score_samples(bench.unlabeled.x[out_rows], protos, model)
     return float(soft_label(sims, tau_sl=0.1).max(axis=1).mean())

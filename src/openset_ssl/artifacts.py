@@ -53,6 +53,22 @@ _UNLIKE_CSV = b'"\0\x1c\x1d\x1e\x1f'
 _STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN')
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a config field's annotation -> (the test a document's value for it
+# passes, what the field takes); a field whose default is None also takes None
+_LEAVES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a real"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+            "a list of numbers"),
+}
+
+
 def optional_real(value):
     """A real as a TEXT field, None as an empty one."""
     return "" if value is None else REAL % value
@@ -197,7 +213,7 @@ def _checked_table(path, converters, default):
 
     def fail(record, col, reason):
         name = repr(header[col]) if col < width else f"#{col + 1}"
-        raise ValueError(f"{path}: line {_record_line(path, record)}, column {name}: {reason}")
+        raise ValueError(f"{path}: line {record_line(path, record)}, column {name}: {reason}")
 
     for name in converters:
         if name not in header:
@@ -236,12 +252,12 @@ def real_columns(path, table, names):
     if bad.any():
         col = bad.any(axis=1).argmax()
         row = bad[col].argmax()
-        raise ValueError(f"{path}: line {_record_line(path, row + 1)}, column {names[col]!r}: "
+        raise ValueError(f"{path}: line {record_line(path, row + 1)}, column {names[col]!r}: "
                          f"'{x[col, row]}' is not a finite real")
     return x.T.copy()
 
 
-def _record_line(path, record):
+def record_line(path, record):
     """The physical line record `record` (0 is the header) starts on;
     fields may hold line breaks."""
     with open(path, newline="") as fh:
@@ -284,7 +300,9 @@ def from_dict(cls, doc, base=None, prefix=""):
     has `document` False.  Strict without `base`: an unknown key fails first,
     at each level, then nested sections are read, then the first missing field
     in field order raises KeyError, dotted from the root (`prefix` is `doc`'s path).
-    Overlay: `base` with the given fields replaced.  A null section is an absent one."""
+    Overlay: `base` with the given fields replaced.  A null section is an absent one.
+    A leaf of the wrong JSON type for its field's annotation (`_LEAVES`)
+    fails naming its dotted key."""
     by_key = {"lambda" if f.name == "lam" else f.name: f
               for f in fields(cls) if f.metadata.get("document", True)}
     unknown = sorted(set(doc) - set(by_key))
@@ -297,8 +315,12 @@ def from_dict(cls, doc, base=None, prefix=""):
             continue
         if is_dataclass(f.type):
             value = from_dict(f.type, value, getattr(base, f.name, None), f"{prefix}{key}.")
-        elif f.type is tuple:
-            value = tuple(value)
+        else:
+            fits, takes = _LEAVES[f.type]
+            if not (fits(value) or value is None and f.default is None):
+                raise ValueError(f"{prefix}{key} must be {takes}, got {value!r}")
+            if f.type is tuple:
+                value = tuple(value)
         values[f.name] = value
     if base is not None:
         return replace(base, **values)

@@ -11,7 +11,7 @@ import numpy as np
 from . import rng as rng_mod
 from .artifacts import INT, REAL, write_table
 from .augment import AugmentConfig, augment_batch
-from .model import GraphBuilder, commit_batch_stats, forward
+from .model import GraphBuilder, commit_batch_stats
 from .optim import NesterovSGD, cosine_lr
 
 _CALIBRATION_PASSES = 2  # over the clean pool after pretraining
@@ -129,12 +129,14 @@ def calibrate_running_stats(model, pool, batch_size, seed):
 
     Pretraining observes augmented views only, so its running statistics
     carry the augmentation noise; downstream scoring and fine-tuning
-    evaluate clean inputs.  Two seeded train-mode passes over the clean
-    pool realign them (no parameters move).
+    evaluate clean inputs.  Two seeded passes of train-mode graphs over the
+    clean pool realign them, folded in as a fitting step's (no parameters move).
     """
     batches = _epochs(rng_mod.stream(seed, "pretrain.calibrate"), len(pool), batch_size)
     for idx in islice(batches, _CALIBRATION_PASSES * (len(pool) // batch_size)):
-        forward(model, pool[idx], branch="main", mode="train", heads=())
+        builder = GraphBuilder(model)
+        nodes = builder.forward(builder.const(pool[idx]), mode="train", heads=())
+        commit_batch_stats(model, nodes.batch_stats)
 
 
 def _epochs(gen, n, batch_size):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import INT, REAL, TEXT, one_of, read_table, real_columns, write_table
+from .artifacts import INT, REAL, TEXT, one_of, read_table, real_columns, record_line, write_table
 from .model import cosine_similarity, forward
 
 
@@ -31,7 +31,7 @@ class DetectionConfig:
 def project(model, x):
     """Eval-mode main-branch projections g(f_e(x)) for a feature matrix."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return forward(model, x, branch="main", mode="eval", heads=("projection",)).projection
+    return forward(model, x, "projection")
 
 
 def prototypes_from_projections(projections, labels, num_classes):
@@ -46,15 +46,6 @@ def prototypes_from_projections(projections, labels, num_classes):
             raise ValueError(f"class {c} has no labeled samples")
         means.append(rows.mean(axis=0))
     return np.stack(means)
-
-
-def compute_prototypes(labeled_x, labeled_y, model, num_classes=None):
-    """Prototype matrix of labeled features through the frozen model."""
-    if num_classes is None:
-        num_classes = model.config.num_classes
-    return prototypes_from_projections(
-        project(model, labeled_x), labeled_y, num_classes
-    )
 
 
 def detection_score(sims):
@@ -111,11 +102,19 @@ def write_scored_manifest(path, ids, sims, scores, threshold):
 
 def read_scored_manifest(path, classes):
     """(ids, sims, scores, out) columns of a scored manifest of `classes`
-    prototypes; `out` is the mask of rows whose split reads "out"."""
+    prototypes; `out` is the mask of rows whose split reads "out".  Every
+    score must be its row's largest similarity: both read back bit for bit."""
     names = [f"sim_{c}" for c in range(1, classes + 1)]
     cols = read_table(path, {"sample_id": int, **dict.fromkeys(names, float), "score": float,
                              "split": one_of("in", "out")})
     sims = real_columns(path, cols, names)
     scores = real_columns(path, cols, ["score"])[:, 0]
+    best = detection_score(sims)
+    wrong = np.flatnonzero(scores != best)
+    if wrong.size:
+        row = wrong[0]
+        raise ValueError(f"{path}: line {record_line(path, row + 1)}, column 'score': "
+                         f"{float(scores[row])!r} is not the row's largest similarity "
+                         f"{float(best[row])!r}")
     # a copy: a view would keep the whole table read
     return cols["sample_id"].copy(), sims, scores, cols["split"] == "out"

@@ -38,9 +38,11 @@ from .contrastive import ContrastiveConfig, pretrain
 from .data import BenchmarkSpec, generate, read_benchmark, write_benchmark
 from .detect import (
     DetectionConfig,
-    compute_prototypes,
     compute_threshold,
+    detection_score,
     out_mask,
+    project,
+    prototypes_from_projections,
     read_scored_manifest,
     score_samples,
     write_scored_manifest,
@@ -59,7 +61,7 @@ from .labeling import (
     soft_label,
 )
 from .metrics import auroc, median_last_n, tpr_tnr
-from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from .model import ModelConfig, build_model, cosine_similarity, load_checkpoint, save_checkpoint
 from .train import SSLConfig, init_train_state, one_hot, train
 
 # each sweep axis -> the (section, field) of `ExperimentConfig` it sets
@@ -77,6 +79,9 @@ class ModelShape:
     proj_dim: int = 16
     bn_epsilon: float = 1e-5
     bn_momentum: float = 0.1
+
+    def __post_init__(self):  # a bad shape fails where the config is read
+        self.resolve(1, 2)
 
     def resolve(self, input_dim, num_classes):
         return ModelConfig(input_dim=input_dim, num_classes=num_classes, **asdict(self))
@@ -225,8 +230,10 @@ class DetectOutcome:
 
 
 def stage_detect(config, bench, model):
-    protos = compute_prototypes(bench.labeled.x, bench.labeled.label, model)
-    labeled_sims, labeled_scores = score_samples(bench.labeled.x, protos, model)
+    labeled = project(model, bench.labeled.x)  # feeds the prototypes and the labeled scores
+    protos = prototypes_from_projections(labeled, bench.labeled.label, model.config.num_classes)
+    labeled_sims = cosine_similarity(labeled, protos)
+    labeled_scores = detection_score(labeled_sims)
     sims, scores = score_samples(bench.unlabeled.x, protos, model)
     det = detect_outcome(labeled_scores, bench.unlabeled, sims, scores, config.detection)
     write_scored_manifest(

@@ -62,7 +62,7 @@ def train_linear_eval(model, labeled_x, labeled_y, config, seed):
     """
     if len(labeled_x) == 0:
         raise ValueError("labeled set is empty")
-    emb = forward(model, np.asarray(labeled_x, dtype=np.float64), heads=()).embedding
+    emb = forward(model, labeled_x, "embedding")
     n, d = emb.shape
     c = model.config.num_classes
     onehot = one_hot(labeled_y, c)
@@ -99,7 +99,7 @@ def select_topk(in_ids, in_x, head, model, k_fraction):
     if not 0.0 < k_fraction <= 1.0:
         raise ValueError("k_fraction must lie in (0, 1]")
     in_ids = np.asarray(in_ids, dtype=np.int64)
-    emb = forward(model, np.asarray(in_x, dtype=np.float64), heads=()).embedding
+    emb = forward(model, in_x, "embedding")
     probs = head.probabilities(emb)
     conf = probs.max(axis=1)
     order = np.lexsort((in_ids, -conf))[: topk_count(k_fraction, len(in_ids))]

@@ -15,19 +15,20 @@ classifier head is a single dense layer over the embedding (the linear-
 evaluation convention).  A forward pass builds only the heads its caller
 asks for: contrastive pretraining and detection read the projection,
 fine-tuning and evaluation the logits, labeling and statistics
-calibration neither.  A head that is not built puts no node on the tape,
-so its parameters get no gradient and an optimizer step leaves them be.
+calibration the embedding alone.  A head that is not built puts no node
+on the tape, so its parameters get no gradient and an optimizer step
+leaves them be.
 
-The plain `forward` runs an eval-mode batch in even blocks of at most
-`_EVAL_ROWS` rows, one graph per block, and copies each block's heads
-into their rows of the result.  Eval-mode rows are independent of each
-other, so the working set is one block's tape whatever the batch size:
-scoring the whole unlabeled pool does not keep a pool-sized copy of
-every intermediate alive.  Train mode runs the whole batch as one graph,
-because its batch statistics must cover every row.
+The plain `forward` returns one head of an eval-mode main-branch pass and
+moves no parameter or statistic.  It runs even blocks of at most
+`_EVAL_ROWS` rows, one graph each, so the working set is one block's tape
+whatever the batch size: eval-mode rows are independent of each other.
+A train-mode pass is a `GraphBuilder` graph whose batch moments the
+caller folds into the running statistics with `commit_batch_stats`.
 """
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -41,7 +42,7 @@ CHECKPOINT_VERSION = 1
 
 BRANCHES = ("main", "aux")
 MODES = ("train", "eval")
-HEADS = ("projection", "logits")
+HEADS = ("embedding", "projection", "logits")
 
 _EVAL_ROWS = 512
 
@@ -57,6 +58,9 @@ class ModelConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                   for d in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be integers, got {list(self.hidden_dims)}")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if self.input_dim < 1 or self.embed_dim < 1 or self.proj_dim < 1:
             raise ValueError("dimensions must be positive")
@@ -128,13 +132,6 @@ class ForwardNodes:
     batch_stats: list
 
 
-@dataclass
-class ForwardResult:
-    embedding: np.ndarray
-    projection: np.ndarray | None
-    logits: np.ndarray | None
-
-
 class GraphBuilder:
     """One differentiable pass: owns a graph and lazily created param nodes."""
 
@@ -174,8 +171,9 @@ class GraphBuilder:
         return g.apply("affine-relu", [normed, scale, shift]), batch_stats
 
     def forward(self, x_id, branch="main", mode="eval", heads=HEADS):
-        """Encoder -> (embedding, projection, logits) node ids; of the
-        heads only those named in `heads` are built, the others are None.
+        """Encoder -> (embedding, projection, logits) node ids; the
+        embedding is always built, of the other heads only those named in
+        `heads`, and the others are None.
 
         Train mode normalizes by batch statistics and reports them in
         `batch_stats`; committing them to the model's running statistics
@@ -231,43 +229,33 @@ def _check_batch(batch, config):
         )
 
 
-def _block_heads(model, block, branch, mode, heads):
-    """(embedding, projection, logits) values of one graph over `block`;
-    the graph and its other intermediates die on return."""
+def _block_head(model, block, head):
+    """`head`'s values of one eval-mode graph over `block`; the graph and
+    its other intermediates die on return."""
     builder = GraphBuilder(model)
-    nodes = builder.forward(builder.const(block), branch=branch, mode=mode, heads=heads)
-    if mode == "train":
-        commit_batch_stats(model, nodes.batch_stats)
-    ids = (nodes.embedding, nodes.projection, nodes.logits)
-    return [None if i is None else builder.graph.value(i) for i in ids]
+    nodes = builder.forward(builder.const(block), heads=(head,))
+    return builder.graph.value(getattr(nodes, head))
 
 
-def forward(model, batch, branch="main", mode="eval", heads=HEADS):
-    """Plain forward pass returning values (not nodes); a head not named
-    in `heads` is not computed and reads None.
-
-    Train mode is one graph over the whole batch, whose moments update
-    the selected branch's running statistics.  Eval mode is a pure
-    function of (parameters, running statistics, input) row by row, so
-    it runs at most `_EVAL_ROWS` rows per graph and its working set stays
-    one block's tape however many rows the batch has.
-    """
+def forward(model, batch, head="embedding"):
+    """The values of `head` (one of `HEADS`, by default the embedding) over
+    `batch`: eval mode on the main branch, a pure function of (parameters,
+    running statistics, input) row by row.  It runs at most `_EVAL_ROWS`
+    rows per graph, so its working set stays one block's tape however many
+    rows the batch has."""
     batch = np.asarray(batch, dtype=np.float64)
     _check_batch(batch, model.config)
     n = len(batch)
     # as even as possible: a one-row remainder block would go through
     # numpy's vector-matrix product, which rounds differently
-    parts = 1 if mode == "train" else max(-(-n // _EVAL_ROWS), 1)
     out, start = None, 0
-    for block in np.array_split(batch, parts):
-        values = _block_heads(model, block, branch, mode, heads)
+    for block in np.array_split(batch, max(-(-n // _EVAL_ROWS), 1)):
+        values = _block_head(model, block, head)
         if out is None:
-            out = [None if v is None else np.empty((n, v.shape[1])) for v in values]
-        for rows, v in zip(out, values):
-            if v is not None:
-                rows[start : start + len(block)] = v
+            out = np.empty((n, values.shape[1]))
+        out[start : start + len(block)] = values
         start += len(block)
-    return ForwardResult(*out)
+    return out
 
 
 def cosine_similarity(a, b):

@@ -128,7 +128,7 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
     if config.backend == "hard-pseudo":  # a weak view and a strong one
         aug = (aug, replace(aug, noise_sigma=2.0 * aug.noise_sigma))
     v1, v2 = np.split(augment_batch(u_x, u_ids, aug, seed, step, (0, 1)), 2)  # view-major
-    logits = forward(model, v1, branch="main", mode="eval", heads=LOGITS).logits
+    logits = forward(model, v1, "logits")
     target_probs = softmax_rows(logits)
     if config.backend == "hard-pseudo":
         kept = (target_probs.max(axis=1) > config.confidence_threshold)[:, None]
@@ -236,7 +236,7 @@ def one_hot(labels, num_classes):
 
 def evaluate_accuracy(model, x, y):
     """Eval-mode main-branch argmax accuracy against 1-based labels."""
-    logits = forward(model, np.asarray(x, dtype=np.float64), heads=LOGITS).logits
+    logits = forward(model, x, "logits")
     pred = logits.argmax(axis=1) + 1
     return float((pred == np.asarray(y, dtype=np.int64)).mean())
 

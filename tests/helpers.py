@@ -10,7 +10,7 @@ import numpy as np
 from openset_ssl import rng
 from openset_ssl.autodiff import DiffGraph, grad_check
 from openset_ssl.contrastive import GraphLoss
-from openset_ssl.model import GraphBuilder
+from openset_ssl.model import GraphBuilder, commit_batch_stats
 from openset_ssl.train import LOGITS, build_step_loss
 
 
@@ -54,6 +54,17 @@ def scalar_fn(build, reduce_weights=None):
 
     fn.gradient = gradient
     return fn
+
+
+def train_forward(model, x, branch="main", head="embedding"):
+    """`head`'s values of one train-mode graph over the whole batch `x`
+    on `branch`, whose batch moments fold into that branch's running
+    statistics, as a fitting step's do."""
+    builder = GraphBuilder(model)
+    nodes = builder.forward(builder.const(np.asarray(x, dtype=np.float64)), branch=branch,
+                            mode="train", heads=(head,))
+    commit_batch_stats(model, nodes.batch_stats)
+    return builder.graph.value(getattr(nodes, head))
 
 
 def reference_batch_norm(g, h_id, eps):

@@ -18,6 +18,7 @@ from helpers import (
     combined_param_gradcheck,
     relu_kink_margin,
     scalar_fn,
+    train_forward,
 )
 from openset_ssl.augment import AugmentConfig, augment_batch
 from openset_ssl.autodiff import grad_check
@@ -298,9 +299,7 @@ def test_criterion_02_contrastive_oracle_equivalence():
         )
         v1 = augment_batch(batch, range(n), cfg.augment, 9, 0, 0)
         v2 = augment_batch(batch, range(n), cfg.augment, 9, 0, 1)
-        projections = forward(
-            twin, np.concatenate([v1, v2]), branch="main", mode="train"
-        ).projection
+        projections = train_forward(twin, np.concatenate([v1, v2]), head="projection")
         worst = max(worst, abs(loss.value - brute_force_pair_loss(list(projections), 0.5)))
         if n == 1:
             n1_loss = loss.value
@@ -419,7 +418,7 @@ def test_criterion_04_labeling_exactness():
     pool = rng.standard_normal((43, 4)) * 3
     ids = list(range(100, 143))
     picked = select_topk(ids, pool, head, model, k_fraction=0.25)
-    emb = forward(model, pool).embedding
+    emb = forward(model, pool, "embedding")
     conf = head.probabilities(emb).max(axis=1)
     order = sorted(range(43), key=lambda i: (-conf[i], ids[i]))
     expected_ids = [ids[i] for i in order[: int(np.ceil(0.25 * 43))]]

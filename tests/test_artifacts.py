@@ -357,7 +357,8 @@ def test_written_tables_take_the_numpy_path(tmp_path):
     dataset = Dataset(ids=np.arange(50), x=rng.standard_normal((50, 3)),
                       label=rng.integers(-1, 3, 50), truth=rng.integers(1, 5, 50),
                       origin=np.where(rng.random(50) < 0.5, "in", "out"))
-    sims, scores = rng.random((50, 2)), rng.standard_normal(50)
+    sims = rng.uniform(-1.0, 1.0, (50, 2))
+    scores = sims.max(axis=1)  # a score is its row's largest similarity
     soft = rng.dirichlet(np.ones(4), 50)
     pseudo = PseudoLabels(dataset.ids[:20], rng.integers(1, 5, 20), rng.random(20))
     write_dataset(tmp_path / "data.csv", dataset)

@@ -297,6 +297,23 @@ class TestStagedPipeline:
             f"error: {path}: sample_id {fields[0].decode()}: split "
         )
 
+    @pytest.mark.parametrize("name", ["scored.csv", "scored_labeled.csv"])
+    def test_eval_names_a_score_that_is_not_its_rows_largest_similarity(
+        self, tmp_path, capsys, name
+    ):
+        # a lowered labeled score would move mu, sigma and the threshold
+        out = str(tmp_path / "full")
+        assert run_cli("run", "--out-dir", out, *MICRO) == 0
+        path = tmp_path / "full" / name
+        lines = path.read_bytes().split(b"\r\n")
+        fields = lines[2].split(b",")
+        fields[-2] = b"%.17g" % (float(fields[-2]) - 1e-3)
+        lines[2] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        assert run_cli("eval", "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 3, column 'score': ")
+
 
 class TestDocumentFieldErrors:
     """A field missing from, or unknown to, a document a command reads back
@@ -596,6 +613,22 @@ class TestConfigFile:
         path.write_text(text)
         out = tmp_path / "bad"
         assert run_cli("generate", "--out-dir", str(out), "--config", str(path), *MICRO) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # each ran, or failed in a stage, without naming the file
+        ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+        ('{"model": {"hidden_dims": [16.5]}}', "hidden_dims must be integers, got [16.5]"),
+        ('{"ssl": {"batch_size": 4.0}}', "ssl.batch_size must be an integer, got 4.0"),
+        ('{"ssl": {"detect": 0}}', "ssl.detect must be true or false, got 0"),
+    ], ids=["seed", "hidden-dims", "batch-size", "detect"])
+    def test_config_leaf_of_another_type_fails_naming_the_file(self, tmp_path, capsys, text,
+                                                                message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "bad"
+        assert run_cli("run", "--out-dir", str(out), "--config", str(path), *MICRO) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 

@@ -14,6 +14,7 @@ from helpers import (
     reference_augment_batch,
     reference_calibration_batches,
     reference_pretrain_batches,
+    train_forward,
 )
 from openset_ssl import augment as augment_module
 from openset_ssl import rng as rng_mod
@@ -27,7 +28,7 @@ from openset_ssl.contrastive import (
     pretrain,
     simclr_batch_loss,
 )
-from openset_ssl.model import GraphBuilder, ModelConfig, build_model, forward
+from openset_ssl.model import GraphBuilder, ModelConfig, build_model
 
 
 def brute_force_pair_loss(projections, tau):
@@ -337,7 +338,7 @@ class TestSimclrBatchLoss:
             v1 = ab(batch, range(n), cfg.augment, 9, 0, 0)
             v2 = ab(batch, range(n), cfg.augment, 9, 0, 1)
             views = np.concatenate([v1, v2])
-            projections = forward(twin, views, branch="main", mode="train").projection
+            projections = train_forward(twin, views, head="projection")
             ref = brute_force_pair_loss(list(projections), cfg.tau_con)
             assert abs(loss.value - ref) < 1e-10
 
@@ -446,6 +447,6 @@ class TestEpochs:
         calibrate_running_stats(found, pool, batch_size, seed)
         ref = rng_mod.stream(seed, "pretrain.calibrate")
         for take in reference_calibration_batches(ref, n, batch_size, _CALIBRATION_PASSES):
-            forward(expected, pool[take], branch="main", mode="train", heads=())
+            train_forward(expected, pool[take])  # a GraphBuilder graph, moments committed
         assert {k: v.tobytes() for k, v in found.stats.items()} == {
             k: v.tobytes() for k, v in expected.stats.items()}

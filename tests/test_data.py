@@ -231,6 +231,15 @@ class TestDatasetFiles:
             read_benchmark(tmp_path / "bench")
         assert str(spec) in str(err.value) and "dims" in str(err.value)
 
+    def test_non_integer_spec_dim_names_file_and_key(self, tmp_path):
+        # not cut to 6 where the dataset is read: the spec is what it claims
+        write_benchmark(tmp_path / "bench", generate(small_spec()))
+        spec = tmp_path / "bench" / "spec.json"
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "dim": 6.0}))
+        with pytest.raises(ValueError) as err:
+            read_benchmark(tmp_path / "bench")
+        assert str(err.value) == f"{spec}: dim must be an integer, got 6.0"
+
     def test_missing_spec_key_names_file_and_key(self, tmp_path):
         # a missing key must not read as the BenchmarkSpec default
         write_benchmark(tmp_path / "bench", generate(small_spec()))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from openset_ssl.detect import (
     DetectionConfig,
-    compute_prototypes,
     compute_threshold,
     detection_score,
     out_mask,
@@ -34,8 +33,8 @@ class TestPrototypes:
     def test_single_sample_class_is_its_projection(self):
         model = model_with_dim(num_classes=2)
         x = np.random.default_rng(0).standard_normal((2, 6))
-        protos = compute_prototypes(x, np.array([1, 2]), model)
         projections = project(model, x)
+        protos = prototypes_from_projections(projections, np.array([1, 2]), 2)
         assert np.allclose(protos[0], projections[0], atol=0)
         assert np.allclose(protos[1], projections[1], atol=0)
 
@@ -86,7 +85,7 @@ class TestSimilaritiesAndScore:
         model = model_with_dim()
         labeled_x = rng.standard_normal((9, 6))
         labels = np.tile([1, 2, 3], 3)
-        protos = compute_prototypes(labeled_x, labels, model)
+        protos = prototypes_from_projections(project(model, labeled_x), labels, 3)
         x = rng.standard_normal(6)
         sims = score_samples(x[None], protos, model)[0][0]
         p = project(model, x)[0]
@@ -110,7 +109,7 @@ class TestSimilaritiesAndScore:
         rng = np.random.default_rng(4)
         model = model_with_dim()
         labeled_x = rng.standard_normal((6, 6))
-        protos = compute_prototypes(labeled_x, np.tile([1, 2, 3], 2), model)
+        protos = prototypes_from_projections(project(model, labeled_x), np.tile([1, 2, 3], 2), 3)
         _, scores = score_samples(rng.standard_normal((50, 6)), protos, model)
         assert scores.shape == (50,)
         for score in scores:

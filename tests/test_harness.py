@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from openset_ssl import detect as detect_mod
+from openset_ssl import harness as harness_mod
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig
 from openset_ssl.data import BenchmarkSpec
@@ -197,6 +199,20 @@ class TestDetectOutcome:
             assert (det.metrics is None) == (case in ("p0", "p1")), case
             assert len(det.in_set) + len(det.out_set) == len(bench.unlabeled), case
 
+    def test_each_row_set_is_projected_once(self, tmp_path, monkeypatch):
+        # one pass over the labeled set feeds its prototypes and its scores
+        cfg = micro_config(tmp_path / "run")
+        os.makedirs(cfg.out_dir)
+        bench = prepare_benchmark(cfg)
+        model = stage_pretrain(cfg, bench)
+        projected = []
+        project = detect_mod.project
+        for module in (detect_mod, harness_mod):  # `score_samples` and `stage_detect`
+            monkeypatch.setattr(module, "project",
+                                lambda model, x: projected.append(len(x)) or project(model, x))
+        stage_detect(cfg, bench, model)
+        assert projected == [len(bench.labeled), len(bench.unlabeled)]
+
     def test_reordered_scored_manifest_rejected_by_name(self, tmp_path):
         cfg, bench, _ = self.detect(tmp_path)
         path = tmp_path / "run" / "scored.csv"
@@ -314,6 +330,30 @@ class TestConfigRoundtrip:
         d["detection"]["etta"] = 2.0
         with pytest.raises(ValueError, match="unknown DetectionConfig keys: etta"):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("doc", [
+        {"seed": 3}, {"ssl": {"lr": 1}}, {"ssl": {"steps": None}}, {"dataset_dir": None},
+        {"detection": {"explicit_threshold": None}},
+        {"contrastive": {"augment": {"jitter_range": [1, 1.5]}}},
+    ], ids=["int", "int-as-real", "null-int", "null-str", "null-real", "list-of-numbers"])
+    def test_leaves_of_the_annotated_types_are_taken(self, doc):
+        ExperimentConfig.from_dict(doc, base=ExperimentConfig())
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"ssl": {"lr": "0.1"}}, "ssl.lr must be a real, got '0.1'"),
+        ({"ssl": {"aux_bn": 1}}, "ssl.aux_bn must be true or false, got 1"),
+        ({"out_dir": 3}, "out_dir must be a string, got 3"),
+        ({"model": {"hidden_dims": 64}}, "model.hidden_dims must be a list of numbers, got 64"),
+        ({"ssl": {"augment": {"jitter_range": [0.8, True]}}},
+         "ssl.augment.jitter_range must be a list of numbers, got [0.8, True]"),
+    ], ids=["bool-int", "null-int", "str-real", "int-bool", "int-str", "int-tuple",
+            "bool-in-tuple"])
+    def test_leaf_of_another_type_is_rejected_by_its_dotted_key(self, doc, message):
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict(doc, base=ExperimentConfig())
+        assert str(err.value) == message
 
     def test_raw_text_is_not_a_document_key(self):
         with pytest.raises(ValueError, match="unknown ExperimentConfig keys: raw_text"):

@@ -103,7 +103,7 @@ class TestLinearEval:
         head = train_linear_eval(
             model, x, y, LabelingConfig(linear_eval_steps=300, linear_eval_lr=0.5), seed=0
         )
-        emb = forward(model, x).embedding
+        emb = forward(model, x, "embedding")
         pred = head.probabilities(emb).argmax(axis=1) + 1
         assert (pred == y).all()
 
@@ -133,7 +133,7 @@ class TestSelectTopk:
         pool = rng.standard_normal((10, 4))
         out = select_topk(range(10), pool, self.head, self.model, k_fraction=1.0)
         assert len(out.ids) == 10
-        emb = forward(self.model, pool).embedding
+        emb = forward(self.model, pool, "embedding")
         expect = self.head.probabilities(emb).argmax(axis=1) + 1
         assert out.classes[np.argsort(out.ids)].tolist() == list(expect)
 
@@ -158,7 +158,7 @@ class TestSelectTopk:
         pool = rng.standard_normal((40, 4)) * 3
         ids = list(range(100, 140))
         out = select_topk(ids, pool, self.head, self.model, k_fraction=0.25)
-        emb = forward(self.model, pool).embedding
+        emb = forward(self.model, pool, "embedding")
         probs = self.head.probabilities(emb)
         conf = probs.max(axis=1)
         ranked = sorted(range(40), key=lambda i: (-conf[i], ids[i]))
@@ -170,7 +170,7 @@ class TestSelectTopk:
         rng = np.random.default_rng(7)
         pool = rng.standard_normal((30, 4)) * 3
         out = select_topk(range(30), pool, self.head, self.model, k_fraction=0.2)
-        emb = forward(self.model, pool).embedding
+        emb = forward(self.model, pool, "embedding")
         conf = self.head.probabilities(emb).max(axis=1)
         chosen = set(out.ids.tolist())
         worst_chosen = out.confidence.min()

@@ -12,9 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_cosine
+from helpers import reference_calibration_batches, reference_cosine, train_forward
 from openset_ssl.augment import AugmentConfig
-from openset_ssl.contrastive import ContrastiveConfig, pretrain, simclr_batch_loss
+from openset_ssl.contrastive import (
+    _CALIBRATION_PASSES,
+    ContrastiveConfig,
+    calibrate_running_stats,
+    pretrain,
+    simclr_batch_loss,
+)
+from openset_ssl import rng as rng_mod
 from openset_ssl import autodiff
 from openset_ssl import model as model_mod
 from openset_ssl.autodiff import batch_moments, grad_check
@@ -22,7 +29,6 @@ from openset_ssl.model import (
     GraphBuilder,
     ModelConfig,
     build_model,
-    commit_batch_stats,
     cosine_similarity,
     forward,
     load_checkpoint,
@@ -61,8 +67,14 @@ model_configs = st.builds(
 )
 
 
-def heads(result):
-    return result.embedding, result.projection, result.logits
+def eval_heads(model, x):
+    """(embedding, projection, logits) values of `forward`, one call each."""
+    return [forward(model, x, head) for head in model_mod.HEADS]
+
+
+def model_bytes(model):
+    return {name: a.tobytes() for arrays in (model.params, model.stats)
+            for name, a in arrays.items()}
 
 
 class TestBuildModel:
@@ -113,6 +125,12 @@ class TestBuildModel:
         assert np.array_equal(model.stats["enc0.bn.main.var"], np.ones((1, 5)))
         assert np.array_equal(model.stats["enc0.bn.aux.mean"], np.zeros((1, 5)))
 
+    @pytest.mark.parametrize("dims", [(16.5,), (8, 16.0), (True,), ("8",)])
+    def test_hidden_dim_that_is_not_an_integer_rejected(self, dims):
+        # not cut to an integer: a checkpoint would hold other dims than claimed
+        with pytest.raises(ValueError, match="hidden_dims must be integers"):
+            small_config(hidden_dims=dims)
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig(input_dim=0)
@@ -125,16 +143,14 @@ class TestBuildModel:
 class TestForward:
     def test_output_shapes(self):
         model = build_model(small_config(), seed=1)
-        out = forward(model, np.zeros((3, 6)), mode="eval")
-        assert out.embedding.shape == (3, 4)
-        assert out.projection.shape == (3, 3)
-        assert out.logits.shape == (3, 2)
+        shapes = [h.shape for h in eval_heads(model, np.zeros((3, 6)))]
+        assert shapes == [(3, 4), (3, 3), (3, 2)]
 
     def test_aux_training_never_touches_main_stats(self):
         model = build_model(small_config(), seed=1)
         rng = np.random.default_rng(0)
         before = {k: v.tobytes() for k, v in model.stats.items() if ".main." in k}
-        forward(model, rng.standard_normal((8, 6)), branch="aux", mode="train")
+        train_forward(model, rng.standard_normal((8, 6)), branch="aux")
         after = {k: v.tobytes() for k, v in model.stats.items() if ".main." in k}
         assert before == after
 
@@ -142,7 +158,7 @@ class TestForward:
         model = build_model(small_config(), seed=1)
         rng = np.random.default_rng(0)
         before = {k: v.tobytes() for k, v in model.stats.items() if ".aux." in k}
-        forward(model, rng.standard_normal((8, 6)), branch="main", mode="train")
+        train_forward(model, rng.standard_normal((8, 6)), branch="main")
         after = {k: v.tobytes() for k, v in model.stats.items() if ".aux." in k}
         assert before == after
 
@@ -150,29 +166,52 @@ class TestForward:
         model = build_model(small_config(), seed=1)
         rng = np.random.default_rng(0)
         before = model.stats["enc0.bn.main.mean"].copy()
-        forward(model, rng.standard_normal((8, 6)), branch="main", mode="train")
+        train_forward(model, rng.standard_normal((8, 6)), branch="main")
         assert not np.array_equal(model.stats["enc0.bn.main.mean"], before)
 
     def test_eval_forward_is_pure(self):
         model = build_model(small_config(), seed=1)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 6))
-        stats_before = {k: v.tobytes() for k, v in model.stats.items()}
-        a = forward(model, x, mode="eval")
-        b = forward(model, x, mode="eval")
-        assert a.logits.tobytes() == b.logits.tobytes()
-        assert a.projection.tobytes() == b.projection.tobytes()
-        assert {k: v.tobytes() for k, v in model.stats.items()} == stats_before
+        before = model_bytes(model)
+        a = eval_heads(model, x)
+        b = eval_heads(model, x)
+        assert [h.tobytes() for h in a] == [h.tobytes() for h in b]
+        assert model_bytes(model) == before
 
     def test_train_mode_single_row_rejected(self):
         model = build_model(small_config(), seed=1)
         with pytest.raises(ValueError):
-            forward(model, np.zeros((1, 6)), mode="train")
+            train_forward(model, np.zeros((1, 6)))
 
     def test_wrong_input_width_rejected(self):
         model = build_model(small_config(), seed=1)
         with pytest.raises(ValueError):
-            forward(model, np.zeros((3, 5)))
+            forward(model, np.zeros((3, 5)), "logits")
+
+    def test_unknown_head_rejected_by_name(self):
+        model = build_model(small_config(), seed=1)
+        with pytest.raises(ValueError, match="'proj'"):
+            forward(model, np.zeros((3, 6)), "proj")
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=model_configs, rows=st.integers(0, 40), head=st.sampled_from(model_mod.HEADS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_head_of_the_whole_batch_graph_and_the_model_untouched(
+        self, config, rows, head, seed
+    ):
+        model = build_model(config, seed)
+        rng = np.random.default_rng(seed)
+        for name in model.stats:  # away from the initial (0, 1) statistics
+            model.stats[name] = model.stats[name] + rng.uniform(0.0, 0.5, model.stats[name].shape)
+        x = rng.standard_normal((rows, config.input_dim))
+        before = model_bytes(model)
+        found = forward(model, x, head)
+        assert model_bytes(model) == before
+        builder = GraphBuilder(model)
+        whole = builder.graph.value(getattr(builder.forward(builder.const(x)), head))
+        assert found.shape == whole.shape
+        assert np.abs(found - whole).max(initial=0.0) <= 1e-12 * np.abs(whole).max(initial=0.0)
 
     def test_train_mode_bn_output_is_standardized(self):
         # fresh model: scale 1, shift 0, so the BN affine output equals the
@@ -194,7 +233,7 @@ class TestForward:
         h = x @ model.params["enc0.w"]
         expect_mean = 0.9 * 0.0 + 0.1 * h.mean(axis=0)
         expect_var = 0.9 * 1.0 + 0.1 * h.var(axis=0)
-        forward(model, x, branch="main", mode="train")
+        train_forward(model, x, branch="main")
         assert np.allclose(model.stats["enc0.bn.main.mean"].ravel(), expect_mean, atol=1e-12)
         assert np.allclose(model.stats["enc0.bn.main.var"].ravel(), expect_var, atol=1e-12)
 
@@ -230,13 +269,13 @@ class TestForward:
 
 
 class TestBlockedEvalForward:
-    """Eval mode runs `_EVAL_ROWS`-row blocks, one graph each; train mode
-    one graph over the whole batch."""
+    """`forward` runs `_EVAL_ROWS`-row blocks, one graph each; a
+    calibration batch is one train-mode graph."""
 
     EVAL_ROWS = model_mod._EVAL_ROWS
 
     @staticmethod
-    def block_sizes(model, x, **kw):
+    def block_sizes(run):
         sizes = []
         original = GraphBuilder.forward
 
@@ -245,19 +284,17 @@ class TestBlockedEvalForward:
             return original(self, x_id, *args, **kwargs)
 
         with mock.patch.object(GraphBuilder, "forward", spy):
-            result = forward(model, x, **kw)
+            result = run()
         return sizes, result
 
     def test_empty_batch_returns_empty_heads(self):
         model = build_model(small_config(), seed=1)
-        out = forward(model, np.zeros((0, 6)))
-        assert [h.shape for h in heads(out)] == [(0, 4), (0, 3), (0, 2)]
-        assert forward(model, np.zeros((0, 6)), heads=()).projection is None
+        assert [h.shape for h in eval_heads(model, np.zeros((0, 6)))] == [(0, 4), (0, 3), (0, 2)]
 
     def test_wrong_width_names_the_whole_batch_shape(self):
         model = build_model(small_config(input_dim=4), seed=1)
         with pytest.raises(ValueError) as err:
-            forward(model, np.zeros((3000, 5)))
+            forward(model, np.zeros((3000, 5)), "projection")
         assert str(err.value) == "forward: batch shape (3000, 5) does not match input_dim 4"
 
     def test_eval_mode_runs_even_blocks_of_at_most_eval_rows(self):
@@ -265,23 +302,25 @@ class TestBlockedEvalForward:
         # a vector-matrix product that rounds differently
         model = build_model(small_config(), seed=1)
         n = 2 * self.EVAL_ROWS + 1
-        sizes, out = self.block_sizes(model, np.ones((n, 6)))
+        sizes, out = self.block_sizes(lambda: forward(model, np.ones((n, 6)), "logits"))
         assert len(sizes) == 3 and sum(sizes) == n
         assert max(sizes) <= self.EVAL_ROWS and max(sizes) - min(sizes) <= 1
-        assert out.logits.shape == (n, 2)
+        assert out.shape == (n, 2)
 
     def test_train_mode_is_one_graph_whose_moments_cover_every_row(self):
+        # calibration batches longer than an eval block: each is one graph,
+        # and the statistics are the reference's folds of its moments
         model = build_model(small_config(), seed=1)
         reference = model.copy()
-        x = np.random.default_rng(2).standard_normal((2 * self.EVAL_ROWS + 7, 6))
-        sizes, out = self.block_sizes(model, x, branch="aux", mode="train")
-        assert sizes == [len(x)]
-        builder = GraphBuilder(reference)
-        nodes = builder.forward(builder.const(x), branch="aux", mode="train")
-        commit_batch_stats(reference, nodes.batch_stats)
-        assert out.logits.tobytes() == builder.graph.value(nodes.logits).tobytes()
-        for name, value in reference.stats.items():
-            assert model.stats[name].tobytes() == value.tobytes()
+        pool = np.random.default_rng(2).standard_normal((3 * self.EVAL_ROWS, 6))
+        batch_size = self.EVAL_ROWS + 7
+        sizes, _ = self.block_sizes(lambda: calibrate_running_stats(model, pool, batch_size, 4))
+        batches = reference_calibration_batches(
+            rng_mod.stream(4, "pretrain.calibrate"), len(pool), batch_size, _CALIBRATION_PASSES)
+        assert sizes == [batch_size] * len(batches)
+        for take in batches:
+            train_forward(reference, pool[take])
+        assert model_bytes(model) == model_bytes(reference)
 
     @settings(max_examples=80, deadline=None)
     @given(config=model_configs, rows=st.integers(0, 70), block=st.integers(1, 16),
@@ -298,7 +337,7 @@ class TestBlockedEvalForward:
         nodes = builder.forward(builder.const(x))
         whole = [builder.graph.value(n) for n in (nodes.embedding, nodes.projection, nodes.logits)]
         with mock.patch.object(model_mod, "_EVAL_ROWS", block):
-            blocked = heads(forward(model, x))
+            blocked = eval_heads(model, x)
         for b, w in zip(blocked, whole):
             assert b.shape == w.shape
             assert np.abs(b - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
@@ -312,11 +351,11 @@ class TestBlockedEvalForward:
             x = np.random.default_rng(0).standard_normal((blocks * self.EVAL_ROWS, 16))
             tracemalloc.start()
             try:
-                out = forward(model, x)
+                out = forward(model, x, "embedding")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return x.nbytes + sum(h.nbytes for h in heads(out)), peak
+            return x.nbytes + out.nbytes, peak
 
         small_bytes, small_peak = measure(4)
         large_bytes, large_peak = measure(16)
@@ -330,13 +369,23 @@ class TestHeadsOnDemand:
     def test_forward_builds_only_the_named_heads(self):
         model = build_model(small_config(), seed=1)
         x = np.random.default_rng(0).standard_normal((3, 6))
-        full = forward(model, x)
-        out = forward(model, x, heads=())
-        assert out.projection is None and out.logits is None
-        assert out.embedding.tobytes() == full.embedding.tobytes()
-        assert forward(model, x, heads=("logits",)).logits.tobytes() == full.logits.tobytes()
-        with pytest.raises(ValueError, match="proj"):
-            forward(model, x, heads=("proj",))
+        builder = GraphBuilder(model)
+        full = builder.forward(builder.const(x))
+        for head in model_mod.HEADS:
+            built = []
+            original = GraphBuilder.forward
+
+            def spy(self, x_id, *args, **kwargs):
+                nodes = original(self, x_id, *args, **kwargs)
+                built.append({name.split(".")[0] for name in self.param_nodes})
+                return nodes
+
+            with mock.patch.object(GraphBuilder, "forward", spy):
+                value = forward(model, x, head)
+            assert value.tobytes() == builder.graph.value(getattr(full, head)).tobytes()
+            # the encoder, and of the heads only the one returned
+            layers = {"embedding": set(), "projection": {"proj0", "proj1"}, "logits": {"head"}}
+            assert built == [{"enc0", "enc1"} | layers[head]]
 
     def test_pretraining_leaves_the_classifier_head_untouched(self):
         cfg = small_config()
@@ -520,8 +569,8 @@ class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = build_model(small_config(), seed=9)
         rng = np.random.default_rng(10)
-        forward(model, rng.standard_normal((8, 6)), branch="main", mode="train")
-        forward(model, rng.standard_normal((8, 6)), branch="aux", mode="train")
+        train_forward(model, rng.standard_normal((8, 6)), branch="main")
+        train_forward(model, rng.standard_normal((8, 6)), branch="aux")
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         loaded = load_checkpoint(path)

@@ -87,7 +87,7 @@ class TestSslLoss:
         loss = step_loss(model, cfg(beta=0.0), x, y, ux)
         from openset_ssl.model import forward
 
-        z = forward(model, x).logits
+        z = forward(model, x, "logits")
         m = z.max(axis=1, keepdims=True)
         logsumexp = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
         direct = np.mean(logsumexp - (y * z).sum(axis=1, keepdims=True))
@@ -101,7 +101,7 @@ class TestSslLoss:
         loss = step_loss(model, cfg(beta=1.0, augment=null_aug()), x, y, ux)
         from openset_ssl.model import forward
 
-        p = _softmax(forward(model, ux).logits)
+        p = _softmax(forward(model, ux, "logits"))
         entropy = float(-(p * np.log(p + 1e-300)).sum(axis=1).mean())
         assert abs(loss.terms["consistency"] - entropy) < 1e-12
 
@@ -154,7 +154,7 @@ class TestCrossEntropyNode:
         moved = cons_x.copy()
         moved[[1, 3]] = 1e3 * rng.standard_normal((2, DIM))
         assert step(moved)[1] == found
-        z = forward(model, cons_x[[0, 2, 4]]).logits
+        z = forward(model, cons_x[[0, 2, 4]], "logits")
         t = cons_t[[0, 2, 4]]
         kept = (logsumexp_rows(z) - (t * z).sum(axis=1, keepdims=True)).sum()
         assert abs(loss.terms["consistency"] - kept / 5) < 1e-12
@@ -326,7 +326,7 @@ class TestHardPseudoBackend:
         model = toy_model()
         ux, ids = np.random.default_rng(24).standard_normal((8, DIM)), range(10, 18)
         aug = cfg().augment
-        p = _softmax(forward(model, augment_batch(ux, ids, aug, 0, 0, 0)).logits)
+        p = _softmax(forward(model, augment_batch(ux, ids, aug, 0, 0, 0), "logits"))
         threshold = float(np.median(p.max(axis=1)))
         config = cfg(backend="hard-pseudo", confidence_threshold=threshold)
         cons_x, cons_t = prepare_consistency(model, ux, ids, config, 0, 0)
