@@ -38,11 +38,11 @@ class ContrastiveConfig:
 
 @dataclass
 class GraphLoss:
-    """A scalar loss node plus everything needed to step an optimizer."""
+    """A scalar loss node of a builder's graph plus everything needed to
+    step an optimizer; the builder holds the batch moments to commit."""
 
     builder: GraphBuilder
     node: int
-    batch_stats: list = field(default_factory=list)
     terms: dict = field(default_factory=dict)
 
     @property
@@ -55,11 +55,12 @@ class GraphLoss:
 
     def update(self, optimizer, config, loop, step, lr_step=None):
         """The step of every fitting loop: abort on a non-finite loss, naming
-        `loop` and `step`; fold in the batch statistics; step at `config.lr`,
-        cosine-decayed at `lr_step` (default `step`) if `config` says so."""
+        `loop` and `step`; fold in the builder's batch moments; step at
+        `config.lr`, cosine-decayed at `lr_step` (default `step`) if
+        `config` says so."""
         if not np.isfinite(self.value):
             raise RuntimeError(f"{loop} loss became non-finite at step {step}")
-        commit_batch_stats(self.builder.model, self.batch_stats)
+        commit_batch_stats(self.builder.model, self.builder.batch_stats)
         lr_step = step if lr_step is None else lr_step
         lr = cosine_lr(config.lr, lr_step, config.steps) if config.cosine_decay else None
         optimizer.step(self.parameter_gradients(), lr=lr)
@@ -91,9 +92,8 @@ def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None):
 
     builder = GraphBuilder(model)
     x = builder.const(views)
-    nodes = builder.forward(x, branch="main", mode="train", heads=("projection",))
-    loss = ntxent_matrix_loss(builder, nodes.projection, config.tau_con)
-    return GraphLoss(builder=builder, node=loss, batch_stats=nodes.batch_stats)
+    proj = builder.forward(x, train="main", heads=("projection",))["projection"]
+    return GraphLoss(builder=builder, node=ntxent_matrix_loss(builder, proj, config.tau_con))
 
 
 def pretrain(model, pool, pool_ids, config, seed, trace_path=None):
@@ -135,8 +135,8 @@ def calibrate_running_stats(model, pool, batch_size, seed):
     batches = _epochs(rng_mod.stream(seed, "pretrain.calibrate"), len(pool), batch_size)
     for idx in islice(batches, _CALIBRATION_PASSES * (len(pool) // batch_size)):
         builder = GraphBuilder(model)
-        nodes = builder.forward(builder.const(pool[idx]), mode="train", heads=())
-        commit_batch_stats(model, nodes.batch_stats)
+        builder.forward(builder.const(pool[idx]), train="main", heads=())
+        commit_batch_stats(model, builder.batch_stats)
 
 
 def _epochs(gen, n, batch_size):

@@ -524,23 +524,32 @@ def recompute_metrics(out_dir, dataset_dir=None):
 
 def load_detect_outcome(out_dir, bench, detection):
     """Rebuild stage_detect's DetectOutcome under `detection` from
-    scored_labeled.csv and scored.csv.  scored.csv must hold the pool in
-    its row order, split as the rebuilt threshold splits it: a detection
-    config that changed since the manifests were written fails here."""
-    labeled = os.path.join(out_dir, "scored_labeled.csv")
-    _, _, labeled_scores, _ = read_scored_manifest(labeled, bench.spec.in_classes)
-    path = os.path.join(out_dir, "scored.csv")
-    ids, sims, scores, out = read_scored_manifest(path, bench.spec.in_classes)
-    if not np.array_equal(ids, bench.unlabeled.ids):
-        raise ValueError(f"{path}: sample_id column is not the unlabeled pool's ids in order")
+    scored.csv and scored_labeled.csv.  Each must hold its row set (the
+    unlabeled pool, the labeled set) in order, split as the rebuilt
+    threshold splits it: a detection config that changed since the
+    manifests were written fails here."""
+    scored = []
+    for name, want, what in (("scored.csv", bench.unlabeled.ids, "unlabeled pool"),
+                             ("scored_labeled.csv", bench.labeled.ids, "labeled set")):
+        path = os.path.join(out_dir, name)
+        ids, sims, scores, out = read_scored_manifest(path, bench.spec.in_classes)
+        n = min(len(ids), len(want))
+        bad = np.flatnonzero(ids[:n] != want[:n])
+        if bad.size or len(ids) != len(want):
+            where = (f"sample_id {ids[bad[0]]} where {want[bad[0]]} is due" if bad.size
+                     else f"{len(ids)} rows where {len(want)} are due")
+            raise ValueError(f"{path}: sample_id column is not the {what}'s ids in order: {where}")
+        scored.append((path, ids, sims, scores, out))
+    (_, _, sims, scores, _), (_, _, _, labeled_scores, _) = scored
     det = detect_outcome(labeled_scores, bench.unlabeled, sims, scores, detection)
-    wrong = np.flatnonzero(det.out != out)
-    if wrong.size:
-        row = wrong[0]
-        raise ValueError(
-            f"{path}: sample_id {ids[row]}: split '{'out' if out[row] else 'in'}' disagrees with "
-            f"score {float(scores[row])!r} at threshold {det.threshold!r} ({detection})"
-        )
+    for path, ids, _, scores, out in scored:
+        wrong = np.flatnonzero(out_mask(scores, det.threshold) != out)
+        if wrong.size:
+            row = wrong[0]
+            raise ValueError(
+                f"{path}: sample_id {ids[row]}: split '{'out' if out[row] else 'in'}' disagrees "
+                f"with score {float(scores[row])!r} at threshold {det.threshold!r} ({detection})"
+            )
     return det
 
 

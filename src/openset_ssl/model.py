@@ -3,12 +3,16 @@
 The encoder is a stack of dense layers (no bias; the following batch-norm
 shift makes one redundant), each followed by batch normalization and relu.
 On the tape a layer is three nodes: `matmul`, `batch-norm` and
-`affine-relu` (the batch-norm scale and shift, then the relu).  Train mode
-normalizes by the batch's own moments; eval mode by a branch's running
-statistics, which the `batch-norm` node holds as constants, so they get
-no gradient.  Batch-norm scale/shift parameters are shared between a
-*main* and an *auxiliary* statistics branch; each branch keeps its own
-running mean/variance and is only ever touched by batches routed to it.
+`affine-relu` (the batch-norm scale and shift, then the relu).  One
+argument routes a pass through batch norm: eval mode (`train=None`)
+normalizes by the main branch's running statistics, which the
+`batch-norm` node holds as constants, so they get no gradient; train mode
+(`train="main"` or `"aux"`) normalizes by the batch's own moments, which
+the graph builder records for that branch.  Batch-norm scale/shift
+parameters are shared between the *main* and the *auxiliary* statistics
+branch; each branch keeps its own running mean/variance and is only ever
+touched by the moments of batches routed to it, once a fitting step
+commits them with `commit_batch_stats`.
 
 The projection header is a two-layer perceptron over the embedding; the
 classifier head is a single dense layer over the embedding (the linear-
@@ -19,12 +23,10 @@ calibration the embedding alone.  A head that is not built puts no node
 on the tape, so its parameters get no gradient and an optimizer step
 leaves them be.
 
-The plain `forward` returns one head of an eval-mode main-branch pass and
-moves no parameter or statistic.  It runs even blocks of at most
-`_EVAL_ROWS` rows, one graph each, so the working set is one block's tape
-whatever the batch size: eval-mode rows are independent of each other.
-A train-mode pass is a `GraphBuilder` graph whose batch moments the
-caller folds into the running statistics with `commit_batch_stats`.
+The plain `forward` returns one head of an eval-mode pass and moves no
+parameter or statistic.  It runs even blocks of at most `_EVAL_ROWS`
+rows, one graph each, so the working set is one block's tape whatever
+the batch size: eval-mode rows are independent of each other.
 """
 
 import json
@@ -41,7 +43,6 @@ from .autodiff import DiffGraph
 CHECKPOINT_VERSION = 1
 
 BRANCHES = ("main", "aux")
-MODES = ("train", "eval")
 HEADS = ("embedding", "projection", "logits")
 
 _EVAL_ROWS = 512
@@ -123,22 +124,16 @@ def build_model(config, seed):
     return model
 
 
-@dataclass
-class ForwardNodes:
-    graph: DiffGraph
-    embedding: int
-    projection: int | None  # None: head not built
-    logits: int | None
-    batch_stats: list
-
-
 class GraphBuilder:
-    """One differentiable pass: owns a graph and lazily created param nodes."""
+    """One differentiable pass: owns a graph, lazily created param nodes,
+    and `batch_stats`, the (layer, branch, mu, var) batch moments of its
+    train-mode layers in the order they were built."""
 
     def __init__(self, model):
         self.model = model
         self.graph = DiffGraph()
         self._param_nodes = {}
+        self.batch_stats = []
 
     def param(self, name):
         if name not in self._param_nodes:
@@ -154,62 +149,46 @@ class GraphBuilder:
 
     # ------------------------------------------------------------------
 
-    def _bn_relu(self, h_id, layer, branch, mode):
-        """Batch norm, its affine and the relu: two nodes, and the layer's
-        batch statistics in train mode (None in eval mode)."""
-        g = self.graph
-        stats = self.model.stats
-        running = batch_stats = None
-        if mode == "eval":
-            running = (stats[f"{layer}.bn.{branch}.mean"], stats[f"{layer}.bn.{branch}.var"])
-        normed = g.apply("batch-norm", [h_id], eps=self.model.config.bn_epsilon, running=running)
-        if mode == "train":
-            mu, _, var, _ = g.residuals(normed)
-            batch_stats = (layer, branch, mu, var)
-        scale = self.param(f"{layer}.bn.scale")
-        shift = self.param(f"{layer}.bn.shift")
-        return g.apply("affine-relu", [normed, scale, shift]), batch_stats
+    def forward(self, x_id, train=None, heads=HEADS):
+        """Encoder -> {head: node id}: the embedding always, of the other
+        heads only those named in `heads`.
 
-    def forward(self, x_id, branch="main", mode="eval", heads=HEADS):
-        """Encoder -> (embedding, projection, logits) node ids; the
-        embedding is always built, of the other heads only those named in
-        `heads`, and the others are None.
-
-        Train mode normalizes by batch statistics and reports them in
-        `batch_stats`; committing them to the model's running statistics
-        is the caller's decision (see `commit_batch_stats`).
+        `train=None` is eval mode over the main branch's running
+        statistics; `train="main"` or `"aux"` is train mode on that branch,
+        whose batch moments land in `batch_stats` for a fitting step to
+        commit (see `commit_batch_stats`).
         """
-        if branch not in BRANCHES:
-            raise ValueError(f"unknown branch: {branch!r}")
-        if mode not in MODES:
-            raise ValueError(f"unknown mode: {mode!r}")
+        if train is not None and train not in BRANCHES:
+            raise ValueError(f"unknown branch: {train!r}")
         unknown = set(heads) - set(HEADS)
         if unknown:
             raise ValueError(f"unknown heads: {sorted(unknown)}")
         g = self.graph
         cfg = self.model.config
+        stats = self.model.stats
         _check_batch(g.value(x_id), cfg)
-        collected = []
         h = x_id
         for i in range(len(cfg.encoder_dims)):
             h = g.apply("matmul", [h, self.param(f"enc{i}.w")])
-            h, bs = self._bn_relu(h, f"enc{i}", branch, mode)
-            if bs is not None:
-                collected.append(bs)
-        embedding = h
-
-        projection = logits = None
+            running = None
+            if train is None:
+                running = (stats[f"enc{i}.bn.main.mean"], stats[f"enc{i}.bn.main.var"])
+            h = g.apply("batch-norm", [h], eps=cfg.bn_epsilon, running=running)
+            if train is not None:
+                mu, _, var, _ = g.residuals(h)
+                self.batch_stats.append((f"enc{i}", train, mu, var))
+            scale, shift = self.param(f"enc{i}.bn.scale"), self.param(f"enc{i}.bn.shift")
+            h = g.apply("affine-relu", [h, scale, shift])
+        nodes = {"embedding": h}
         if "projection" in heads:
-            p = g.apply("matmul", [embedding, self.param("proj0.w")])
+            p = g.apply("matmul", [h, self.param("proj0.w")])
             p = g.apply("relu", [g.apply("add", [p, self.param("proj0.b")])])
             p = g.apply("matmul", [p, self.param("proj1.w")])
-            projection = g.apply("add", [p, self.param("proj1.b")])
+            nodes["projection"] = g.apply("add", [p, self.param("proj1.b")])
         if "logits" in heads:
-            logits = g.apply(
-                "add",
-                [g.apply("matmul", [embedding, self.param("head.w")]), self.param("head.b")],
-            )
-        return ForwardNodes(g, embedding, projection, logits, collected)
+            logits = g.apply("matmul", [h, self.param("head.w")])
+            nodes["logits"] = g.apply("add", [logits, self.param("head.b")])
+        return nodes
 
 
 def commit_batch_stats(model, batch_stats):
@@ -233,16 +212,15 @@ def _block_head(model, block, head):
     """`head`'s values of one eval-mode graph over `block`; the graph and
     its other intermediates die on return."""
     builder = GraphBuilder(model)
-    nodes = builder.forward(builder.const(block), heads=(head,))
-    return builder.graph.value(getattr(nodes, head))
+    return builder.graph.value(builder.forward(builder.const(block), heads=(head,))[head])
 
 
 def forward(model, batch, head="embedding"):
     """The values of `head` (one of `HEADS`, by default the embedding) over
-    `batch`: eval mode on the main branch, a pure function of (parameters,
-    running statistics, input) row by row.  It runs at most `_EVAL_ROWS`
-    rows per graph, so its working set stays one block's tape however many
-    rows the batch has."""
+    `batch`: eval mode, a pure function of (parameters, running
+    statistics, input) row by row.  It runs at most `_EVAL_ROWS` rows per
+    graph, so its working set stays one block's tape however many rows the
+    batch has."""
     batch = np.asarray(batch, dtype=np.float64)
     _check_batch(batch, model.config)
     n = len(batch)
@@ -333,7 +311,7 @@ def load_checkpoint(path):
             want_kind, want_shape = layout.pop(name)
             if kind != want_kind:
                 raise ValueError(f"array {name!r} has kind {kind!r}, expected {want_kind!r}")
-            if shape != want_shape:
+            if shape != want_shape or not all(type(d) is int for d in shape):  # no real, no bool
                 raise ValueError(
                     f"array {name!r} has shape {list(shape)}, expected {list(want_shape)}"
                 )

@@ -162,15 +162,14 @@ def build_step_loss(model, plan, config):
         targets = np.concatenate(
             [labeled_q * (n / n_l), cons_t[kept] * (config.beta * n / len(cons_t))]
         )
-    nodes = builder.forward(builder.const(x), branch="main", mode="eval", heads=LOGITS)
-    loss = g.apply("softmax-cross-entropy", [nodes.logits], targets=targets)
-    logits = g.value(nodes.logits)
+    logits_node = builder.forward(builder.const(x), heads=LOGITS)["logits"]
+    loss = g.apply("softmax-cross-entropy", [logits_node], targets=targets)
+    logits = g.value(logits_node)
     terms = {"supervised": float(cross_entropy(logits[:n_l], labeled_q)[0])}
     if plan.cons_x is not None:
         cons_logits = np.zeros(cons_t.shape)  # a row without mass adds 0 at any logits
         cons_logits[kept] = logits[n_l:]
         terms["consistency"] = float(cross_entropy(cons_logits, cons_t)[0])
-    batch_stats = []
 
     if plan.out_x is not None:
         out_q = np.asarray(plan.out_q, dtype=np.float64)
@@ -179,14 +178,12 @@ def build_step_loss(model, plan, config):
         # the out-of-class batch statistics land in the main running
         # statistics, the distribution mismatch the auxiliary BNs absorb
         branch = "aux" if config.aux_bn else "main"
-        x_o = builder.const(plan.out_x)
-        out_nodes = builder.forward(x_o, branch=branch, mode="train", heads=LOGITS)
-        batch_stats.extend(out_nodes.batch_stats)
-        aux = g.apply("softmax-cross-entropy", [out_nodes.logits], targets=out_q)
+        out_nodes = builder.forward(builder.const(plan.out_x), train=branch, heads=LOGITS)
+        aux = g.apply("softmax-cross-entropy", [out_nodes["logits"]], targets=out_q)
         terms["aux"] = float(g.value(aux))
         loss = g.apply("add", [loss, g.apply("scale", [aux], factor=config.lam)])
 
-    return GraphLoss(builder=builder, node=loss, batch_stats=batch_stats, terms=terms)
+    return GraphLoss(builder=builder, node=loss, terms=terms)
 
 
 def _check_rows_normalized(q, what):
@@ -354,13 +351,11 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
     for step in range(config.steps):
         idx = cycler.take(config.batch_size)
         builder = GraphBuilder(model)
-        x = builder.const(out_x[idx])
-        nodes = builder.forward(x, branch="main", mode="train", heads=LOGITS)
-        loss_node = builder.graph.apply("softmax-cross-entropy", [nodes.logits], targets=out_q[idx])
-        loss = GraphLoss(builder=builder, node=loss_node, batch_stats=nodes.batch_stats)
-        loss.update(opt, config, "aux-only", step)
+        nodes = builder.forward(builder.const(out_x[idx]), train="main", heads=LOGITS)
+        loss = builder.graph.apply("softmax-cross-entropy", [nodes["logits"]], targets=out_q[idx])
+        GraphLoss(builder=builder, node=loss).update(opt, config, "aux-only", step)
         if record_entropy:
-            logits = builder.graph.value(nodes.logits)
+            logits = builder.graph.value(nodes["logits"])
             log_probs = logits - logsumexp_rows(logits)
             entropy_trace.append(float(-(np.exp(log_probs) * log_probs).sum(axis=1).mean()))
     if record_entropy:

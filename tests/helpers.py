@@ -61,10 +61,10 @@ def train_forward(model, x, branch="main", head="embedding"):
     on `branch`, whose batch moments fold into that branch's running
     statistics, as a fitting step's do."""
     builder = GraphBuilder(model)
-    nodes = builder.forward(builder.const(np.asarray(x, dtype=np.float64)), branch=branch,
-                            mode="train", heads=(head,))
-    commit_batch_stats(model, nodes.batch_stats)
-    return builder.graph.value(getattr(nodes, head))
+    nodes = builder.forward(builder.const(np.asarray(x, dtype=np.float64)), train=branch,
+                            heads=(head,))
+    commit_batch_stats(model, builder.batch_stats)
+    return builder.graph.value(nodes[head])
 
 
 def reference_batch_norm(g, h_id, eps):
@@ -117,25 +117,23 @@ def reference_step_loss(model, plan, config):
     builder = GraphBuilder(model)
     g = builder.graph
     x_l = builder.const(np.asarray(plan.labeled_x, dtype=np.float64))
-    sup_nodes = builder.forward(x_l, branch="main", mode="eval", heads=LOGITS)
-    loss = g.apply("softmax-cross-entropy", [sup_nodes.logits], targets=plan.labeled_q)
+    sup_nodes = builder.forward(x_l, heads=LOGITS)
+    loss = g.apply("softmax-cross-entropy", [sup_nodes["logits"]], targets=plan.labeled_q)
     terms = {"supervised": float(g.value(loss))}
-    batch_stats = []
     if plan.cons_x is not None:
         x_u = builder.const(plan.cons_x)
-        cons_nodes = builder.forward(x_u, branch="main", mode="eval", heads=LOGITS)
-        cons = g.apply("softmax-cross-entropy", [cons_nodes.logits], targets=plan.cons_targets)
+        cons_nodes = builder.forward(x_u, heads=LOGITS)
+        cons = g.apply("softmax-cross-entropy", [cons_nodes["logits"]], targets=plan.cons_targets)
         terms["consistency"] = float(g.value(cons))
         loss = g.apply("add", [loss, g.apply("scale", [cons], factor=config.beta)])
     if plan.out_x is not None:
         branch = "aux" if config.aux_bn else "main"
         x_o = builder.const(plan.out_x)
-        out_nodes = builder.forward(x_o, branch=branch, mode="train", heads=LOGITS)
-        batch_stats.extend(out_nodes.batch_stats)
-        aux = g.apply("softmax-cross-entropy", [out_nodes.logits], targets=plan.out_q)
+        out_nodes = builder.forward(x_o, train=branch, heads=LOGITS)
+        aux = g.apply("softmax-cross-entropy", [out_nodes["logits"]], targets=plan.out_q)
         terms["aux"] = float(g.value(aux))
         loss = g.apply("add", [loss, g.apply("scale", [aux], factor=config.lam)])
-    return GraphLoss(builder=builder, node=loss, batch_stats=batch_stats, terms=terms)
+    return GraphLoss(builder=builder, node=loss, terms=terms)
 
 
 def nudge_into_generic_position(model, seed=0, scale=0.05):

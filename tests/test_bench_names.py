@@ -6,7 +6,9 @@ bytes and rows of the functions in `BYTES` and `ROWS`; each workload in
 traced run.  A name that no longer resolves breaks `--trace 1` only when
 the benchmark runs, so this test reads the name lists from the source
 text (nothing under `perfbench/` is imported) and resolves each one the
-way the tracer does.
+way the tracer does.  The tracer also reads `builder.graph`,
+`builder.param_nodes` and `node` from every `GraphLoss` whose gradients
+it takes, so a real loss of each fitting loop is checked for them too.
 """
 
 import ast
@@ -14,7 +16,13 @@ import importlib
 import inspect
 import os
 
+import numpy as np
 import pytest
+
+from openset_ssl.autodiff import DiffGraph
+from openset_ssl.contrastive import ContrastiveConfig, simclr_batch_loss
+from openset_ssl.model import ModelConfig, build_model
+from openset_ssl.train import SSLConfig, StepPlan, build_step_loss, one_hot
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -65,3 +73,25 @@ def test_name_resolves_as_the_tracer_wraps_it(name):
     else:  # a method in the class's own namespace
         cls_name, method = path
         assert method in vars(getattr(mod, cls_name)), name
+
+
+def _simclr_loss(model, x):
+    return simclr_batch_loss(model, x, ContrastiveConfig(batch_size=4))
+
+
+def _step_loss(model, x):
+    plan = StepPlan(labeled_x=x, labeled_q=one_hot(np.array([1, 2, 1, 2]), 2),
+                    out_x=x[::-1], out_q=np.full((4, 2), 0.5))
+    return build_step_loss(model, plan, SSLConfig(batch_size=4, lam=0.5, aux_bn=True))
+
+
+@pytest.mark.parametrize("make_loss", [_simclr_loss, _step_loss],
+                         ids=["simclr_batch_loss", "build_step_loss"])
+def test_graph_loss_holds_what_the_tracer_reads(make_loss):
+    model = build_model(ModelConfig(input_dim=3, hidden_dims=(4,)), seed=0)
+    loss = make_loss(model, np.random.default_rng(0).standard_normal((4, 3)))
+    assert isinstance(loss.builder.graph, DiffGraph)
+    param_nodes = loss.builder.param_nodes
+    assert type(param_nodes) is dict and param_nodes
+    assert all(type(node) is int for node in param_nodes.values())
+    assert type(loss.node) is int

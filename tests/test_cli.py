@@ -85,6 +85,32 @@ def drop_manifest_key(*keys):
     return edit
 
 
+def set_field(row, col, value):
+    """Edit of a table's lines that sets field `col` of line `row`."""
+    def edit(lines):
+        fields = lines[row].split(b",")
+        fields[col] = value
+        return [*lines[:row], b",".join(fields), *lines[row + 1 :]]
+
+    return edit
+
+
+# scored_labeled.csv of a MICRO run holds the labeled ids 0..7 in order,
+# all split "in"; edit of its lines -> the error after its path
+LABELED_EDITS = {
+    "record-deleted": (lambda lines: lines[:2] + lines[3:],
+                       "sample_id column is not the labeled set's ids in order: "
+                       "sample_id 2 where 1 is due"),
+    "last-record-deleted": (lambda lines: lines[:-2] + lines[-1:],
+                            "sample_id column is not the labeled set's ids in order: "
+                            "7 rows where 8 are due"),
+    "id-rewritten": (set_field(4, 0, b"1"),
+                     "sample_id column is not the labeled set's ids in order: "
+                     "sample_id 1 where 3 is due"),
+    "split-rewritten": (set_field(4, -1, b"out"), "sample_id 3: split 'out' disagrees with "),
+}
+
+
 @pytest.fixture(scope="module")
 def labeled(tmp_path_factory):
     """A run directory staged through `label`; tests edit copies of it."""
@@ -314,6 +340,17 @@ class TestStagedPipeline:
         assert run_cli("eval", "--out-dir", out) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: line 3, column 'score': ")
 
+    @pytest.mark.parametrize("case", list(LABELED_EDITS))
+    def test_eval_holds_the_labeled_scores_to_the_labeled_set(self, tmp_path, capsys, case):
+        edit, message = LABELED_EDITS[case]
+        out = str(tmp_path / "full")
+        assert run_cli("run", "--out-dir", out, *MICRO) == 0
+        path = tmp_path / "full" / "scored_labeled.csv"
+        path.write_bytes(b"\r\n".join(edit(path.read_bytes().split(b"\r\n"))))
+        capsys.readouterr()
+        assert run_cli("eval", "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
 
 class TestDocumentFieldErrors:
     """A field missing from, or unknown to, a document a command reads back
@@ -429,6 +466,17 @@ class TestLabelManifestsMatchDetection:
         assert code == 1
         assert err.startswith(f"error: {path}: ") and message in err
         assert not (tmp_path / "run" / "report.json").exists()
+
+    @pytest.mark.parametrize("case", list(LABELED_EDITS))
+    def test_train_holds_the_labeled_scores_to_the_labeled_set(
+        self, labeled, tmp_path, capsys, case
+    ):
+        edit, message = LABELED_EDITS[case]
+        before = run_dir(labeled)
+        code, err, path = self.train(labeled, tmp_path, capsys, "scored_labeled.csv", edit)
+        assert code == 1
+        assert err.startswith(f"error: {path}: {message}")
+        assert run_dir(tmp_path / "run").keys() == before.keys()  # nothing written
 
     def test_soft_label_manifest_one_row_short(self, labeled, tmp_path, capsys):
         code, err, path = self.train(

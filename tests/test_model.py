@@ -179,6 +179,33 @@ class TestForward:
         assert [h.tobytes() for h in a] == [h.tobytes() for h in b]
         assert model_bytes(model) == before
 
+    def test_eval_forward_records_no_moments(self):
+        model = build_model(small_config(), seed=1)
+        builder = GraphBuilder(model)
+        builder.forward(builder.const(np.random.default_rng(0).standard_normal((4, 6))))
+        assert builder.batch_stats == []
+
+    @pytest.mark.parametrize("branch", model_mod.BRANCHES)
+    def test_train_forward_records_each_layers_moments_for_its_branch(self, branch):
+        model = build_model(small_config(hidden_dims=(5, 3)), seed=1)
+        builder = GraphBuilder(model)
+        builder.forward(builder.const(np.random.default_rng(0).standard_normal((8, 6))),
+                        train=branch)
+        g = builder.graph
+        bn_nodes = [i for i, node in enumerate(g.nodes) if node.op == "batch-norm"]
+        assert len(bn_nodes) == len(builder.batch_stats) == 3
+        for i, (node, (layer, tag, mu, var)) in enumerate(zip(bn_nodes, builder.batch_stats)):
+            assert (layer, tag) == (f"enc{i}", branch)
+            want_mu, _, want_var, _ = g.residuals(node)
+            assert mu.tobytes() == want_mu.tobytes() and var.tobytes() == want_var.tobytes()
+
+    def test_unknown_branch_rejected_by_name(self):
+        model = build_model(small_config(), seed=1)
+        builder = GraphBuilder(model)
+        with pytest.raises(ValueError, match="'side'"):
+            builder.forward(builder.const(np.zeros((4, 6))), train="side")
+        assert builder.batch_stats == [] and len(builder.graph) == 1
+
     def test_train_mode_single_row_rejected(self):
         model = build_model(small_config(), seed=1)
         with pytest.raises(ValueError):
@@ -209,7 +236,7 @@ class TestForward:
         found = forward(model, x, head)
         assert model_bytes(model) == before
         builder = GraphBuilder(model)
-        whole = builder.graph.value(getattr(builder.forward(builder.const(x)), head))
+        whole = builder.graph.value(builder.forward(builder.const(x))[head])
         assert found.shape == whole.shape
         assert np.abs(found - whole).max(initial=0.0) <= 1e-12 * np.abs(whole).max(initial=0.0)
 
@@ -220,8 +247,8 @@ class TestForward:
         rng = np.random.default_rng(3)
         builder = GraphBuilder(model)
         x = builder.const(rng.standard_normal((64, 6)) * 3 + 1)
-        nodes = builder.forward(x, branch="main", mode="train")
-        bn_out_node = builder.graph.nodes[nodes.embedding].inputs[0]
+        nodes = builder.forward(x, train="main")
+        bn_out_node = builder.graph.nodes[nodes["embedding"]].inputs[0]
         bn_out = builder.graph.value(bn_out_node)
         assert np.abs(bn_out.mean(axis=0)).max() < 1e-6
         assert np.abs(bn_out.var(axis=0) - 1.0).max() < 1e-6
@@ -242,13 +269,13 @@ class TestForward:
         rng = np.random.default_rng(6)
         base = rng.standard_normal((6, 6)) + 0.3  # keep relu inputs off kinks
 
-        def make_fn(branch, mode, weights):
+        def make_fn(train, weights):
             def run(x):
                 builder = GraphBuilder(model)
                 x_id = builder.const(x)
-                nodes = builder.forward(x_id, branch=branch, mode=mode)
+                nodes = builder.forward(x_id, train=train)
                 g = builder.graph
-                loss = g.apply("softmax-cross-entropy", [nodes.logits], targets=weights)
+                loss = g.apply("softmax-cross-entropy", [nodes["logits"]], targets=weights)
                 return g, x_id, loss
 
             def fn(x):
@@ -262,9 +289,9 @@ class TestForward:
             fn.gradient = gradient
             return fn
 
-        for branch, mode in (("main", "train"), ("aux", "train"), ("main", "eval")):
+        for train in ("main", "aux", None):
             weights = rng.standard_normal((6, 2))
-            fn = make_fn(branch, mode, weights)
+            fn = make_fn(train, weights)
             assert grad_check(fn, base, eps=1e-6) < 1e-4
 
 
@@ -335,7 +362,7 @@ class TestBlockedEvalForward:
         x = rng.standard_normal((rows, config.input_dim))
         builder = GraphBuilder(model)
         nodes = builder.forward(builder.const(x))
-        whole = [builder.graph.value(n) for n in (nodes.embedding, nodes.projection, nodes.logits)]
+        whole = [builder.graph.value(nodes[head]) for head in model_mod.HEADS]
         with mock.patch.object(model_mod, "_EVAL_ROWS", block):
             blocked = eval_heads(model, x)
         for b, w in zip(blocked, whole):
@@ -382,7 +409,7 @@ class TestHeadsOnDemand:
 
             with mock.patch.object(GraphBuilder, "forward", spy):
                 value = forward(model, x, head)
-            assert value.tobytes() == builder.graph.value(getattr(full, head)).tobytes()
+            assert value.tobytes() == builder.graph.value(full[head]).tobytes()
             # the encoder, and of the heads only the one returned
             layers = {"embedding": set(), "projection": {"proj0", "proj1"}, "logits": {"head"}}
             assert built == [{"enc0", "enc1"} | layers[head]]
@@ -665,6 +692,11 @@ class TestCheckpoint:
         # the manifest parses, but its arrays are not the config's layout
         (b'"shape": [6, 5]', b'"shape": [5, 6]',
          "array 'enc0.w' has shape [5, 6], expected [6, 5]"),
+        (b'"shape": [6, 5]', b'"shape":[6.0,5]',
+         "array 'enc0.w' has shape [6.0, 5], expected [6, 5]"),
+        (b'"kind": "param", "name": "enc0.bn.scale", "shape": [1, 5]',
+         b'"kind":"param", "name": "enc0.bn.scale", "shape":[true,5]',
+         "array 'enc0.bn.scale' has shape [True, 5], expected [1, 5]"),
         (b'"kind": "param", "name": "enc0.w"', b'"kind": "stat" , "name": "enc0.w"',
          "array 'enc0.w' has kind 'stat', expected 'param'"),
         (b'"enc0.w"', b'"enc9.w"', "array 'enc9.w' is unexpected"),
@@ -672,7 +704,7 @@ class TestCheckpoint:
         (b'{"kind": "param", "name": "head.b", "shape": [1, 2]}, ', b' ' * 54,
          "array 'head.b' is missing"),
     ], ids=["utf8", "json", "nan", "key", "shape", "config", "version",
-            "array-shape", "array-kind", "array-unexpected", "array-repeated", "array-missing"])
+            "array-shape", "array-shape-real", "array-shape-bool", "array-kind", "array-unexpected", "array-repeated", "array-missing"])
     def test_manifest_fault_names_the_path_and_the_field(self, tmp_path, old, new, fault):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, build_model(small_config(), seed=9))

@@ -209,7 +209,7 @@ class TestCombinedLoss:
         x, y = batch(15)
         ox, q = self.out_batch(16)
         loss = step_loss(model, cfg(lam=0.5, aux_bn=True), x, y, ox=ox, q=q)
-        branches = {bs[1] for bs in loss.batch_stats}
+        branches = {bs[1] for bs in loss.builder.batch_stats}
         assert branches == {"aux"}
 
     def test_gradcheck_full_loss(self):
