@@ -17,12 +17,11 @@ from openset_ssl.detect import (
     compute_threshold,
     detection_score,
     out_mask,
-    project,
     prototypes_from_projections,
     score_samples,
 )
 from openset_ssl.metrics import auroc, tpr_tnr
-from openset_ssl.model import ModelConfig, build_model, cosine_similarity
+from openset_ssl.model import ModelConfig, build_model, cosine_similarity, forward
 
 spec = BenchmarkSpec(
     dim=16, in_classes=8, out_classes=8, separation=6.0,
@@ -43,7 +42,7 @@ pool = np.concatenate([bench.labeled.x, bench.unlabeled.x])
 ids = np.concatenate([bench.labeled.ids, bench.unlabeled.ids])
 model, _ = pretrain(model, pool, ids, config, seed=0)
 
-labeled = project(model, bench.labeled.x)
+labeled = forward(model, bench.labeled.x, "projection")
 protos = prototypes_from_projections(labeled, bench.labeled.label, spec.in_classes)
 labeled_scores = detection_score(cosine_similarity(labeled, protos))
 threshold, mu, sigma = compute_threshold(labeled_scores, DetectionConfig(eta=2.0))

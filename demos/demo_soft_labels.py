@@ -11,9 +11,9 @@ import numpy as np
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig, pretrain
 from openset_ssl.data import BenchmarkSpec, generate
-from openset_ssl.detect import project, prototypes_from_projections, score_samples
+from openset_ssl.detect import prototypes_from_projections, score_samples
 from openset_ssl.labeling import soft_label
-from openset_ssl.model import ModelConfig, build_model
+from openset_ssl.model import ModelConfig, build_model, forward
 
 
 def soft_label_profile(mode, seed=0):
@@ -38,7 +38,7 @@ def soft_label_profile(mode, seed=0):
     model, _ = pretrain(model, pool, ids, config, seed=seed)
 
     protos = prototypes_from_projections(
-        project(model, bench.labeled.x), bench.labeled.label, spec.in_classes
+        forward(model, bench.labeled.x, "projection"), bench.labeled.label, spec.in_classes
     )
     out_rows = bench.unlabeled.origin == "out"
     sims, _ = score_samples(bench.unlabeled.x[out_rows], protos, model)

@@ -92,7 +92,7 @@ def simclr_batch_loss(model, batch, config, *, seed=0, step=0, ids=None):
 
     builder = GraphBuilder(model)
     x = builder.const(views)
-    proj = builder.forward(x, train="main", heads=("projection",))["projection"]
+    proj = builder.forward(x, "projection", train="main")
     return GraphLoss(builder=builder, node=ntxent_matrix_loss(builder, proj, config.tau_con))
 
 
@@ -135,7 +135,7 @@ def calibrate_running_stats(model, pool, batch_size, seed):
     batches = _epochs(rng_mod.stream(seed, "pretrain.calibrate"), len(pool), batch_size)
     for idx in islice(batches, _CALIBRATION_PASSES * (len(pool) // batch_size)):
         builder = GraphBuilder(model)
-        builder.forward(builder.const(pool[idx]), train="main", heads=())
+        builder.forward(builder.const(pool[idx]), "embedding", train="main")
         commit_batch_stats(model, builder.batch_stats)
 
 

@@ -28,12 +28,6 @@ class DetectionConfig:
             raise ValueError("eta must be finite and nonnegative")
 
 
-def project(model, x):
-    """Eval-mode main-branch projections g(f_e(x)) for a feature matrix."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return forward(model, x, "projection")
-
-
 def prototypes_from_projections(projections, labels, num_classes):
     """(C, d) matrix of per-class unnormalized means of projection rows:
     row c - 1 is class c's."""
@@ -61,7 +55,7 @@ def score_samples(x, prototypes, model):
     """(sims, scores) of the rows of `x`: the (n, C) cosine matrix of their
     projections to the (C, d) prototype matrix, from one eval-mode forward
     and one `cosine_similarity` call, and each row's detection score."""
-    sims = cosine_similarity(project(model, x), prototypes)
+    sims = cosine_similarity(forward(model, x, "projection"), prototypes)
     return sims, detection_score(sims)
 
 

@@ -41,7 +41,6 @@ from .detect import (
     compute_threshold,
     detection_score,
     out_mask,
-    project,
     prototypes_from_projections,
     read_scored_manifest,
     score_samples,
@@ -61,7 +60,8 @@ from .labeling import (
     soft_label,
 )
 from .metrics import auroc, median_last_n, tpr_tnr
-from .model import ModelConfig, build_model, cosine_similarity, load_checkpoint, save_checkpoint
+from .model import (ModelConfig, build_model, cosine_similarity, forward, load_checkpoint,
+                    save_checkpoint)
 from .train import SSLConfig, init_train_state, one_hot, train
 
 # each sweep axis -> the (section, field) of `ExperimentConfig` it sets
@@ -230,7 +230,7 @@ class DetectOutcome:
 
 
 def stage_detect(config, bench, model):
-    labeled = project(model, bench.labeled.x)  # feeds the prototypes and the labeled scores
+    labeled = forward(model, bench.labeled.x, "projection")  # for prototypes and scores both
     protos = prototypes_from_projections(labeled, bench.labeled.label, model.config.num_classes)
     labeled_sims = cosine_similarity(labeled, protos)
     labeled_scores = detection_score(labeled_sims)
@@ -511,13 +511,15 @@ def write_curve_csv(path, sweep_dir):
 def recompute_metrics(out_dir, dataset_dir=None):
     """Rebuild the detection and accuracy metrics of a finished run from
     its report.json and scored manifests; byte-equal to the report's
-    values when nothing was touched."""
+    values when nothing was touched.  The benchmark is read as the staged
+    commands read it (`load_benchmark`), from `dataset_dir` when given."""
     path = os.path.join(out_dir, "report.json")
     report = read_json(path)
     with fields_of(path):
         config = from_dict(ExperimentConfig, report["config"], prefix="config.")
         accs = report["checkpoint_accuracies"]
-    bench = read_benchmark(dataset_dir or config.dataset_dir or os.path.join(out_dir, "dataset"))
+    bench = load_benchmark(replace(config, out_dir=out_dir,
+                                   dataset_dir=dataset_dir or config.dataset_dir))
     det = load_detect_outcome(out_dir, bench, config.detection)
     return {**det.summary(), **_accuracy_summary(accs, config.median_last)}
 

@@ -16,12 +16,12 @@ commits them with `commit_batch_stats`.
 
 The projection header is a two-layer perceptron over the embedding; the
 classifier head is a single dense layer over the embedding (the linear-
-evaluation convention).  A forward pass builds only the heads its caller
-asks for: contrastive pretraining and detection read the projection,
-fine-tuning and evaluation the logits, labeling and statistics
-calibration the embedding alone.  A head that is not built puts no node
-on the tape, so its parameters get no gradient and an optimizer step
-leaves them be.
+evaluation convention).  A forward pass builds the encoder and the one
+head its caller reads: contrastive pretraining and detection the
+projection, fine-tuning and evaluation the logits, labeling and
+statistics calibration the embedding.  The heads it does not read put no
+node on the tape, so their parameters get no gradient and an optimizer
+step leaves them be.
 
 The plain `forward` returns one head of an eval-mode pass and moves no
 parameter or statistic.  It runs even blocks of at most `_EVAL_ROWS`
@@ -125,33 +125,30 @@ def build_model(config, seed):
 
 
 class GraphBuilder:
-    """One differentiable pass: owns a graph, lazily created param nodes,
-    and `batch_stats`, the (layer, branch, mu, var) batch moments of its
-    train-mode layers in the order they were built."""
+    """One differentiable pass: owns a graph, `param_nodes` (name -> the
+    leaf `param` created on first use), and `batch_stats`, the (layer,
+    branch, mu, var) batch moments of its train-mode layers in the order
+    they were built."""
 
     def __init__(self, model):
         self.model = model
         self.graph = DiffGraph()
-        self._param_nodes = {}
+        self.param_nodes = {}
         self.batch_stats = []
 
     def param(self, name):
-        if name not in self._param_nodes:
-            self._param_nodes[name] = self.graph.input(self.model.params[name])
-        return self._param_nodes[name]
+        if name not in self.param_nodes:
+            self.param_nodes[name] = self.graph.input(self.model.params[name])
+        return self.param_nodes[name]
 
     def const(self, value):
         return self.graph.input(value)
 
-    @property
-    def param_nodes(self):
-        return dict(self._param_nodes)
-
     # ------------------------------------------------------------------
 
-    def forward(self, x_id, train=None, heads=HEADS):
-        """Encoder -> {head: node id}: the embedding always, of the other
-        heads only those named in `heads`.
+    def forward(self, x_id, head, train=None):
+        """The node id of `head` (one of `HEADS`) over the encoder; of the
+        heads, only that one goes on the tape.
 
         `train=None` is eval mode over the main branch's running
         statistics; `train="main"` or `"aux"` is train mode on that branch,
@@ -160,9 +157,8 @@ class GraphBuilder:
         """
         if train is not None and train not in BRANCHES:
             raise ValueError(f"unknown branch: {train!r}")
-        unknown = set(heads) - set(HEADS)
-        if unknown:
-            raise ValueError(f"unknown heads: {sorted(unknown)}")
+        if head not in HEADS:
+            raise ValueError(f"unknown head: {head!r}")
         g = self.graph
         cfg = self.model.config
         stats = self.model.stats
@@ -179,16 +175,15 @@ class GraphBuilder:
                 self.batch_stats.append((f"enc{i}", train, mu, var))
             scale, shift = self.param(f"enc{i}.bn.scale"), self.param(f"enc{i}.bn.shift")
             h = g.apply("affine-relu", [h, scale, shift])
-        nodes = {"embedding": h}
-        if "projection" in heads:
+        if head == "projection":
             p = g.apply("matmul", [h, self.param("proj0.w")])
             p = g.apply("relu", [g.apply("add", [p, self.param("proj0.b")])])
             p = g.apply("matmul", [p, self.param("proj1.w")])
-            nodes["projection"] = g.apply("add", [p, self.param("proj1.b")])
-        if "logits" in heads:
+            return g.apply("add", [p, self.param("proj1.b")])
+        if head == "logits":
             logits = g.apply("matmul", [h, self.param("head.w")])
-            nodes["logits"] = g.apply("add", [logits, self.param("head.b")])
-        return nodes
+            return g.apply("add", [logits, self.param("head.b")])
+        return h
 
 
 def commit_batch_stats(model, batch_stats):
@@ -212,7 +207,7 @@ def _block_head(model, block, head):
     """`head`'s values of one eval-mode graph over `block`; the graph and
     its other intermediates die on return."""
     builder = GraphBuilder(model)
-    return builder.graph.value(builder.forward(builder.const(block), heads=(head,))[head])
+    return builder.graph.value(builder.forward(builder.const(block), head))
 
 
 def forward(model, batch, head="embedding"):
@@ -267,24 +262,24 @@ def cosine_similarity(a, b):
 
 
 def save_checkpoint(path, model):
-    names = list(model.params) + list(model.stats)
-    arrays = [
-        model.params[n] if n in model.params else model.stats[n] for n in names
-    ]
-    kinds = ["param"] * len(model.params) + ["stat"] * len(model.stats)
+    """Write the arrays `_layout(model.config)` lists, in its order, each with
+    its own shape; an array the layout lacks raises ValueError naming it."""
+    layout = [(name, kind) for name, kind, _ in _layout(model.config)]
+    for name, kind in [(n, "param") for n in model.params] + [(n, "stat") for n in model.stats]:
+        if (name, kind) not in layout:
+            raise ValueError(f"checkpoint {path}: {kind} {name!r} is not in the model's layout")
+    arrays = [(name, kind, (model.params if kind == "param" else model.stats)[name])
+              for name, kind in layout]
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "arrays": [
-            {"name": n, "shape": list(a.shape), "kind": k}
-            for n, a, k in zip(names, arrays, kinds)
-        ],
+        "arrays": [{"name": n, "shape": list(a.shape), "kind": k} for n, k, a in arrays],
     }
     blob = json.dumps(manifest, sort_keys=True, allow_nan=False).encode("utf-8")
     with replacing(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for a in arrays:
+        for _, _, a in arrays:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 

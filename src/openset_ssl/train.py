@@ -32,13 +32,12 @@ import numpy as np
 from . import rng as rng_mod
 from .artifacts import INT, REAL, TEXT, optional_real, write_table
 from .augment import AugmentConfig, augment_batch
-from .autodiff import OPS, logsumexp_rows, softmax_rows
+from .autodiff import OPS, softmax_rows
 from .contrastive import GraphLoss
 from .model import GraphBuilder, forward, save_checkpoint
 from .optim import NesterovSGD
 
 BACKENDS = ("consistency", "hard-pseudo")
-LOGITS = ("logits",)  # fine-tuning never reads the projection header
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,9 @@ def prepare_consistency(model, u_x, u_ids, config, seed, step):
     if u_x.shape[0] == 0 or config.beta == 0:
         return None, None
     aug = config.augment
+    if aug is None:
+        raise ValueError(f"ssl.augment is unset, and the consistency term (beta {config.beta!r}) "
+                         "draws its views from it")
     if config.backend == "hard-pseudo":  # a weak view and a strong one
         aug = (aug, replace(aug, noise_sigma=2.0 * aug.noise_sigma))
     v1, v2 = np.split(augment_batch(u_x, u_ids, aug, seed, step, (0, 1)), 2)  # view-major
@@ -162,7 +164,7 @@ def build_step_loss(model, plan, config):
         targets = np.concatenate(
             [labeled_q * (n / n_l), cons_t[kept] * (config.beta * n / len(cons_t))]
         )
-    logits_node = builder.forward(builder.const(x), heads=LOGITS)["logits"]
+    logits_node = builder.forward(builder.const(x), "logits")
     loss = g.apply("softmax-cross-entropy", [logits_node], targets=targets)
     logits = g.value(logits_node)
     terms = {"supervised": float(cross_entropy(logits[:n_l], labeled_q)[0])}
@@ -178,8 +180,8 @@ def build_step_loss(model, plan, config):
         # the out-of-class batch statistics land in the main running
         # statistics, the distribution mismatch the auxiliary BNs absorb
         branch = "aux" if config.aux_bn else "main"
-        out_nodes = builder.forward(builder.const(plan.out_x), train=branch, heads=LOGITS)
-        aux = g.apply("softmax-cross-entropy", [out_nodes["logits"]], targets=out_q)
+        out_logits = builder.forward(builder.const(plan.out_x), "logits", train=branch)
+        aux = g.apply("softmax-cross-entropy", [out_logits], targets=out_q)
         terms["aux"] = float(g.value(aux))
         loss = g.apply("add", [loss, g.apply("scale", [aux], factor=config.lam)])
 
@@ -332,12 +334,11 @@ def write_train_trace(path, trace):
     )
 
 
-def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
+def aux_only_train(model, out_x, out_q, config, seed):
     """Fit the soft-labeled out-of-class term alone, from the given model.
 
     A plain main-branch train-mode loop (this is the from-scratch
-    informativeness study, not the auxiliary-routing path).  Returns the
-    model and, optionally, the mean prediction-entropy trace.
+    informativeness study, not the auxiliary-routing path); returns the model.
     """
     _check_batch_norm_rows(config.batch_size)
     out_x = np.asarray(out_x, dtype=np.float64)
@@ -347,17 +348,10 @@ def aux_only_train(model, out_x, out_q, config, seed, record_entropy=False):
     _check_rows_normalized(out_q, "soft-labels")
     opt = NesterovSGD(model.params, lr=config.lr, momentum=config.momentum)
     cycler = _Cycler(out_x.shape[0], seed, "aux_only")
-    entropy_trace = []
     for step in range(config.steps):
         idx = cycler.take(config.batch_size)
         builder = GraphBuilder(model)
-        nodes = builder.forward(builder.const(out_x[idx]), train="main", heads=LOGITS)
-        loss = builder.graph.apply("softmax-cross-entropy", [nodes["logits"]], targets=out_q[idx])
+        logits = builder.forward(builder.const(out_x[idx]), "logits", train="main")
+        loss = builder.graph.apply("softmax-cross-entropy", [logits], targets=out_q[idx])
         GraphLoss(builder=builder, node=loss).update(opt, config, "aux-only", step)
-        if record_entropy:
-            logits = builder.graph.value(nodes["logits"])
-            log_probs = logits - logsumexp_rows(logits)
-            entropy_trace.append(float(-(np.exp(log_probs) * log_probs).sum(axis=1).mean()))
-    if record_entropy:
-        return model, entropy_trace
     return model

@@ -11,7 +11,7 @@ from openset_ssl import rng
 from openset_ssl.autodiff import DiffGraph, grad_check
 from openset_ssl.contrastive import GraphLoss
 from openset_ssl.model import GraphBuilder, commit_batch_stats
-from openset_ssl.train import LOGITS, build_step_loss
+from openset_ssl.train import build_step_loss
 
 
 def reduce_sum(g, node):
@@ -61,10 +61,9 @@ def train_forward(model, x, branch="main", head="embedding"):
     on `branch`, whose batch moments fold into that branch's running
     statistics, as a fitting step's do."""
     builder = GraphBuilder(model)
-    nodes = builder.forward(builder.const(np.asarray(x, dtype=np.float64)), train=branch,
-                            heads=(head,))
+    node = builder.forward(builder.const(np.asarray(x, dtype=np.float64)), head, train=branch)
     commit_batch_stats(model, builder.batch_stats)
-    return builder.graph.value(nodes[head])
+    return builder.graph.value(node)
 
 
 def reference_batch_norm(g, h_id, eps):
@@ -117,20 +116,20 @@ def reference_step_loss(model, plan, config):
     builder = GraphBuilder(model)
     g = builder.graph
     x_l = builder.const(np.asarray(plan.labeled_x, dtype=np.float64))
-    sup_nodes = builder.forward(x_l, heads=LOGITS)
-    loss = g.apply("softmax-cross-entropy", [sup_nodes["logits"]], targets=plan.labeled_q)
+    sup_logits = builder.forward(x_l, "logits")
+    loss = g.apply("softmax-cross-entropy", [sup_logits], targets=plan.labeled_q)
     terms = {"supervised": float(g.value(loss))}
     if plan.cons_x is not None:
         x_u = builder.const(plan.cons_x)
-        cons_nodes = builder.forward(x_u, heads=LOGITS)
-        cons = g.apply("softmax-cross-entropy", [cons_nodes["logits"]], targets=plan.cons_targets)
+        cons_logits = builder.forward(x_u, "logits")
+        cons = g.apply("softmax-cross-entropy", [cons_logits], targets=plan.cons_targets)
         terms["consistency"] = float(g.value(cons))
         loss = g.apply("add", [loss, g.apply("scale", [cons], factor=config.beta)])
     if plan.out_x is not None:
         branch = "aux" if config.aux_bn else "main"
         x_o = builder.const(plan.out_x)
-        out_nodes = builder.forward(x_o, train=branch, heads=LOGITS)
-        aux = g.apply("softmax-cross-entropy", [out_nodes["logits"]], targets=plan.out_q)
+        out_logits = builder.forward(x_o, "logits", train=branch)
+        aux = g.apply("softmax-cross-entropy", [out_logits], targets=plan.out_q)
         terms["aux"] = float(g.value(aux))
         loss = g.apply("add", [loss, g.apply("scale", [aux], factor=config.lam)])
     return GraphLoss(builder=builder, node=loss, terms=terms)

@@ -433,7 +433,7 @@ def _table(path, bad_row=None):
 def _checkpoint(path, broken=False):
     model = build_model(ModelConfig(input_dim=3, embed_dim=4, proj_dim=2), seed=0)
     if broken:  # fails after the manifest is written
-        model.stats["broken"] = np.array(["not a real"])
+        model.stats["enc0.bn.main.var"] = np.array(["not a real"])
     save_checkpoint(path, model)
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: staged pipeline, config-file override, sweeps."""
 
 import json
+import math
 import os
 import shutil
 import statistics
@@ -181,6 +182,34 @@ class TestStagedPipeline:
         assert {k: recomputed[k] for k in detection} == detection
         assert recomputed["split_sizes"] == report["split_sizes"]
         assert recomputed["median_accuracy"] == report["median_accuracy"]
+
+    def test_eval_holds_the_dataset_to_the_report_without_the_pretrained_model(
+        self, tmp_path, capsys
+    ):
+        # as staged `label` does; without pretrained.ckpt, which a directory
+        # of variants trained from one pretrained model does not hold
+        out = tmp_path / "full"
+        assert run_cli("run", "--out-dir", str(out), *MICRO) == 0
+        os.remove(out / "pretrained.ckpt")
+        assert run_cli("eval", "--out-dir", str(out)) == 0
+        path = out / "dataset" / "spec.json"
+        edit_json(path, lambda spec: spec.update(out_proportion=0.9))
+        capsys.readouterr()
+        assert run_cli("eval", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: out_proportion is 0.9 where the config gives 0.5\n")
+
+    def test_unset_steps_cover_the_checkpoints(self, tmp_path):
+        # ssl.steps unset: ceil(interval x count / batch) steps, here
+        # ceil(8 x 3 / 5) = 5, which reach the third checkpoint at 25 samples
+        out = tmp_path / "derived"
+        flags = MICRO[: MICRO.index("--steps")] + MICRO[MICRO.index("--steps") + 2 :]
+        assert "--steps" not in flags
+        assert run_cli("run", "--out-dir", str(out), *flags, "--batch-size", "5",
+                       "--checkpoint-count", "3") == 0
+        trace = read_table(out / "train_trace.csv", {"step": int}, default=str)
+        assert list(trace["step"]) == list(range(math.ceil(8 * 3 / 5)))
+        assert len(read_json(out / "report.json")["checkpoint_accuracies"]) == 3
 
     def test_failed_rerun_leaves_no_stale_report(self, tmp_path):
         out = str(tmp_path / "full")

@@ -1,17 +1,22 @@
-"""The demos import only names the package has, and call them as their
-signatures allow.
+"""The demos import only names the package has, call them as their
+signatures allow, and run to the end.
 
-Running the demos takes tens of seconds, so this suite only parses them:
-it resolves every `from openset_ssl.x import y`, and binds each call of
-an imported name to that name's `inspect.signature`, one placeholder per
-argument (a call with `*args` or `**kwargs` is skipped).  Run a demo with
-`python3 demos/<name>.py` to see its output.
+The fast checks only parse a demo: they resolve every `from
+openset_ssl.x import y`, and bind each call of an imported name to that
+name's `inspect.signature`, one placeholder per argument (a call with
+`*args` or `**kwargs` is skipped).  Running the six demos takes tens of
+seconds, so that check is marked `slow`; it catches what a demo reads
+from a result, which no signature shows.  Run a demo with `python3
+demos/<name>.py` to see its output.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -64,3 +69,14 @@ def test_demo_calls_bind_to_the_signatures(path):
             inspect.signature(target).bind(*call.args, **{k.arg: k for k in call.keywords})
         except TypeError as exc:
             pytest.fail(f"{path.name}:{call.lineno}: {call.func.id}: {exc}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs_to_the_end(path, tmp_path):
+    src = str(path.parent.parent / "src")
+    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}  # its run directories in tmp_path
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, f"{path.name} exited {done.returncode}:\n{done.stderr}"

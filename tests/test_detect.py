@@ -11,14 +11,13 @@ from openset_ssl.detect import (
     compute_threshold,
     detection_score,
     out_mask,
-    project,
     prototypes_from_projections,
     read_scored_manifest,
     score_samples,
     write_scored_manifest,
 )
 from openset_ssl.harness import DetectOutcome
-from openset_ssl.model import ModelConfig, build_model, cosine_similarity
+from openset_ssl.model import ModelConfig, build_model, cosine_similarity, forward
 
 
 def model_with_dim(input_dim=6, num_classes=3, seed=0):
@@ -33,7 +32,7 @@ class TestPrototypes:
     def test_single_sample_class_is_its_projection(self):
         model = model_with_dim(num_classes=2)
         x = np.random.default_rng(0).standard_normal((2, 6))
-        projections = project(model, x)
+        projections = forward(model, x, "projection")
         protos = prototypes_from_projections(projections, np.array([1, 2]), 2)
         assert np.allclose(protos[0], projections[0], atol=0)
         assert np.allclose(protos[1], projections[1], atol=0)
@@ -85,10 +84,10 @@ class TestSimilaritiesAndScore:
         model = model_with_dim()
         labeled_x = rng.standard_normal((9, 6))
         labels = np.tile([1, 2, 3], 3)
-        protos = prototypes_from_projections(project(model, labeled_x), labels, 3)
+        protos = prototypes_from_projections(forward(model, labeled_x, "projection"), labels, 3)
         x = rng.standard_normal(6)
         sims = score_samples(x[None], protos, model)[0][0]
-        p = project(model, x)[0]
+        p = forward(model, x[None], "projection")[0]
         for idx, v in enumerate(protos):
             expected = (p * v).sum() / np.sqrt((p * p).sum() * (v * v).sum())
             assert abs(sims[idx] - expected) < 1e-12
@@ -109,7 +108,8 @@ class TestSimilaritiesAndScore:
         rng = np.random.default_rng(4)
         model = model_with_dim()
         labeled_x = rng.standard_normal((6, 6))
-        protos = prototypes_from_projections(project(model, labeled_x), np.tile([1, 2, 3], 2), 3)
+        projections = forward(model, labeled_x, "projection")
+        protos = prototypes_from_projections(projections, np.tile([1, 2, 3], 2), 3)
         _, scores = score_samples(rng.standard_normal((50, 6)), protos, model)
         assert scores.shape == (50,)
         for score in scores:

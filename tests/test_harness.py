@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from openset_ssl import detect as detect_mod
 from openset_ssl import harness as harness_mod
+from openset_ssl import model as model_mod
 from openset_ssl.augment import AugmentConfig
 from openset_ssl.contrastive import ContrastiveConfig
 from openset_ssl.data import BenchmarkSpec
@@ -206,10 +207,15 @@ class TestDetectOutcome:
         bench = prepare_benchmark(cfg)
         model = stage_pretrain(cfg, bench)
         projected = []
-        project = detect_mod.project
+        forward = model_mod.forward
+
+        def spy(model, x, head="embedding"):
+            if head == "projection":
+                projected.append(len(x))
+            return forward(model, x, head)
+
         for module in (detect_mod, harness_mod):  # `score_samples` and `stage_detect`
-            monkeypatch.setattr(module, "project",
-                                lambda model, x: projected.append(len(x)) or project(model, x))
+            monkeypatch.setattr(module, "forward", spy)
         stage_detect(cfg, bench, model)
         assert projected == [len(bench.labeled), len(bench.unlabeled)]
 

@@ -72,6 +72,12 @@ def eval_heads(model, x):
     return [forward(model, x, head) for head in model_mod.HEADS]
 
 
+def whole_batch_head(model, x, head):
+    """`head`'s values of one eval-mode graph over the whole batch `x`."""
+    builder = GraphBuilder(model)
+    return builder.graph.value(builder.forward(builder.const(x), head))
+
+
 def model_bytes(model):
     return {name: a.tobytes() for arrays in (model.params, model.stats)
             for name, a in arrays.items()}
@@ -182,7 +188,7 @@ class TestForward:
     def test_eval_forward_records_no_moments(self):
         model = build_model(small_config(), seed=1)
         builder = GraphBuilder(model)
-        builder.forward(builder.const(np.random.default_rng(0).standard_normal((4, 6))))
+        builder.forward(builder.const(np.random.default_rng(0).standard_normal((4, 6))), "logits")
         assert builder.batch_stats == []
 
     @pytest.mark.parametrize("branch", model_mod.BRANCHES)
@@ -190,7 +196,7 @@ class TestForward:
         model = build_model(small_config(hidden_dims=(5, 3)), seed=1)
         builder = GraphBuilder(model)
         builder.forward(builder.const(np.random.default_rng(0).standard_normal((8, 6))),
-                        train=branch)
+                        "embedding", train=branch)
         g = builder.graph
         bn_nodes = [i for i, node in enumerate(g.nodes) if node.op == "batch-norm"]
         assert len(bn_nodes) == len(builder.batch_stats) == 3
@@ -203,7 +209,7 @@ class TestForward:
         model = build_model(small_config(), seed=1)
         builder = GraphBuilder(model)
         with pytest.raises(ValueError, match="'side'"):
-            builder.forward(builder.const(np.zeros((4, 6))), train="side")
+            builder.forward(builder.const(np.zeros((4, 6))), "embedding", train="side")
         assert builder.batch_stats == [] and len(builder.graph) == 1
 
     def test_train_mode_single_row_rejected(self):
@@ -218,8 +224,19 @@ class TestForward:
 
     def test_unknown_head_rejected_by_name(self):
         model = build_model(small_config(), seed=1)
-        with pytest.raises(ValueError, match="'proj'"):
+        with pytest.raises(ValueError, match="^unknown head: 'proj'$"):
             forward(model, np.zeros((3, 6)), "proj")
+        builder = GraphBuilder(model)
+        with pytest.raises(ValueError, match="^unknown head: 'proj'$"):
+            builder.forward(builder.const(np.zeros((3, 6))), "proj")
+        assert builder.batch_stats == [] and len(builder.graph) == 1
+
+    def test_default_head_is_the_embedding(self):
+        # `forward(model, batch)` with no head, the call form of the
+        # benchmark's tracer check
+        model = build_model(small_config(), seed=1)
+        x = np.random.default_rng(0).standard_normal((5, 6))
+        assert forward(model, x).tobytes() == forward(model, x, "embedding").tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(config=model_configs, rows=st.integers(0, 40), head=st.sampled_from(model_mod.HEADS),
@@ -235,8 +252,7 @@ class TestForward:
         before = model_bytes(model)
         found = forward(model, x, head)
         assert model_bytes(model) == before
-        builder = GraphBuilder(model)
-        whole = builder.graph.value(builder.forward(builder.const(x))[head])
+        whole = whole_batch_head(model, x, head)
         assert found.shape == whole.shape
         assert np.abs(found - whole).max(initial=0.0) <= 1e-12 * np.abs(whole).max(initial=0.0)
 
@@ -247,8 +263,8 @@ class TestForward:
         rng = np.random.default_rng(3)
         builder = GraphBuilder(model)
         x = builder.const(rng.standard_normal((64, 6)) * 3 + 1)
-        nodes = builder.forward(x, train="main")
-        bn_out_node = builder.graph.nodes[nodes["embedding"]].inputs[0]
+        embedding = builder.forward(x, "embedding", train="main")
+        bn_out_node = builder.graph.nodes[embedding].inputs[0]
         bn_out = builder.graph.value(bn_out_node)
         assert np.abs(bn_out.mean(axis=0)).max() < 1e-6
         assert np.abs(bn_out.var(axis=0) - 1.0).max() < 1e-6
@@ -273,9 +289,9 @@ class TestForward:
             def run(x):
                 builder = GraphBuilder(model)
                 x_id = builder.const(x)
-                nodes = builder.forward(x_id, train=train)
+                logits = builder.forward(x_id, "logits", train=train)
                 g = builder.graph
-                loss = g.apply("softmax-cross-entropy", [nodes["logits"]], targets=weights)
+                loss = g.apply("softmax-cross-entropy", [logits], targets=weights)
                 return g, x_id, loss
 
             def fn(x):
@@ -360,9 +376,7 @@ class TestBlockedEvalForward:
         for name in model.stats:  # away from the initial (0, 1) statistics
             model.stats[name] = model.stats[name] + rng.uniform(0.0, 0.5, model.stats[name].shape)
         x = rng.standard_normal((rows, config.input_dim))
-        builder = GraphBuilder(model)
-        nodes = builder.forward(builder.const(x))
-        whole = [builder.graph.value(nodes[head]) for head in model_mod.HEADS]
+        whole = [whole_batch_head(model, x, head) for head in model_mod.HEADS]
         with mock.patch.object(model_mod, "_EVAL_ROWS", block):
             blocked = eval_heads(model, x)
         for b, w in zip(blocked, whole):
@@ -396,20 +410,18 @@ class TestHeadsOnDemand:
     def test_forward_builds_only_the_named_heads(self):
         model = build_model(small_config(), seed=1)
         x = np.random.default_rng(0).standard_normal((3, 6))
-        builder = GraphBuilder(model)
-        full = builder.forward(builder.const(x))
         for head in model_mod.HEADS:
             built = []
             original = GraphBuilder.forward
 
             def spy(self, x_id, *args, **kwargs):
-                nodes = original(self, x_id, *args, **kwargs)
+                node = original(self, x_id, *args, **kwargs)
                 built.append({name.split(".")[0] for name in self.param_nodes})
-                return nodes
+                return node
 
             with mock.patch.object(GraphBuilder, "forward", spy):
                 value = forward(model, x, head)
-            assert value.tobytes() == builder.graph.value(full[head]).tobytes()
+            assert value.tobytes() == whole_batch_head(model, x, head).tobytes()
             # the encoder, and of the heads only the one returned
             layers = {"embedding": set(), "projection": {"proj0", "proj1"}, "logits": {"head"}}
             assert built == [{"enc0", "enc1"} | layers[head]]
@@ -646,6 +658,35 @@ class TestCheckpoint:
             with pytest.raises(ValueError) as err:
                 load_checkpoint(path)
         assert str(err.value).startswith(f"checkpoint {path}: ")
+
+    def test_arrays_are_written_in_layout_order(self, tmp_path):
+        model = build_model(small_config(), seed=9)
+        reordered = model_mod.Model(model.config, dict(reversed(model.params.items())),
+                                    dict(reversed(model.stats.items())))
+        save_checkpoint(tmp_path / "a.ckpt", model)
+        save_checkpoint(tmp_path / "b.ckpt", reordered)
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("kind, name", [("stat", "enc0.bn.side.mean"),
+                                            ("param", "enc0.bn.main.mean")])
+    def test_an_array_the_layout_lacks_fails_at_save_by_name(self, tmp_path, kind, name):
+        model = build_model(small_config(), seed=9)
+        (model.params if kind == "param" else model.stats)[name] = np.zeros((1, 5))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(path, model)
+        assert str(err.value) == f"checkpoint {path}: {kind} {name!r} is not in the model's layout"
+        assert not path.exists()
+
+    def test_an_array_of_another_shape_is_written_and_rejected_on_load(self, tmp_path):
+        model = build_model(small_config(), seed=9)
+        model.params["enc0.w"] = np.zeros((5, 6))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"checkpoint {path}: array 'enc0.w' has shape [5, 6], "
+                                  "expected [6, 5]")
 
     def test_both_branch_stats_in_file(self, tmp_path):
         model = build_model(small_config(), seed=9)

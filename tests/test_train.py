@@ -378,6 +378,22 @@ class TestTrainLoop:
             train(state, np.zeros((0, DIM)), np.zeros((0, C)), [], np.zeros((0, DIM)),
                   np.zeros((0, DIM)), np.zeros((0, C)), cfg(steps=1), seed=0)
 
+    def test_an_unset_augment_fails_naming_it_where_the_consistency_term_runs(self):
+        # SSLConfig() leaves augment unset, so the check is at the term and
+        # not at construction: a run without the term needs no augment
+        x = np.random.default_rng(0).standard_normal((4, 4))
+
+        def run(config):
+            model = build_model(ModelConfig(input_dim=4, hidden_dims=(5,)), seed=0)
+            return train(init_train_state(model, config), x, one_hot([1, 2, 1, 2], 2),
+                         np.arange(4), x, np.zeros((0, 4)), np.zeros((0, 2)), config, seed=0)
+
+        assert run(SSLConfig(steps=2, batch_size=4, beta=0.0)).step == 2
+        with pytest.raises(ValueError) as err:
+            run(SSLConfig(steps=2, batch_size=4))
+        assert str(err.value) == ("ssl.augment is unset, and the consistency term (beta 1.0) "
+                                  "draws its views from it")
+
     def test_default_batch_size_is_64(self):
         assert SSLConfig().batch_size == 64
 
@@ -511,9 +527,15 @@ class TestAuxOnlyTrain:
 
         ox = rng.standard_normal((16, DIM)) * 3
         q = np.full((16, C), 1.0 / C)
-        _, entropy = aux_only_train(model, ox, q, cfg(steps=40, batch_size=8, lr=0.2),
-                                    seed=2, record_entropy=True)
-        assert entropy[-1] > entropy[0]
+
+        def mean_entropy():  # of the eval-mode predictions on the out-of-class rows
+            log_probs = forward(model, ox, "logits")
+            log_probs = log_probs - logsumexp_rows(log_probs)
+            return float(-(np.exp(log_probs) * log_probs).sum(axis=1).mean())
+
+        before = mean_entropy()
+        assert aux_only_train(model, ox, q, cfg(steps=40, batch_size=8, lr=0.2), seed=2) is model
+        assert mean_entropy() > before
 
     def test_accuracy_evaluator(self):
         model = toy_model()
